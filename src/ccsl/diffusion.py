@@ -8,22 +8,21 @@ with k_x the component along the measurement axis. eta is linear in lam;
 ceilings by. The integral is truncated at |k| = 10/rc, where the Gaussian
 weight is e^{-100}.
 
-Every supported shape reduces exactly to 1-D radial quadratures and/or
-stable closed forms; no multi-dimensional quadrature sits on the production
-path:
+Every primitive shape has a stable closed form; only interference between
+radially symmetric composite parts needs a 1-D radial quadrature, and no
+multi-dimensional quadrature sits on the production path:
 
 * point mass: I3 = m^2 pi^{3/2}/(2 rc^5) exactly.
-* sphere: 1-D radial Gauss-Kronrod with panels aligned to the form-factor
-  oscillation; for (R/rc)^2 >= 2000 an erf-free closed form (cancellation-
-  free in that regime) replaces the rule, which would otherwise need too
-  many oscillation panels.
+* sphere: I3 = 3 pi^{3/2} (m^2/R^6) [2 rc (e^{-X} - 1) + (R^2/rc)(1 + e^{-X})]
+  with X = (R/rc)^2, exact at every rc; below X = 1, where the bracket
+  cancels, its Taylor series (which starts at X^3/6) is summed instead.
 * cuboid: the integrand separates per axis; each 1-D factor has an
   erf/expm1 closed form.
 * cylinder: the azimuthal integral is analytic, the axial factor is the
   cuboid closed form, and the transverse J1^2 moments follow from Watson's
   identity Int_0^inf e^{-p^2 t^2} J1(a t)^2 t dt = e^{-u} I1(u)/(2 p^2)
-  with u = a^2/(2 p^2); below u = 50 (where 1 - e^{-u}(I0+I1) cancels) the
-  moments are integrated directly, which is cheap there.
+  with u = a^2/(2 p^2), exact at every rc; below u = 1, where
+  1 - e^{-u}(I0+I1) cancels, a hypergeometric series replaces it.
 * composite: sum of the parts' terms plus pairwise interference.
   Point/cuboid pairs reduce per axis to erf/Gaussian primitives; pairs of
   radially symmetric parts reduce to a Bessel-weighted radial integral;
@@ -42,19 +41,17 @@ import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ive, jn_zeros, spherical_jn
+from scipy.special import ive, spherical_jn
 
 from .core import CONSTANTS, CollapseParams, validate_params
 from .errors import CompositeCrossTermUnsupported, NonPositiveRc, QuadratureNotConverged
 from .geometry import (Composite, Cuboid, Cylinder, MassDistribution, PointMass, Sphere,
-                       circumradius, disc_kernel, sphere_kernel, total_mass,
+                       circumradius, sphere_kernel, total_mass,
                        validate_distribution)
 from .quadrature import integrate, merge_edges
 
 DEFAULT_TOL = 1e-8
 K_CUTOFF = 10.0            # integrate |k| <= K_CUTOFF/rc; tail weight e^-100
-SPHERE_CLOSED_X = 2000.0   # switch (R/rc)^2 between radial rule and closed form
-CYLINDER_CLOSED_U = 50.0   # switch u = R^2/(2 rc^2) for the J1^2 moments
 _GAP_DROP = 12.0           # drop cross terms when gap/(2 rc) exceeds this
 _MAX_OSC_PANELS = 20000
 
@@ -127,7 +124,28 @@ def _ive(n: int, u: float) -> float:
     return s / math.sqrt(2.0 * math.pi * u)
 
 
-def _transverse_moments(R: float, rc: float, tol: float) -> tuple[float, float, float]:
+def _series(term: float, ratio) -> float:
+    """Sum term_0 + term_1 + ... with term_{k+1} = term_k * ratio(k), to
+    double precision; for the fast-converging series below."""
+    total, k = term, 0
+    while abs(term) > 1e-17 * abs(total):
+        term *= ratio(k)
+        total += term
+        k += 1
+    return total
+
+
+def _one_minus_ive01(u: float) -> float:
+    """g(u) = 1 - e^{-u} (I0(u) + I1(u)) = Int_0^u e^{-t} I1(t)/t dt. Below
+    u = 1, where the difference cancels, it is the Kummer series
+    e^{-t} I1(t)/t = (1/2) 1F1(3/2; 3; -2t) integrated term by term:
+    g(u) = (1/2) sum_k (3/2)_k/(3)_k (-2)^k u^{k+1}/((k+1) k!)."""
+    if u >= 1.0:
+        return 1.0 - _ive(0, u) - _ive(1, u)
+    return _series(0.5 * u, lambda k: -2.0 * u * (k + 1.5) / ((k + 3.0) * (k + 2.0)))
+
+
+def _transverse_moments(R: float, rc: float) -> tuple[float, float]:
     """Half-line moments of the cylinder disc factor, with kp the transverse
     wave number:
 
@@ -136,44 +154,26 @@ def _transverse_moments(R: float, rc: float, tol: float) -> tuple[float, float, 
 
     Closed forms (u = R^2/(2 rc^2), scaled Bessel ive):
     B1 = (2/R^2) [1 - ive(0,u) - ive(1,u)],  B3 = (2/(R^2 rc^2)) ive(1,u).
-    Returns (B1, B3, relative error estimate).
     """
     u = (R / rc) ** 2 / 2.0
-    if u > CYLINDER_CLOSED_U:
-        b1 = (2.0 / R**2) * (1.0 - _ive(0, u) - _ive(1, u))
-        b3 = (2.0 / (R**2 * rc**2)) * _ive(1, u)
-        return b1, b3, 5e-15
-    k_max = K_CUTOFF / rc
-    n_zero = int(k_max * R / math.pi) + 1
-    zeros = jn_zeros(1, n_zero) / R
-    edges = merge_edges(0.0, k_max, np.linspace(0.0, k_max, 33), zeros)
-    gauss = lambda k: np.exp(-(k * rc) ** 2)
-    r1 = integrate(lambda k: k * disc_kernel(k * R) ** 2 * gauss(k), edges,
-                   rel_tol=0.1 * tol)
-    r3 = integrate(lambda k: k**3 * disc_kernel(k * R) ** 2 * gauss(k), edges,
-                   rel_tol=0.1 * tol)
-    err = max(r1.error / abs(r1.value), r3.error / abs(r3.value))
-    return r1.value, r3.value, err
+    b1 = (2.0 / R**2) * _one_minus_ive01(u)
+    b3 = (2.0 / (R**2 * rc**2)) * _ive(1, u)
+    return b1, b3
 
 
 # --- per-shape reductions (all return I3 = Int |mu|^2 kx^2 e^{-k^2 rc^2}) ----
 
-def _i3_point(m: float, rc: float) -> tuple[float, float]:
-    return m * m * math.pi ** 1.5 / (2.0 * rc**5), 2e-16
-
-
-def _i3_sphere(R: float, m: float, rc: float, tol: float) -> tuple[float, float]:
+def _i3_sphere(R: float, m: float, rc: float) -> tuple[float, float]:
+    """I3 = 3 pi^{3/2} (m^2/R^6) [2 rc (e^-X - 1) + (R^2/rc)(1 + e^-X)],
+    X = (R/rc)^2. Below X = 1, where it cancels, the bracket is its series
+    rc sum_{n>=3} (-1)^n (2 - n) X^n/n!, summed here divided by rc X^3."""
     X = (R / rc) ** 2
-    if X >= SPHERE_CLOSED_X:
-        # I3 = 3 pi^{3/2} (m^2/R^6) [2 rc (e^-X - 1) + (R^2/rc)(1 + e^-X)];
-        # the bracket terms do not cancel for X this large.
+    if X >= 1.0:
         ex = math.exp(-min(X, 745.0))
         bracket = 2.0 * rc * (ex - 1.0) + (R * R / rc) * (1.0 + ex)
         return 3.0 * math.pi ** 1.5 * m * m / R**6 * bracket, 5e-15
-    edges = _radial_edges(rc, zero_spacing=math.pi / R)
-    f = lambda k: k**4 * (m * sphere_kernel(k * R)) ** 2 * np.exp(-(k * rc) ** 2)
-    res = integrate(f, edges, rel_tol=0.1 * tol)
-    return (4.0 * math.pi / 3.0) * res.value, res.error / abs(res.value) + 1e-15
+    s = _series(1.0 / 6.0, lambda k: -X * (k + 2) / ((k + 4) * (k + 1)))
+    return 3.0 * math.pi ** 1.5 * m * m / rc**5 * s, 5e-15
 
 
 def _i3_cuboid(shape: Cuboid, m: float, rc: float, axis) -> tuple[float, float]:
@@ -194,14 +194,14 @@ def _i3_cuboid(shape: Cuboid, m: float, rc: float, axis) -> tuple[float, float]:
     return m * m * i3, 1e-14
 
 
-def _i3_cylinder(shape: Cylinder, m: float, rc: float, axis, tol: float) -> tuple[float, float]:
+def _i3_cylinder(shape: Cylinder, m: float, rc: float, axis) -> tuple[float, float]:
     n = np.asarray(shape.axis)
     c = float(np.clip(np.dot(np.asarray(axis), n), -1.0, 1.0))
     s2 = max(0.0, 1.0 - c * c)
     A0, A2 = _axial_moments(shape.length, rc)
-    B1, B3, b_err = _transverse_moments(shape.radius, rc, tol)
+    B1, B3 = _transverse_moments(shape.radius, rc)
     i3 = m * m * (2.0 * math.pi * c * c * A2 * B1 + math.pi * s2 * A0 * B3)
-    return i3, b_err + 1e-14
+    return i3, 2e-14
 
 
 # --- composite interference --------------------------------------------------
@@ -404,13 +404,13 @@ def eta_reduced(d: MassDistribution, rc: float, tol: float = DEFAULT_TOL) -> Eta
         m = total_mass(d)
         value, err = m * m / (2.0 * m0 * m0 * rc * rc), 2e-16
     elif isinstance(s, Sphere):
-        i3, err = _i3_sphere(s.radius, total_mass(d), rc, tol)
+        i3, err = _i3_sphere(s.radius, total_mass(d), rc)
         value = pref * i3
     elif isinstance(s, Cuboid):
         i3, err = _i3_cuboid(s, total_mass(d), rc, d.measurement_axis)
         value = pref * i3
     elif isinstance(s, Cylinder):
-        i3, err = _i3_cylinder(s, total_mass(d), rc, d.measurement_axis, tol)
+        i3, err = _i3_cylinder(s, total_mass(d), rc, d.measurement_axis)
         value = pref * i3
     elif isinstance(s, Composite):
         i3, err = _i3_composite(d, rc, tol)

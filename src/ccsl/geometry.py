@@ -293,10 +293,7 @@ def validate_distribution(d: MassDistribution) -> MassDistribution:
         if d.density is not None:
             raise ValidationError("geometry.density", "composite parts carry densities")
         for part, _ in s.parts:
-            if isinstance(part.shape, Composite):
-                validate_distribution(part)
-            else:
-                validate_distribution(part)
+            validate_distribution(part)
         return d
     if d.density is None or not (d.density > 0 and math.isfinite(d.density)):
         field = "geometry.mass" if isinstance(s, PointMass) else "geometry.density"

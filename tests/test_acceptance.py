@@ -85,7 +85,7 @@ def test_criterion_3_point_mass_identity():
             got = eta_reduced(sphere(R, density=rho), rc).value
             want = m * m / (2.0 * CONSTANTS.m0**2 * rc * rc)
             assert abs(got / want - 1.0) <= 0.01, f"rc={rc}"
-    _report(3, "sphere quadrature reproduces the point-mass eta within 1% "
+    _report(3, "sphere eta reproduces the point-mass eta within 1% "
                "for rc >= 100 R across rc in [1e-9, 1e-3] m", body)
 
 

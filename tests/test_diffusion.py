@@ -1,13 +1,15 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from ccsl import (CONSTANTS, CollapseParams, CompositeCrossTermUnsupported,
                   composite, cuboid, cylinder, eta, eta_reduced,
                   eta_reduced_reference, point_mass, sphere)
-from ccsl.diffusion import _transverse_moments, _ive, clear_cache
-from ccsl.geometry import form_factor_sq
+from ccsl.diffusion import _i3_sphere, _transverse_moments, _ive, clear_cache
+from ccsl.geometry import disc_kernel, form_factor_sq, sphere_kernel
+from ccsl.quadrature import integrate
 from fixtures import (CUBE_RATIO_TABLE, CYLINDER_RATIO_TABLE, SPHERE_RATIO_TABLE,
                       TWO_SPHERE_ETA_M0_1)
 
@@ -78,25 +80,28 @@ def test_sphere_suppression_against_fixtures():
         assert got == pytest.approx(ratio, rel=1e-9), f"R/rc={r_over_rc}"
 
 
-def test_sphere_closed_form_branch_continuity():
-    # (R/rc)^2 = 2000 separates the radial rule from the closed form
-    rc = 1e-6
-    r_lo = math.sqrt(1999.0) * rc
-    r_hi = math.sqrt(2001.0) * rc
-    lo = eta_reduced(sphere(r_lo, mass=1.0), rc).value
-    hi = eta_reduced(sphere(r_hi, mass=1.0), rc).value
-    # smooth in R: interpolate the frozen closed form at both radii
-    from fixtures import SPHERE_RATIO_TABLE as _  # noqa: F401
-    def closed(R):
-        X = (R / rc) ** 2
-        return 3.0 * (rc**3 / R**6) * (2 * rc * (math.exp(-X) - 1)
-                                       + R * R / rc * (1 + math.exp(-X))) / M0**2
-    assert lo == pytest.approx(closed(r_lo), rel=1e-9)
-    assert hi == pytest.approx(closed(r_hi), rel=1e-9)
+def radial_quad(f, R, rc):
+    """Int_0^{10/rc} f(k) dk by adaptive Gauss-Kronrod, panels no wider than
+    the form-factor oscillation pi/R or a quarter of the Gaussian scale 1/rc."""
+    k_max = 10.0 / rc
+    n = max(40, int(k_max / min(math.pi / R, 0.25 / rc)) + 1)
+    return integrate(f, np.linspace(0.0, k_max, n + 1), rel_tol=1e-13).value
+
+
+def test_sphere_closed_form_vs_radial_quadrature():
+    # I3 = (4 pi/3) Int k^4 m^2 [3 j1(kR)/(kR)]^2 e^{-k^2 rc^2} dk, integrated
+    # directly on both sides of the X = (R/rc)^2 = 1 series switch
+    rc, m = 1e-6, 1.0
+    for X in (0.01, 1.0, 1999.0):
+        R = math.sqrt(X) * rc
+        f = lambda k: k**4 * (m * sphere_kernel(k * R)) ** 2 * np.exp(-(k * rc) ** 2)
+        want = (4.0 * math.pi / 3.0) * radial_quad(f, R, rc)
+        got, _ = _i3_sphere(R, m, rc)
+        assert got == pytest.approx(want, rel=1e-10), f"X={X}"
 
 
 def test_sphere_reaches_point_mass_at_large_rc():
-    # acceptance: quadrature on a shrinking sphere reproduces the point-mass
+    # acceptance: eta of a shrinking sphere reproduces the point-mass
     # identity to 1% whenever rc >= 100 R
     rho = 3000.0
     for rc in np.geomspace(1e-9, 1e-3, 13):
@@ -172,17 +177,42 @@ def test_cylinder_suppression_against_fixtures():
         assert got == pytest.approx(ratio, rel=1e-9), f"(R,L,rc)=({R},{L},{rc})"
 
 
-def test_cylinder_transverse_moment_branch_continuity():
-    # u = R^2/(2 rc^2) = 50 separates direct quadrature from the Bessel form
+def test_cylinder_transverse_moments_vs_radial_quadrature():
+    # B1, B3 = Int kp^{1,3} [2 J1(kp R)/(kp R)]^2 e^{-kp^2 rc^2} dkp, integrated
+    # directly on both sides of the u = R^2/(2 rc^2) = 1 series switch
     R = 1.0
-    for u in (45.0, 49.9):
+    for u in (1e-4, 1.0, 49.9):
         rc = R / math.sqrt(2.0 * u)
-        b1q, b3q, _ = _transverse_moments(R, rc, 1e-10)
-        from scipy.special import ive
-        b1c = (2.0 / R**2) * (1.0 - ive(0, u) - ive(1, u))
-        b3c = (2.0 / (R**2 * rc**2)) * ive(1, u)
-        assert b1q == pytest.approx(b1c, rel=1e-10)
-        assert b3q == pytest.approx(b3c, rel=1e-10)
+        g = lambda k: disc_kernel(k * R) ** 2 * np.exp(-(k * rc) ** 2)
+        b1q = radial_quad(lambda k: k * g(k), R, rc)
+        b3q = radial_quad(lambda k: k**3 * g(k), R, rc)
+        b1, b3 = _transverse_moments(R, rc)
+        assert b1 == pytest.approx(b1q, rel=1e-10), f"u={u}"
+        assert b3 == pytest.approx(b3q, rel=1e-10), f"u={u}"
+
+
+@mp.workdps(60)
+def test_closed_forms_against_mpmath():
+    # sphere bracket 2 rc (e^-X - 1) + (R^2/rc)(1 + e^-X) and the cylinder
+    # moments (2/R^2)(1 - e^-u (I0 + I1)), (2/(R^2 rc^2)) e^-u I1 at 60 digits
+    rc = 1.0
+    for X in np.geomspace(1e-6, 1e6, 49):
+        R = math.sqrt(X) * rc
+        Xm = mp.mpf(R) ** 2 / rc**2
+        bracket = 2 * rc * mp.expm1(-Xm) + (mp.mpf(R) ** 2 / rc) * (1 + mp.exp(-Xm))
+        want = 3 * mp.pi ** 1.5 / mp.mpf(R) ** 6 * bracket
+        got, _ = _i3_sphere(R, 1.0, rc)
+        assert abs(got / want - 1) <= 1e-13, f"X={X}"
+    R = 1.0
+    for u in np.geomspace(1e-6, 1e12, 73):
+        rc = R / math.sqrt(2.0 * u)
+        um = mp.mpf(R) ** 2 / (2 * mp.mpf(rc) ** 2)
+        scale = mp.exp(-um)
+        b1_want = 2 / mp.mpf(R) ** 2 * (1 - scale * (mp.besseli(0, um) + mp.besseli(1, um)))
+        b3_want = 2 / (mp.mpf(R) ** 2 * mp.mpf(rc) ** 2) * scale * mp.besseli(1, um)
+        b1, b3 = _transverse_moments(R, rc)
+        assert abs(b1 / b1_want - 1) <= 1e-13, f"u={u}"
+        assert abs(b3 / b3_want - 1) <= 1e-13, f"u={u}"
 
 
 def test_scaled_bessel_fallback_matches_scipy():
