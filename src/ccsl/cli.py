@@ -30,6 +30,9 @@ from .predict import (cold_atom_diffusion, dns_ccsl, dns_total, heating_rate,
                       normalized_xray_rate, xray_rate)
 from .registry import ExperimentDescriptor, list_bundled, load
 
+_TOL_HELP = ("relative tolerance of the full-sine heating quadrature "
+             "(lambda_eff_quad); eta is closed form and does not use it")
+
 
 def _fmt(x: float) -> str:
     return f"{x:.8e}"  # 9 significant digits: round-trip safe, no noise digits
@@ -283,8 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--noise", default="white",
                        help="'white', 'inf', or 'exp:<omega_c rad/s>'")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="relative quadrature tolerance")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_TOL_HELP)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("predict", help="evaluate observables for an experiment")
@@ -315,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out-dir", default="scan_out")
     s.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes (1 = in-process)")
-    s.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    s.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_TOL_HELP)
     s.set_defaults(func=cmd_scan)
     return ap
 

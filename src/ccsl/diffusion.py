@@ -5,12 +5,11 @@ I3 = Integral d^3k |mu~(k)|^2 k_x^2 e^{-k^2 rc^2},
 
 with k_x the component along the measurement axis. eta is linear in lam;
 ``eta_reduced`` returns the lam = 1 value that bound inversions divide
-ceilings by. The integral is truncated at |k| = 10/rc, where the Gaussian
-weight is e^{-100}.
+ceilings by.
 
-Every primitive shape has a stable closed form; only interference between
-radially symmetric composite parts needs a 1-D radial quadrature, and no
-multi-dimensional quadrature sits on the production path:
+Every eta route is closed form, integrated over all k; no quadrature sits on
+the eta production path (the only production adaptive quadrature left in
+ccsl is bulk heating with the full-sine dispersion):
 
 * point mass: I3 = m^2 pi^{3/2}/(2 rc^5) exactly.
 * sphere: I3 = 3 pi^{3/2} (m^2/R^6) [2 rc (e^{-X} - 1) + (R^2/rc)(1 + e^{-X})]
@@ -24,29 +23,36 @@ multi-dimensional quadrature sits on the production path:
   with u = a^2/(2 p^2), exact at every rc; below u = 1, where
   1 - e^{-u}(I0+I1) cancels, a hypergeometric series replaces it.
 * composite: sum of the parts' terms plus pairwise interference.
-  Point/cuboid pairs reduce per axis to erf/Gaussian primitives; pairs of
-  radially symmetric parts reduce to a Bessel-weighted radial integral;
-  any other pair is dropped only when a Gaussian surface-gap bound proves
-  it negligible, else CompositeCrossTermUnsupported is raised.
+  Point/cuboid pairs reduce per axis to erf/Gaussian primitives. Pairs of
+  radially symmetric parts (sphere/sphere, sphere/point) expand into terms
+  c q^p {cos, sin}(f q) e^{-q^2}, q = k rc, each with an exact moment:
+  Hermite-Gaussian for p >= 0, a Hadamard finite part with repeated erfc
+  integrals below; a factor whose trig form cancels (length below rc) is
+  replaced by its Taylor series, and next to kernel frequencies 16 rc or
+  more above D the angular factor by its D = 0 value, which it then equals
+  to within e^{-64}. Any other pair is dropped only when a
+  Gaussian surface-gap bound proves it negligible (gap/(2 rc) >= 12), else
+  CompositeCrossTermUnsupported is raised.
 
 ``eta_reduced_reference`` is a deliberately independent spherical-coordinate
-evaluator (radial Gauss-Kronrod times an angular product rule) used to
-cross-check the reductions in regimes where it is affordable.
+evaluator (radial Gauss-Kronrod on |k| <= 10/rc, where the Gaussian weight
+is e^{-100}, times an angular product rule) used to cross-check the
+reductions in regimes where it is affordable.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ive, spherical_jn
+from scipy.special import ive
 
 from .core import CONSTANTS, CollapseParams, validate_params
 from .errors import CompositeCrossTermUnsupported, NonPositiveRc, QuadratureNotConverged
 from .geometry import (Composite, Cuboid, Cylinder, MassDistribution, PointMass, Sphere,
-                       circumradius, sphere_kernel, total_mass,
+                       circumradius, total_mass,
                        validate_distribution)
 from .quadrature import integrate, merge_edges
 
@@ -56,6 +62,7 @@ _GAP_DROP = 12.0           # drop cross terms when gap/(2 rc) exceeds this
 _MAX_OSC_PANELS = 20000
 
 _SQRT_PI = math.sqrt(math.pi)
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -286,51 +293,204 @@ def _cross_cartesian(prof_i, prof_j, mi, mj, delta, axis, rc) -> float:
     return 2.0 * mi * mj * total
 
 
-def _radial_profile(d: MassDistribution):
-    """(kernel(k) callable, mass) for radially symmetric shapes."""
-    m = total_mass(d)
+def _radial_profile(d: MassDistribution) -> float | None:
+    """Radius of a radially symmetric part: a sphere's, or 0 for a point mass,
+    whose kernel K = 1 is the sphere's R -> 0 limit. None for other shapes."""
     if isinstance(d.shape, PointMass):
-        return (lambda k: np.ones_like(k)), m
+        return 0.0
     if isinstance(d.shape, Sphere):
-        R = d.shape.radius
-        return (lambda k: sphere_kernel(k * R)), m
+        return d.shape.radius
     return None
 
 
-def _cross_isotropic(ker_i, ker_j, mi, mj, delta, axis, rc, tol) -> tuple[float, float]:
-    """Interference of two radially symmetric parts. The angular integral is
-    analytic:
+# Interference of two radially symmetric parts, in units q = k rc with
+# lengths over rc. Each factor of the radial integrand is one group
+# (f, lo, Z): Z[n] is the coefficient of c q^p cos(f q) for even p = lo + n,
+# stored real, or of c q^p sin(f q) for odd p, stored imaginary. In that
+# encoding the product-to-sum rules read: group (f1, Z1) times (f2, Z2) is
+# Z1 Z2/2 at f1 + f2 plus Z1 conj(Z2)/2 at f1 - f2, and a negative frequency
+# is a conjugation.
 
-    Int dOmega (khat.xhat)^2 e^{-i k.D} =
+_TAYLOR_BELOW = 1.0  # below this length/rc a factor's trig form cancels
+_TAYLOR_TRUNC = 1e-18  # bound on a dropped Taylor tail, point-mass units
+_P_MAX = 160  # moment table size; the series reach q^130 (L -> 1, D -> 4)
+# Int_0^inf q^p e^{-q^2} dq = Gamma((p+1)/2)/2: the x = 0 moments (zero for
+# odd p) and, for every x, the rounding scale of the Hermite moments
+_GAUSS_ABS = np.array([0.5 * math.gamma(0.5 * (p + 1)) for p in range(_P_MAX)])
+_GAUSS = np.where(np.arange(_P_MAX) % 2 == 0, _GAUSS_ABS, 0.0)
+
+
+def _kernel_factor(L: float) -> tuple:
+    """K(q L) = 3 sin(qL)/(qL)^3 - 3 cos(qL)/(qL)^2, or where that cancels its
+    series sum_n c_n (qL)^{2n}, c_n = 3 (-1)^n/((2n+3)(2n+1)!). K is an
+    average of cos(q L t), so a dropped tail is below (2n + 1) times its first
+    term; the series stops when that term's Gaussian moment is below
+    _TAYLOR_TRUNC."""
+    if L >= _TAYLOR_BELOW:
+        return L, -3, np.array([3j / L**3, -3.0 / L**2])
+    coeffs = [1.0]
+    c, g, n = 1.0, 1.0, 0  # g = Gamma(n + 5/2)/Gamma(5/2)
+    while True:
+        c *= -L * L / ((2 * n + 5) * (2 * n + 2))
+        n += 1
+        g *= n + 1.5
+        if abs(c) * g * (2 * n + 1) < _TAYLOR_TRUNC:
+            return 0.0, 0, np.array(coeffs, dtype=complex)
+        coeffs.extend((0.0, c))
+
+
+def _angular_factor(D: float, p2: float) -> tuple:
+    """q^4 times the angular integral 4 pi [j0(qD)/3 - (2/3) P2 j2(qD)], with
+    j0 = sin x/x and j2 = (3/x^3 - 1/x) sin x - 3 cos x/x^2, or their series
+    j0 = sum_n (-1)^n x^{2n}/(2n+1)!, j2 = x^2 sum_n (-x^2/2)^n/(n! (2n+5)!!)
+    where those cancel, truncated like the kernel series (both j are
+    averages of cos(x t) too)."""
+    if D >= _TAYLOR_BELOW:
+        return D, 1, 4.0 * math.pi * np.array(
+            [-2j * p2 / D**3, 2.0 * p2 / D**2, 1j * (1.0 + 2.0 * p2) / (3.0 * D)])
+    t2 = D * D
+    j0, j2 = 1.0 / 3.0, -2.0 * p2 * t2 / 45.0  # the x^0 and x^2 terms of each
+    coeffs = [j0]
+    g, n = 1.0, 0
+    while True:
+        j0 *= -t2 / ((2 * n + 2) * (2 * n + 3))
+        n += 1
+        g *= n + 1.5
+        if (abs(j0) + abs(j2)) * g < _TAYLOR_TRUNC:
+            return 0.0, 4, 4.0 * math.pi * np.array(coeffs, dtype=complex)
+        coeffs.extend((0.0, j0 + j2))
+        j2 *= -t2 / (2.0 * n * (2 * n + 5))
+
+
+_ANGULAR_AT_0 = _angular_factor(0.0, 0.0)  # 4 pi/3 q^4, the D = 0 factor
+_DEAD_SHIFT = 16.0  # in rc: e^{-(16/2)^2} = 1.6e-28
+
+
+def _group_product(f1, lo1, Z1, f2, lo2, Z2) -> list:
+    """The product of two groups as one or two groups (sin(0 q) = 0)."""
+    lo = lo1 + lo2
+    if f2 == 0.0:
+        return [(f1, lo, np.convolve(Z1, Z2.real))]
+    if f1 == 0.0:
+        return [(f2, lo, np.convolve(Z1.real, Z2))]
+    Zm = 0.5 * np.convolve(Z1, Z2.conj())
+    return [(f1 + f2, lo, 0.5 * np.convolve(Z1, Z2)),
+            (f1 - f2, lo, Zm) if f1 >= f2 else (f2 - f1, lo, Zm.conj())]
+
+
+def _moment_sum(x: float, lo: int, w: np.ndarray) -> tuple[float, float]:
+    """Sum_p w_p M_p and its rounding scale Sum_p |w_p| |pieces of M_p|, for
+    p = lo, lo + 1, ... (lo >= -5) and x >= 0, where
+
+    M_p = Int_0^inf q^p trig_p(2 x q) e^{-q^2} dq, trig_p = cos for even p
+    and sin for odd p.
+
+    p >= 0: M_p = (-1)^{p//2} s_p sqrt(pi)/2 with s_p = 2^-p H_p(x) e^{-x^2},
+    rounding scale Int_0^inf q^p e^{-q^2} dq.
+    p < 0: Hadamard finite parts, whose divergent pieces cancel across the
+    term table; with i^n erfc the repeated erfc integral,
+    S_-1 = (pi/2) erf x,             C_-2 = -pi [x + i^1 erfc x],
+    S_-3 = -2 pi [x^2/2 + 1/4 - i^2 erfc x],
+    C_-4 = 4 pi [x^3/6 + x/4 + i^3 erfc x],
+    S_-5 = 8 pi [x^4/24 + x^2/8 + 1/32 - i^4 erfc x].
+    """
+    total = scale = 0.0
+    hi = lo + w.size - 1
+    ex = math.exp(-x * x)
+    if lo < 0:
+        ie = [2.0 / _SQRT_PI * ex, math.erfc(x)]  # i^-1 erfc, i^0 erfc
+        for n in range(1, 5):
+            ie.append(-(x / n) * ie[-1] + ie[-2] / (2 * n))
+        x2 = x * x
+        finite = (  # p = -1..-5: (prefactor, polynomial part, repeated-erfc part)
+            (0.5 * math.pi, 1.0, -ie[1]),
+            (-math.pi, x, ie[2]),
+            (-2.0 * math.pi, 0.5 * x2 + 0.25, -ie[3]),
+            (4.0 * math.pi, x2 * x / 6.0 + 0.25 * x, ie[4]),
+            (8.0 * math.pi, x2 * x2 / 24.0 + x2 / 8.0 + 1.0 / 32.0, -ie[5]),
+        )
+        for c, p in zip(w.tolist(), range(lo, min(hi, -1) + 1)):
+            pref, poly, rep = finite[-p - 1]
+            total += c * pref * (poly + rep)
+            scale += abs(c * pref) * (poly + abs(rep))
+    if hi >= 0:
+        start = max(lo, 0)
+        tail = w[start - lo:]
+        scale += float(np.dot(np.abs(tail), _GAUSS_ABS[start:hi + 1]))
+        if x == 0.0:
+            total += float(np.dot(tail, _GAUSS[start:hi + 1]))
+        else:
+            acc, s, s_prev = 0.0, ex, 0.0
+            coeffs = tail.tolist()
+            for p in range(hi + 1):
+                if p >= start:
+                    c = coeffs[p - start]
+                    acc += -c * s if p & 2 else c * s
+                s, s_prev = x * s - 0.5 * p * s_prev, s
+            total += 0.5 * _SQRT_PI * acc
+    return total, scale
+
+
+def _cross_isotropic(Ri, Rj, mi, mj, delta, axis, rc) -> tuple[float, float]:
+    """Interference of two radially symmetric parts (radius 0: point mass),
+    2 mi mj Int_0^inf k^4 K_i K_j e^{-k^2 rc^2} A(k) dk, with the analytic
+    angular integral
+
+    A(k) = Int dOmega (khat.xhat)^2 e^{-i k.D} =
         4 pi [ j0(kD)/3 - (2/3) P2(cos gamma) j2(kD) ],
 
-    gamma the angle between D and the measurement axis."""
-    D = float(np.linalg.norm(delta))
-    if D == 0.0:
-        angular = lambda k: np.full_like(k, 4.0 * math.pi / 3.0)
-        zero_spacing = None
-    else:
-        cg = float(np.dot(delta, axis) / D)
+    gamma the angle between D and the measurement axis. The integrand
+    expands into terms c q^p {cos, sin}(f q) e^{-q^2}, q = k rc, each with an
+    exact Gaussian-trigonometric moment. The error estimate is a few
+    rounding units of the sum of the terms' absolute values; the dropped
+    Taylor tails are far below it."""
+    dx, dy, dz = (float(c) for c in delta)
+    D = math.sqrt(dx * dx + dy * dy + dz * dz)
+    p2 = 0.0
+    if D > 0.0:
+        cg = (dx * float(axis[0]) + dy * float(axis[1]) + dz * float(axis[2])) / D
         p2 = 0.5 * (3.0 * cg * cg - 1.0)
-        angular = lambda k: 4.0 * math.pi * (spherical_jn(0, k * D) / 3.0
-                                             - (2.0 / 3.0) * p2 * spherical_jn(2, k * D))
-        zero_spacing = math.pi / D
-    edges = _radial_edges(rc, zero_spacing=zero_spacing)
-    f = lambda k: k**4 * ker_i(k) * ker_j(k) * np.exp(-(k * rc) ** 2) * angular(k)
-    res = integrate(f, edges, rel_tol=0.1 * tol,
-                    abs_floor=0.1 * tol * _SQRT_PI * math.pi / rc**5)
-    return 2.0 * mi * mj * res.value, 2.0 * mi * mj * res.error
+    angular = _angular_factor(D / rc, p2)
+    total = scale = 0.0
+    ki = _kernel_factor(Ri / rc)
+    kj = ki if Rj == Ri else _kernel_factor(Rj / rc)
+    for group in _group_product(*ki, *kj):
+        # Where a kernel group's frequency f (a sum or difference of radii)
+        # exceeds D by _DEAD_SHIFT, all its terms at f -+ D are finite-part
+        # polynomials, and they add up to those of A(0) to within
+        # e^{-((f - D)/2)^2}. Summed term by term they cancel, losing about
+        # (R/rc)^2/(D/rc)^3 eps next to large spheres, so A(0) is used.
+        ang = _ANGULAR_AT_0 if group[0] - D / rc >= _DEAD_SHIFT else angular
+        for f, lo, Z in _group_product(*group, *ang):
+            t, sc = _moment_sum(0.5 * f, lo, Z.real + Z.imag)
+            total += t
+            scale += sc
+    pref = 2.0 * mi * mj / rc**5
+    return pref * total, pref * 8.0 * _EPS * scale
 
 
-def _i3_composite(d: MassDistribution, rc: float, tol: float) -> tuple[float, float]:
+def _i3_primitive(d: MassDistribution, rc: float, axis) -> tuple[float, float]:
+    """I3 and its relative error for one primitive shape measured along axis."""
+    s, m = d.shape, total_mass(d)
+    if isinstance(s, PointMass):
+        return math.pi ** 1.5 * m * m / (2.0 * rc**5), 2e-16
+    if isinstance(s, Sphere):
+        return _i3_sphere(s.radius, m, rc)
+    if isinstance(s, Cuboid):
+        return _i3_cuboid(s, m, rc, axis)
+    if isinstance(s, Cylinder):
+        return _i3_cylinder(s, m, rc, axis)
+    raise TypeError(f"unknown shape {type(s).__name__}")
+
+
+def _i3_composite(d: MassDistribution, rc: float) -> tuple[float, float]:
     parts = _flatten(d)
     axis = np.asarray(d.measurement_axis)
-    pref = math.pi ** 1.5 * CONSTANTS.m0**2 / rc**3  # I3 = pref * eta_reduced
 
     diag = []
     for part, _ in parts:
-        r = eta_reduced(replace(part, measurement_axis=d.measurement_axis), rc, tol)
-        diag.append((r.value * pref, abs(r.value) * pref * r.est_error))
+        v, rel = _i3_primitive(part, rc, d.measurement_axis)
+        diag.append((v, abs(v) * rel))
     i3 = sum(v for v, _ in diag)
     abs_err = sum(e for _, e in diag)
 
@@ -344,7 +504,7 @@ def _i3_composite(d: MassDistribution, rc: float, tol: float) -> tuple[float, fl
                                        delta, axis, rc)
                 abs_err += 1e-14 * math.sqrt(diag[i][0] * diag[j][0])
                 continue
-            gap = float(np.linalg.norm(delta)) - circumradius(pi_) - circumradius(pj_)
+            gap = math.dist(off_i, off_j) - circumradius(pi_) - circumradius(pj_)
             if gap > 0.0 and gap / (2.0 * rc) >= _GAP_DROP:
                 # interference bounded by the Gaussian overlap of the smoothed,
                 # disjoint parts: negligible by construction of the threshold
@@ -353,8 +513,8 @@ def _i3_composite(d: MassDistribution, rc: float, tol: float) -> tuple[float, fl
                 continue
             rad_i, rad_j = _radial_profile(pi_), _radial_profile(pj_)
             if rad_i is not None and rad_j is not None:
-                val, err = _cross_isotropic(rad_i[0], rad_j[0], rad_i[1], rad_j[1],
-                                            delta, axis, rc, tol)
+                val, err = _cross_isotropic(rad_i, rad_j, total_mass(pi_), total_mass(pj_),
+                                            delta, axis, rc)
                 i3 += val
                 abs_err += err
                 continue
@@ -398,25 +558,13 @@ def eta_reduced(d: MassDistribution, rc: float, tol: float = DEFAULT_TOL) -> Eta
         return hit
 
     m0 = CONSTANTS.m0
-    pref = rc**3 / (math.pi ** 1.5 * m0 * m0)
-    s = d.shape
-    if isinstance(s, PointMass):
+    if isinstance(d.shape, PointMass):
         m = total_mass(d)
         value, err = m * m / (2.0 * m0 * m0 * rc * rc), 2e-16
-    elif isinstance(s, Sphere):
-        i3, err = _i3_sphere(s.radius, total_mass(d), rc)
-        value = pref * i3
-    elif isinstance(s, Cuboid):
-        i3, err = _i3_cuboid(s, total_mass(d), rc, d.measurement_axis)
-        value = pref * i3
-    elif isinstance(s, Cylinder):
-        i3, err = _i3_cylinder(s, total_mass(d), rc, d.measurement_axis)
-        value = pref * i3
-    elif isinstance(s, Composite):
-        i3, err = _i3_composite(d, rc, tol)
-        value = pref * i3
     else:
-        raise TypeError(f"unknown shape {type(s).__name__}")
+        i3, err = (_i3_composite(d, rc) if isinstance(d.shape, Composite)
+                   else _i3_primitive(d, rc, d.measurement_axis))
+        value = rc**3 / (math.pi ** 1.5 * m0 * m0) * i3
 
     result = EtaResult(value, err)
     with _CACHE_LOCK:

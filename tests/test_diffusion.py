@@ -7,8 +7,9 @@ import pytest
 from ccsl import (CONSTANTS, CollapseParams, CompositeCrossTermUnsupported,
                   composite, cuboid, cylinder, eta, eta_reduced,
                   eta_reduced_reference, point_mass, sphere)
-from ccsl.diffusion import _i3_sphere, _transverse_moments, _ive, clear_cache
-from ccsl.geometry import disc_kernel, form_factor_sq, sphere_kernel
+from ccsl.diffusion import (_cross_isotropic, _i3_sphere, _transverse_moments, _ive,
+                            clear_cache)
+from ccsl.geometry import circumradius, disc_kernel, form_factor_sq, sphere_kernel
 from ccsl.quadrature import integrate
 from fixtures import (CUBE_RATIO_TABLE, CYLINDER_RATIO_TABLE, SPHERE_RATIO_TABLE,
                       TWO_SPHERE_ETA_M0_1)
@@ -346,6 +347,156 @@ def test_distant_mixed_pair_drops_cross_term():
             + eta_reduced(cylinder(0.05, 0.2, mass=1.0, measurement_axis=(1, 0, 0)),
                           rc).value)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+# --- isotropic interference: closed form against long-double quadrature ----------
+
+LD = np.longdouble
+_GL_T, _GL_W = (a.astype(LD) for a in np.polynomial.legendre.leggauss(24))
+
+
+def _ld_series(x, first, ratio):
+    """first * sum_n prod_{m<n} (-x^2 ratio(m)), 14 terms: converged to long
+    double precision for x < 0.5."""
+    term = np.full_like(x, first)
+    out = term.copy()
+    for n in range(14):
+        term = term * (-x * x) * ratio(n)
+        out += term
+    return out
+
+
+def _ld_direct_or_series(x, direct, first, ratio):
+    small = x < 0.5
+    return np.where(small, _ld_series(x, first, ratio), direct(np.where(small, LD(1), x)))
+
+
+def _ld_kernel(x):  # 3 (sin x - x cos x)/x^3
+    return _ld_direct_or_series(x, lambda x: 3 * (np.sin(x) - x * np.cos(x)) / x**3,
+                                LD(1), lambda n: LD(1) / ((2 * n + 5) * (2 * n + 2)))
+
+
+def _ld_j0(x):
+    return _ld_direct_or_series(x, lambda x: np.sin(x) / x,
+                                LD(1), lambda n: LD(1) / ((2 * n + 2) * (2 * n + 3)))
+
+
+def _ld_j2(x):  # (3/x^3 - 1/x) sin x - 3 cos x/x^2 = x^2 (1/15 - x^2/210 + ...)
+    return x * x * _ld_direct_or_series(
+        x, lambda x: ((3 / x**3 - 1 / x) * np.sin(x) - 3 * np.cos(x) / x**2) / x**2,
+        LD(1) / 15, lambda n: LD(1) / (2 * (n + 1) * (2 * n + 7)))
+
+
+def ld_radial_integrals(Ri, Rj, D):
+    """Int_0^9 q^4 e^{-q^2} times Ki Kj j0(qD), Ki Kj j2(qD), Ki^2 and Kj^2
+    (K(qR) the sphere kernel, lengths in units of rc; e^-81 cuts the tail),
+    by composite 24-point Gauss-Legendre in long double with panels spanning
+    at most 20 radians of the fastest oscillation."""
+    width = min(1.0, 20.0 / (Ri + Rj + D + 1e-300))
+    n = int(math.ceil(9.0 / width))
+    h = LD(9.0) / n
+    q = ((np.arange(n, dtype=LD) * h)[:, None] + h * (_GL_T[None, :] + 1) / 2).ravel()
+    base = np.tile(_GL_W * h / 2, n) * q**4 * np.exp(-q * q)
+    ki, kj = _ld_kernel(q * LD(Ri)), _ld_kernel(q * LD(Rj))
+    return (np.sum(base * ki * kj * _ld_j0(q * LD(D))), np.sum(base * ki * kj * _ld_j2(q * LD(D))),
+            np.sum(base * ki * ki), np.sum(base * kj * kj))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the reference needs an extended-precision long double")
+def test_isotropic_cross_term_against_long_double_quadrature():
+    # 2 Int k^4 Ki Kj e^{-k^2 rc^2} 4 pi [j0(kD)/3 - (2/3) P2 j2(kD)] dk for
+    # sphere/sphere and sphere/point (R = 0) pairs, overlapping and nested
+    # ones included, on both sides of every switch: Taylor below R/rc = 1 and
+    # D/rc = 1, and A(0) for kernel frequencies R_i +- R_j at least 16 rc
+    # above D (30 rc against D = 13.95 and 14.05 rc). Error relative to
+    # |I3_ii| + |I3_jj|; the estimate must cover it up to the reference's
+    # own resolution.
+    rc = 1e-7
+    axis = np.array([1.0, 0.0, 0.0])
+
+    def check(Ri, Rj, D):
+        i0, i2, sii, sjj = ld_radial_integrals(Ri, Rj, D)
+        norm = float(LD(8 * math.pi / 3) * (sii + sjj)) / rc**5
+        for p2 in (1.0, -0.5, 0.2):
+            want = float(LD(8 * math.pi) * (i0 / 3 - LD(2) / 3 * LD(p2) * i2)) / rc**5
+            cg = math.sqrt((2.0 * p2 + 1.0) / 3.0)
+            delta = D * rc * np.array([cg, math.sqrt(1.0 - cg * cg), 0.0])
+            got, err = _cross_isotropic(Ri * rc, Rj * rc, 1.0, 1.0, delta, axis, rc)
+            case = f"Ri={Ri} Rj={Rj} D={D} P2={p2}"
+            assert abs(got - want) <= 1e-12 * norm, case
+            assert abs(got - want) <= err + 1e-17 * norm, case
+
+    radii = (1e-3, 0.03, 0.5, 0.999, 1.001, 4.0, 30.0, 100.0)
+    for a, Ri in enumerate(radii):
+        for Rj in (0.0,) + radii[:a + 1]:
+            for D in (0.0, 1e-2, 0.2, 0.999, 1.001, 3.0, 13.95, 14.05, 20.0, 100.0):
+                check(Ri, Rj, D)
+    # nested spheres far larger than rc, a few rc off centre, where the
+    # term-by-term sum at f -+ D would lose (R/rc)^2/(D/rc)^3 eps
+    check(3e3, 2.7e3, 5.0)
+
+
+def test_touching_spheres_at_small_rc():
+    # two touching 100 um spheres: the oscillating radial integrand needed
+    # 63,665 quadrature panels at rc = 1e-9; the closed form has none. Their
+    # interference lives in the contact region, so eta deviates from the sum
+    # of the two spheres' eta linearly in rc/R.
+    R = 1e-4
+    ball = sphere(R, density=2200.0)
+    pair = composite([(ball, (-R, 0, 0)), (ball, (R, 0, 0))], measurement_axis=(1, 0, 0))
+    dev = {}
+    for rc in (1e-9, 1e-8):
+        r = eta_reduced(pair, rc)
+        assert math.isfinite(r.value) and r.value > 0 and r.est_error < 1e-12
+        dev[rc] = r.value / (2.0 * eta_reduced(ball, rc).value) - 1.0
+    assert dev[1e-9] < 0
+    assert dev[1e-8] / dev[1e-9] == pytest.approx(10.0, rel=0.01)
+    # where the reference rule resolves the pair: trig and Taylor kernels
+    for rc in (3e-5, 3e-4):
+        ref = eta_reduced_reference(pair, rc).value
+        assert eta_reduced(pair, rc).value == pytest.approx(ref, rel=1e-7), f"rc={rc}"
+
+
+def test_radially_symmetric_and_point_cuboid_pairs_never_unsupported():
+    R = 1e-4
+    ball, small = sphere(R, density=2200.0), sphere(R / 3, density=7430.0)
+    pt, box = point_mass(1e-9), cuboid(2e-4, 1e-4, 5e-5, density=2200.0)
+    layouts = {
+        "touching spheres": [(ball, (-R, 0, 0)), (ball, (R, 0, 0))],
+        "overlapping spheres": [(ball, (-R / 2, 0, 0)), (small, (R / 2, 0, 0))],
+        "concentric spheres": [(ball, (0, 0, 0)), (small, (0, 0, 0))],
+        "nested spheres": [(ball, (0, 0, 0)), (small, (0, R / 2, 0))],
+        "point on a sphere": [(ball, (0, 0, 0)), (pt, (0, 0, R))],
+        "point inside a sphere": [(ball, (0, 0, 0)), (pt, (R / 4, R / 4, 0))],
+        "point at a sphere's centre": [(ball, (0, 0, 0)), (pt, (0, 0, 0))],
+        "point on a cuboid face": [(box, (0, 0, 0)), (pt, (1e-4, 0, 0))],
+        "point at a cuboid's centre": [(box, (0, 0, 0)), (pt, (0, 0, 0))],
+    }
+    for name, parts in layouts.items():
+        for axis in ((1, 0, 0), (0.6, 0.8, 0)):
+            d = composite(parts, measurement_axis=axis)
+            for rc in np.geomspace(1e-9, 1e-3, 25):
+                r = eta_reduced(d, rc)
+                assert math.isfinite(r.value) and r.value > 0, f"{name} rc={rc}"
+                assert r.est_error < 1e-10, f"{name} rc={rc}"
+
+
+def test_rod_sphere_unsupported_exactly_inside_gap_bound():
+    # a cylinder next to a sphere has no interference route: it is dropped
+    # where the surface gap (9.1 um) reaches 24 rc, and raises below that
+    rod = cylinder(5e-5, 2e-4, axis=(0, 0, 1), density=2200.0)
+    ball = sphere(2e-5, density=7430.0)
+    d = composite([(rod, (0, 0, 0)), (ball, (1.409e-4, 0, 0))], measurement_axis=(1, 0, 0))
+    gap = 1.409e-4 - circumradius(rod) - circumradius(ball)
+    assert gap == pytest.approx(9.1e-6, rel=1e-3)
+    edge = gap / 24.0
+    for rc in list(np.geomspace(1e-9, 1e-3, 49)) + [edge * (1 - 1e-9), edge * (1 + 1e-9)]:
+        if gap / (2.0 * rc) < 12.0:
+            with pytest.raises(CompositeCrossTermUnsupported):
+                eta_reduced(d, rc)
+        else:
+            assert eta_reduced(d, rc).value > 0, f"rc={rc}"
 
 
 # --- caching and bookkeeping ------------------------------------------------------
