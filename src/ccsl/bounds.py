@@ -17,7 +17,8 @@ import numpy as np
 
 from .core import CONSTANTS, CollapseParams
 from .diffusion import DEFAULT_TOL, eta_reduced
-from .errors import EmptyInput, NonPositiveFrequency, ValidationError, WashedOut
+from .errors import (EmptyInput, NonPositiveFrequency, NonPositiveRc, ValidationError,
+                     WashedOut, require_positive)
 from .geometry import MassDistribution
 from .noise import NoiseSpec, spectrum
 from .predict import (ColdAtomDescriptor, PhononModel, cold_atom_diffusion,
@@ -48,8 +49,7 @@ class Ceiling:
         if self.kind not in (FORCE_PSD, XRAY_NORMALIZED, HEATING_POWER,
                              POSITION_VARIANCE):
             raise ValidationError("ceiling.kind", f"unknown kind {self.kind!r}")
-        if not (self.value > 0 and math.isfinite(self.value)):
-            raise ValidationError("ceiling.value", "must be > 0")
+        require_positive("ceiling.value", self.value)
         if isinstance(self.probe, tuple):
             if self.kind != FORCE_PSD:
                 raise ValidationError("ceiling.probe", "bands only for force_psd")
@@ -57,8 +57,7 @@ class Ceiling:
             if not (0 < lo < hi and math.isfinite(hi)):
                 raise ValidationError("ceiling.probe", "band needs 0 < lo < hi")
         elif self.probe is not None:
-            if not (self.probe > 0 and math.isfinite(self.probe)):
-                raise ValidationError("ceiling.probe", "must be > 0")
+            require_positive("ceiling.probe", self.probe)
         if self.kind == FORCE_PSD and self.probe is None:
             raise ValidationError("ceiling.probe", "force_psd needs a probe frequency")
         if self.kind == XRAY_NORMALIZED and (self.probe is None
@@ -96,12 +95,12 @@ class ExclusionCurve:
 # --- single-point inversions ---------------------------------------------------
 
 def lambda_max_force(d: MassDistribution, ceiling: Ceiling, n: NoiseSpec,
-                     rc: float, tol: float = DEFAULT_TOL) -> float:
+                     rc: float) -> float:
     """Invert S_ccsl = hbar^2 lam eta_reduced f~ against a force-PSD ceiling."""
     if ceiling.kind != FORCE_PSD:
         raise ValidationError("ceiling.kind", "expected force_psd")
     f_eff = effective_spectrum_factor(ceiling, n)
-    e1 = eta_reduced(d, rc, tol).value
+    e1 = eta_reduced(d, rc).value
     denom = CONSTANTS.hbar**2 * e1 * f_eff
     if denom <= 0 or not math.isfinite(denom):
         raise WashedOut(f"force response vanished at rc={rc:.3e}")
@@ -115,6 +114,8 @@ def lambda_max_xray(ceiling: Ceiling, n: NoiseSpec, rc: float,
         raise ValidationError("ceiling.kind", "expected xray_normalized")
     if not (omega_obs > 0 and math.isfinite(omega_obs)):
         raise NonPositiveFrequency("omega_obs must be > 0")
+    if not (rc > 0 and math.isfinite(rc)):
+        raise NonPositiveRc(f"rc must be > 0 and finite, got {rc!r}")
     f = float(spectrum(n, omega_obs))
     if f <= 0:
         raise WashedOut(f"spectrum vanished at omega_obs={omega_obs:.3e}")
@@ -154,7 +155,7 @@ def lambda_max_for(exp, n: NoiseSpec, rc: float, tol: float = DEFAULT_TOL) -> fl
     """Dispatch on an ExperimentDescriptor-like object (registry module)."""
     kind = exp.kind
     if kind == "optomechanical":
-        return lambda_max_force(exp.geometry, exp.ceiling, n, rc, tol)
+        return lambda_max_force(exp.geometry, exp.ceiling, n, rc)
     if kind == "xray":
         return lambda_max_xray(exp.ceiling, n, rc, exp.ceiling.probe)
     if kind == "bulk_heating":
@@ -174,7 +175,7 @@ def scan(experiments: Sequence, n: NoiseSpec, rc_grid, tol: float = DEFAULT_TOL,
     if rc_grid.ndim != 1 or rc_grid.size == 0:
         raise EmptyInput("rc_grid must be a non-empty 1-D array")
     if np.any(np.diff(rc_grid) <= 0):
-        raise ValueError("rc_grid must be strictly increasing")
+        raise ValidationError("rc_grid", "must be strictly increasing")
     curves = []
     for exp in experiments:
         pts = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -30,7 +31,7 @@ from .predict import (cold_atom_diffusion, dns_ccsl, dns_total, heating_rate,
                       normalized_xray_rate, xray_rate)
 from .registry import ExperimentDescriptor, list_bundled, load
 
-_TOL_HELP = ("relative tolerance of the full-sine heating quadrature "
+_TOL_HELP = ("relative tolerance in (0, 1e-2) of the full-sine heating quadrature "
              "(lambda_eff_quad); eta is closed form and does not use it")
 
 
@@ -43,17 +44,34 @@ def _parse_noise(token: str) -> NoiseSpec:
     if token in ("white", "inf"):
         return WHITE
     if token.startswith("exp:"):
-        return exponential(float(token[4:]))
+        try:
+            omega_c = float(token[4:])
+        except ValueError:
+            raise ValidationError("--noise", f"bad cutoff in {token!r}") from None
+        return exponential(omega_c)
     raise ValidationError("--noise", f"expected 'white', 'inf' or 'exp:<rad_s>', got {token!r}")
 
 
+def _check_numbers(args) -> None:
+    """Reject a bad numeric flag before any work is done, naming the flag."""
+    rc, lam = getattr(args, "rc", None), getattr(args, "lam", None)
+    if rc is not None and not 0.0 < rc < math.inf:
+        raise ValidationError("--rc", f"must be > 0 and finite, got {rc!r}")
+    if lam is not None and not 0.0 <= lam < math.inf:
+        raise ValidationError("--lambda", f"must be >= 0 and finite, got {lam!r}")
+    if not 0.0 < args.tol < 1e-2:
+        raise ValidationError("--tol", f"must lie in (0, 1e-2), got {args.tol!r}")
+
+
 def _parse_rc_grid(spec: str) -> np.ndarray:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValidationError("--rc-grid", "expected <lo>:<hi>:<n>")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if not (0 < lo <= hi) or n < 1:
-        raise ValidationError("--rc-grid", "need 0 < lo <= hi and n >= 1")
+    try:
+        lo, hi, n = spec.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError:
+        raise ValidationError("--rc-grid", "expected <lo>:<hi>:<n>") from None
+    if not (0 < lo <= hi < math.inf) or n < 1 or (n > 1 and lo == hi):
+        raise ValidationError("--rc-grid", "need 0 < lo <= hi finite, n >= 1, "
+                                           "and lo < hi when n > 1")
     if n == 1:
         return np.array([lo])
     return np.geomspace(lo, hi, n)
@@ -91,18 +109,18 @@ def _predict_rows(exp: ExperimentDescriptor, p: CollapseParams, n: NoiseSpec,
         probe = exp.ceiling.probe
         w = omega if omega is not None else (
             probe[0] if isinstance(probe, tuple) else probe)
-        s = dns_ccsl(exp.geometry, p, n, w, tol)
+        s = dns_ccsl(exp.geometry, p, n, w)
         rows.append((exp.id, "force_psd_ccsl", float(s), "N^2/Hz"))
         osc = exp.oscillator
         if osc is not None and osc.gamma_m is not None:
             rows.append((exp.id, "displacement_dns_total",
-                         float(dns_total(osc, exp.geometry, p, n, w, tol)), "m^2/Hz"))
+                         float(dns_total(osc, exp.geometry, p, n, w)), "m^2/Hz"))
     elif exp.kind == "xray":
         w = omega if omega is not None else exp.ceiling.probe
         rows.append((exp.id, "xray_normalized_rate",
                      float(normalized_xray_rate(p, n, w)), "s^-1 m^-2"))
         rows.append((exp.id, "xray_dgamma_domega",
-                     float(xray_rate(p, n, w, tol)), "s^-1/(rad/s)"))
+                     float(xray_rate(p, n, w)), "s^-1/(rad/s)"))
     elif exp.kind == "bulk_heating":
         rows.append((exp.id, "heating_rate",
                      heating_rate(p, n, exp.phonon, tol), "W/kg"))
@@ -220,10 +238,10 @@ def cmd_scan(args) -> int:
     for t in noise_tokens:
         if t.lower() not in ("inf", "white"):
             try:
-                float(t)
-            except ValueError:
+                exponential(float(t))
+            except ValueError:  # also a ValidationError from a cutoff <= 0
                 raise ValidationError("--omega-c",
-                                      f"expected 'inf' or a number, got {t!r}") from None
+                                      f"expected 'inf' or a number > 0, got {t!r}") from None
     rc_grid = _parse_rc_grid(args.rc_grid) if args.rc_grid else default_rc_grid()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -328,6 +346,7 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return int(err.code) if err.code else 0
     try:
+        _check_numbers(args)
         return args.func(args)
     except (ParseError, ValidationError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -47,6 +47,9 @@ class CollapseParams:
     lam: float
     rc: float
 
+    def __post_init__(self):
+        validate_params(self)
+
 
 def validate_params(p: CollapseParams) -> CollapseParams:
     """Return p unchanged if its invariants hold, else raise."""

@@ -5,7 +5,8 @@ I3 = Integral d^3k |mu~(k)|^2 k_x^2 e^{-k^2 rc^2},
 
 with k_x the component along the measurement axis. eta is linear in lam;
 ``eta_reduced`` returns the lam = 1 value that bound inversions divide
-ceilings by.
+ceilings by, memoized per (distribution, rc). It checks only rc: a
+distribution is validated when it is built.
 
 Every eta route is closed form, integrated over all k; no quadrature sits on
 the eta production path (the only production adaptive quadrature left in
@@ -42,21 +43,20 @@ reductions in regimes where it is affordable.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ive
 
-from .core import CONSTANTS, CollapseParams, validate_params
+from .core import CONSTANTS, CollapseParams
 from .errors import CompositeCrossTermUnsupported, NonPositiveRc, QuadratureNotConverged
 from .geometry import (Composite, Cuboid, Cylinder, MassDistribution, PointMass, Sphere,
-                       circumradius, total_mass,
-                       validate_distribution)
+                       circumradius, total_mass, validate_distribution)
 from .quadrature import integrate, merge_edges
 
-DEFAULT_TOL = 1e-8
+DEFAULT_TOL = 1e-8         # relative tol of full-sine heating's adaptive quadrature
 K_CUTOFF = 10.0            # integrate |k| <= K_CUTOFF/rc; tail weight e^-100
 _GAP_DROP = 12.0           # drop cross terms when gap/(2 rc) exceeds this
 _MAX_OSC_PANELS = 20000
@@ -72,15 +72,6 @@ class EtaResult:
 
     def __float__(self):
         return self.value
-
-
-_CACHE: dict[tuple, EtaResult] = {}
-_CACHE_LOCK = threading.Lock()
-
-
-def clear_cache():
-    with _CACHE_LOCK:
-        _CACHE.clear()
 
 
 # --- 1-D building blocks -----------------------------------------------------
@@ -544,19 +535,12 @@ def _flatten(d: MassDistribution, base=(0.0, 0.0, 0.0)) -> list:
 
 # --- public operations -------------------------------------------------------
 
-def eta_reduced(d: MassDistribution, rc: float, tol: float = DEFAULT_TOL) -> EtaResult:
-    """eta per unit collapse rate (lam = 1) for correlation length rc."""
-    if not (0.0 < tol < 1e-2):
-        raise ValueError(f"tol must lie in (0, 1e-2), got {tol!r}")
+@functools.lru_cache(maxsize=None)
+def eta_reduced(d: MassDistribution, rc: float) -> EtaResult:
+    """eta per unit collapse rate (lam = 1) for correlation length rc,
+    memoized per (d, rc); d was validated when it was built."""
     if not (rc > 0 and math.isfinite(rc)):
         raise NonPositiveRc(f"rc must be > 0 and finite, got {rc!r}")
-    validate_distribution(d)
-    key = (d, float(rc), float(tol))
-    with _CACHE_LOCK:
-        hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
-
     m0 = CONSTANTS.m0
     if isinstance(d.shape, PointMass):
         m = total_mass(d)
@@ -565,19 +549,18 @@ def eta_reduced(d: MassDistribution, rc: float, tol: float = DEFAULT_TOL) -> Eta
         i3, err = (_i3_composite(d, rc) if isinstance(d.shape, Composite)
                    else _i3_primitive(d, rc, d.measurement_axis))
         value = rc**3 / (math.pi ** 1.5 * m0 * m0) * i3
-
-    result = EtaResult(value, err)
-    with _CACHE_LOCK:
-        _CACHE[key] = result
-    return result
+    return EtaResult(value, err)
 
 
-def eta(d: MassDistribution, p: CollapseParams, tol: float = DEFAULT_TOL) -> EtaResult:
+# bound to the cache itself, so it still clears it while eta_reduced is wrapped
+clear_cache = eta_reduced.cache_clear
+
+
+def eta(d: MassDistribution, p: CollapseParams) -> EtaResult:
     """The diffusion coefficient for collapse parameters p; linear in p.lam."""
-    validate_params(p)
     if p.lam == 0.0:
         return EtaResult(0.0, 0.0)
-    r = eta_reduced(d, p.rc, tol)
+    r = eta_reduced(d, p.rc)
     return EtaResult(p.lam * r.value, r.est_error)
 
 

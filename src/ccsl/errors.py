@@ -4,6 +4,8 @@ Everything raised on purpose derives from CcslError so callers (and the CLI)
 can tell usage problems apart from numerical failures.
 """
 
+import math
+
 
 class CcslError(Exception):
     """Base class for all ccsl errors."""
@@ -69,3 +71,9 @@ class ValidationError(CcslError, ValueError):
         super().__init__(f"{field}: {constraint}")
         self.field = field
         self.constraint = constraint
+
+
+def require_positive(field: str, v) -> None:
+    """Raise ValidationError(field) unless v is a finite number > 0."""
+    if not (v > 0 and math.isfinite(v)):
+        raise ValidationError(field, "must be > 0")

@@ -9,9 +9,10 @@ mu~(0) equals the total mass. Squared moduli for the primitives:
 * point    m^2
 * composite |sum_j mu~_j(k) e^{-i k.a_j}|^2
 
-kp/ka are the components of k across/along the cylinder axis. All kernels
-switch to a 6th-order Taylor series below |x| = 1e-4: the removable
-singularities at k -> 0 dominate the quadrature region when rc is large.
+kp/ka are the components of k across/along the cylinder axis. The kernels
+switch to a 6th-order Taylor series below |x| = 1e-4 (sinc, disc) or 1e-2
+(sphere); they serve only form_factor_sq and eta_reduced_reference. Shapes
+and distributions check their invariants when built.
 """
 
 from __future__ import annotations
@@ -22,16 +23,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import j1 as _bessel_j1
 
-from .errors import ValidationError
+from .errors import ValidationError, require_positive
 
 _SERIES_CUT = 1e-4
 
 
 # --- shapes ------------------------------------------------------------------
 
+def _require_unit(field: str, v) -> None:
+    if not abs(math.hypot(*v) - 1.0) <= 1e-9:
+        raise ValidationError(field, "must be a unit vector")
+
+
 @dataclass(frozen=True)
 class Sphere:
     radius: float  # m
+
+    def __post_init__(self):
+        require_positive("geometry.radius", self.radius)
 
 
 @dataclass(frozen=True)
@@ -40,12 +49,21 @@ class Cuboid:
     ly: float
     lz: float
 
+    def __post_init__(self):
+        for name in ("lx", "ly", "lz"):
+            require_positive(f"geometry.{name}", getattr(self, name))
+
 
 @dataclass(frozen=True)
 class Cylinder:
     radius: float  # m
     length: float  # m
     axis: tuple[float, float, float] = (0.0, 0.0, 1.0)  # unit vector
+
+    def __post_init__(self):
+        require_positive("geometry.radius", self.radius)
+        require_positive("geometry.length", self.length)
+        _require_unit("geometry.axis", self.axis)
 
 
 @dataclass(frozen=True)
@@ -75,6 +93,9 @@ class MassDistribution:
     density: float | None
     measurement_axis: tuple[float, float, float] = (1.0, 0.0, 0.0)
 
+    def __post_init__(self):
+        validate_distribution(self)
+
 
 # --- constructors ------------------------------------------------------------
 
@@ -89,48 +110,36 @@ def _unit(v, field: str) -> tuple[float, float, float]:
     return (float(a[0]), float(a[1]), float(a[2]))
 
 
-def _density_from(volume_m3, density, mass, field):
+def _density_from(shape: Shape, density, mass) -> float:
     if (density is None) == (mass is None):
-        raise ValidationError(field, "give exactly one of density or mass")
+        raise ValidationError("geometry", "give exactly one of density or mass")
     if density is not None:
         return float(density)
-    return float(mass) / volume_m3
+    return float(mass) / volume(shape)
 
 
 def sphere(radius, *, density=None, mass=None,
            measurement_axis=(1.0, 0.0, 0.0)) -> MassDistribution:
-    if not (radius > 0 and math.isfinite(radius)):
-        raise ValidationError("geometry.radius", "must be > 0")
-    vol = 4.0 / 3.0 * math.pi * radius**3
-    rho = _density_from(vol, density, mass, "geometry")
-    return MassDistribution(Sphere(float(radius)), rho, _unit(measurement_axis, "measurement_axis"))
+    shape = Sphere(float(radius))
+    return MassDistribution(shape, _density_from(shape, density, mass),
+                            _unit(measurement_axis, "measurement_axis"))
 
 
 def cuboid(lx, ly, lz, *, density=None, mass=None,
            measurement_axis=(1.0, 0.0, 0.0)) -> MassDistribution:
-    for name, v in (("lx", lx), ("ly", ly), ("lz", lz)):
-        if not (v > 0 and math.isfinite(v)):
-            raise ValidationError(f"geometry.{name}", "must be > 0")
-    rho = _density_from(lx * ly * lz, density, mass, "geometry")
-    return MassDistribution(Cuboid(float(lx), float(ly), float(lz)), rho,
+    shape = Cuboid(float(lx), float(ly), float(lz))
+    return MassDistribution(shape, _density_from(shape, density, mass),
                             _unit(measurement_axis, "measurement_axis"))
 
 
 def cylinder(radius, length, *, axis=(0.0, 0.0, 1.0), density=None, mass=None,
              measurement_axis=(0.0, 0.0, 1.0)) -> MassDistribution:
-    if not (radius > 0 and math.isfinite(radius)):
-        raise ValidationError("geometry.radius", "must be > 0")
-    if not (length > 0 and math.isfinite(length)):
-        raise ValidationError("geometry.length", "must be > 0")
-    vol = math.pi * radius**2 * length
-    rho = _density_from(vol, density, mass, "geometry")
-    return MassDistribution(Cylinder(float(radius), float(length), _unit(axis, "geometry.axis")),
-                            rho, _unit(measurement_axis, "measurement_axis"))
+    shape = Cylinder(float(radius), float(length), _unit(axis, "geometry.axis"))
+    return MassDistribution(shape, _density_from(shape, density, mass),
+                            _unit(measurement_axis, "measurement_axis"))
 
 
 def point_mass(mass, *, measurement_axis=(1.0, 0.0, 0.0)) -> MassDistribution:
-    if not (mass > 0 and math.isfinite(mass)):
-        raise ValidationError("geometry.mass", "must be > 0")
     return MassDistribution(PointMass(), float(mass), _unit(measurement_axis, "measurement_axis"))
 
 
@@ -287,32 +296,16 @@ def circumradius(d: MassDistribution) -> float:
 
 
 def validate_distribution(d: MassDistribution) -> MassDistribution:
-    """Check invariants: positive lengths and density, unit axes."""
-    s = d.shape
-    if isinstance(s, Composite):
+    """Check the distribution-level invariants: a positive density (None for
+    a composite) and a unit measurement axis. Shapes and composite parts
+    check their own when they are built; MassDistribution calls this."""
+    if isinstance(d.shape, Composite):
         if d.density is not None:
             raise ValidationError("geometry.density", "composite parts carry densities")
-        for part, _ in s.parts:
-            validate_distribution(part)
-        return d
-    if d.density is None or not (d.density > 0 and math.isfinite(d.density)):
-        field = "geometry.mass" if isinstance(s, PointMass) else "geometry.density"
+    elif d.density is None or not (d.density > 0 and math.isfinite(d.density)):
+        field = "geometry.mass" if isinstance(d.shape, PointMass) else "geometry.density"
         raise ValidationError(field, "must be > 0")
-    if isinstance(s, Sphere) and not (s.radius > 0 and math.isfinite(s.radius)):
-        raise ValidationError("geometry.radius", "must be > 0")
-    if isinstance(s, Cuboid):
-        for name, v in (("lx", s.lx), ("ly", s.ly), ("lz", s.lz)):
-            if not (v > 0 and math.isfinite(v)):
-                raise ValidationError(f"geometry.{name}", "must be > 0")
-    if isinstance(s, Cylinder):
-        if not (s.radius > 0 and math.isfinite(s.radius)):
-            raise ValidationError("geometry.radius", "must be > 0")
-        if not (s.length > 0 and math.isfinite(s.length)):
-            raise ValidationError("geometry.length", "must be > 0")
-        if abs(np.linalg.norm(s.axis) - 1.0) > 1e-9:
-            raise ValidationError("geometry.axis", "must be a unit vector")
-    if abs(np.linalg.norm(d.measurement_axis) - 1.0) > 1e-9:
-        raise ValidationError("measurement_axis", "must be a unit vector")
+    _require_unit("measurement_axis", d.measurement_axis)
     return d
 
 

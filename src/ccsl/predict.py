@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx as _erfcx
 
-from .core import CONSTANTS, CollapseParams, validate_params
+from .core import CONSTANTS, CollapseParams
 from .diffusion import eta as _eta
 from .diffusion import DEFAULT_TOL
 from .errors import (NonPositiveFrequency, QuadratureNotConverged,
-                     UnsupportedDispersion, ValidationError)
+                     UnsupportedDispersion, ValidationError, require_positive)
 from .geometry import MassDistribution
 from .noise import NoiseSpec, spectrum
 from .quadrature import integrate, merge_edges
@@ -50,12 +50,9 @@ class MechanicalOscillator:
 
     def __post_init__(self):
         for name in ("mass", "omega_m", "temperature"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValidationError(f"oscillator.{name}", "must be > 0")
+            require_positive(f"oscillator.{name}", getattr(self, name))
         if self.gamma_m is not None:
-            if not (self.gamma_m > 0 and math.isfinite(self.gamma_m)):
-                raise ValidationError("oscillator.gamma_m", "must be > 0")
+            require_positive("oscillator.gamma_m", self.gamma_m)
             if self.gamma_m >= self.omega_m:
                 warnings.warn("oscillator is overdamped (gamma_m >= omega_m); "
                               "resonant formulas may not apply", stacklevel=2)
@@ -83,13 +80,10 @@ class PhononModel:
     dispersion: FullSineDispersion | None = None
 
     def __post_init__(self):
-        if not (self.v_s > 0 and math.isfinite(self.v_s)):
-            raise ValidationError("phonon.v_s", "must be > 0")
+        require_positive("phonon.v_s", self.v_s)
         if self.dispersion is not None:
             for name in ("force_constant", "atom_mass", "plane_spacing"):
-                v = getattr(self.dispersion, name)
-                if not (v > 0 and math.isfinite(v)):
-                    raise ValidationError(f"phonon.{name}", "must be > 0")
+                require_positive(f"phonon.{name}", getattr(self.dispersion, name))
             if abs(self.dispersion.sound_speed() / self.v_s - 1.0) > 0.01:
                 raise ValidationError(
                     "phonon.v_s", "inconsistent with a sqrt(C/m_A) beyond 1%")
@@ -114,26 +108,22 @@ class ColdAtomDescriptor:
 
     def __post_init__(self):
         for name in ("mass_number", "atom_mass"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValidationError(f"coldatom.{name}", "must be > 0")
+            require_positive(f"coldatom.{name}", getattr(self, name))
         if not (self.expansion_time >= 0 and math.isfinite(self.expansion_time)):
             raise ValidationError("coldatom.expansion_time", "must be >= 0")
 
 
 # --- optomechanical spectra ----------------------------------------------------
 
-def dns_ccsl(d: MassDistribution, p: CollapseParams, n: NoiseSpec, omega,
-             tol: float = DEFAULT_TOL):
+def dns_ccsl(d: MassDistribution, p: CollapseParams, n: NoiseSpec, omega):
     """Collapse contribution to the force-noise PSD, N^2 s:
     S(w) = hbar^2 eta f~(w). Constant in w for white noise."""
-    validate_params(p)
-    e = _eta(d, p, tol).value
+    e = _eta(d, p).value
     return CONSTANTS.hbar**2 * e * spectrum(n, omega)
 
 
 def dns_total(osc: MechanicalOscillator, d: MassDistribution, p: CollapseParams,
-              n: NoiseSpec, omega, tol: float = DEFAULT_TOL):
+              n: NoiseSpec, omega):
     """Displacement PSD, m^2 s, in the high-temperature approximation:
 
     S(w) = [2 m gamma kB T + S_ccsl(w)] / (m^2 [(wm^2-w^2)^2 + gamma^2 w^2])
@@ -144,7 +134,7 @@ def dns_total(osc: MechanicalOscillator, d: MassDistribution, p: CollapseParams,
         raise ValidationError("oscillator.gamma_m", "required for displacement spectra")
     omega = np.asarray(omega, dtype=float)
     num = (2.0 * osc.mass * osc.gamma_m * CONSTANTS.kB * osc.temperature
-           + dns_ccsl(d, p, n, omega, tol))
+           + dns_ccsl(d, p, n, omega))
     den = osc.mass**2 * ((osc.omega_m**2 - omega**2) ** 2
                          + osc.gamma_m**2 * omega**2)
     out = num / den
@@ -153,13 +143,12 @@ def dns_total(osc: MechanicalOscillator, d: MassDistribution, p: CollapseParams,
 
 # --- X-ray emission -------------------------------------------------------------
 
-def xray_rate(p: CollapseParams, n: NoiseSpec, omega, tol: float = DEFAULT_TOL):
+def xray_rate(p: CollapseParams, n: NoiseSpec, omega):
     """Photon emission rate density dGamma/dw at angular frequency omega:
 
     dGamma/dw = e^2 hbar eta / (2 pi^2 eps0 c^3 me^2 w) * f~(w),
 
     with the point-electron eta = lam me^2/(2 m0^2 rc^2)."""
-    validate_params(p)
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0) or not np.all(np.isfinite(omega)):
         raise NonPositiveFrequency("xray_rate requires omega > 0")
@@ -174,7 +163,6 @@ def xray_rate(p: CollapseParams, n: NoiseSpec, omega, tol: float = DEFAULT_TOL):
 def normalized_xray_rate(p: CollapseParams, n: NoiseSpec, omega):
     """The detector-side combination 4 pi^2 eps0 c^3 m0^2 w (dGamma/dw)/(e^2 hbar),
     which reduces to lam f~(w) / rc^2 (units s^-1 m^-2)."""
-    validate_params(p)
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0) or not np.all(np.isfinite(omega)):
         raise NonPositiveFrequency("normalized_xray_rate requires omega > 0")
@@ -210,7 +198,6 @@ def lambda_eff_closed(p: CollapseParams, n: NoiseSpec, ph: PhononModel) -> float
     lam_eff = (4 lam rc^2 Wc^2 / 3 v_s^2) [1/2 - x^2 + sqrt(pi) x^3 e^{x^2} erfc(x)],
     x = rc Wc / v_s. Equals lam for white noise.
     """
-    validate_params(p)
     if ph.dispersion is not None:
         raise UnsupportedDispersion("closed form exists for linear dispersion only")
     if n.is_white:
@@ -227,9 +214,8 @@ def lambda_eff_quad(p: CollapseParams, n: NoiseSpec, ph: PhononModel,
 
     Supports both dispersion forms; matches lambda_eff_closed for the linear
     one and returns lam (up to tol) for white noise."""
-    validate_params(p)
     if not (0.0 < tol < 1e-2):
-        raise ValueError(f"tol must lie in (0, 1e-2), got {tol!r}")
+        raise ValidationError("tol", f"must lie in (0, 1e-2), got {tol!r}")
     if p.lam == 0.0:
         return 0.0
     rc = p.rc
@@ -257,7 +243,6 @@ def heating_rate(p: CollapseParams, n: NoiseSpec, ph: PhononModel,
                  tol: float = DEFAULT_TOL) -> float:
     """Bulk energy gain rate per unit mass, W/kg:
     dE/(dt dM) = (3/4) (hbar^2 / rc^2 m0^2) lam_eff."""
-    validate_params(p)
     if ph.dispersion is None:
         leff = lambda_eff_closed(p, n, ph)
     else:
@@ -292,7 +277,6 @@ def cold_atom_diffusion(p: CollapseParams, n: NoiseSpec, ca: ColdAtomDescriptor)
     (3 lam A^2 hbar^2 / 2 m^2 rc^2) [t^3/2 - t^2 tau/2 + tau^2(tau - (t+tau) e^{-t/tau})]
 
     with tau = 1/Wc; white noise is the tau -> 0 limit, bracket -> t^3/2."""
-    validate_params(p)
     tau = 0.0 if n.is_white else 1.0 / n.omega_c
     bracket = _cold_bracket(ca.expansion_time, tau)
     c = CONSTANTS

@@ -26,8 +26,7 @@ from .bounds import (FORCE_PSD, HEATING_POWER, POSITION_VARIANCE, XRAY_NORMALIZE
                      Ceiling)
 from .core import TWO_PI
 from .errors import ParseError, ValidationError
-from .geometry import (MassDistribution, composite, cuboid, cylinder, point_mass,
-                       sphere, validate_distribution)
+from .geometry import MassDistribution, composite, cuboid, cylinder, point_mass, sphere
 from .predict import (ColdAtomDescriptor, FullSineDispersion, MechanicalOscillator,
                       PhononModel)
 
@@ -52,6 +51,9 @@ class ExperimentDescriptor:
     phonon: PhononModel | None = None
     coldatom: ColdAtomDescriptor | None = None
     provenance: str = ""
+
+    def __post_init__(self):
+        validate_descriptor(self)
 
 
 def validate_descriptor(desc: ExperimentDescriptor) -> ExperimentDescriptor:
@@ -78,8 +80,6 @@ def validate_descriptor(desc: ExperimentDescriptor) -> ExperimentDescriptor:
     if desc.ceiling.kind != ceiling_kind:
         raise ValidationError("ceiling.kind",
                               f"kind {desc.kind} requires {ceiling_kind}")
-    if desc.geometry is not None:
-        validate_distribution(desc.geometry)
     return desc
 
 
@@ -269,7 +269,7 @@ def _build_geometry(sec: dict, section="geometry") -> MassDistribution:
     except TypeError as err:
         raise ValidationError(f"{section}.shape", str(err)) from None
     _check_consumed(sec, section)
-    return validate_distribution(d)
+    return d
 
 
 def _build_ceiling(sec: dict) -> Ceiling:
@@ -339,11 +339,10 @@ def _build_descriptor(top: dict, sections: dict) -> ExperimentDescriptor:
         raise ValidationError("ceiling", "missing [ceiling] section")
     ceiling = _build_ceiling(sections.pop("ceiling"))
 
-    desc = ExperimentDescriptor(id=exp_id, kind=kind, ceiling=ceiling,
+    return ExperimentDescriptor(id=exp_id, kind=kind, ceiling=ceiling,
                                 geometry=geometry, oscillator=oscillator,
                                 phonon=phonon, coldatom=coldatom,
                                 provenance=provenance)
-    return validate_descriptor(desc)
 
 
 # --- serialization ---------------------------------------------------------------

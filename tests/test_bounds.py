@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ccsl import (CONSTANTS, Ceiling, CollapseParams, ColdAtomDescriptor,
-                  EmptyInput, PhononModel, ValidationError, WHITE, WashedOut,
+                  EmptyInput, NonPositiveRc, PhononModel, ValidationError, WHITE, WashedOut,
                   cold_atom_diffusion, cuboid, dns_ccsl, envelope, exponential,
                   heating_rate, lambda_max_coldatom, lambda_max_for,
                   lambda_max_force, lambda_max_heating, lambda_max_xray,
@@ -84,6 +84,20 @@ def test_xray_scales_with_rc_squared():
     a = lambda_max_xray(ceiling, WHITE, 1e-7, 1e19)
     b = lambda_max_xray(ceiling, WHITE, 2e-7, 1e19)
     assert b == pytest.approx(4.0 * a, rel=1e-14)
+
+
+@pytest.mark.parametrize("rc", [-1e-7, 0.0, math.nan, math.inf])
+def test_xray_rejects_bad_rc(rc):
+    with pytest.raises(NonPositiveRc):
+        lambda_max_xray(load("xray").ceiling, WHITE, rc, 1e19)
+
+
+def test_scan_collects_xray_bad_rc_as_error():
+    seen = []
+    curves = scan([load("xray")], WHITE, [-1e-7, 1e-7],
+                  on_error=lambda i, rc, e: seen.append((rc, type(e))))
+    assert [rc for rc, _ in curves[0].points] == [1e-7]
+    assert seen == [(-1e-7, NonPositiveRc)]
 
 
 # --- heating inversion --------------------------------------------------------------
@@ -231,8 +245,11 @@ def test_scan_grid_validation():
     exp = load("xray")
     with pytest.raises(EmptyInput):
         scan([exp], WHITE, np.array([]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError) as info:
         scan([exp], WHITE, np.array([1e-7, 1e-8]))
+    assert info.value.field == "rc_grid"
+    with pytest.raises(ValidationError):
+        scan([exp], WHITE, np.array([1e-7, 1e-7]))
 
 
 def test_scan_error_collection():

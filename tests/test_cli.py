@@ -73,6 +73,35 @@ def test_bad_noise_flag_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["bound", "--experiment", "xray", "--rc=-1e-7"], "--rc"),
+    (["bound", "--experiment", "xray", "--rc", "0"], "--rc"),
+    (["bound", "--experiment", "xray", "--rc", "inf"], "--rc"),
+    (["bound", "--experiment", "xray", "--rc", "nan"], "--rc"),
+    (["bound", "--experiment", "xray", "--rc-grid", "1e-7:1e-7:3"], "--rc-grid"),
+    (["scan", "--experiments", "xray", "--rc-grid", "1e-7:1e-7:3", "--jobs", "1"],
+     "--rc-grid"),
+    (["predict", "--experiment", "cantilever", "--lambda", "1e-12", "--rc", "1e-7",
+      "--tol", "0.5"], "--tol"),
+    (["bound", "--experiment", "xray", "--rc", "1e-7", "--tol", "0.5"], "--tol"),
+    (["bound", "--experiment", "cantilever", "--rc", "1e-7", "--tol", "0.5"], "--tol"),
+    (["scan", "--experiments", "cantilever", "--tol", "0", "--jobs", "1"], "--tol"),
+    (["predict", "--experiment", "xray", "--lambda", "1e-12", "--rc=-1"], "--rc"),
+    (["predict", "--experiment", "xray", "--lambda=-1", "--rc", "1e-7"], "--lambda"),
+    (["bound", "--experiment", "xray", "--rc", "1e-7", "--noise", "exp:abc"], "--noise"),
+    (["scan", "--experiments", "xray,cantilever", "--omega-c=-5", "--jobs", "2"],
+     "--omega-c"),
+])
+def test_bad_number_exits_2_naming_its_flag(tmp_path, capsys, argv, flag):
+    if argv[0] == "scan":
+        argv = [*argv, "--out-dir", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {flag}: ")
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
 # --- bound -----------------------------------------------------------------------
 
 def test_bound_xray_white(capsys):

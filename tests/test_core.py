@@ -48,6 +48,13 @@ def test_validate_params_bad_lambda(lam):
         validate_params(CollapseParams(lam=lam, rc=1e-7))
 
 
+def test_invalid_params_cannot_be_built():
+    with pytest.raises(NonPositiveRc):
+        CollapseParams(1.0, 0.0)
+    with pytest.raises(NegativeLambda):
+        CollapseParams(-1.0, 1e-7)
+
+
 def test_params_are_immutable_and_hashable():
     p = CollapseParams(lam=1e-16, rc=1e-7)
     with pytest.raises(Exception):

@@ -4,9 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from ccsl import (CONSTANTS, CollapseParams, CompositeCrossTermUnsupported,
-                  composite, cuboid, cylinder, eta, eta_reduced,
-                  eta_reduced_reference, point_mass, sphere)
+from ccsl import (CONSTANTS, WHITE, CollapseParams, CompositeCrossTermUnsupported,
+                  PhononModel, composite, cuboid, cylinder, eta, eta_reduced,
+                  eta_reduced_reference, lambda_eff_quad, point_mass, sphere)
 from ccsl.diffusion import (_cross_isotropic, _i3_sphere, _transverse_moments, _ive,
                             clear_cache)
 from ccsl.geometry import circumradius, disc_kernel, form_factor_sq, sphere_kernel
@@ -516,17 +516,19 @@ def test_est_error_within_tolerance():
     for d, rc in ((sphere(1e-5, density=1e3), 1e-7),
                   (cuboid(0.046, 0.046, 0.046, mass=1.928), 1e-7),
                   (cylinder(0.3, 3.0, mass=2300.0), 1e-7)):
-        r = eta_reduced(d, rc, tol=1e-8)
+        r = eta_reduced(d, rc)
         assert r.est_error <= 1e-8
         assert r.value > 0
 
 
 def test_tolerance_domain_enforced():
-    d = point_mass(1.0)
+    # eta is closed form and takes no tol; the quadrature route that does
+    # still rejects one outside (0, 1e-2)
+    p, ph = CollapseParams(1.0, 1e-7), PhononModel(v_s=3000.0)
     with pytest.raises(ValueError):
-        eta_reduced(d, 1e-7, tol=0.5)
+        lambda_eff_quad(p, WHITE, ph, tol=0.5)
     with pytest.raises(ValueError):
-        eta_reduced(d, 1e-7, tol=0.0)
+        lambda_eff_quad(p, WHITE, ph, tol=0.0)
 
 
 def test_concurrent_evaluation_and_cache():

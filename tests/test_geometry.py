@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccsl import (ValidationError, composite, cuboid, cylinder, form_factor_sq,
+from ccsl import (Composite, Cuboid, Cylinder, MassDistribution, PointMass, Sphere,
+                  ValidationError, composite, cuboid, cylinder, form_factor_sq,
                   point_mass, sphere, total_mass)
 from ccsl.geometry import (bessel_j1, circumradius, disc_kernel, sinc_kernel,
                            sphere_kernel, validate_distribution, volume,
@@ -179,6 +181,8 @@ def test_bessel_j1_against_fixtures():
 def test_negative_radius_rejected():
     with pytest.raises(ValidationError):
         sphere(-0.1, density=1.0)
+    with pytest.raises(ValidationError):  # the shape is checked before mass/volume
+        sphere(0, mass=1)
 
 
 def test_both_density_and_mass_rejected():
@@ -196,6 +200,24 @@ def test_zero_axis_rejected():
 def test_empty_composite_rejected():
     with pytest.raises(ValidationError):
         composite([])
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: MassDistribution(Sphere(1.0), -1.0), "geometry.density"),
+    (lambda: MassDistribution(PointMass(), 0.0), "geometry.mass"),
+    (lambda: Sphere(0.0), "geometry.radius"),
+    (lambda: Cuboid(1.0, math.nan, 1.0), "geometry.ly"),
+    (lambda: Cylinder(1.0, 1.0, (0, 0, 2.0)), "geometry.axis"),
+    (lambda: MassDistribution(Composite(((sphere(1.0, density=1.0), (0.0, 0.0, 0.0)),)),
+                              1.0), "geometry.density"),
+    (lambda: dataclasses.replace(sphere(1.0, density=1.0), density=-1.0),
+     "geometry.density"),
+], ids=["negative-density", "zero-point-mass", "zero-radius", "nan-edge",
+        "non-unit-axis", "composite-with-density", "replaced-density"])
+def test_invalid_geometry_cannot_be_built(build, field):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert info.value.field == field
 
 
 def test_validate_distribution_passes_bundled_like_shapes():

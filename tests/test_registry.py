@@ -244,6 +244,13 @@ def test_descriptor_equality_and_hash():
 
 def test_validate_descriptor_missing_ceiling_kind():
     exp = load("xray")
-    bad = ExperimentDescriptor(id=exp.id, kind="bulk_heating", ceiling=exp.ceiling)
     with pytest.raises(ValidationError):
-        validate_descriptor(bad)
+        ExperimentDescriptor(id=exp.id, kind="bulk_heating", ceiling=exp.ceiling)
+
+
+def test_descriptor_with_mismatched_ceiling_kind_cannot_be_built():
+    # every field the kind needs is present; only the ceiling kind is wrong
+    force = Ceiling("force_psd", 1e-30, probe=10.0)
+    with pytest.raises(ValidationError) as info:
+        ExperimentDescriptor(id="x", kind="xray", ceiling=force)
+    assert info.value.field == "ceiling.kind"
