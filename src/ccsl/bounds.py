@@ -5,6 +5,14 @@ is exact because every prediction is linear in lam. A point is "washed out"
 when the colored suppression drives the unit-lam prediction below any
 useful level; such points are omitted from exclusion curves rather than
 recorded as sentinels.
+
+Every bound factors as lam_max = ceiling / (unit response(rc) x noise
+factor). For force, X-ray and cold-atom experiments the noise factor does
+not depend on rc: it is f~ at the probe frequency, f~(w_obs), or the
+cold-atom bracket over its white value t^3/2. Given several noises,
+``scan`` therefore computes the white curve once per rc and divides it by
+one scalar per noise. Bulk heating couples rc and Wc through
+x = rc Wc / v_s and is inverted point by point for every noise.
 """
 
 from __future__ import annotations
@@ -20,9 +28,9 @@ from .diffusion import DEFAULT_TOL, eta_reduced
 from .errors import (EmptyInput, NonPositiveFrequency, NonPositiveRc, ValidationError,
                      WashedOut, require_positive)
 from .geometry import MassDistribution
-from .noise import NoiseSpec, spectrum
-from .predict import (ColdAtomDescriptor, PhononModel, cold_atom_diffusion,
-                      lambda_eff_closed, lambda_eff_quad)
+from .noise import WHITE, NoiseSpec, spectrum
+from .predict import (ColdAtomDescriptor, PhononModel, _cold_bracket,
+                      cold_atom_diffusion, lambda_eff_closed, lambda_eff_quad)
 
 FORCE_PSD = "force_psd"
 XRAY_NORMALIZED = "xray_normalized"
@@ -30,6 +38,9 @@ HEATING_POWER = "heating_power"
 POSITION_VARIANCE = "position_variance"
 
 _WASHOUT_RATIO = 1e-30
+
+# experiment kinds whose noise enters as one rc-independent factor
+_FACTORED_KINDS = ("optomechanical", "xray", "cold_atom")
 
 
 @dataclass(frozen=True)
@@ -165,30 +176,84 @@ def lambda_max_for(exp, n: NoiseSpec, rc: float, tol: float = DEFAULT_TOL) -> fl
     raise ValidationError("experiment.kind", f"unknown kind {kind!r}")
 
 
-def scan(experiments: Sequence, n: NoiseSpec, rc_grid, tol: float = DEFAULT_TOL,
-         on_error: Callable[[str, float, Exception], None] | None = None
-         ) -> list[ExclusionCurve]:
-    """One exclusion curve per experiment over the rc grid. Washed-out or
-    failed points are omitted from the curve; failures are reported through
-    on_error(experiment_id, rc, exception) when given."""
+def _noise_factor(exp, n: NoiseSpec) -> float:
+    """The rc-independent factor by which noise n divides the white response
+    of a force, X-ray or cold-atom experiment."""
+    if exp.kind == "optomechanical":
+        return effective_spectrum_factor(exp.ceiling, n)
+    if exp.kind == "xray":
+        return float(spectrum(n, exp.ceiling.probe))
+    t = exp.coldatom.expansion_time
+    tau = 0.0 if n.is_white else 1.0 / n.omega_c
+    return _cold_bracket(t, tau) / _cold_bracket(t, 0.0)
+
+
+def _attempt(exp, n: NoiseSpec, rc: float, tol: float):
+    """(lam_max, None) from the scalar route, or (None, the exception it raised)."""
+    try:
+        return lambda_max_for(exp, n, rc, tol), None
+    except Exception as err:  # collected (washed out or failed), not fatal
+        # a scan holds errors until it reports them; their tracebacks would
+        # keep every frame of the failed call alive with them
+        return None, err.with_traceback(None)
+
+
+def _factored(exp, n: NoiseSpec, rcs: list, white: list, tol: float):
+    """Attempts at every rc for noise n, derived from the white attempts. A
+    point whose white call failed fails with that error; a derived value
+    that is not finite and > 0 is recomputed by the scalar route."""
+    try:
+        factor = _noise_factor(exp, n)
+    except ArithmeticError:  # a cold-atom bracket that overflows or is 0 at t = 0
+        factor = math.nan  # every point then takes the scalar route
+    unit = np.array([math.nan if lm is None else lm for lm, _ in white])
+    with np.errstate(all="ignore"):
+        values = (unit / factor).tolist()
+    for rc, (_, err), lm in zip(rcs, white, values):
+        if err is not None:
+            yield None, err
+        elif math.isfinite(lm) and lm > 0:
+            yield lm, None
+        else:
+            yield _attempt(exp, n, rc, tol)
+
+
+def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid,
+         tol: float = DEFAULT_TOL,
+         on_error: Callable[[str, NoiseSpec, float, Exception], None] | None = None
+         ) -> list[list[ExclusionCurve]]:
+    """Exclusion curves over the rc grid: one list per noise, holding one
+    curve per experiment. Washed-out or failed points are omitted from the
+    curves; failures are reported through on_error(experiment_id, noise, rc,
+    exception) when given, per experiment, then noise, then rc.
+
+    With more than one noise, force, X-ray and cold-atom curves are the
+    white curve divided by one factor per noise; with one noise, and for
+    bulk heating, every point takes the scalar route."""
     rc_grid = np.asarray(rc_grid, dtype=float)
     if rc_grid.ndim != 1 or rc_grid.size == 0:
         raise EmptyInput("rc_grid must be a non-empty 1-D array")
     if np.any(np.diff(rc_grid) <= 0):
         raise ValidationError("rc_grid", "must be strictly increasing")
-    curves = []
+    rcs = rc_grid.tolist()
+    curves: list[list[ExclusionCurve]] = [[] for _ in noises]
     for exp in experiments:
-        pts = []
-        for rc in rc_grid:
-            try:
-                lm = lambda_max_for(exp, n, float(rc), tol)
-            except Exception as err:  # collected (washed out or failed), not fatal
-                if on_error is not None:
-                    on_error(exp.id, float(rc), err)
-                continue
-            if math.isfinite(lm) and lm > 0:
-                pts.append((float(rc), lm))
-        curves.append(ExclusionCurve(exp.id, n, tuple(pts)))
+        white = None
+        if len(noises) > 1 and exp.kind in _FACTORED_KINDS:
+            white = [_attempt(exp, WHITE, rc, tol) for rc in rcs]
+        for n, panel in zip(noises, curves):
+            if white is None:
+                attempts = (_attempt(exp, n, rc, tol) for rc in rcs)
+            else:
+                attempts = _factored(exp, n, rcs, white, tol)
+            pts = []
+            for rc, (lm, err) in zip(rcs, attempts):
+                if err is not None:
+                    if on_error is not None:
+                        on_error(exp.id, n, rc, err)
+                elif math.isfinite(lm) and lm > 0:
+                    pts.append((rc, lm))
+            panel.append(ExclusionCurve(exp.id, n, tuple(pts)))
     return curves
 
 

@@ -55,8 +55,9 @@ def _parse_noise(token: str) -> NoiseSpec:
 def _check_numbers(args) -> None:
     """Reject a bad numeric flag before any work is done, naming the flag."""
     rc, lam = getattr(args, "rc", None), getattr(args, "lam", None)
-    if rc is not None and not 0.0 < rc < math.inf:
-        raise ValidationError("--rc", f"must be > 0 and finite, got {rc!r}")
+    for flag, v in (("--rc", rc), ("--omega", getattr(args, "omega", None))):
+        if v is not None and not 0.0 < v < math.inf:
+            raise ValidationError(flag, f"must be > 0 and finite, got {v!r}")
     if lam is not None and not 0.0 <= lam < math.inf:
         raise ValidationError("--lambda", f"must be >= 0 and finite, got {lam!r}")
     if not 0.0 < args.tol < 1e-2:
@@ -168,14 +169,11 @@ def cmd_bound(args) -> int:
         "tol": args.tol, "format": args.format,
     }, [e.id for e in experiments])
     omega_c = "inf" if n.is_white else _fmt(n.omega_c)
-    rows = []
-    for exp in experiments:
-        curves = scan([exp], n, rc_values, args.tol,
-                      on_error=lambda i, rc, e: manifest.errors.append(
-                          {"experiment": i, "rc_m": rc, "error": str(e)}))
-        # washed-out rc points are simply absent from the curve
-        for rc, lm in curves[0].points:
-            rows.append((exp.id, rc, lm))
+    curves = scan(experiments, [n], rc_values, args.tol,
+                  on_error=lambda i, _, rc, e: manifest.errors.append(
+                      {"experiment": i, "rc_m": rc, "error": str(e)}))[0]
+    # washed-out rc points are simply absent from the curve
+    rows = [(c.experiment_id, rc, lm) for c in curves for rc, lm in c.points]
     if args.format == "json":
         doc = {"manifest": json.loads(manifest.to_json()),
                "results": [{"experiment": e, "rc_m": rc, "lambda_max_s^-1": lm,
@@ -198,16 +196,15 @@ def cmd_bound(args) -> int:
 
 def _scan_worker(payload):
     exp, noise_tokens, rc_grid, tol = payload
-    curves = {}
+    noises = [_parse_noise(token) for token in noise_tokens]
+    # keyed by identity: two tokens may spell the same cutoff ('1e4', '10000')
+    token_of = {id(n): token for n, token in zip(noises, noise_tokens)}
     errors = []
-    for token in noise_tokens:
-        n = _parse_noise(token)
-        got = scan([exp], n, rc_grid, tol,
-                   on_error=lambda i, rc, e: errors.append(
-                       {"experiment": i, "omega_c": token, "rc_m": rc,
-                        "error": str(e)}))
-        curves[token] = got[0]
-    return exp.id, curves, errors
+    panels = scan([exp], noises, rc_grid, tol,
+                  on_error=lambda i, n, rc, e: errors.append(
+                      {"experiment": i, "omega_c": token_of[id(n)], "rc_m": rc,
+                       "error": str(e)}))
+    return exp.id, {t: p[0] for t, p in zip(noise_tokens, panels)}, errors
 
 
 def _write_panel_csv(path: Path, token: str, rc_grid, curves: list[ExclusionCurve],

@@ -63,6 +63,9 @@ class ParseError(CcslError, ValueError):
         self.column = column
         self.message = message
 
+    def __reduce__(self):  # args holds only the formatted text
+        return type(self), (self.line, self.column, self.message)
+
 
 class ValidationError(CcslError, ValueError):
     """A config field violated a constraint."""
@@ -71,6 +74,9 @@ class ValidationError(CcslError, ValueError):
         super().__init__(f"{field}: {constraint}")
         self.field = field
         self.constraint = constraint
+
+    def __reduce__(self):  # args holds only the formatted text
+        return type(self), (self.field, self.constraint)
 
 
 def require_positive(field: str, v) -> None:

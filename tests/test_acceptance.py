@@ -186,7 +186,7 @@ def test_criterion_8_full_scan_and_low_cutoff_panel():
         panels = {}
         for token, n in (("inf", WHITE), ("1e15", exponential(1e15)),
                          ("1e4", exponential(1e4)), ("1e1", exponential(1e1))):
-            curves = scan(exps, n, grid)
+            curves = scan(exps, [n], grid)[0]
             envelope(curves)  # must compose cleanly
             panels[token] = {c.experiment_id: c for c in curves}
         elapsed = time.perf_counter() - t0

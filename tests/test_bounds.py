@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -94,8 +95,8 @@ def test_xray_rejects_bad_rc(rc):
 
 def test_scan_collects_xray_bad_rc_as_error():
     seen = []
-    curves = scan([load("xray")], WHITE, [-1e-7, 1e-7],
-                  on_error=lambda i, rc, e: seen.append((rc, type(e))))
+    curves = scan([load("xray")], [WHITE], [-1e-7, 1e-7],
+                  on_error=lambda i, _, rc, e: seen.append((rc, type(e))))[0]
     assert [rc for rc, _ in curves[0].points] == [1e-7]
     assert seen == [(-1e-7, NonPositiveRc)]
 
@@ -209,7 +210,7 @@ def test_lambda_max_monotone_in_cutoff_all_bundled():
 def test_scan_matches_single_point_ops():
     exps = load_all_bundled()
     grid = np.array([1e-7])
-    curves = scan(exps, WHITE, grid)
+    curves = scan(exps, [WHITE], grid)[0]
     assert len(curves) == len(exps)
     for exp, curve in zip(exps, curves):
         assert curve.experiment_id == exp.id
@@ -222,7 +223,7 @@ def test_scan_matches_single_point_ops():
 def test_scan_omits_washed_out_points():
     exp = load("bulk-heating")
     grid = np.geomspace(1e-9, 1e-3, 7)
-    curves = scan([exp], exponential(1e-10), grid)
+    curves = scan([exp], [exponential(1e-10)], grid)[0]
     assert curves[0].points == ()  # every point washed out, none invented
 
 
@@ -232,8 +233,8 @@ def test_scan_low_cutoff_weakening():
     grid = np.array([1e-7])
     for name in ("auriga", "cantilever"):
         exp = load(name)
-        white = scan([exp], WHITE, grid)[0].points[0][1]
-        low = scan([exp], exponential(10.0), grid)[0].points[0][1]
+        white = scan([exp], [WHITE], grid)[0][0].points[0][1]
+        low = scan([exp], [exponential(10.0)], grid)[0][0].points[0][1]
         probe = exp.ceiling.probe
         w = probe[0] if isinstance(probe, tuple) else probe
         assert w > 1e3
@@ -244,12 +245,12 @@ def test_scan_low_cutoff_weakening():
 def test_scan_grid_validation():
     exp = load("xray")
     with pytest.raises(EmptyInput):
-        scan([exp], WHITE, np.array([]))
+        scan([exp], [WHITE], np.array([]))
     with pytest.raises(ValidationError) as info:
-        scan([exp], WHITE, np.array([1e-7, 1e-8]))
+        scan([exp], [WHITE], np.array([1e-7, 1e-8]))
     assert info.value.field == "rc_grid"
     with pytest.raises(ValidationError):
-        scan([exp], WHITE, np.array([1e-7, 1e-7]))
+        scan([exp], [WHITE], np.array([1e-7, 1e-7]))
 
 
 def test_scan_error_collection():
@@ -264,15 +265,89 @@ def test_scan_error_collection():
                                ceiling=Ceiling("force_psd", 1e-30, probe=10.0),
                                geometry=bad_geom)
     seen = []
-    curves = scan([exp], WHITE, np.array([1e-4]),
-                  on_error=lambda i, rc, e: seen.append((i, rc)))
+    curves = scan([exp], [WHITE], np.array([1e-4]),
+                  on_error=lambda i, _, rc, e: seen.append((i, rc)))[0]
     assert curves[0].points == ()
     assert seen and seen[0][0] == "bad"
 
 
+
+def _rod_sphere():
+    """A cylinder and a sphere 9.1 um apart: no cross-term route inside the gap bound."""
+    from ccsl import composite, cylinder
+    from ccsl.registry import ExperimentDescriptor
+    geom = composite([(cylinder(5e-5, 2e-4, density=2200.0), (0, 0, 0)),
+                      (sphere(2e-5, density=7430.0), (1.409e-4, 0, 0))])
+    return ExperimentDescriptor(id="rod-sphere", kind="optomechanical",
+                                ceiling=Ceiling("force_psd", 1e-32, probe=2e3 * math.pi),
+                                geometry=geom)
+
+
+def test_multi_noise_scan_matches_scalar_route():
+    # the factored scan (one white unit response per rc, one noise factor per
+    # cutoff; heating point by point) against lambda_max_for at every point
+    exps = load_all_bundled() + [_rod_sphere()]
+    noises = [WHITE] + [exponential(w) for w in
+                        (1e15, 1e12, 1e9, 1e6, 1e4, 1e2, 1e1, 1e-6, 1e-10)]
+    grid = np.geomspace(1e-9, 1e-3, 60)
+    errors = []
+    panels = scan(exps, noises, grid, on_error=lambda i, n, rc, e: errors.append(
+        (i, n, rc, type(e), str(e))))
+    expected_errors = []
+    for exp in exps:
+        for n, curves in zip(noises, panels):
+            curve = curves[exps.index(exp)]
+            assert (curve.experiment_id, curve.noise) == (exp.id, n)
+            expected = []
+            for rc in grid.tolist():
+                try:
+                    lm = lambda_max_for(exp, n, rc)
+                except Exception as err:
+                    expected_errors.append((exp.id, n, rc, type(err), str(err)))
+                    continue
+                if math.isfinite(lm) and lm > 0:
+                    expected.append((rc, lm))
+            assert [rc for rc, _ in curve.points] == [rc for rc, _ in expected]
+            for (_, got), (_, want) in zip(curve.points, expected):
+                assert abs(got - want) <= 1e-12 * want, (exp.id, n)
+    assert errors == expected_errors
+    # the cases the comparison must reach: an unsupported composite, heating
+    # washed out at 1e-10 rad/s, and the cold-atom bracket at 1e-6 rad/s
+    kinds = {(i, n.omega_c, t.__name__) for i, n, _, t, _ in errors}
+    assert ("rod-sphere", None, "CompositeCrossTermUnsupported") in kinds
+    assert ("bulk-heating", 1e-10, "WashedOut") in kinds
+    cold = panels[noises.index(exponential(1e-6))][exps.index(load("cold-atom"))]
+    assert len(cold.points) == grid.size
+
+
+def test_multi_noise_scan_reruns_failed_factors():
+    # a cutoff so small that f~ and the cold-atom bracket leave the float
+    # range: the factored values are not finite, and the scalar route gives
+    # each point its own error
+    exps = [load("cantilever"), load("cold-atom"), load("xray")]
+    n = exponential(1e-300)
+    seen = []
+    with np.errstate(all="ignore"):
+        panels = scan(exps, [WHITE, n], [1e-7, 1e-6],
+                      on_error=lambda i, m, rc, e: seen.append((i, m, rc, type(e))))
+    assert [len(c.points) for c in panels[0]] == [2, 2, 2]
+    assert [c.points for c in panels[1]] == [(), (), ()]
+    assert seen == [(i, n, rc, t) for i, t in (("cantilever", WashedOut),
+                                               ("cold-atom", OverflowError),
+                                               ("xray", WashedOut))
+                    for rc in (1e-7, 1e-6)]
+    # no expansion time: the white response is 0 and the bracket ratio 0/0
+    still = dataclasses.replace(load("cold-atom"), coldatom=dataclasses.replace(
+        RB87, expansion_time=0.0))
+    seen = []
+    panels = scan([still], [WHITE, exponential(1e3)], [1e-7],
+                  on_error=lambda i, m, rc, e: seen.append((m, type(e))))
+    assert [c.points for c, in panels] == [(), ()]
+    assert seen == [(WHITE, WashedOut), (exponential(1e3), WashedOut)]
+
 def test_envelope_single_curve_identity():
     exps = [load("xray")]
-    curves = scan(exps, WHITE, np.geomspace(1e-8, 1e-5, 5))
+    curves = scan(exps, [WHITE], np.geomspace(1e-8, 1e-5, 5))[0]
     env = envelope(curves)
     assert env.points == curves[0].points
 
@@ -280,7 +355,7 @@ def test_envelope_single_curve_identity():
 def test_envelope_pointwise_minimum():
     exps = load_all_bundled()
     grid = np.geomspace(1e-8, 1e-4, 9)
-    curves = scan(exps, WHITE, grid)
+    curves = scan(exps, [WHITE], grid)[0]
     env = envelope(curves)
     env_map = dict(env.points)
     for c in curves:

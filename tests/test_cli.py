@@ -91,6 +91,14 @@ def test_bad_noise_flag_exits_2(capsys):
     (["bound", "--experiment", "xray", "--rc", "1e-7", "--noise", "exp:abc"], "--noise"),
     (["scan", "--experiments", "xray,cantilever", "--omega-c=-5", "--jobs", "2"],
      "--omega-c"),
+    (["predict", "--experiment", "cantilever", "--lambda", "1e-12", "--rc", "1e-7",
+      "--omega=-1"], "--omega"),
+    (["predict", "--experiment", "xray", "--lambda", "1e-12", "--rc", "1e-7",
+      "--omega=-1"], "--omega"),
+    (["predict", "--experiment", "xray", "--lambda", "1e-12", "--rc", "1e-7",
+      "--omega", "nan"], "--omega"),
+    (["predict", "--experiment", "cantilever", "--lambda", "1e-12", "--rc", "1e-7",
+      "--omega", "0"], "--omega"),
 ])
 def test_bad_number_exits_2_naming_its_flag(tmp_path, capsys, argv, flag):
     if argv[0] == "scan":
