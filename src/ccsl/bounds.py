@@ -9,10 +9,10 @@ recorded as sentinels.
 Every bound factors as lam_max = ceiling / (unit response(rc) x noise
 factor). For force, X-ray and cold-atom experiments the noise factor does
 not depend on rc: it is f~ at the probe frequency, f~(w_obs), or the
-cold-atom bracket over its white value t^3/2. Given several noises,
-``scan`` therefore computes the white curve once per rc and divides it by
-one scalar per noise. Bulk heating couples rc and Wc through
-x = rc Wc / v_s and is inverted point by point for every noise.
+cold-atom bracket over its white value t^3/2. ``scan`` therefore
+computes their white curve once per rc and divides it by one scalar per
+noise. Bulk heating couples rc and Wc through x = rc Wc / v_s and is
+inverted point by point for every noise.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .errors import (EmptyInput, NonPositiveFrequency, NonPositiveRc, Validation
                      WashedOut, require_positive)
 from .geometry import MassDistribution
 from .noise import WHITE, NoiseSpec, spectrum
-from .predict import (ColdAtomDescriptor, PhononModel, _cold_bracket,
-                      cold_atom_diffusion, lambda_eff_closed, lambda_eff_quad)
+from .predict import (ColdAtomDescriptor, PhononModel, cold_atom_diffusion,
+                      cold_atom_noise_factor, lambda_eff_closed, lambda_eff_quad)
 
 FORCE_PSD = "force_psd"
 XRAY_NORMALIZED = "xray_normalized"
@@ -41,6 +41,10 @@ _WASHOUT_RATIO = 1e-30
 
 # experiment kinds whose noise enters as one rc-independent factor
 _FACTORED_KINDS = ("optomechanical", "xray", "cold_atom")
+# a derived value is kept only if it, the white value, the factor and the
+# response ceiling/value all lie in this band: far from overflow and from
+# subnormals, the derived and the scalar route differ by rounding alone
+_SAFE_LO, _SAFE_HI = 1e-290, 1e290
 
 
 @dataclass(frozen=True)
@@ -183,9 +187,7 @@ def _noise_factor(exp, n: NoiseSpec) -> float:
         return effective_spectrum_factor(exp.ceiling, n)
     if exp.kind == "xray":
         return float(spectrum(n, exp.ceiling.probe))
-    t = exp.coldatom.expansion_time
-    tau = 0.0 if n.is_white else 1.0 / n.omega_c
-    return _cold_bracket(t, tau) / _cold_bracket(t, 0.0)
+    return cold_atom_noise_factor(n, exp.coldatom)
 
 
 def _attempt(exp, n: NoiseSpec, rc: float, tol: float):
@@ -201,18 +203,22 @@ def _attempt(exp, n: NoiseSpec, rc: float, tol: float):
 def _factored(exp, n: NoiseSpec, rcs: list, white: list, tol: float):
     """Attempts at every rc for noise n, derived from the white attempts. A
     point whose white call failed fails with that error; a derived value
-    that is not finite and > 0 is recomputed by the scalar route."""
+    outside the safe band, and every point when the factor is, is
+    recomputed by the scalar route."""
     try:
         factor = _noise_factor(exp, n)
     except ArithmeticError:  # a cold-atom bracket that overflows or is 0 at t = 0
-        factor = math.nan  # every point then takes the scalar route
-    unit = np.array([math.nan if lm is None else lm for lm, _ in white])
-    with np.errstate(all="ignore"):
-        values = (unit / factor).tolist()
-    for rc, (_, err), lm in zip(rcs, white, values):
+        factor = math.nan
+    lo, hi, c = _SAFE_LO, _SAFE_HI, exp.ceiling.value
+    if not lo <= factor <= hi:
+        yield from (_attempt(exp, n, rc, tol) for rc in rcs)
+        return
+    for rc, (w, err) in zip(rcs, white):
         if err is not None:
             yield None, err
-        elif math.isfinite(lm) and lm > 0:
+            continue
+        lm = w / factor if lo <= w <= hi else math.nan
+        if lo <= lm <= hi and lo <= c / lm <= hi:
             yield lm, None
         else:
             yield _attempt(exp, n, rc, tol)
@@ -227,9 +233,8 @@ def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid,
     curves; failures are reported through on_error(experiment_id, noise, rc,
     exception) when given, per experiment, then noise, then rc.
 
-    With more than one noise, force, X-ray and cold-atom curves are the
-    white curve divided by one factor per noise; with one noise, and for
-    bulk heating, every point takes the scalar route."""
+    Force, X-ray and cold-atom curves are the white curve divided by one
+    factor per noise; bulk heating takes the scalar route at every point."""
     rc_grid = np.asarray(rc_grid, dtype=float)
     if rc_grid.ndim != 1 or rc_grid.size == 0:
         raise EmptyInput("rc_grid must be a non-empty 1-D array")
@@ -239,7 +244,7 @@ def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid,
     curves: list[list[ExclusionCurve]] = [[] for _ in noises]
     for exp in experiments:
         white = None
-        if len(noises) > 1 and exp.kind in _FACTORED_KINDS:
+        if exp.kind in _FACTORED_KINDS:
             white = [_attempt(exp, WHITE, rc, tol) for rc in rcs]
         for n, panel in zip(noises, curves):
             if white is None:

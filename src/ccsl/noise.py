@@ -73,7 +73,8 @@ def spectrum(n: NoiseSpec, omega):
     """
     omega = np.asarray(omega, dtype=float)
     if n.is_white:
-        out = np.ones_like(omega)
-    else:
-        out = 1.0 / (1.0 + (omega / n.omega_c) ** 2)
+        # scans ask for one white value per point; np.ones_like on a 0-d
+        # array costs more than the colored formula
+        return np.ones_like(omega) if omega.ndim else 1.0
+    out = 1.0 / (1.0 + (omega / n.omega_c) ** 2)
     return out if out.ndim else float(out)

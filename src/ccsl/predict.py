@@ -27,7 +27,7 @@ from .diffusion import DEFAULT_TOL
 from .errors import (NonPositiveFrequency, QuadratureNotConverged,
                      UnsupportedDispersion, ValidationError, require_positive)
 from .geometry import MassDistribution
-from .noise import NoiseSpec, spectrum
+from .noise import WHITE, NoiseSpec, spectrum
 from .quadrature import integrate, merge_edges
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -271,14 +271,26 @@ def _cold_bracket(t: float, tau: float) -> float:
             + tau * tau * (tau - (t + tau) * math.exp(-min(s, 745.0))))
 
 
+def _noise_bracket(n: NoiseSpec, ca: ColdAtomDescriptor) -> float:
+    """The bracket for noise n: tau = 1/Wc, and white noise is the tau -> 0
+    limit, t^3/2."""
+    return _cold_bracket(ca.expansion_time, 0.0 if n.is_white else 1.0 / n.omega_c)
+
+
+def cold_atom_noise_factor(n: NoiseSpec, ca: ColdAtomDescriptor) -> float:
+    """The rc- and lam-independent factor by which noise n multiplies the
+    white cold-atom diffusion: the bracket over its white value t^3/2.
+    Raises ZeroDivisionError at t = 0 and OverflowError when 1/Wc^3 does."""
+    return _noise_bracket(n, ca) / _noise_bracket(WHITE, ca)
+
+
 def cold_atom_diffusion(p: CollapseParams, n: NoiseSpec, ca: ColdAtomDescriptor) -> float:
     """Excess position variance of the cloud after free expansion, m^2:
 
     (3 lam A^2 hbar^2 / 2 m^2 rc^2) [t^3/2 - t^2 tau/2 + tau^2(tau - (t+tau) e^{-t/tau})]
 
     with tau = 1/Wc; white noise is the tau -> 0 limit, bracket -> t^3/2."""
-    tau = 0.0 if n.is_white else 1.0 / n.omega_c
-    bracket = _cold_bracket(ca.expansion_time, tau)
+    bracket = _noise_bracket(n, ca)
     c = CONSTANTS
     pref = 1.5 * p.lam * ca.mass_number**2 * c.hbar**2 / (ca.atom_mass**2 * p.rc**2)
     return pref * bracket

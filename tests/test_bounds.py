@@ -285,14 +285,18 @@ def _rod_sphere():
 
 def test_multi_noise_scan_matches_scalar_route():
     # the factored scan (one white unit response per rc, one noise factor per
-    # cutoff; heating point by point) against lambda_max_for at every point
+    # cutoff; heating point by point) against lambda_max_for at every point.
+    # At 1e-140 and 1e-146 rad/s the force response hbar^2 eta f~ is
+    # subnormal or 0 while the derived white-curve / f~ is still finite.
     exps = load_all_bundled() + [_rod_sphere()]
     noises = [WHITE] + [exponential(w) for w in
-                        (1e15, 1e12, 1e9, 1e6, 1e4, 1e2, 1e1, 1e-6, 1e-10)]
+                        (1e15, 1e12, 1e9, 1e6, 1e4, 1e2, 1e1, 1e-6, 1e-10,
+                         1e-140, 1e-146)]
     grid = np.geomspace(1e-9, 1e-3, 60)
     errors = []
-    panels = scan(exps, noises, grid, on_error=lambda i, n, rc, e: errors.append(
-        (i, n, rc, type(e), str(e))))
+    with np.errstate(all="ignore"):
+        panels = scan(exps, noises, grid, on_error=lambda i, n, rc, e: errors.append(
+            (i, n, rc, type(e), str(e))))
     expected_errors = []
     for exp in exps:
         for n, curves in zip(noises, panels):
@@ -301,7 +305,8 @@ def test_multi_noise_scan_matches_scalar_route():
             expected = []
             for rc in grid.tolist():
                 try:
-                    lm = lambda_max_for(exp, n, rc)
+                    with np.errstate(all="ignore"):
+                        lm = lambda_max_for(exp, n, rc)
                 except Exception as err:
                     expected_errors.append((exp.id, n, rc, type(err), str(err)))
                     continue
@@ -316,6 +321,7 @@ def test_multi_noise_scan_matches_scalar_route():
     kinds = {(i, n.omega_c, t.__name__) for i, n, _, t, _ in errors}
     assert ("rod-sphere", None, "CompositeCrossTermUnsupported") in kinds
     assert ("bulk-heating", 1e-10, "WashedOut") in kinds
+    assert ("cantilever", 1e-146, "WashedOut") in kinds
     cold = panels[noises.index(exponential(1e-6))][exps.index(load("cold-atom"))]
     assert len(cold.points) == grid.size
 
@@ -336,14 +342,16 @@ def test_multi_noise_scan_reruns_failed_factors():
                                                ("cold-atom", OverflowError),
                                                ("xray", WashedOut))
                     for rc in (1e-7, 1e-6)]
-    # no expansion time: the white response is 0 and the bracket ratio 0/0
+    # no expansion time: the white response is 0 and the bracket ratio 0/0,
+    # or the bracket overflows; each point then gets the scalar route's error
     still = dataclasses.replace(load("cold-atom"), coldatom=dataclasses.replace(
         RB87, expansion_time=0.0))
     seen = []
-    panels = scan([still], [WHITE, exponential(1e3)], [1e-7],
+    panels = scan([still], [WHITE, exponential(1e3), n], [1e-7],
                   on_error=lambda i, m, rc, e: seen.append((m, type(e))))
-    assert [c.points for c, in panels] == [(), ()]
-    assert seen == [(WHITE, WashedOut), (exponential(1e3), WashedOut)]
+    assert [c.points for c, in panels] == [(), (), ()]
+    assert seen == [(WHITE, WashedOut), (exponential(1e3), WashedOut),
+                    (n, OverflowError)]
 
 def test_envelope_single_curve_identity():
     exps = [load("xray")]

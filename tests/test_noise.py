@@ -48,7 +48,9 @@ def test_white_kernel_has_no_pointwise_value():
 
 def test_white_spectrum_exactly_one():
     for w in (0.0, 1.0, -3e7, 1e18):
-        assert spectrum(WHITE, w) == 1.0
+        assert type(spectrum(WHITE, w)) is float and spectrum(WHITE, w) == 1.0
+    grid = np.array([[0.0, 2.0], [3e5, 1e18]])
+    assert np.array_equal(spectrum(WHITE, grid), np.ones((2, 2)))
 
 
 def test_spectrum_half_at_cutoff():

@@ -11,7 +11,7 @@ from ccsl import (CONSTANTS, CollapseParams, ColdAtomDescriptor,
                   cold_atom_diffusion, cuboid, dns_ccsl, dns_total, exponential,
                   eta, heating_rate, lambda_eff_closed, lambda_eff_quad,
                   normalized_xray_rate, point_mass, sphere, xray_rate)
-from ccsl.predict import _cold_bracket, _phonon_bracket
+from ccsl.predict import _cold_bracket, _phonon_bracket, cold_atom_noise_factor
 from fixtures import (COLD_BRACKET_TABLE, ERFCX_TABLE, ONE_MINUS_2_OVER_E,
                       PHONON_RATIO_TABLE)
 
@@ -275,6 +275,19 @@ def test_cold_atom_bracket_at_t_equals_tau():
     tau = 0.37
     assert _cold_bracket(tau, tau) == pytest.approx(
         ONE_MINUS_2_OVER_E * tau**3, rel=1e-12)
+
+
+def test_cold_atom_noise_factor_scales_the_white_diffusion():
+    # the factor is the whole noise dependence: white diffusion x factor
+    # is the colored diffusion, at any rc and lam
+    assert cold_atom_noise_factor(WHITE, RB87) == 1.0
+    for wc in (1e-6, 1e-1, 1.0, 1e3, 1e9):
+        n = exponential(wc)
+        f = cold_atom_noise_factor(n, RB87)
+        assert 0.0 < f <= 1.0
+        for p in (GRW, CollapseParams(lam=3e-9, rc=4e-6)):
+            assert cold_atom_diffusion(p, WHITE, RB87) * f == pytest.approx(
+                cold_atom_diffusion(p, n, RB87), rel=1e-14)
 
 
 def test_cold_bracket_against_fixtures():
