@@ -11,8 +11,10 @@ mu~(0) equals the total mass. Squared moduli for the primitives:
 
 kp/ka are the components of k across/along the cylinder axis. The kernels
 switch to a 6th-order Taylor series below |x| = 1e-4 (sinc, disc) or 1e-2
-(sphere); they serve only form_factor_sq and eta_reduced_reference. Shapes
-and distributions check their invariants when built.
+(sphere); they serve only form_factor_sq and eta_reduced_reference. The
+disc kernel's J1 is scipy.special's, imported on its first call: scipy is
+needed for that reference path only, never for eta_reduced. Shapes and
+distributions check their invariants when built.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import j1 as _bessel_j1
 
 from .errors import ValidationError, require_positive
 
@@ -217,20 +218,24 @@ def sphere_kernel(x):
 
 
 def disc_kernel(x):
-    """2 J1(x)/x, series 1 - x^2/8 + x^4/192 - x^6/9216."""
+    """2 J1(x)/x, series 1 - x^2/8 + x^4/192 - x^6/9216. J1 is bessel_j1's,
+    so the first call imports scipy.special."""
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SERIES_CUT
     xs = np.where(small, 1.0, x)
     x2 = x * x
     series = 1.0 - x2 / 8.0 + x2 * x2 / 192.0 - x2 * x2 * x2 / 9216.0
-    direct = 2.0 * _bessel_j1(xs) / xs
+    direct = 2.0 * bessel_j1(xs) / xs
     return np.where(small, series, direct)
 
 
 def bessel_j1(x):
-    """Bessel J1. Thin alias over SciPy's Cephes implementation; accuracy is
-    pinned by the high-precision fixtures in the test suite."""
-    return _bessel_j1(x)
+    """Bessel J1: SciPy's Cephes implementation, imported on first use, so
+    only the reference path (form_factor_sq of a cylinder) loads scipy.
+    Accuracy is pinned by the high-precision fixtures in the test suite."""
+    from scipy.special import j1
+
+    return j1(x)
 
 
 # --- form factor -------------------------------------------------------------

@@ -69,12 +69,14 @@ def spectrum(n: NoiseSpec, omega):
     """Noise spectrum f~(omega), dimensionless, in (0, 1].
 
     Computed as 1/(1 + (omega/omega_c)^2), which stays finite for any
-    representable omega_c.
+    representable omega_c: where the ratio or its square overflows to inf
+    (a tiny omega_c), the spectrum is 0, with no overflow warning.
     """
     omega = np.asarray(omega, dtype=float)
     if n.is_white:
         # scans ask for one white value per point; np.ones_like on a 0-d
         # array costs more than the colored formula
         return np.ones_like(omega) if omega.ndim else 1.0
-    out = 1.0 / (1.0 + (omega / n.omega_c) ** 2)
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + (omega / n.omega_c) ** 2)
     return out if out.ndim else float(out)

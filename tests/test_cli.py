@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ccsl.cli import main
+from test_runtime_deps import run_python
 
 
 def run(capsys, *argv):
@@ -283,3 +284,16 @@ probe_hz = 10.0
                        "--lambda", "1e-12", "--rc", "1e-4", "--noise", "white")
     assert code == 3
     assert "error" in err
+
+
+def test_scan_at_overflowing_cutoff_prints_no_warnings(tmp_path):
+    # a cutoff so small that w/Wc overflows: every spectrum is 0, so force and
+    # X-ray points wash out, and numpy must print no overflow warning
+    proc = run_python("-m", "ccsl", "scan", "--jobs", "1", "--omega-c", "1e-300",
+                      "--out-dir", str(tmp_path))
+    assert proc.returncode == 3
+    assert proc.stderr == "error: every scan point failed\n"
+    errors = json.loads((tmp_path / "scan_manifest.json").read_text())["errors"]
+    washed = {e["experiment"] for e in errors
+              if e["error"].startswith(("force response vanished", "spectrum vanished"))}
+    assert washed == {"auriga", "cantilever", "ligo", "lisa-pathfinder", "xray"}

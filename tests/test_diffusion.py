@@ -7,8 +7,8 @@ import pytest
 from ccsl import (CONSTANTS, WHITE, CollapseParams, CompositeCrossTermUnsupported,
                   PhononModel, composite, cuboid, cylinder, eta, eta_reduced,
                   eta_reduced_reference, lambda_eff_quad, point_mass, sphere)
-from ccsl.diffusion import (_cross_isotropic, _i3_sphere, _transverse_moments, _ive,
-                            clear_cache)
+from ccsl.diffusion import (_HANKEL_FROM, _cross_isotropic, _i3_sphere, _ive01,
+                            _transverse_moments, clear_cache)
 from ccsl.geometry import circumradius, disc_kernel, form_factor_sq, sphere_kernel
 from ccsl.quadrature import integrate
 from fixtures import (CUBE_RATIO_TABLE, CYLINDER_RATIO_TABLE, SPHERE_RATIO_TABLE,
@@ -218,11 +218,21 @@ def test_closed_forms_against_mpmath():
 
 def test_scaled_bessel_fallback_matches_scipy():
     from scipy.special import ive
-    for u in (1e6, 5e7, 9.9e7, 1.5e8, 1e9):
-        assert _ive(0, u) == pytest.approx(float(ive(0, u)), rel=1e-13)
-        assert _ive(1, u) == pytest.approx(float(ive(1, u)), rel=1e-13)
-    # beyond scipy's internal overflow the fallback must stay finite
-    assert math.isfinite(_ive(0, 4.5e16)) and _ive(0, 4.5e16) > 0
+    # both sides of the series/Hankel switch at u = 19, the old scipy/4-term
+    # switch at 1e8, and the old u = 1 switch of B1's Kummer series
+    for u in (1e-6, 0.5, 1.0, 5.0, 18.0, 18.99, 19.0, 19.01, 20.0, 50.0, 4.5e4,
+              1e6, 5e7, 9.9e7, 1.5e8, 1e9):
+        i0, i1 = _ive01(u)
+        assert i0 == pytest.approx(float(ive(0, u)), rel=1e-13), f"u={u}"
+        assert i1 == pytest.approx(float(ive(1, u)), rel=1e-13), f"u={u}"
+    # continuity at the switch: the last series point against the first Hankel
+    # one, each within 1e-15 of mpmath
+    below, at = _ive01(math.nextafter(_HANKEL_FROM, 0.0)), _ive01(_HANKEL_FROM)
+    assert below[0] == pytest.approx(at[0], rel=2e-15)
+    assert below[1] == pytest.approx(at[1], rel=2e-15)
+    # beyond scipy's internal overflow the expansion must stay finite
+    for v in _ive01(4.5e16):
+        assert math.isfinite(v) and v > 0
 
 
 def test_cylinder_perpendicular_and_oblique_axes_vs_reference():

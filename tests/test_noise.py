@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,3 +116,13 @@ def test_spectrum_vectorized():
     n = exponential(10.0)
     w = np.array([0.0, 10.0, 20.0])
     np.testing.assert_allclose(spectrum(n, w), [1.0, 0.5, 0.2], rtol=1e-14)
+
+
+def test_spectrum_overflowing_ratio_is_zero_without_warnings():
+    n = exponential(1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectrum(n, 5.1e4) == 0.0
+        assert spectrum(n, 1e-150) == pytest.approx(1e-300, rel=1e-15)
+        np.testing.assert_array_equal(spectrum(n, np.array([0.0, 5.1e4, 1e19])),
+                                      [1.0, 0.0, 0.0])

@@ -11,7 +11,7 @@ from ccsl import (CONSTANTS, CollapseParams, ColdAtomDescriptor,
                   cold_atom_diffusion, cuboid, dns_ccsl, dns_total, exponential,
                   eta, heating_rate, lambda_eff_closed, lambda_eff_quad,
                   normalized_xray_rate, point_mass, sphere, xray_rate)
-from ccsl.predict import _cold_bracket, _phonon_bracket, cold_atom_noise_factor
+from ccsl.predict import _cold_bracket, _erfcx, _phonon_bracket, cold_atom_noise_factor
 from fixtures import (COLD_BRACKET_TABLE, ERFCX_TABLE, ONE_MINUS_2_OVER_E,
                       PHONON_RATIO_TABLE)
 
@@ -158,14 +158,24 @@ def test_xray_rejects_nonpositive_frequency():
 
 def test_erfcx_fixtures():
     for x, ref in ERFCX_TABLE:
-        assert float(scipy_erfcx(x)) == pytest.approx(ref, rel=1e-12), f"x={x}"
+        assert _erfcx(x) == pytest.approx(ref, rel=1e-12), f"x={x}"
 
 
 def test_erfcx_path_stable_and_monotone_to_1e9():
-    xs = np.geomspace(1e-3, 1e9, 200)
-    vals = scipy_erfcx(xs)
+    vals = np.array([_erfcx(float(x)) for x in np.geomspace(1e-3, 1e9, 200)])
     assert np.all(np.isfinite(vals)) and np.all(vals > 0)
     assert np.all(np.diff(vals) < 0)
+
+
+def test_erfcx_matches_scipy_and_is_continuous_at_its_switch():
+    # scipy's erfcx as an independent cross-check: each is within 1e-15 of
+    # mpmath on this grid, so they differ by at most 2e-15
+    xs = np.geomspace(1e-3, 1e9, 2000)
+    ours = np.array([_erfcx(float(x)) for x in xs])
+    np.testing.assert_allclose(ours, scipy_erfcx(xs), rtol=2e-15, atol=0.0)
+    # both sides of the split-exponential / asymptotic-series switch at 20
+    below, at = _erfcx(math.nextafter(20.0, 0.0)), _erfcx(20.0)
+    assert below == pytest.approx(at, rel=2e-15)
 
 
 def test_lambda_eff_white_is_lambda():
