@@ -10,12 +10,11 @@ Exit codes: 0 success, 2 argument/config errors, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -145,7 +144,7 @@ def cmd_predict(args) -> int:
     for exp in experiments:
         rows.extend(_predict_rows(exp, p, n, args.omega, args.tol))
     if args.format == "json":
-        doc = {"manifest": json.loads(manifest.to_json()),
+        doc = {"manifest": vars(manifest),
                "results": [{"experiment": e, "observable": o, "value": v,
                             "unit": u} for e, o, v, u in rows]}
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -175,7 +174,7 @@ def cmd_bound(args) -> int:
     # washed-out rc points are simply absent from the curve
     rows = [(c.experiment_id, rc, lm) for c in curves for rc, lm in c.points]
     if args.format == "json":
-        doc = {"manifest": json.loads(manifest.to_json()),
+        doc = {"manifest": vars(manifest),
                "results": [{"experiment": e, "rc_m": rc, "lambda_max_s^-1": lm,
                             "omega_c_rad_s": omega_c} for e, rc, lm in rows]}
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -193,19 +192,6 @@ def cmd_bound(args) -> int:
 
 
 # --- scan -------------------------------------------------------------------
-
-def _scan_worker(payload):
-    exp, noise_tokens, rc_grid, tol = payload
-    noises = [_parse_noise(token) for token in noise_tokens]
-    # keyed by identity: two tokens may spell the same cutoff ('1e4', '10000')
-    token_of = {id(n): token for n, token in zip(noises, noise_tokens)}
-    errors = []
-    panels = scan([exp], noises, rc_grid, tol,
-                  on_error=lambda i, n, rc, e: errors.append(
-                      {"experiment": i, "omega_c": token_of[id(n)], "rc_m": rc,
-                       "error": str(e)}))
-    return exp.id, {t: p[0] for t, p in zip(noise_tokens, panels)}, errors
-
 
 def _write_panel_csv(path: Path, token: str, rc_grid, curves: list[ExclusionCurve],
                      manifest: RunManifest):
@@ -250,41 +236,30 @@ def cmd_scan(args) -> int:
 
     # noise tokens are normalized so 'white'/'inf' map to the same spec;
     # duplicates would double every curve, so keep first occurrences only
-    tokens = []
-    raw_by_token = {}
+    raw_by_token: dict[str, str] = {}
     for raw in noise_tokens:
         t = "inf" if raw.lower() in ("inf", "white") else f"exp:{raw}"
-        if t not in raw_by_token:
-            tokens.append(t)
-            raw_by_token[t] = raw
-    noise_tokens = [raw_by_token[t] for t in tokens]
-    payloads = [(exp, tokens, rc_grid, args.tol) for exp in experiments]
-    if args.jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_scan_worker, payloads))
-    else:
-        results = [_scan_worker(p) for p in payloads]
-
-    # deterministic assembly in submission order regardless of completion
-    per_token: dict[str, list[ExclusionCurve]] = {t: [] for t in tokens}
-    total_points = 0
-    for exp_id, curves, errors in results:
-        manifest.errors.extend(errors)
-        for t in tokens:
-            per_token[t].append(curves[t])
-            total_points += len(curves[t].points)
+        raw_by_token.setdefault(t, raw)
+    noises = [_parse_noise(t) for t in raw_by_token]
+    # '1e4' and '10000' are equal specs but separate panels, so an error is
+    # logged under the token of the spec object it came from
+    token_of = {id(n): t for n, t in zip(noises, raw_by_token)}
+    panels = scan(experiments, noises, rc_grid, args.tol,
+                  on_error=lambda i, n, rc, e: manifest.errors.append(
+                      {"experiment": i, "omega_c": token_of[id(n)], "rc_m": rc,
+                       "error": str(e)}))
 
     written = []
-    for raw, t in zip(noise_tokens, tokens):
+    for (t, raw), curves in zip(raw_by_token.items(), panels):
         tag = "inf" if t == "inf" else raw.lower()
         path = out_dir / f"scan_omega_c_{tag}.csv"
-        _write_panel_csv(path, t, rc_grid, per_token[t], manifest)
+        _write_panel_csv(path, t, rc_grid, curves, manifest)
         written.append(str(path))
     (out_dir / "scan_manifest.json").write_text(manifest.to_json() + "\n",
                                                 encoding="utf-8")
     for path in written:
         print(path)
-    if total_points == 0:
+    if not any(c.points for curves in panels for c in curves):
         print("error: every scan point failed", file=sys.stderr)
         return 3
     return 0
@@ -292,7 +267,11 @@ def cmd_scan(args) -> int:
 
 # --- entry point --------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and reused by every main() call:
+    parse_args returns a fresh Namespace each time, and the cmd_* functions
+    it dispatches to look up load/scan/envelope when they run."""
     ap = argparse.ArgumentParser(
         prog="ccsl",
         description="Collapse-model (colored CSL) predictions and exclusion bounds.")
@@ -330,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of cutoffs in rad/s; 'inf' selects white noise")
     s.add_argument("--rc-grid", default=None, help="<lo>:<hi>:<n>, default 1e-9:1e-3:60")
     s.add_argument("--out-dir", default="scan_out")
-    s.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes (1 = in-process)")
+    s.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility and ignored: a scan runs in one process")
     s.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_TOL_HELP)
     s.set_defaults(func=cmd_scan)
     return ap

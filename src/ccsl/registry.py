@@ -12,11 +12,14 @@ carry a unit suffix, ``_hz`` (multiplied by 2*pi on load) or ``_rad_s``;
 a bare ``probe =`` is rejected. Unknown keys and sections are errors
 (strict mode).
 
-Loaded descriptors are immutable and safe to share between threads.
+Loaded descriptors are immutable and safe to share between threads. A
+bundled id is parsed once per process and the same descriptor is returned on
+every later load; a config file path is read and parsed on every load.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -441,12 +444,17 @@ def list_bundled() -> list[str]:
 def load(source: str | Path) -> ExperimentDescriptor:
     """Load a bundled descriptor by id, or a config file by path."""
     if isinstance(source, str) and source in _BUNDLED:
-        text = resources.files("ccsl").joinpath(f"data/{source}.cfg").read_text("utf-8")
-        return parse_config(text)
+        return _load_bundled(source)
     path = Path(source)
     if not path.is_file():
         raise ValidationError("source", f"no bundled experiment or file named {source!r}")
     return parse_config(path.read_text("utf-8"))
+
+
+@functools.cache
+def _load_bundled(name: str) -> ExperimentDescriptor:
+    text = resources.files("ccsl").joinpath(f"data/{name}.cfg").read_text("utf-8")
+    return parse_config(text)
 
 
 def load_all_bundled() -> list[ExperimentDescriptor]:

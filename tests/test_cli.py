@@ -1,9 +1,35 @@
 import json
+import re
 
 import pytest
 
-from ccsl.cli import main
+from ccsl import cli
+from ccsl.cli import build_parser, main
 from test_runtime_deps import run_python
+
+# a sphere touching a cylinder: its cross term has no route, so every rc fails
+SPHERE_CYLINDER_PAIR = """\
+id = bad-pair
+kind = optomechanical
+[geometry]
+shape = composite
+measurement_axis = 1 0 0
+[[geometry.part]]
+shape = sphere
+radius = 0.1
+density = 1000.0
+offset = 0.15 0 0
+[[geometry.part]]
+shape = cylinder
+radius = 0.05
+length = 0.2
+density = 1000.0
+offset = 0 0 0
+[ceiling]
+kind = force_psd
+value = 1e-30
+probe_hz = 10.0
+"""
 
 
 def run(capsys, *argv):
@@ -258,28 +284,7 @@ def test_scan_single_point_grid(tmp_path, capsys):
 
 def test_numerical_failure_exits_3(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("""\
-id = bad-pair
-kind = optomechanical
-[geometry]
-shape = composite
-measurement_axis = 1 0 0
-[[geometry.part]]
-shape = sphere
-radius = 0.1
-density = 1000.0
-offset = 0.15 0 0
-[[geometry.part]]
-shape = cylinder
-radius = 0.05
-length = 0.2
-density = 1000.0
-offset = 0 0 0
-[ceiling]
-kind = force_psd
-value = 1e-30
-probe_hz = 10.0
-""", encoding="utf-8")
+    cfg.write_text(SPHERE_CYLINDER_PAIR, encoding="utf-8")
     code, _, err = run(capsys, "predict", "--experiment", str(cfg),
                        "--lambda", "1e-12", "--rc", "1e-4", "--noise", "white")
     assert code == 3
@@ -297,3 +302,66 @@ def test_scan_at_overflowing_cutoff_prints_no_warnings(tmp_path):
     washed = {e["experiment"] for e in errors
               if e["error"].startswith(("force response vanished", "spectrum vanished"))}
     assert washed == {"auriga", "cantilever", "ligo", "lisa-pathfinder", "xray"}
+
+
+# --- one process, many calls -------------------------------------------------------
+
+def without_timestamp(text):
+    return re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', text)
+
+
+def test_main_reuses_one_parser_across_calls(tmp_path, capsys):
+    parser = build_parser()
+    bound = ["bound", "--experiment", "xray,cantilever", "--rc", "1e-7",
+             "--noise", "exp:1e4"]
+    code, first, _ = run(capsys, *bound)
+    assert code == 0
+    assert run(capsys, "bound", "--experiment", "xray", "--rc=-1") == (
+        2, "", "error: --rc: must be > 0 and finite, got -1.0\n")
+    code, out, _ = run(capsys, "predict", "--experiment", "xray", "--lambda", "1e-12",
+                       "--rc", "1e-7", "--format", "json")
+    assert code == 0 and json.loads(out)["manifest"]["command"] == "predict"
+    code, out, _ = run(capsys, "scan", "--experiments", "xray,cantilever",
+                       "--omega-c", "inf,1e4", "--rc-grid", "1e-8:1e-4:3",
+                       "--out-dir", str(tmp_path), "--jobs", "2")
+    assert code == 0 and len(out.splitlines()) == 2
+    manifest = json.loads((tmp_path / "scan_manifest.json").read_text())
+    assert manifest["parameters"]["jobs"] == 2
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: ccsl")
+    code, last, _ = run(capsys, *bound)
+    assert code == 0
+    assert without_timestamp(last) == without_timestamp(first)
+    assert build_parser() is parser
+
+
+def test_parser_is_not_built_at_import():
+    proc = run_python("-c", "import ccsl.cli as c; print(c.build_parser.cache_info().currsize)")
+    assert proc.returncode == 0 and proc.stdout == "0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--experiment", "xray,cantilever", "--lambda", "1e-12", "--rc", "1e-7",
+     "--noise", "exp:1e4"],
+    ["bound", "--experiment", "xray,{bad}", "--rc", "1e-4"],  # logs one error
+])
+def test_json_output_matches_the_round_tripped_manifest(tmp_path, capsys, monkeypatch, argv):
+    # embedding the manifest's dict prints the same bytes as embedding a
+    # JSON round trip of it
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SPHERE_CYLINDER_PAIR, encoding="utf-8")
+    made, manifest_class = [], cli.RunManifest
+
+    def recording(*args, **kwargs):
+        made.append(manifest_class(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "RunManifest", recording)
+    _, out, _ = run(capsys, *[a.format(bad=bad) for a in argv], "--format", "json")
+    doc = json.loads(out)
+    assert doc["results"]
+    if argv[0] == "bound":
+        assert len(doc["manifest"]["errors"]) == 1
+    old = json.dumps({"manifest": json.loads(made[0].to_json()), "results": doc["results"]},
+                     indent=2, sort_keys=True) + "\n"
+    assert out == old

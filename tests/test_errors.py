@@ -21,8 +21,7 @@ def all_subclasses(cls):
 @pytest.mark.parametrize("cls", sorted(set(all_subclasses(errors.CcslError)),
                                        key=lambda c: c.__name__))
 def test_every_error_survives_pickling(cls):
-    # errors raised in a `ccsl scan --jobs N` worker cross the process
-    # boundary by pickle
+    # like a built-in exception, every ccsl error pickles with its fields
     err = cls(*ARGS.get(cls, ("a message",)))
     back = pickle.loads(pickle.dumps(err))
     assert type(back) is cls

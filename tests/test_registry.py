@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import pytest
 
@@ -99,6 +100,20 @@ def test_load_from_path(tmp_path):
     path.write_text(serialize(exp), encoding="utf-8")
     assert load(path) == exp
     assert load(str(path)) == exp
+
+
+def test_bundled_ids_load_one_shared_descriptor():
+    for name in list_bundled():
+        assert load(name) is load(name)
+    assert all(exp is load(exp.id) for exp in load_all_bundled())
+
+
+def test_config_path_is_reread_on_every_load(tmp_path):
+    path = tmp_path / "edited.cfg"
+    path.write_text(MINIMAL, encoding="utf-8")
+    assert load(path).ceiling.value == 100.0
+    path.write_text(MINIMAL.replace("value = 100.0", "value = 250.0"), encoding="utf-8")
+    assert load(path).ceiling.value == 250.0
 
 
 def test_unknown_source_rejected():
@@ -237,7 +252,7 @@ probe_hz = 10.0
 
 def test_descriptor_equality_and_hash():
     a = load("xray")
-    b = load("xray")
+    b = parse_config(resources.files("ccsl").joinpath("data/xray.cfg").read_text("utf-8"))
     assert a == b and a is not b
     assert hash(a) == hash(b)
 
