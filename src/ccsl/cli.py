@@ -193,25 +193,21 @@ def cmd_bound(args) -> int:
 
 # --- scan -------------------------------------------------------------------
 
-def _write_panel_csv(path: Path, token: str, rc_grid, curves: list[ExclusionCurve],
-                     manifest: RunManifest):
-    env = envelope(curves) if curves else None
-    by_rc = []
-    for c in curves:
-        by_rc.append(dict(c.points))
-    env_map = dict(env.points) if env is not None else {}
+def _write_panel_csv(path: Path, token: str, rc_values: list[float], rc_cells: list[str],
+                     curves: list[ExclusionCurve], manifest: RunManifest):
+    """One panel, built column by column: the rc column (formatted once per
+    scan), one column per curve, then the envelope; an rc a curve lacks is an
+    empty cell."""
     lines = list(manifest.comment_lines())
     lines.append(f"# omega_c_rad_s: {token}")
     header = ["rc_m"] + [f"{c.experiment_id}_lambda_max_s^-1" for c in curves]
     header.append("envelope_lambda_max_s^-1")
     lines.append(",".join(header))
-    for rc in rc_grid:
-        rc = float(rc)
-        cells = [_fmt(rc)]
-        for cmap in by_rc:
-            cells.append(_fmt(cmap[rc]) if rc in cmap else "")
-        cells.append(_fmt(env_map[rc]) if rc in env_map else "")
-        lines.append(",".join(cells))
+    columns = [rc_cells]
+    for points in [c.points for c in curves] + [envelope(curves).points if curves else ()]:
+        cells = {rc: _fmt(lm) for rc, lm in points}
+        columns.append([cells.get(rc, "") for rc in rc_values])
+    lines.extend(",".join(row) for row in zip(*columns))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -234,26 +230,28 @@ def cmd_scan(args) -> int:
         "jobs": args.jobs,
     }, [e.id for e in experiments])
 
-    # noise tokens are normalized so 'white'/'inf' map to the same spec;
-    # duplicates would double every curve, so keep first occurrences only
-    raw_by_token: dict[str, str] = {}
+    # one panel per file tag: spellings that name one file ('inf'/'white'/
+    # 'INF', '1e4'/'1E4') would write it twice and double every curve, so
+    # keep the first spelling of each tag
+    raw_by_tag: dict[str, str] = {}
     for raw in noise_tokens:
-        t = "inf" if raw.lower() in ("inf", "white") else f"exp:{raw}"
-        raw_by_token.setdefault(t, raw)
-    noises = [_parse_noise(t) for t in raw_by_token]
+        raw_by_tag.setdefault("inf" if raw.lower() in ("inf", "white") else raw.lower(), raw)
+    tokens = ["inf" if tag == "inf" else f"exp:{raw}" for tag, raw in raw_by_tag.items()]
+    noises = [_parse_noise(t) for t in tokens]
     # '1e4' and '10000' are equal specs but separate panels, so an error is
     # logged under the token of the spec object it came from
-    token_of = {id(n): t for n, t in zip(noises, raw_by_token)}
+    token_of = {id(n): t for n, t in zip(noises, tokens)}
     panels = scan(experiments, noises, rc_grid, args.tol,
                   on_error=lambda i, n, rc, e: manifest.errors.append(
                       {"experiment": i, "omega_c": token_of[id(n)], "rc_m": rc,
                        "error": str(e)}))
 
+    rc_values = rc_grid.tolist()
+    rc_cells = [_fmt(rc) for rc in rc_values]
     written = []
-    for (t, raw), curves in zip(raw_by_token.items(), panels):
-        tag = "inf" if t == "inf" else raw.lower()
+    for tag, t, curves in zip(raw_by_tag, tokens, panels):
         path = out_dir / f"scan_omega_c_{tag}.csv"
-        _write_panel_csv(path, t, rc_grid, curves, manifest)
+        _write_panel_csv(path, t, rc_values, rc_cells, curves, manifest)
         written.append(str(path))
     (out_dir / "scan_manifest.json").write_text(manifest.to_json() + "\n",
                                                 encoding="utf-8")

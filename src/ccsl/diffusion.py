@@ -26,17 +26,19 @@ ccsl is bulk heating with the full-sine dispersion):
   scaled Bessels e^{-u} I0 and e^{-u} I1 come from one ``_ive01`` call:
   their power series below u = 19, the Hankel expansion from there, both
   within 1e-15 relative of mpmath.
-* composite: sum of the parts' terms plus pairwise interference.
-  Point/cuboid pairs reduce per axis to erf/Gaussian primitives. Pairs of
-  radially symmetric parts (sphere/sphere, sphere/point) expand into terms
+* composite: sum of the parts' terms plus pairwise interference. Every
+  pair is first checked against a Gaussian surface-gap bound: where
+  gap/(2 rc) >= 12 its interference is dropped unevaluated, whatever the
+  shapes. Inside the bound, point/cuboid pairs reduce per axis to
+  erf/Gaussian primitives. Pairs of radially symmetric parts
+  (sphere/sphere, sphere/point) expand into terms
   c q^p {cos, sin}(f q) e^{-q^2}, q = k rc, each with an exact moment:
   Hermite-Gaussian for p >= 0, a Hadamard finite part with repeated erfc
   integrals below; a factor whose trig form cancels (length below rc) is
   replaced by its Taylor series, and next to kernel frequencies 16 rc or
   more above D the angular factor by its D = 0 value, which it then equals
-  to within e^{-64}. Any other pair is dropped only when a
-  Gaussian surface-gap bound proves it negligible (gap/(2 rc) >= 12), else
-  CompositeCrossTermUnsupported is raised.
+  to within e^{-64}. Any other pair inside the bound raises
+  CompositeCrossTermUnsupported.
 
 ``eta_reduced_reference`` is a deliberately independent spherical-coordinate
 evaluator (radial Gauss-Kronrod on |k| <= 10/rc, where the Gaussian weight
@@ -220,9 +222,15 @@ def _i3_cuboid(shape: Cuboid, m: float, rc: float, axis) -> tuple[float, float]:
     return m * m * i3, 1e-14
 
 
+@functools.cache
+def _axis_cosine(axis: tuple, cylinder_axis: tuple) -> float:
+    """Cosine between the measurement axis and a cylinder's axis, computed
+    once per pair of axes: it does not depend on rc."""
+    return float(np.clip(np.dot(np.asarray(axis), np.asarray(cylinder_axis)), -1.0, 1.0))
+
+
 def _i3_cylinder(shape: Cylinder, m: float, rc: float, axis) -> tuple[float, float]:
-    n = np.asarray(shape.axis)
-    c = float(np.clip(np.dot(np.asarray(axis), n), -1.0, 1.0))
+    c = _axis_cosine(axis, shape.axis)
     s2 = max(0.0, 1.0 - c * c)
     A0, A2 = _axial_moments(shape.length, rc)
     B1, B3 = _transverse_moments(shape.radius, rc)
@@ -516,19 +524,20 @@ def _i3_composite(d: MassDistribution, rc: float) -> tuple[float, float]:
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             (pi_, off_i), (pj_, off_j) = parts[i], parts[j]
+            gap = math.dist(off_i, off_j) - circumradius(pi_) - circumradius(pj_)
+            if gap > 0.0 and gap / (2.0 * rc) >= _GAP_DROP:
+                # interference bounded by the Gaussian overlap of the smoothed,
+                # disjoint parts: negligible by construction of the threshold,
+                # whichever route would evaluate it
+                abs_err += 2.0 * math.sqrt(diag[i][0] * diag[j][0]) * math.exp(
+                    -min((gap / (2.0 * rc)) ** 2, 745.0))
+                continue
             delta = np.asarray(off_i) - np.asarray(off_j)
             cart_i, cart_j = _cartesian_profile(pi_), _cartesian_profile(pj_)
             if cart_i is not None and cart_j is not None:
                 i3 += _cross_cartesian(cart_i, cart_j, total_mass(pi_), total_mass(pj_),
                                        delta, axis, rc)
                 abs_err += 1e-14 * math.sqrt(diag[i][0] * diag[j][0])
-                continue
-            gap = math.dist(off_i, off_j) - circumradius(pi_) - circumradius(pj_)
-            if gap > 0.0 and gap / (2.0 * rc) >= _GAP_DROP:
-                # interference bounded by the Gaussian overlap of the smoothed,
-                # disjoint parts: negligible by construction of the threshold
-                abs_err += 2.0 * math.sqrt(diag[i][0] * diag[j][0]) * math.exp(
-                    -min((gap / (2.0 * rc)) ** 2, 745.0))
                 continue
             rad_i, rad_j = _radial_profile(pi_), _radial_profile(pj_)
             if rad_i is not None and rad_j is not None:

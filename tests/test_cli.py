@@ -5,31 +5,8 @@ import pytest
 
 from ccsl import cli
 from ccsl.cli import build_parser, main
+from fixtures import SPHERE_CYLINDER_PAIR
 from test_runtime_deps import run_python
-
-# a sphere touching a cylinder: its cross term has no route, so every rc fails
-SPHERE_CYLINDER_PAIR = """\
-id = bad-pair
-kind = optomechanical
-[geometry]
-shape = composite
-measurement_axis = 1 0 0
-[[geometry.part]]
-shape = sphere
-radius = 0.1
-density = 1000.0
-offset = 0.15 0 0
-[[geometry.part]]
-shape = cylinder
-radius = 0.05
-length = 0.2
-density = 1000.0
-offset = 0 0 0
-[ceiling]
-kind = force_psd
-value = 1e-30
-probe_hz = 10.0
-"""
 
 
 def run(capsys, *argv):
@@ -280,6 +257,20 @@ def test_scan_single_point_grid(tmp_path, capsys):
     rows = data_rows((tmp_path / "scan_omega_c_inf.csv").read_text())
     assert len(rows) == 2
     assert float(rows[1].split(",")[1]) == pytest.approx(8.03e-12, rel=1e-6)
+
+
+def test_scan_cutoff_spellings_differing_in_case_write_one_panel(tmp_path, capsys):
+    # '1e4' and '1E4' name one file, so the second is a duplicate, as 'INF'
+    # is of 'inf'; '10000' and '+1e4' are spelled differently and keep
+    # panels of their own
+    code, out, _ = run(capsys, "scan", "--experiments", "xray", "--rc-grid", "1e-8:1e-6:3",
+                       "--omega-c", "1e4,1E4,inf,INF,10000,+1e4", "--out-dir", str(tmp_path))
+    assert code == 0
+    names = ["scan_omega_c_1e4.csv", "scan_omega_c_inf.csv", "scan_omega_c_10000.csv",
+             "scan_omega_c_+1e4.csv"]
+    assert out.splitlines() == [str(tmp_path / n) for n in names]
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(names)
+    assert "# omega_c_rad_s: exp:1e4" in (tmp_path / names[0]).read_text().splitlines()
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):

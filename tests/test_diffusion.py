@@ -6,10 +6,12 @@ import pytest
 
 from ccsl import (CONSTANTS, WHITE, CollapseParams, CompositeCrossTermUnsupported,
                   PhononModel, composite, cuboid, cylinder, eta, eta_reduced,
-                  eta_reduced_reference, lambda_eff_quad, point_mass, sphere)
-from ccsl.diffusion import (_HANKEL_FROM, _cross_isotropic, _i3_sphere, _ive01,
+                  eta_reduced_reference, lambda_eff_quad, load, point_mass, sphere)
+from ccsl import diffusion
+from ccsl.diffusion import (_HANKEL_FROM, _cross_isotropic, _i3_primitive, _i3_sphere, _ive01,
                             _transverse_moments, clear_cache)
-from ccsl.geometry import circumradius, disc_kernel, form_factor_sq, sphere_kernel
+from ccsl.geometry import (circumradius, disc_kernel, form_factor_sq, sphere_kernel,
+                           total_mass)
 from ccsl.quadrature import integrate
 from fixtures import (CUBE_RATIO_TABLE, CYLINDER_RATIO_TABLE, SPHERE_RATIO_TABLE,
                       TWO_SPHERE_ETA_M0_1)
@@ -507,6 +509,86 @@ def test_rod_sphere_unsupported_exactly_inside_gap_bound():
                 eta_reduced(d, rc)
         else:
             assert eta_reduced(d, rc).value > 0, f"rc={rc}"
+
+
+def _refuse_cartesian(*args):
+    raise RuntimeError("per-axis cross term evaluated")
+
+
+def test_gap_bound_is_checked_before_the_cartesian_route(monkeypatch):
+    # LISA Pathfinder's cubes are 0.296 m apart surface to surface, so the
+    # gap bound drops their cross term for every rc up to 1.23 cm: the
+    # per-axis closed forms must not run, and eta is the two cubes' sum
+    monkeypatch.setattr(diffusion, "_cross_cartesian", _refuse_cartesian)
+    clear_cache()
+    lisa = load("lisa-pathfinder").geometry
+    (a, _), (b, _) = lisa.shape.parts
+    axis = lisa.measurement_axis
+    try:
+        for rc in np.geomspace(1e-9, 1e-2, 61).tolist():
+            i3 = _i3_primitive(a, rc, axis)[0] + _i3_primitive(b, rc, axis)[0]
+            assert eta_reduced(lisa, rc).value == rc**3 / (math.pi ** 1.5 * M0 * M0) * i3
+        # inside the bound the per-axis route still runs: a tip touching a beam
+        beam = cuboid(4.5e-4, 5.7e-5, 2.5e-6, density=2200.0)
+        tip = cuboid(2e-5, 2e-5, 2e-5, density=7430.0)
+        touching = composite([(beam, (0, 0, 0)), (tip, (2.35e-4, 0, 0))],
+                             measurement_axis=(0, 0, 1))
+        with pytest.raises(RuntimeError, match="per-axis"):
+            eta_reduced(touching, 1e-7)
+    finally:
+        clear_cache()
+
+
+# eta_reduced(...).value.hex() recorded before the gap check moved ahead of
+# the per-axis route and the axis cosine was cached per pair of axes
+_TILT = dict(axis=(0.3, -0.5, 0.81), measurement_axis=(0.6, 0.2, -0.77))
+_TILTED_ROD_HEX = {1e-9: "0x1.f030e94652a9ep+136", 1e-5: "0x1.71a004b3f98c5p+163",
+                   1e-3: "0x1.ba82953086efap+176", 0.05: "0x1.fc6b21813a362p+181"}
+_TILTED_ROD_PART_HEX = {1e-9: "0x1.f5b863e49c2aap+136", 1e-5: "0x1.75bea15a34b24p+163",
+                        1e-3: "0x1.bf7034bbc03ecp+176"}
+# per multiple of the rc at which gap/(2 rc) = 12
+_CUBOID_PAIR_HEX = {0.5: "0x1.b1631bd572bbbp+171", 1 - 1e-9: "0x1.9447fc0d58b7cp+173",
+                    1 + 1e-9: "0x1.9447fc268eac9p+173", 2.0: "0x1.5c56cdaf29bacp+175",
+                    20.0: "0x1.6856df73f3344p+173"}
+
+
+def test_tilted_cylinder_values_pinned():
+    # neither the cylinder axis nor the measurement axis is a coordinate axis
+    rod = cylinder(0.02, 0.1, density=2700.0, **_TILT)
+    with_ball = composite([(rod, (0, 0, 0)), (sphere(0.01, density=1000.0), (0.5, 0.2, 0))],
+                          measurement_axis=_TILT["measurement_axis"])
+    for d, table in ((rod, _TILTED_ROD_HEX), (with_ball, _TILTED_ROD_PART_HEX)):
+        for rc, want in table.items():
+            assert eta_reduced(d, rc).value.hex() == want, f"rc={rc}"
+
+
+def _cuboid_pair(axis):
+    box = cuboid(0.01, 0.02, 0.015, density=2000.0)
+    pair = composite([(box, (0, 0, 0)), (box, (0.05, 0.01, 0))], measurement_axis=axis)
+    edge = (math.dist((0, 0, 0), (0.05, 0.01, 0)) - 2.0 * circumradius(box)) / 24.0
+    return box, pair, edge
+
+
+def test_cuboid_pair_values_pinned_on_both_sides_of_the_gap_bound():
+    _, pair, edge = _cuboid_pair((1, 0, 0))
+    for f, want in _CUBOID_PAIR_HEX.items():
+        assert eta_reduced(pair, edge * f).value.hex() == want, f"rc={f} x edge"
+
+
+def test_dropped_cuboid_cross_term_is_below_rounding():
+    # measured along a tilted axis, the per-axis route returns a cross term
+    # of rounding size where the bound drops it (its factors cancel to about
+    # eps of the diagonal, against a true size below e^-144), so dropping it
+    # may move the last bit of eta to the exact sum of the two cuboids
+    box, pair, edge = _cuboid_pair((0.6, 0.2, -0.77))
+    prof, m = (box.shape.lx, box.shape.ly, box.shape.lz), total_mass(box)
+    axis = pair.measurement_axis
+    for rc in np.geomspace(1e-9, edge, 40).tolist():
+        i3 = _i3_primitive(box, rc, axis)[0]
+        assert eta_reduced(pair, rc).value == rc**3 / (math.pi ** 1.5 * M0 * M0) * (i3 + i3)
+        cross = diffusion._cross_cartesian(prof, prof, m, m, np.array([-0.05, -0.01, 0.0]),
+                                           np.asarray(axis), rc)
+        assert abs(cross) <= 4.0 * np.finfo(float).eps * 2.0 * i3, f"rc={rc}"
 
 
 # --- caching and bookkeeping ------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Golden data rows of the default ``ccsl scan``.
+"""Golden data rows of the default ``ccsl scan`` and of scans with holes.
 
 The digests were recorded from the default scan before the scan was
 factored (white response per rc, one noise factor per cutoff). Any change
@@ -12,6 +12,7 @@ import hashlib
 import pytest
 
 from ccsl.cli import main
+from fixtures import SPHERE_CYLINDER_PAIR
 
 # SHA-256 of each panel's non-comment lines, each ending in "\n"
 DEFAULT_SCAN_DIGESTS = {
@@ -46,3 +47,42 @@ def test_default_scan_data_rows_unchanged(default_scan, panel):
 
 def test_default_scan_writes_only_the_known_panels(default_scan):
     assert sorted(p.name for p in default_scan.glob("*.csv")) == sorted(DEFAULT_SCAN_DIGESTS)
+
+
+# Scans whose panels have empty cells: a composite whose every point fails,
+# bulk heating washed out at a tiny cutoff, and one cutoff spelled two ways.
+# Recorded before the panels were built column by column.
+HOLES_SCAN_DIGESTS = {
+    "scan_omega_c_inf.csv":
+        "2d6ef7be7524263d6173b70f03685ac8340571c87ad5d3fb5a484cfaca070f8f",
+    "scan_omega_c_1e-10.csv":
+        "2d64f4d0c830f183740fb6d3f005152424d07e08aebe546d543958fdff1becc4",
+    "scan_omega_c_1e4.csv":
+        "25c99047fa95087d0911c3b048ce25a2fd0b17e6190258cbe852f30f1e6ab788",
+    "scan_omega_c_10000.csv":
+        "25c99047fa95087d0911c3b048ce25a2fd0b17e6190258cbe852f30f1e6ab788",
+}
+ONE_POINT_SCAN_DIGESTS = {
+    "scan_omega_c_inf.csv":
+        "e8fa3b3e37af187b25301d233d679b98cd4201921c3d09b9d2cd8d0fc1220b76",
+    "scan_omega_c_1e-10.csv":
+        "76ac91812c3f7ef34471acb5848ff40d916f3130cadc2011fee6f08beb2d67f3",
+}
+
+
+@pytest.mark.parametrize("omega_c, rc_grid, digests", [
+    ("inf,1e-10,1e4,10000", "1e-9:1e-3:40", HOLES_SCAN_DIGESTS),
+    ("inf,1e-10", "1e-7:1e-7:1", ONE_POINT_SCAN_DIGESTS),
+])
+def test_scan_with_empty_cells_data_rows_unchanged(tmp_path, omega_c, rc_grid, digests):
+    cfg = tmp_path / "pair.cfg"
+    cfg.write_text(SPHERE_CYLINDER_PAIR, encoding="utf-8")
+    out = tmp_path / "scan"
+    assert main(["scan", "--experiments", f"{cfg},bulk-heating,xray,cold-atom",
+                 "--omega-c", omega_c, "--rc-grid", rc_grid, "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(digests)
+    for panel, want in digests.items():
+        lines = (out / panel).read_text(encoding="utf-8").splitlines()
+        cells = [c for ln in lines[3:] for c in ln.split(",")]
+        assert "" in cells, panel
+        assert data_digest(out / panel) == want, panel
