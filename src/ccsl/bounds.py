@@ -3,16 +3,16 @@
 Each inversion solves prediction(lam_max, rc) = ceiling for lam_max, which
 is exact because every prediction is linear in lam. A point is "washed out"
 when the colored suppression drives the unit-lam prediction below any
-useful level; such points are omitted from exclusion curves rather than
-recorded as sentinels.
+useful level; an exclusion curve holds NaN there rather than a sentinel.
 
 Every bound factors as lam_max = ceiling / (unit response(rc) x noise
 factor). For force, X-ray and cold-atom experiments the noise factor does
 not depend on rc: it is f~ at the probe frequency, f~(w_obs), or the
 cold-atom bracket over its white value t^3/2. ``scan`` therefore
-computes their white curve once per rc and divides it by one scalar per
-noise. Bulk heating couples rc and Wc through x = rc Wc / v_s and is
-inverted point by point for every noise.
+computes their white column once per rc grid and derives each noise's
+column from it in one pass, dividing by one scalar. Bulk heating couples
+rc and Wc through x = rc Wc / v_s and is inverted point by point for every
+noise.
 """
 
 from __future__ import annotations
@@ -91,20 +91,36 @@ def effective_spectrum_factor(ceiling: Ceiling, n: NoiseSpec) -> float:
     return float(spectrum(n, w))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExclusionCurve:
-    """lam_max versus rc for one experiment and one noise model. Washed-out
-    points are absent; rc strictly increases."""
+    """lam_max over an rc grid for one experiment and one noise model, as two
+    read-only columns of one length: rc strictly increases, and lam is NaN
+    where the point washed out or failed. ``points``, ``rc_values()`` and
+    ``lambda_values()`` hold the kept points only."""
 
     experiment_id: str
     noise: NoiseSpec
-    points: tuple[tuple[float, float], ...]  # (rc m, lam_max s^-1)
+    rc: np.ndarray  # m
+    lam: np.ndarray  # lam_max s^-1, NaN where no bound
+
+    def __post_init__(self):
+        for name in ("rc", "lam"):
+            col = np.array(getattr(self, name), dtype=float)
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        if self.rc.ndim != 1 or self.rc.shape != self.lam.shape:
+            raise ValidationError("curve", "rc and lam must be 1-D columns of one length")
+
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:  # (rc m, lam_max s^-1)
+        return tuple((rc, lm) for rc, lm in zip(self.rc.tolist(), self.lam.tolist())
+                     if lm == lm)
 
     def rc_values(self) -> np.ndarray:
-        return np.array([rc for rc, _ in self.points])
+        return self.rc[~np.isnan(self.lam)]
 
     def lambda_values(self) -> np.ndarray:
-        return np.array([lm for _, lm in self.points])
+        return self.lam[~np.isnan(self.lam)]
 
 
 # --- single-point inversions ---------------------------------------------------
@@ -200,65 +216,52 @@ def _attempt(exp, n: NoiseSpec, rc: float, tol: float):
         return None, err.with_traceback(None)
 
 
-def _factored(exp, n: NoiseSpec, rcs: list, white: list, tol: float):
-    """Attempts at every rc for noise n, derived from the white attempts. A
-    point whose white call failed fails with that error; a derived value
-    outside the safe band, and every point when the factor is, is
-    recomputed by the scalar route."""
-    try:
-        factor = _noise_factor(exp, n)
-    except ArithmeticError:  # a cold-atom bracket that overflows or is 0 at t = 0
-        factor = math.nan
-    lo, hi, c = _SAFE_LO, _SAFE_HI, exp.ceiling.value
-    if not lo <= factor <= hi:
-        yield from (_attempt(exp, n, rc, tol) for rc in rcs)
-        return
-    for rc, (w, err) in zip(rcs, white):
-        if err is not None:
-            yield None, err
-            continue
-        lm = w / factor if lo <= w <= hi else math.nan
-        if lo <= lm <= hi and lo <= c / lm <= hi:
-            yield lm, None
-        else:
-            yield _attempt(exp, n, rc, tol)
-
-
 def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid,
          tol: float = DEFAULT_TOL,
          on_error: Callable[[str, NoiseSpec, float, Exception], None] | None = None
          ) -> list[list[ExclusionCurve]]:
     """Exclusion curves over the rc grid: one list per noise, holding one
-    curve per experiment. Washed-out or failed points are omitted from the
-    curves; failures are reported through on_error(experiment_id, noise, rc,
+    curve per experiment. Washed-out or failed points are NaN in the curves;
+    failures are reported through on_error(experiment_id, noise, rc,
     exception) when given, per experiment, then noise, then rc.
 
-    Force, X-ray and cold-atom curves are the white curve divided by one
-    factor per noise; bulk heating takes the scalar route at every point."""
+    A force, X-ray or cold-atom column is the white column divided by one
+    factor per noise. Only the points that leave the safe band go back to
+    the scalar route, as does every point when the factor leaves it; a point
+    whose white call failed fails with that error. Bulk heating takes the
+    scalar route at every point."""
     rc_grid = np.asarray(rc_grid, dtype=float)
     if rc_grid.ndim != 1 or rc_grid.size == 0:
         raise EmptyInput("rc_grid must be a non-empty 1-D array")
-    if np.any(np.diff(rc_grid) <= 0):
-        raise ValidationError("rc_grid", "must be strictly increasing")
     rcs = rc_grid.tolist()
+    if any(b <= a for a, b in zip(rcs, rcs[1:])):  # in Python: cheaper than np.diff for one rc
+        raise ValidationError("rc_grid", "must be strictly increasing")
+    lo, hi, nan = _SAFE_LO, _SAFE_HI, math.nan
     curves: list[list[ExclusionCurve]] = [[] for _ in noises]
     for exp in experiments:
-        white = None
-        if exp.kind in _FACTORED_KINDS:
+        factored, c = exp.kind in _FACTORED_KINDS, exp.ceiling.value
+        if factored:
             white = [_attempt(exp, WHITE, rc, tol) for rc in rcs]
+            usable = [w if err is None and lo <= w <= hi else nan for w, err in white]
         for n, panel in zip(noises, curves):
-            if white is None:
-                attempts = (_attempt(exp, n, rc, tol) for rc in rcs)
+            try:
+                factor = _noise_factor(exp, n) if factored else nan
+            except ArithmeticError:  # a cold-atom bracket that overflows or is 0 at t = 0
+                factor = nan
+            derived = lo <= factor <= hi
+            if derived:
+                col = [w / factor for w in usable]
+                redo = [i for i, lm in enumerate(col)
+                        if not (lo <= lm <= hi and lo <= c / lm <= hi)]
             else:
-                attempts = _factored(exp, n, rcs, white, tol)
-            pts = []
-            for rc, (lm, err) in zip(rcs, attempts):
-                if err is not None:
-                    if on_error is not None:
-                        on_error(exp.id, n, rc, err)
-                elif math.isfinite(lm) and lm > 0:
-                    pts.append((rc, lm))
-            panel.append(ExclusionCurve(exp.id, n, tuple(pts)))
+                col, redo = [nan] * len(rcs), range(len(rcs))
+            for i in redo:
+                lm, err = white[i] if derived and white[i][1] is not None else (
+                    _attempt(exp, n, rcs[i], tol))
+                if err is not None and on_error is not None:
+                    on_error(exp.id, n, rcs[i], err)
+                col[i] = lm if err is None and 0.0 < lm < math.inf else nan
+            panel.append(ExclusionCurve(exp.id, n, rc_grid, col))
     return curves
 
 
@@ -271,10 +274,8 @@ def envelope(curves: Sequence[ExclusionCurve]) -> ExclusionCurve:
     only the curves that kept the point participate."""
     if not curves:
         raise EmptyInput("envelope of no curves")
-    best: dict[float, float] = {}
-    for c in curves:
-        for rc, lm in c.points:
-            if rc not in best or lm < best[rc]:
-                best[rc] = lm
-    pts = tuple(sorted(best.items()))
-    return ExclusionCurve("envelope", curves[0].noise, pts)
+    rc = curves[0].rc
+    if any(not np.array_equal(c.rc, rc) for c in curves[1:]):
+        raise ValidationError("curves", "envelope needs curves on one rc grid")
+    return ExclusionCurve("envelope", curves[0].noise, rc,
+                          np.fmin.reduce([c.lam for c in curves]))

@@ -193,22 +193,21 @@ def cmd_bound(args) -> int:
 
 # --- scan -------------------------------------------------------------------
 
-def _write_panel_csv(path: Path, token: str, rc_values: list[float], rc_cells: list[str],
+def _write_panel_csv(path: Path, token: str, rc_grid: np.ndarray,
                      curves: list[ExclusionCurve], manifest: RunManifest):
-    """One panel, built column by column: the rc column (formatted once per
-    scan), one column per curve, then the envelope; an rc a curve lacks is an
-    empty cell."""
+    """One panel: rc, one column per curve and the envelope, stacked into one
+    table and formatted as one block; a NaN (no bound) is an empty cell."""
     lines = list(manifest.comment_lines())
     lines.append(f"# omega_c_rad_s: {token}")
     header = ["rc_m"] + [f"{c.experiment_id}_lambda_max_s^-1" for c in curves]
     header.append("envelope_lambda_max_s^-1")
     lines.append(",".join(header))
-    columns = [rc_cells]
-    for points in [c.points for c in curves] + [envelope(curves).points if curves else ()]:
-        cells = {rc: _fmt(lm) for rc, lm in points}
-        columns.append([cells.get(rc, "") for rc in rc_values])
-    lines.extend(",".join(row) for row in zip(*columns))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    env = envelope(curves).lam if curves else np.full(rc_grid.shape, np.nan)
+    table = np.column_stack([rc_grid] + [c.lam for c in curves] + [env])
+    row_fmt = ",".join(["%.8e"] * len(header)) + "\n"  # "%.8e" % x == _fmt(x)
+    body = (row_fmt * len(rc_grid)) % tuple(table.ravel().tolist())
+    # blank NaN cells in the data rows only: ids in the header may hold "nan"
+    path.write_text("\n".join(lines) + "\n" + body.replace("nan", ""), encoding="utf-8")
 
 
 def cmd_scan(args) -> int:
@@ -246,12 +245,10 @@ def cmd_scan(args) -> int:
                       {"experiment": i, "omega_c": token_of[id(n)], "rc_m": rc,
                        "error": str(e)}))
 
-    rc_values = rc_grid.tolist()
-    rc_cells = [_fmt(rc) for rc in rc_values]
     written = []
     for tag, t, curves in zip(raw_by_tag, tokens, panels):
         path = out_dir / f"scan_omega_c_{tag}.csv"
-        _write_panel_csv(path, t, rc_values, rc_cells, curves, manifest)
+        _write_panel_csv(path, t, rc_grid, curves, manifest)
         written.append(str(path))
     (out_dir / "scan_manifest.json").write_text(manifest.to_json() + "\n",
                                                 encoding="utf-8")

@@ -1,11 +1,13 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from ccsl import (CONSTANTS, Ceiling, CollapseParams, ColdAtomDescriptor,
-                  EmptyInput, NonPositiveRc, PhononModel, ValidationError, WHITE, WashedOut,
+                  EmptyInput, ExclusionCurve, NonPositiveRc, PhononModel, ValidationError,
+                  WHITE, WashedOut,
                   cold_atom_diffusion, cuboid, dns_ccsl, envelope, exponential,
                   heating_rate, lambda_max_coldatom, lambda_max_for,
                   lambda_max_force, lambda_max_heating, lambda_max_xray,
@@ -294,9 +296,8 @@ def test_multi_noise_scan_matches_scalar_route():
                          1e-140, 1e-146)]
     grid = np.geomspace(1e-9, 1e-3, 60)
     errors = []
-    with np.errstate(all="ignore"):
-        panels = scan(exps, noises, grid, on_error=lambda i, n, rc, e: errors.append(
-            (i, n, rc, type(e), str(e))))
+    panels = scan(exps, noises, grid, on_error=lambda i, n, rc, e: errors.append(
+        (i, n, rc, type(e), str(e))))
     expected_errors = []
     for exp in exps:
         for n, curves in zip(noises, panels):
@@ -333,9 +334,8 @@ def test_multi_noise_scan_reruns_failed_factors():
     exps = [load("cantilever"), load("cold-atom"), load("xray")]
     n = exponential(1e-300)
     seen = []
-    with np.errstate(all="ignore"):
-        panels = scan(exps, [WHITE, n], [1e-7, 1e-6],
-                      on_error=lambda i, m, rc, e: seen.append((i, m, rc, type(e))))
+    panels = scan(exps, [WHITE, n], [1e-7, 1e-6],
+                  on_error=lambda i, m, rc, e: seen.append((i, m, rc, type(e))))
     assert [len(c.points) for c in panels[0]] == [2, 2, 2]
     assert [c.points for c in panels[1]] == [(), (), ()]
     assert seen == [(i, n, rc, t) for i, t in (("cantilever", WashedOut),
@@ -352,6 +352,55 @@ def test_multi_noise_scan_reruns_failed_factors():
     assert [c.points for c, in panels] == [(), (), ()]
     assert seen == [(WHITE, WashedOut), (exponential(1e3), WashedOut),
                     (n, OverflowError)]
+
+
+# SHA-256 of every kept point as "<id> <omega_c!r> <rc.hex()> <lam.hex()>" and
+# of the error log as "<id> <omega_c!r> <rc.hex()> <type> <message>", one
+# line each in scan order, recorded from the per-point scan before curves
+# became columns: the derived, the re-run and the failing route all print
+# the same bits and log the same errors
+SCAN_POINTS_DIGEST = (4807, "79b720be31554ffdb047a6cd84a7bd1471510c28ba58b706bdc4a4c3faeca9ab")
+SCAN_ERRORS_DIGEST = (2213, "4d578d95c080e5b0b27d73da0af0897306837dee582ebdfd4dac6a710c986ac6")
+
+
+def test_multi_noise_scan_bits_pinned():
+    still = dataclasses.replace(load("cold-atom"), id="cold-atom-still", coldatom=(
+        dataclasses.replace(RB87, expansion_time=0.0)))
+    exps = load_all_bundled() + [_rod_sphere(), still]
+    noises = [WHITE] + [exponential(w) for w in
+                        (1e15, 1e12, 1e9, 1e6, 1e4, 1e2, 1e1, 1e-6, 1e-10,
+                         1e-140, 1e-146, 1e-300)]
+    errors = []
+    panels = scan(exps, noises, np.geomspace(1e-9, 1e-3, 60),
+                  on_error=lambda i, n, rc, e: errors.append(
+                      f"{i} {n.omega_c!r} {rc.hex()} {type(e).__name__} {e}\n"))
+    points = [f"{c.experiment_id} {c.noise.omega_c!r} {rc.hex()} {lm.hex()}\n"
+              for curves in panels for c in curves for rc, lm in c.points]
+    for lines, (count, digest) in ((points, SCAN_POINTS_DIGEST),
+                                   (errors, SCAN_ERRORS_DIGEST)):
+        assert len(lines) == count
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+
+
+def test_curve_is_a_read_only_column():
+    curve = scan([load("xray"), load("bulk-heating")], [exponential(1e-10)],
+                 np.geomspace(1e-9, 1e-3, 4))[0]
+    xray, heating = curve
+    assert xray.rc.shape == xray.lam.shape == (4,)
+    assert np.isnan(heating.lam).all() and heating.points == ()
+    assert xray.points == tuple(zip(xray.rc_values().tolist(),
+                                    xray.lambda_values().tolist()))
+    for col in (xray.rc, xray.lam):
+        with pytest.raises(ValueError):
+            col[0] = 1.0
+    # the curve keeps its own copy of the arrays it was built from
+    rc, lam = np.array([1e-7, 1e-6]), np.array([1.0, np.nan])
+    built = ExclusionCurve("x", WHITE, rc, lam)
+    lam[1] = 2.0
+    assert built.points == ((1e-7, 1.0),)
+    with pytest.raises(ValidationError):
+        ExclusionCurve("x", WHITE, rc, [1.0])
+
 
 def test_envelope_single_curve_identity():
     exps = [load("xray")]
@@ -379,3 +428,13 @@ def test_envelope_pointwise_minimum():
 def test_envelope_empty_rejected():
     with pytest.raises(EmptyInput):
         envelope([])
+
+
+def test_envelope_needs_one_rc_grid():
+    exps = [load("xray")]
+    a = scan(exps, [WHITE], np.geomspace(1e-8, 1e-5, 5))[0][0]
+    b = scan(exps, [WHITE], np.geomspace(1e-8, 1e-5, 6))[0][0]
+    c = scan(exps, [WHITE], np.geomspace(2e-8, 1e-5, 5))[0][0]
+    for other in (b, c):
+        with pytest.raises(ValidationError):
+            envelope([a, other])

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -271,6 +272,57 @@ def test_scan_cutoff_spellings_differing_in_case_write_one_panel(tmp_path, capsy
     assert out.splitlines() == [str(tmp_path / n) for n in names]
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(names)
     assert "# omega_c_rad_s: exp:1e4" in (tmp_path / names[0]).read_text().splitlines()
+
+
+def test_scan_blanks_missing_cells_in_data_rows_only(tmp_path, capsys):
+    # ids holding "nan" and "inf": blanking a missing value must leave the
+    # header and the manifest line as they are
+    data = Path(cli.__file__).parent / "data"
+    cfgs = []
+    for bundled, new_id in (("cantilever", "nanosphere"), ("xray", "inf-nan")):
+        text = (data / f"{bundled}.cfg").read_text(encoding="utf-8")
+        cfgs.append(tmp_path / f"{new_id}.cfg")
+        cfgs[-1].write_text(text.replace(f"id = {bundled}\n", f"id = {new_id}\n"),
+                            encoding="utf-8")
+    args = ("--omega-c", "1e-10", "--rc-grid", "1e-9:1e-3:5")
+    renamed, bundled = tmp_path / "renamed", tmp_path / "bundled"
+    assert run(capsys, "scan", "--experiments", f"{cfgs[0]},{cfgs[1]},bulk-heating",
+               "--out-dir", str(renamed), *args)[0] == 0
+    assert run(capsys, "scan", "--experiments", "cantilever,xray,bulk-heating",
+               "--out-dir", str(bundled), *args)[0] == 0
+    lines = (renamed / "scan_omega_c_1e-10.csv").read_text(encoding="utf-8").splitlines()
+    manifest = (renamed / "scan_manifest.json").read_text(encoding="utf-8")
+    assert lines[0] == f"# manifest: {manifest.strip()}"
+    assert json.loads(manifest)["experiment_ids"] == ["nanosphere", "inf-nan", "bulk-heating"]
+    assert lines[1:3] == ["# omega_c_rad_s: exp:1e-10",
+                          "rc_m,nanosphere_lambda_max_s^-1,inf-nan_lambda_max_s^-1,"
+                          "bulk-heating_lambda_max_s^-1,envelope_lambda_max_s^-1"]
+    want = (bundled / "scan_omega_c_1e-10.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[3:] == want[3:] and len(lines) == 3 + 5
+    # bulk heating washes out at 1e-10 rad/s: an empty cell in every row
+    assert all(ln.split(",")[3] == "" for ln in lines[3:])
+
+
+def test_scan_panel_with_every_point_failed_is_empty(tmp_path, capsys):
+    cfg = tmp_path / "pair.cfg"
+    cfg.write_text(SPHERE_CYLINDER_PAIR, encoding="utf-8")
+    code, _, err = run(capsys, "scan", "--experiments", str(cfg), "--omega-c", "inf",
+                       "--rc-grid", "1e-5:1e-3:3", "--out-dir", str(tmp_path))
+    assert code == 3 and err == "error: every scan point failed\n"
+    rows = data_rows((tmp_path / "scan_omega_c_inf.csv").read_text(encoding="utf-8"))
+    assert rows[0] == "rc_m,bad-pair_lambda_max_s^-1,envelope_lambda_max_s^-1"
+    assert [ln.split(",")[1:] for ln in rows[1:]] == [["", ""]] * 3
+    errors = json.loads((tmp_path / "scan_manifest.json").read_text())["errors"]
+    assert len(errors) == 3
+
+
+def test_scan_with_no_experiments_writes_rc_and_empty_envelope(tmp_path, capsys):
+    code, _, err = run(capsys, "scan", "--experiments", "", "--omega-c", "inf",
+                       "--rc-grid", "1e-8:1e-6:3", "--out-dir", str(tmp_path))
+    assert code == 3 and err == "error: every scan point failed\n"
+    rows = data_rows((tmp_path / "scan_omega_c_inf.csv").read_text(encoding="utf-8"))
+    assert rows == ["rc_m,envelope_lambda_max_s^-1", "1.00000000e-08,",
+                    "1.00000000e-07,", "1.00000000e-06,"]
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):

@@ -86,3 +86,34 @@ def test_scan_with_empty_cells_data_rows_unchanged(tmp_path, omega_c, rc_grid, d
         cells = [c for ln in lines[3:] for c in ln.split(",")]
         assert "" in cells, panel
         assert data_digest(out / panel) == want, panel
+
+
+# A dense scan, 300 rc x 8 cutoffs over the bundled set, recorded before each
+# panel was formatted as one block from its columns.
+DENSE_SCAN_DIGESTS = {
+    "scan_omega_c_inf.csv":
+        "1eadf7bd52d314af90538309b14a03b510a65ea62aefb1b69763aeca9b7d883b",
+    "scan_omega_c_1e15.csv":
+        "d6ea3d7708c982c7be018782350de9a5d588f41cc9fe5850b74b8933588d826f",
+    "scan_omega_c_1e12.csv":
+        "40560a8b42d6bd0bc5fdeb58dca57f1e025025771444ba88844097581dfebf59",
+    "scan_omega_c_1e9.csv":
+        "e0348805e77aaba2ec4ce504f42dc2059a5c4a78a786e6b28135b1e2b828d49e",
+    "scan_omega_c_1e6.csv":
+        "fd4317fbd1b4751996ae278c2ea9f73d4a5588710bb2a174f1b7b46b2540ba15",
+    "scan_omega_c_1e4.csv":
+        "05e443bef9e765d262ac24e5da51a505856814a847df77aca42c42bc8e6724d1",
+    "scan_omega_c_1e2.csv":
+        "363b7b706c142384bee1d07fa92f91c2c99d417e32f6bc39c719d749d460141b",
+    "scan_omega_c_1e1.csv":
+        "330c8a8bd1fd2a66ae6e04c9107553fc2b7e7caad67e73b353b4fa1fba5e8a4f",
+}
+
+
+def test_dense_scan_data_rows_unchanged(tmp_path):
+    assert main(["scan", "--rc-grid", "1e-9:1e-3:300",
+                 "--omega-c", "inf,1e15,1e12,1e9,1e6,1e4,1e2,1e1",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(DENSE_SCAN_DIGESTS)
+    for panel, want in DENSE_SCAN_DIGESTS.items():
+        assert data_digest(tmp_path / panel) == want, panel
