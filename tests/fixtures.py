@@ -152,3 +152,23 @@ kind = force_psd
 value = 1e-30
 probe_hz = 10.0
 """
+
+
+# a full-sine lattice: lambda_eff by quadrature, with dispersion knees for
+# rc < 40 a / pi = 3.2e-9 m and "oscillations too fine" for rc/a < 2e-3 / pi
+LATTICE_HEATING = """\
+id = lattice-heating
+kind = bulk_heating
+provenance = "test input: copper-like lattice, a = 2.5e-10 m, v_s = 3000 m/s"
+
+[phonon]
+v_s = 3000.0
+dispersion = full_sine
+force_constant = 15.192
+atom_mass = 1.055e-25
+plane_spacing = 2.5e-10
+
+[ceiling]
+kind = heating_power
+value = 1e-11
+"""

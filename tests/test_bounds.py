@@ -11,8 +11,9 @@ from ccsl import (CONSTANTS, Ceiling, CollapseParams, ColdAtomDescriptor,
                   cold_atom_diffusion, cuboid, dns_ccsl, envelope, exponential,
                   heating_rate, lambda_max_coldatom, lambda_max_for,
                   lambda_max_force, lambda_max_heating, lambda_max_xray,
-                  load, load_all_bundled, normalized_xray_rate, scan, sphere)
-from fixtures import CANTILEVER_RATIO, HEATING_WHITE_LMAX
+                  load, load_all_bundled, normalized_xray_rate, parse_config,
+                  scan, sphere)
+from fixtures import CANTILEVER_RATIO, HEATING_WHITE_LMAX, LATTICE_HEATING
 
 COPPER = PhononModel(v_s=3000.0)
 RB87 = ColdAtomDescriptor(mass_number=87.0, atom_mass=1.4431606e-25,
@@ -380,6 +381,32 @@ def test_multi_noise_scan_bits_pinned():
                                    (errors, SCAN_ERRORS_DIGEST)):
         assert len(lines) == count
         assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+
+
+# the same digests for the full-sine lattice, whose lambda_eff is a
+# quadrature: rc with dispersion knees (below 3.2e-9 m), rc refined over
+# several rounds, QuadratureNotConverged (oscillations too fine below
+# 1.6e-13 m; the panel budget spent, up to 2.3e-10 m at low cutoffs) and
+# WashedOut; recorded from the per-point scan, where each rc ran a
+# quadrature of its own
+FULL_SINE_POINTS_DIGEST = (596, "db5607fef0e7d3c9d2dd92ae30b4a7858f3f00983104a588bc3accd8a9fdbf04")
+FULL_SINE_ERRORS_DIGEST = (244, "2f86a318d80dfbe3e7a148c6f615b753bb0b5b58a9ef5f76f701c37f6501f019")
+
+
+def test_full_sine_heating_scan_bits_pinned():
+    noises = [WHITE] + [exponential(w) for w in (1e1, 1e4, 1e6, 1e9, 1e12, 1e-300)]
+    errors = []
+    panels = scan([parse_config(LATTICE_HEATING)], noises, np.geomspace(1e-13, 1e-3, 120),
+                  on_error=lambda i, n, rc, e: errors.append(
+                      f"{i} {n.omega_c!r} {rc.hex()} {type(e).__name__} {e}\n"))
+    points = [f"{c.experiment_id} {c.noise.omega_c!r} {rc.hex()} {lm.hex()}\n"
+              for curves in panels for c in curves for rc, lm in c.points]
+    for lines, (count, digest) in ((points, FULL_SINE_POINTS_DIGEST),
+                                   (errors, FULL_SINE_ERRORS_DIGEST)):
+        assert len(lines) == count
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+    kinds = {e.split()[3] for e in errors}
+    assert kinds == {"QuadratureNotConverged", "WashedOut"}
 
 
 def test_curve_is_a_read_only_column():
