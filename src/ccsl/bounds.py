@@ -11,8 +11,9 @@ not depend on rc: it is f~ at the probe frequency, f~(w_obs), or the
 cold-atom bracket over its white value t^3/2. ``scan`` therefore
 computes their white column once per rc grid and derives each noise's
 column from it in one pass, dividing by one scalar. Bulk heating couples
-rc and Wc through x = rc Wc / v_s and is inverted point by point for every
-noise.
+rc and Wc through x = rc Wc / v_s, so ``scan`` asks ``predict`` for one
+column of lam_eff/lam per noise (closed form, or one batched quadrature for
+the full-sine dispersion) and inverts it point by point.
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ from .errors import (EmptyInput, NonPositiveFrequency, NonPositiveRc, Validation
                      WashedOut, require_positive)
 from .geometry import MassDistribution
 from .noise import WHITE, NoiseSpec, spectrum
-from .predict import (ColdAtomDescriptor, PhononModel, cold_atom_diffusion,
-                      cold_atom_noise_factor, lambda_eff_closed, lambda_eff_quad)
+# lambda_eff_quad is unused here; it stays bound for tracers that wrap it at
+# this import site (bench/spans.py)
+from .predict import (ColdAtomDescriptor, PhononModel, cold_atom_diffusion,  # noqa: F401
+                      cold_atom_noise_factor, lambda_eff_column, lambda_eff_quad)
 
 FORCE_PSD = "force_psd"
 XRAY_NORMALIZED = "xray_normalized"
@@ -153,20 +156,35 @@ def lambda_max_xray(ceiling: Ceiling, n: NoiseSpec, rc: float,
     return ceiling.value * rc * rc / f
 
 
+def _heating_column(ceiling: Ceiling, n: NoiseSpec, ph: PhononModel, rcs,
+                    tol: float = DEFAULT_TOL) -> list:
+    """(lam_max, None) or (None, the exception) at each rc of rcs: one
+    predict column of lam_eff/lam, inverted point by point."""
+    try:
+        if ceiling.kind != HEATING_POWER:
+            raise ValidationError("ceiling.kind", "expected heating_power")
+        ratios = lambda_eff_column(n, ph, rcs, tol)
+    except Exception as err:  # a failure of the whole column is each point's
+        ratios = [err.with_traceback(None)] * len(rcs)
+    c, out = CONSTANTS, []
+    for rc, ratio in zip(rcs, ratios):
+        if isinstance(ratio, Exception):
+            out.append((None, ratio))
+        elif ratio < _WASHOUT_RATIO:
+            out.append((None, WashedOut(f"lambda_eff/lambda = {ratio:.3e} at rc={rc:.3e}")))
+        else:
+            out.append((ceiling.value * 4.0 * rc * rc * c.m0**2 / (3.0 * c.hbar**2)
+                        / ratio, None))
+    return out
+
+
 def lambda_max_heating(ceiling: Ceiling, n: NoiseSpec, ph: PhononModel,
                        rc: float, tol: float = DEFAULT_TOL) -> float:
     """Invert dE/(dt dM) = (3/4)(hbar^2/rc^2 m0^2) lam_eff."""
-    if ceiling.kind != HEATING_POWER:
-        raise ValidationError("ceiling.kind", "expected heating_power")
-    unit = CollapseParams(lam=1.0, rc=rc)
-    if ph.dispersion is None:
-        ratio = lambda_eff_closed(unit, n, ph)
-    else:
-        ratio = lambda_eff_quad(unit, n, ph, tol)
-    if ratio < _WASHOUT_RATIO:
-        raise WashedOut(f"lambda_eff/lambda = {ratio:.3e} at rc={rc:.3e}")
-    c = CONSTANTS
-    return ceiling.value * 4.0 * rc * rc * c.m0**2 / (3.0 * c.hbar**2) / ratio
+    ((lam_max, err),) = _heating_column(ceiling, n, ph, [rc], tol)
+    if err is not None:
+        raise err
+    return lam_max
 
 
 def lambda_max_coldatom(ceiling: Ceiling, n: NoiseSpec, ca: ColdAtomDescriptor,
@@ -228,8 +246,9 @@ def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid,
     A force, X-ray or cold-atom column is the white column divided by one
     factor per noise. Only the points that leave the safe band go back to
     the scalar route, as does every point when the factor leaves it; a point
-    whose white call failed fails with that error. Bulk heating takes the
-    scalar route at every point."""
+    whose white call failed fails with that error. A bulk-heating column is
+    one lam_eff/lam column per noise, inverted as lambda_max_heating inverts
+    one point, with each point's error its own."""
     rc_grid = np.asarray(rc_grid, dtype=float)
     if rc_grid.ndim != 1 or rc_grid.size == 0:
         raise EmptyInput("rc_grid must be a non-empty 1-D array")
@@ -243,21 +262,24 @@ def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid,
         if factored:
             white = [_attempt(exp, WHITE, rc, tol) for rc in rcs]
             usable = [w if err is None and lo <= w <= hi else nan for w, err in white]
+            white_failed = [w if w[1] is not None else None for w in white]
         for n, panel in zip(noises, curves):
-            try:
-                factor = _noise_factor(exp, n) if factored else nan
-            except ArithmeticError:  # a cold-atom bracket that overflows or is 0 at t = 0
-                factor = nan
-            derived = lo <= factor <= hi
-            if derived:
-                col = [w / factor for w in usable]
-                redo = [i for i, lm in enumerate(col)
-                        if not (lo <= lm <= hi and lo <= c / lm <= hi)]
-            else:
-                col, redo = [nan] * len(rcs), range(len(rcs))
+            # known[i]: point i's (lam_max, error) where no scalar call is needed
+            col, redo, known = [nan] * len(rcs), range(len(rcs)), [None] * len(rcs)
+            if exp.kind == "bulk_heating":
+                known = _heating_column(exp.ceiling, n, exp.phonon, rcs, tol)
+            elif factored:
+                try:
+                    factor = _noise_factor(exp, n)
+                except ArithmeticError:  # a cold-atom bracket that overflows or is 0 at t = 0
+                    factor = nan
+                if lo <= factor <= hi:
+                    col = [w / factor for w in usable]
+                    redo = [i for i, lm in enumerate(col)
+                            if not (lo <= lm <= hi and lo <= c / lm <= hi)]
+                    known = white_failed
             for i in redo:
-                lm, err = white[i] if derived and white[i][1] is not None else (
-                    _attempt(exp, n, rcs[i], tol))
+                lm, err = known[i] or _attempt(exp, n, rcs[i], tol)
                 if err is not None and on_error is not None:
                     on_error(exp.id, n, rcs[i], err)
                 col[i] = lm if err is None and 0.0 < lm < math.inf else nan

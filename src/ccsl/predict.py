@@ -23,11 +23,13 @@ import numpy as np
 from .core import CONSTANTS, CollapseParams
 from .diffusion import eta as _eta
 from .diffusion import DEFAULT_TOL
-from .errors import (NonPositiveFrequency, QuadratureNotConverged,
+from .errors import (NonPositiveFrequency, NonPositiveRc, QuadratureNotConverged,
                      UnsupportedDispersion, ValidationError, require_positive)
 from .geometry import MassDistribution
 from .noise import WHITE, NoiseSpec, spectrum
-from .quadrature import integrate, merge_edges
+# integrate itself is unused here; it stays bound for tracers that wrap it at
+# this import site (bench/spans.py)
+from .quadrature import integrate, integrate_rows, merge_edges  # noqa: F401
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -217,6 +219,70 @@ def _phonon_bracket(x: float) -> float:
     return total
 
 
+# rc-free seed edges of the radial lam_eff quadrature; knees join them per rc
+_Y_EDGES = merge_edges(0.0, 40.0, np.linspace(0.0, 8.0, 17), np.linspace(9.0, 40.0, 8))
+_LINEAR_KNEES = np.array([1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 10.0])  # times y at w_L = Wc
+
+
+def lambda_eff_column(n: NoiseSpec, ph: PhononModel, rcs, tol: float = DEFAULT_TOL,
+                      lam: float = 1.0, closed: bool | None = None) -> list:
+    """lam_eff at each rc of rcs for one noise and phonon model: the value,
+    or the exception that rc alone raised. lam = 1 gives lam_eff/lam.
+
+    closed=True is the closed form of lambda_eff_closed (linear dispersion
+    assumed), closed=False the radial quadrature of lambda_eff_quad, run for
+    all rc as one batched quadrature; the default is the closed form for
+    linear dispersion and the quadrature otherwise. Each entry is the value
+    of the one-rc call, bit for bit."""
+    if closed is None:
+        closed = ph.dispersion is None
+    out: list = []
+    rows, edges = [], []
+    for rc in rcs:
+        if not (math.isfinite(rc) and rc > 0):
+            out.append(NonPositiveRc(f"rc must be > 0 and finite, got {rc!r}"))
+        elif closed and n.is_white:
+            out.append(lam)
+        elif closed:
+            x = rc * n.omega_c / ph.v_s
+            out.append(lam * (4.0 * x * x / 3.0) * _phonon_bracket(x))
+        elif not (0.0 < tol < 1e-2):
+            out.append(ValidationError("tol", f"must lie in (0, 1e-2), got {tol!r}"))
+        elif lam == 0.0:
+            out.append(0.0)
+        elif n.is_white:
+            edges.append(_Y_EDGES)
+        elif ph.dispersion is None:  # knees around y = rc Wc / v_s, where w_L = Wc
+            edges.append(merge_edges(0.0, 40.0, _Y_EDGES,
+                                     rc * n.omega_c / ph.v_s * _LINEAR_KNEES))
+        else:  # knees at multiples of the dispersion's period in y, pi rc / a
+            a = ph.dispersion.plane_spacing
+            period = math.pi * rc / a
+            if 40.0 / period > 20000:
+                out.append(QuadratureNotConverged(
+                    f"dispersion oscillations too fine: rc/a = {rc / a:.3e}"))
+                continue
+            edges.append(_Y_EDGES if period >= 40.0 else merge_edges(
+                0.0, 40.0, _Y_EDGES, period * np.arange(1, int(40.0 / period) + 1)))
+        if len(edges) > len(rows):
+            rows.append(len(out))
+            out.append(None)
+    if rows:
+        rc_rows = np.array([rcs[i] for i in rows], dtype=float)
+        f = lambda y, r: y**4 * np.exp(-(y * y)) * spectrum(n, ph.omega_l(y / rc_rows[r]))
+        for i, res in zip(rows, integrate_rows(f, edges, rel_tol=0.1 * tol)):
+            out[i] = res if isinstance(res, Exception) else (
+                lam * (8.0 / (3.0 * _SQRT_PI)) * res.value)
+    return out
+
+
+def _one(column: list) -> float:
+    (value,) = column
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
 def lambda_eff_closed(p: CollapseParams, n: NoiseSpec, ph: PhononModel) -> float:
     """Effective collapse rate for linear dispersion:
 
@@ -225,10 +291,7 @@ def lambda_eff_closed(p: CollapseParams, n: NoiseSpec, ph: PhononModel) -> float
     """
     if ph.dispersion is not None:
         raise UnsupportedDispersion("closed form exists for linear dispersion only")
-    if n.is_white:
-        return p.lam
-    x = p.rc * n.omega_c / ph.v_s
-    return p.lam * (4.0 * x * x / 3.0) * _phonon_bracket(x)
+    return _one(lambda_eff_column(n, ph, [p.rc], lam=p.lam, closed=True))
 
 
 def lambda_eff_quad(p: CollapseParams, n: NoiseSpec, ph: PhononModel,
@@ -237,41 +300,18 @@ def lambda_eff_quad(p: CollapseParams, n: NoiseSpec, ph: PhononModel,
 
     lam_eff = (8 lam / (3 sqrt(pi))) Int_0^inf y^4 e^{-y^2} f~(w_L(y/rc)) dy
 
+    over y in [0, 40], seeded with _Y_EDGES plus knees where f~(w_L) bends.
     Supports both dispersion forms; matches lambda_eff_closed for the linear
     one and returns lam (up to tol) for white noise."""
-    if not (0.0 < tol < 1e-2):
-        raise ValidationError("tol", f"must lie in (0, 1e-2), got {tol!r}")
-    if p.lam == 0.0:
-        return 0.0
-    rc = p.rc
-    knee = []
-    if not n.is_white:
-        if ph.dispersion is None:
-            y_knee = rc * n.omega_c / ph.v_s  # where w_L = Wc
-            knee = y_knee * np.array([1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 10.0])
-        else:
-            a = ph.dispersion.plane_spacing
-            period = math.pi * rc / a
-            if 40.0 / period > 20000:
-                raise QuadratureNotConverged(
-                    f"dispersion oscillations too fine: rc/a = {rc / a:.3e}")
-            if period < 40.0:
-                knee = period * np.arange(1, int(40.0 / period) + 1)
-    edges = merge_edges(0.0, 40.0, np.linspace(0.0, 8.0, 17),
-                        np.linspace(9.0, 40.0, 8), knee)
-    f = lambda y: y**4 * np.exp(-(y * y)) * spectrum(n, ph.omega_l(y / rc))
-    res = integrate(f, edges, rel_tol=0.1 * tol)
-    return p.lam * (8.0 / (3.0 * _SQRT_PI)) * res.value
+    return _one(lambda_eff_column(n, ph, [p.rc], tol, p.lam, closed=False))
 
 
 def heating_rate(p: CollapseParams, n: NoiseSpec, ph: PhononModel,
                  tol: float = DEFAULT_TOL) -> float:
     """Bulk energy gain rate per unit mass, W/kg:
-    dE/(dt dM) = (3/4) (hbar^2 / rc^2 m0^2) lam_eff."""
-    if ph.dispersion is None:
-        leff = lambda_eff_closed(p, n, ph)
-    else:
-        leff = lambda_eff_quad(p, n, ph, tol)
+    dE/(dt dM) = (3/4) (hbar^2 / rc^2 m0^2) lam_eff, with lam_eff closed form
+    for linear dispersion and by quadrature for the full sine."""
+    leff = _one(lambda_eff_column(n, ph, [p.rc], tol, p.lam))
     c = CONSTANTS
     return 0.75 * c.hbar**2 / (p.rc**2 * c.m0**2) * leff
 

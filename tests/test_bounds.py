@@ -128,6 +128,34 @@ def test_heating_washed_out_at_tiny_cutoff():
                            exponential(1e-10), COPPER, 1e-7)
 
 
+def test_heating_column_is_the_scalar_route():
+    # scan inverts one lambda_eff column per noise; each point and each
+    # logged error is lambda_max_heating's at that rc, bit for bit, for a
+    # bad rc and a bad tol too
+    exps = [load("bulk-heating"), parse_config(LATTICE_HEATING)]
+    noises = [WHITE, exponential(1e1), exponential(3.3e4), exponential(1e12)]
+    grid = [-1e-9, 1e-12, 2e-9, 1e-8, 1e-6, 1e-4]
+    for tol in (1e-8, 1e-6, 0.5):
+        errors = []
+        panels = scan(exps, noises, grid, tol=tol, on_error=lambda i, n, rc, e: errors.append(
+            (i, n, rc, type(e), str(e))))
+        expected = []
+        for exp in exps:
+            for n, curves in zip(noises, panels):
+                lams = []
+                for rc in grid:
+                    try:
+                        lams.append(lambda_max_heating(exp.ceiling, n, exp.phonon, rc, tol))
+                    except Exception as err:
+                        lams.append(math.nan)
+                        expected.append((exp.id, n, rc, type(err), str(err)))
+                got = curves[exps.index(exp)].lam
+                assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in lams]
+        assert errors == expected
+        assert {t.__name__ for *_, t, _ in errors} >= {"NonPositiveRc", "QuadratureNotConverged"
+                                                      if tol < 0.5 else "ValidationError"}
+
+
 # --- cold-atom inversion --------------------------------------------------------------
 
 def test_coldatom_linearity():

@@ -11,7 +11,8 @@ from ccsl import (CONSTANTS, CollapseParams, ColdAtomDescriptor,
                   cold_atom_diffusion, cuboid, dns_ccsl, dns_total, exponential,
                   eta, heating_rate, lambda_eff_closed, lambda_eff_quad,
                   normalized_xray_rate, point_mass, sphere, xray_rate)
-from ccsl.predict import _cold_bracket, _erfcx, _phonon_bracket, cold_atom_noise_factor
+from ccsl.predict import (_cold_bracket, _erfcx, _phonon_bracket, cold_atom_noise_factor,
+                          lambda_eff_column)
 from fixtures import (COLD_BRACKET_TABLE, ERFCX_TABLE, ONE_MINUS_2_OVER_E,
                       PHONON_RATIO_TABLE)
 
@@ -263,6 +264,60 @@ def test_heating_rate_monotone_in_cutoff():
             for wc in np.geomspace(1e2, 1e14, 25)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[-1] <= heating_rate(p, WHITE, COPPER)
+
+
+# the lattice of the full-sine pin: knees below rc = 3.2e-9 m, oscillations
+# too fine below 1.6e-13 m, the panel budget spent at 1e-12 m and Wc = 10
+LATTICE = PhononModel(v_s=3000.0, dispersion=FullSineDispersion(15.192, 1.055e-25, 2.5e-10))
+COLUMN_RCS = [1e-13, 1e-12, 1e-11, 2.5e-10, 1e-9, 3e-9, 3.3e-9, 1e-8, 1e-7, 1e-5, 1e-3,
+              0.0, -1e-7, math.nan]
+
+
+def _scalar(call, *args):
+    try:
+        return call(*args)
+    except Exception as err:  # compared by class and message
+        return err
+
+
+def _same(got, want):
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return type(got) is float and got.hex() == float(want).hex()
+
+
+@pytest.mark.parametrize("ph", [COPPER, LATTICE], ids=["linear", "full-sine"])
+@pytest.mark.parametrize("wc", [None, 1e1, 3.3e4, 1e9, 1e15, 1e-300])
+@pytest.mark.parametrize("lam", [1.0, 2.5e-3])
+def test_lambda_eff_column_is_the_one_rc_call(ph, wc, lam):
+    # every entry of one batched column is the one-rc call's value or error,
+    # bit for bit; the bad rc at the end fail alone with the CollapseParams
+    # message, and the quadrature's failures stay on their own rc
+    n = WHITE if wc is None else exponential(wc)
+    routes = [(False, lambda_eff_quad)] + [(True, lambda_eff_closed)] * (ph is COPPER)
+    for closed, one in routes:
+        col = lambda_eff_column(n, ph, COLUMN_RCS, lam=lam, closed=closed)
+        for rc, got in zip(COLUMN_RCS, col):
+            p = _scalar(CollapseParams, lam, rc)
+            want = p if isinstance(p, Exception) else _scalar(one, p, n, ph)
+            assert _same(got, want), (closed, rc, got, want)
+        rate = [_scalar(heating_rate, CollapseParams(lam, rc), n, ph) for rc in COLUMN_RCS[:-3]]
+        if closed == (ph.dispersion is None):
+            assert all(_same(r, 0.75 * CONSTANTS.hbar**2 / (rc**2 * CONSTANTS.m0**2) * v)
+                       if not isinstance(v, Exception) else _same(r, v)
+                       for rc, r, v in zip(COLUMN_RCS, rate, col))
+    if ph is LATTICE and wc == 1e1:
+        kinds = [type(v).__name__ for v in col]
+        assert kinds[:2] == ["QuadratureNotConverged"] * 2 and kinds[4] == "float"
+
+
+def test_lambda_eff_column_bad_tol_fails_each_quadrature_point():
+    col = lambda_eff_column(exponential(1e4), LATTICE, [1e-7, -1.0], tol=0.5)
+    assert [type(v) for v in col] == [ValidationError, type(_scalar(CollapseParams, 1.0, -1.0))]
+    with pytest.raises(ValidationError, match="tol"):
+        lambda_eff_quad(CollapseParams(1.0, 1e-7), exponential(1e4), LATTICE, tol=0.5)
+    # the closed form takes no tolerance
+    assert lambda_eff_column(exponential(1e4), COPPER, [1e-7], tol=0.5)[0] > 0.0
 
 
 # --- cold atoms --------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from ccsl import QuadratureNotConverged
-from ccsl.quadrature import XGK, WGK, WG, _GAUSS_IDX, integrate, merge_edges
+from ccsl.quadrature import XGK, WGK, WG, _GAUSS_IDX, integrate, integrate_rows, merge_edges
 
 
 def test_kronrod_weights_sum_to_two():
@@ -87,3 +87,48 @@ def test_bad_edges_rejected():
 def test_merge_edges():
     out = merge_edges(0.0, 10.0, [2.0, 5.0, 12.0], [5.0, -1.0])
     np.testing.assert_allclose(out, [0.0, 2.0, 5.0, 10.0])
+
+
+def test_rows_match_one_row_calls_and_fail_alone():
+    # one batched call over five integrands: each row ends as the one-row
+    # call on it ends, bit for bit, and a failing row fails with its own
+    # message while the others keep their values
+    fs = [lambda x: np.exp(-x * x) * np.cos(7.0 * x),
+          lambda x: 1.0 / ((x - 0.5) ** 2 + 1e-8),   # several rounds
+          lambda x: np.where(x > 0.7, np.nan, x),    # non-finite
+          lambda x: 1.0 / ((x - 0.3) ** 2 + 1e-24),  # exceeds max_panels
+          lambda x: np.sin(50.0 * x) * np.exp(-0.3 * x),
+          lambda x: 1.0 / ((x - 0.5) ** 2 + 1e-16)]  # up to 300 panels
+    edges = [np.linspace(0.0, 8.0, 9), np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3),
+             np.linspace(0.0, 1.0, 3), np.linspace(0.0, 10.0, 40), np.linspace(0.0, 1.0, 3)]
+
+    def f(x, rows):
+        out = np.empty_like(x)
+        for r, g in enumerate(fs):
+            out[rows == r] = g(x[rows == r])
+        return out
+
+    opts = dict(rel_tol=1e-11, max_panels=300)
+    got = integrate_rows(f, edges, **opts)
+    for g, e, res in zip(fs, edges, got):
+        try:
+            want = integrate(g, e, **opts)
+        except QuadratureNotConverged as err:
+            assert type(res) is QuadratureNotConverged and str(res) == str(err)
+            assert (res.estimate, res.tol) == (err.estimate, err.tol)
+        else:
+            assert res == want and res.value.hex() == want.value.hex()
+    assert [type(r).__name__ for r in got] == ["QuadResult", "QuadResult",
+                                               "QuadratureNotConverged",
+                                               "QuadratureNotConverged", "QuadResult",
+                                               "QuadResult"]
+    assert "non-finite" in str(got[2]) and "after 300 panels" in str(got[3])
+    assert got[1].neval > 15 * 4 and got[5].neval > 15 * 200  # refined
+
+
+def test_rows_edge_cases():
+    assert integrate_rows(lambda x, r: x, []) == []
+    with pytest.raises(ValueError, match="at least two"):
+        integrate_rows(lambda x, r: x, [[0.0, 1.0], [2.0]])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        integrate_rows(lambda x, r: x, [[0.0, 1.0], [2.0, 2.0]])
