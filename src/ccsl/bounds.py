@@ -192,7 +192,10 @@ def lambda_max_coldatom(ceiling: Ceiling, n: NoiseSpec, ca: ColdAtomDescriptor,
     """Invert the free-expansion position variance."""
     if ceiling.kind != POSITION_VARIANCE:
         raise ValidationError("ceiling.kind", "expected position_variance")
-    unit = cold_atom_diffusion(CollapseParams(lam=1.0, rc=rc), n, ca)
+    try:
+        unit = cold_atom_diffusion(CollapseParams(lam=1.0, rc=rc), n, ca)
+    except OverflowError:  # the bracket's tau^3 = 1/Wc^3 leaves the float range
+        raise WashedOut(f"cold-atom bracket out of range at omega_c={n.omega_c:.3e}") from None
     if unit <= 0.0 or not math.isfinite(unit):
         raise WashedOut(f"unit-lam diffusion underflowed at rc={rc:.3e}")
     return ceiling.value / unit

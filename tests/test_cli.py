@@ -336,15 +336,17 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
 
 def test_scan_at_overflowing_cutoff_prints_no_warnings(tmp_path):
     # a cutoff so small that w/Wc overflows: every spectrum is 0, so force and
-    # X-ray points wash out, and numpy must print no overflow warning
+    # X-ray points wash out, as do cold-atom points, whose bracket leaves the
+    # float range; numpy must print no overflow warning
     proc = run_python("-m", "ccsl", "scan", "--jobs", "1", "--omega-c", "1e-300",
                       "--out-dir", str(tmp_path))
     assert proc.returncode == 3
     assert proc.stderr == "error: every scan point failed\n"
     errors = json.loads((tmp_path / "scan_manifest.json").read_text())["errors"]
     washed = {e["experiment"] for e in errors
-              if e["error"].startswith(("force response vanished", "spectrum vanished"))}
-    assert washed == {"auriga", "cantilever", "ligo", "lisa-pathfinder", "xray"}
+              if e["error"].startswith(("force response vanished", "spectrum vanished",
+                                        "cold-atom bracket out of range"))}
+    assert washed == {"auriga", "cantilever", "cold-atom", "ligo", "lisa-pathfinder", "xray"}
 
 
 # --- one process, many calls -------------------------------------------------------
