@@ -263,33 +263,43 @@ def _W2fun(a: float, rc: float) -> float:
 
 
 def _axis_pair_factors(Li: float | None, Lj: float | None, delta: float,
-                       rc: float) -> tuple[float, float, float]:
+                       rc: float) -> tuple[tuple, tuple]:
     """The three 1-D factors of one Cartesian axis for a point/cuboid pair:
 
     f0 = Int s_i s_j cos(k delta) e^{-k^2 rc^2} dk
     f1 = Int k s_i s_j sin(k delta) e^{-k^2 rc^2} dk
     f2 = Int k^2 s_i s_j cos(k delta) e^{-k^2 rc^2} dk
 
-    where s is 1 for a point mass and sinc(k L/2) for a cuboid edge.
+    where s is 1 for a point mass and sinc(k L/2) for a cuboid edge, and
+    the rounding error of each: 4 eps times the magnitudes of the up to four
+    primitive terms it sums, which cancel when the pair is far apart against
+    its edges (the cuboid/cuboid f0 keeps about eps |delta| / L of them).
     """
     if Li is None and Lj is None:
-        return _Ufun(delta, rc), _W1fun(delta, rc), _W2fun(delta, rc)
+        f = (_Ufun(delta, rc), _W1fun(delta, rc), _W2fun(delta, rc))
+        return f, tuple(4.0 * _EPS * abs(x) for x in f)
     if Li is None or Lj is None:
         L = Lj if Li is None else Li
         p, q = 0.5 * L + delta, 0.5 * L - delta
-        f0 = (_Vfun(p, rc) + _Vfun(q, rc)) / L
-        f1 = (_Ufun(q, rc) - _Ufun(p, rc)) / L
-        f2 = (_W1fun(p, rc) + _W1fun(q, rc)) / L
-        return f0, f1, f2
-    dp, dm = 0.5 * (Li + Lj), 0.5 * (Li - Lj)
-    inv = 1.0 / (Li * Lj)
-    f0 = inv * (_Tfun(dp - delta, rc) + _Tfun(dp + delta, rc)
-                - _Tfun(dm - delta, rc) - _Tfun(dm + delta, rc))
-    f1 = inv * (_Vfun(dm + delta, rc) - _Vfun(dm - delta, rc)
-                - _Vfun(dp + delta, rc) + _Vfun(dp - delta, rc))
-    f2 = inv * (_Ufun(dm - delta, rc) + _Ufun(dm + delta, rc)
-                - _Ufun(dp - delta, rc) - _Ufun(dp + delta, rc))
-    return f0, f1, f2
+        terms = ((_Vfun(p, rc), _Vfun(q, rc)), (_Ufun(q, rc), _Ufun(p, rc)),
+                 (_W1fun(p, rc), _W1fun(q, rc)))
+        (v0, v1), (u0, u1), (w0, w1) = terms
+        f = ((v0 + v1) / L, (u0 - u1) / L, (w0 + w1) / L)
+        scale = 4.0 * _EPS / L
+    else:
+        dp, dm = 0.5 * (Li + Lj), 0.5 * (Li - Lj)
+        scale = inv = 1.0 / (Li * Lj)
+        terms = ((_Tfun(dp - delta, rc), _Tfun(dp + delta, rc),
+                  _Tfun(dm - delta, rc), _Tfun(dm + delta, rc)),
+                 (_Vfun(dm + delta, rc), _Vfun(dm - delta, rc),
+                  _Vfun(dp + delta, rc), _Vfun(dp - delta, rc)),
+                 (_Ufun(dm - delta, rc), _Ufun(dm + delta, rc),
+                  _Ufun(dp - delta, rc), _Ufun(dp + delta, rc)))
+        (t0, t1, t2, t3), (v0, v1, v2, v3), (u0, u1, u2, u3) = terms
+        f = (inv * (t0 + t1 - t2 - t3), inv * (v0 - v1 - v2 + v3),
+             inv * (u0 + u1 - u2 - u3))
+        scale *= 4.0 * _EPS
+    return f, tuple(scale * sum(map(abs, g)) for g in terms)
 
 
 def _cartesian_profile(d: MassDistribution) -> tuple | None:
@@ -302,10 +312,7 @@ def _cartesian_profile(d: MassDistribution) -> tuple | None:
     return None
 
 
-def _cross_cartesian(prof_i, prof_j, mi, mj, delta, axis, rc) -> float:
-    """2 Re Int mu_i mu_j* kx^2 e^{-k^2 rc^2} e^{-i k.delta} d^3k for a
-    point/cuboid pair, as products of the per-axis factors."""
-    f = [_axis_pair_factors(prof_i[r], prof_j[r], delta[r], rc) for r in range(3)]
+def _cartesian_sum(f, axis, sign: float = -1.0) -> float:
     total = 0.0
     for p in range(3):
         term = axis[p] ** 2 * f[p][2]
@@ -315,9 +322,20 @@ def _cross_cartesian(prof_i, prof_j, mi, mj, delta, axis, rc) -> float:
         total += term
     for p in range(3):
         for q in range(p + 1, 3):
-            rem = 3 - p - q
-            total -= 2.0 * axis[p] * axis[q] * f[p][1] * f[q][1] * f[rem][0]
-    return 2.0 * mi * mj * total
+            total += sign * 2.0 * axis[p] * axis[q] * f[p][1] * f[q][1] * f[3 - p - q][0]
+    return total
+
+
+def _cross_cartesian(prof_i, prof_j, mi, mj, delta, axis, rc) -> tuple[float, float]:
+    """2 Re Int mu_i mu_j* kx^2 e^{-k^2 rc^2} e^{-i k.delta} d^3k for a
+    point/cuboid pair, as products of the per-axis factors, and its rounding
+    error: the factors' errors carried through the sum to first order."""
+    f, noise = zip(*(_axis_pair_factors(prof_i[r], prof_j[r], delta[r], rc)
+                     for r in range(3)))
+    mag, a = [[abs(x) for x in fr] for fr in f], [abs(x) for x in axis]
+    up = [[m + e for m, e in zip(mr, er)] for mr, er in zip(mag, noise)]
+    err = abs(_cartesian_sum(up, a, 1.0) - _cartesian_sum(mag, a, 1.0))
+    return 2.0 * mi * mj * _cartesian_sum(f, axis), 2.0 * mi * mj * err
 
 
 def _radial_profile(d: MassDistribution) -> float | None:
@@ -535,9 +553,10 @@ def _i3_composite(d: MassDistribution, rc: float) -> tuple[float, float]:
             delta = np.asarray(off_i) - np.asarray(off_j)
             cart_i, cart_j = _cartesian_profile(pi_), _cartesian_profile(pj_)
             if cart_i is not None and cart_j is not None:
-                i3 += _cross_cartesian(cart_i, cart_j, total_mass(pi_), total_mass(pj_),
-                                       delta, axis, rc)
-                abs_err += 1e-14 * math.sqrt(diag[i][0] * diag[j][0])
+                val, err = _cross_cartesian(cart_i, cart_j, total_mass(pi_), total_mass(pj_),
+                                            delta, axis, rc)
+                i3 += val
+                abs_err += 1e-14 * math.sqrt(diag[i][0] * diag[j][0]) + err
                 continue
             rad_i, rad_j = _radial_profile(pi_), _radial_profile(pj_)
             if rad_i is not None and rad_j is not None:

@@ -586,9 +586,25 @@ def test_dropped_cuboid_cross_term_is_below_rounding():
     for rc in np.geomspace(1e-9, edge, 40).tolist():
         i3 = _i3_primitive(box, rc, axis)[0]
         assert eta_reduced(pair, rc).value == rc**3 / (math.pi ** 1.5 * M0 * M0) * (i3 + i3)
-        cross = diffusion._cross_cartesian(prof, prof, m, m, np.array([-0.05, -0.01, 0.0]),
+        cross, _ = diffusion._cross_cartesian(prof, prof, m, m, np.array([-0.05, -0.01, 0.0]),
                                            np.asarray(axis), rc)
         assert abs(cross) <= 4.0 * np.finfo(float).eps * 2.0 * i3, f"rc={rc}"
+
+
+def test_far_cuboid_pair_error_covers_the_cancelling_factor():
+    # two 1 mm cubes 1 m apart, measured along a tilted axis, inside the gap
+    # bound (gap/(2 rc) = 10): the factor along the separation sums four
+    # _Tfun values of size |delta| that cancel, so the computed cross term is
+    # rounding noise of about eps |delta| rc / L^2 of the sum (its true size is
+    # below e^-100); the error estimate must cover it
+    box = cuboid(1e-3, 1e-3, 1e-3, density=2200.0)
+    pair = composite([(box, (0, 0, 0)), (box, (0.01, 0.9998, 0.01))],
+                     measurement_axis=(0.6, 0.2, -0.77))
+    rc = 0.0499
+    i3 = _i3_primitive(box, rc, pair.measurement_axis)[0]
+    got = eta_reduced(pair, rc)
+    cross = 1.0 - rc**3 / (math.pi ** 1.5 * M0 * M0) * (i3 + i3) / got.value
+    assert 1e-11 < abs(cross) <= got.est_error < 1e-8
 
 
 # --- caching and bookkeeping ------------------------------------------------------
