@@ -4,7 +4,8 @@
 * dns_total     displacement PSD of a damped thermal oscillator plus the
                 collapse force term (high-temperature form), m^2 s
 * xray_rate     spontaneous photon emission rate density dGamma/dw
-* lambda_eff    effective collapse rate driving bulk (phonon) heating
+* lambda_eff    effective collapse rate driving bulk (phonon) heating, one
+                rc or a whole rc column at once (lambda_eff_column)
 * heating_rate  energy gain per unit mass, W/kg
 * cold_atom_diffusion  excess position variance of a free cloud, m^2
 
