@@ -220,8 +220,9 @@ def _phonon_bracket(x: float) -> float:
     return total
 
 
-# rc-free seed edges of the radial lam_eff quadrature; knees join them per rc
-_Y_EDGES = merge_edges(0.0, 40.0, np.linspace(0.0, 8.0, 17), np.linspace(9.0, 40.0, 8))
+# rc-free seed edges of the radial lam_eff quadrature, knees join them per rc;
+# two sorted, disjoint grids, so no np.unique (which imports numpy.ma) at import
+_Y_EDGES = np.concatenate([np.linspace(0.0, 8.0, 17), np.linspace(9.0, 40.0, 8)])
 _LINEAR_KNEES = np.array([1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 10.0])  # times y at w_L = Wc
 
 

@@ -64,6 +64,7 @@ class QuadResult(NamedTuple):
 
 
 _BLOCK = 256  # panels per integrand call, unless one row's new panels are more
+_sum = np.add.reduce  # ndarray.sum without its Python wrapper
 
 
 def _segments(row: np.ndarray):
@@ -89,9 +90,10 @@ def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, row: np.ndarray):
                        dtype=float).reshape(nodes.shape)
         finite = np.all(np.isfinite(y))
         for rid, s, e in zip(ids[first:j + 1], starts[first:j + 1], stops[first:j + 1]):
-            if finite or np.all(np.isfinite(y[s - a:e - a])):
-                k15[s:e] = y[s - a:e - a] @ WGK
-                g7[s:e] = y[s - a:e - a, _GAUSS_IDX] @ WG
+            ys = y[s - a:e - a]
+            if finite or np.all(np.isfinite(ys)):
+                k15[s:e] = ys @ WGK
+                g7[s:e] = ys[:, _GAUSS_IDX] @ WG
             else:
                 bad.add(rid)
         first = j + 1
@@ -122,7 +124,7 @@ def integrate_rows(f: Callable, edges: Sequence[Sequence[float]], *,
     for rnd in range(max_rounds + 1):
         refine, shares = [], []
         for rid, a, b in zip(*_segments(row)):
-            total, total_err = float(pan[2, a:b].sum()), float(pan[3, a:b].sum())
+            total, total_err = float(_sum(pan[2, a:b])), float(_sum(pan[3, a:b]))
             target = max(rel_tol * abs(total), abs_floor)
             if rid in bad:
                 out[rid] = QuadratureNotConverged("integrand returned non-finite values")
