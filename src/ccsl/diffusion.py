@@ -288,7 +288,8 @@ def _axis_pair_factors(Li: float | None, Lj: float | None, delta: float,
         scale = 4.0 * _EPS / L
     else:
         dp, dm = 0.5 * (Li + Lj), 0.5 * (Li - Lj)
-        scale = inv = 1.0 / (Li * Lj)
+        inv = 1.0 / (Li * Lj)
+        scale = 4.0 * _EPS * inv
         terms = ((_Tfun(dp - delta, rc), _Tfun(dp + delta, rc),
                   _Tfun(dm - delta, rc), _Tfun(dm + delta, rc)),
                  (_Vfun(dm + delta, rc), _Vfun(dm - delta, rc),
@@ -298,7 +299,6 @@ def _axis_pair_factors(Li: float | None, Lj: float | None, delta: float,
         (t0, t1, t2, t3), (v0, v1, v2, v3), (u0, u1, u2, u3) = terms
         f = (inv * (t0 + t1 - t2 - t3), inv * (v0 - v1 - v2 + v3),
              inv * (u0 + u1 - u2 - u3))
-        scale *= 4.0 * _EPS
     return f, tuple(scale * sum(map(abs, g)) for g in terms)
 
 

@@ -226,6 +226,23 @@ _Y_EDGES = np.concatenate([np.linspace(0.0, 8.0, 17), np.linspace(9.0, 40.0, 8)]
 _LINEAR_KNEES = np.array([1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 10.0])  # times y at w_L = Wc
 
 
+def _y_edges(n: NoiseSpec, ph: PhononModel, rc: float) -> np.ndarray:
+    """Seed edges in y for one rc: _Y_EDGES plus knees where f~(w_L(y/rc))
+    bends, around y = rc Wc / v_s (where w_L = Wc) for linear dispersion and
+    at multiples of the full sine's period pi rc / a."""
+    if n.is_white:
+        return _Y_EDGES
+    if ph.dispersion is None:
+        return merge_edges(0.0, 40.0, _Y_EDGES, rc * n.omega_c / ph.v_s * _LINEAR_KNEES)
+    a = ph.dispersion.plane_spacing
+    period = math.pi * rc / a
+    if 40.0 / period > 20000:
+        raise QuadratureNotConverged(f"dispersion oscillations too fine: rc/a = {rc / a:.3e}")
+    if period >= 40.0:
+        return _Y_EDGES
+    return merge_edges(0.0, 40.0, _Y_EDGES, period * np.arange(1, int(40.0 / period) + 1))
+
+
 def lambda_eff_column(n: NoiseSpec, ph: PhononModel, rcs, tol: float = DEFAULT_TOL,
                       lam: float = 1.0, closed: bool | None = None) -> list:
     """lam_eff at each rc of rcs for one noise and phonon model: the value,
@@ -239,7 +256,7 @@ def lambda_eff_column(n: NoiseSpec, ph: PhononModel, rcs, tol: float = DEFAULT_T
     if closed is None:
         closed = ph.dispersion is None
     out: list = []
-    rows, edges = [], []
+    rows, edges = [], []  # the quadrature's rows: their entries in out, their seed edges
     for rc in rcs:
         if not (math.isfinite(rc) and rc > 0):
             out.append(NonPositiveRc(f"rc must be > 0 and finite, got {rc!r}"))
@@ -252,23 +269,14 @@ def lambda_eff_column(n: NoiseSpec, ph: PhononModel, rcs, tol: float = DEFAULT_T
             out.append(ValidationError("tol", f"must lie in (0, 1e-2), got {tol!r}"))
         elif lam == 0.0:
             out.append(0.0)
-        elif n.is_white:
-            edges.append(_Y_EDGES)
-        elif ph.dispersion is None:  # knees around y = rc Wc / v_s, where w_L = Wc
-            edges.append(merge_edges(0.0, 40.0, _Y_EDGES,
-                                     rc * n.omega_c / ph.v_s * _LINEAR_KNEES))
-        else:  # knees at multiples of the dispersion's period in y, pi rc / a
-            a = ph.dispersion.plane_spacing
-            period = math.pi * rc / a
-            if 40.0 / period > 20000:
-                out.append(QuadratureNotConverged(
-                    f"dispersion oscillations too fine: rc/a = {rc / a:.3e}"))
-                continue
-            edges.append(_Y_EDGES if period >= 40.0 else merge_edges(
-                0.0, 40.0, _Y_EDGES, period * np.arange(1, int(40.0 / period) + 1)))
-        if len(edges) > len(rows):
-            rows.append(len(out))
-            out.append(None)
+        else:
+            try:
+                edges.append(_y_edges(n, ph, rc))
+            except QuadratureNotConverged as err:
+                out.append(err)
+            else:
+                rows.append(len(out))
+                out.append(None)
     if rows:
         rc_rows = np.array([rcs[i] for i in rows], dtype=float)
         f = lambda y, r: y**4 * np.exp(-(y * y)) * spectrum(n, ph.omega_l(y / rc_rows[r]))
@@ -302,7 +310,7 @@ def lambda_eff_quad(p: CollapseParams, n: NoiseSpec, ph: PhononModel,
 
     lam_eff = (8 lam / (3 sqrt(pi))) Int_0^inf y^4 e^{-y^2} f~(w_L(y/rc)) dy
 
-    over y in [0, 40], seeded with _Y_EDGES plus knees where f~(w_L) bends.
+    over y in [0, 40], seeded with _y_edges.
     Supports both dispersion forms; matches lambda_eff_closed for the linear
     one and returns lam (up to tol) for white noise."""
     return _one(lambda_eff_column(n, ph, [p.rc], tol, p.lam, closed=False))
