@@ -157,17 +157,13 @@ def lambda_max_xray(ceiling: Ceiling, n: NoiseSpec, rc: float,
 
 
 def _heating_column(ceiling: Ceiling, n: NoiseSpec, ph: PhononModel, rcs,
-                    tol: float = DEFAULT_TOL) -> list:
+                    tol: float) -> list:
     """(lam_max, None) or (None, the exception) at each rc of rcs: one
     predict column of lam_eff/lam, inverted point by point."""
-    try:
-        if ceiling.kind != HEATING_POWER:
-            raise ValidationError("ceiling.kind", "expected heating_power")
-        ratios = lambda_eff_column(n, ph, rcs, tol)
-    except Exception as err:  # a failure of the whole column is each point's
-        ratios = [err.with_traceback(None)] * len(rcs)
+    if ceiling.kind != HEATING_POWER:
+        raise ValidationError("ceiling.kind", "expected heating_power")
     c, out = CONSTANTS, []
-    for rc, ratio in zip(rcs, ratios):
+    for rc, ratio in zip(rcs, lambda_eff_column(n, ph, rcs, tol)):
         if isinstance(ratio, Exception):
             out.append((None, ratio))
         elif ratio < _WASHOUT_RATIO:

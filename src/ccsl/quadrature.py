@@ -124,12 +124,13 @@ def integrate_rows(f: Callable, edges: Sequence[Sequence[float]], *,
     for rnd in range(max_rounds + 1):
         refine, shares = [], []
         for rid, a, b in zip(*_segments(row)):
-            total, total_err = float(_sum(pan[2, a:b])), float(_sum(pan[3, a:b]))
-            target = max(rel_tol * abs(total), abs_floor)
             if rid in bad:
                 out[rid] = QuadratureNotConverged("integrand returned non-finite values")
+                continue
+            total, total_err = float(_sum(pan[2, a:b])), float(_sum(pan[3, a:b]))
+            target = max(rel_tol * abs(total), abs_floor)
             # after the last round, a zero target alone no longer passes
-            elif total_err <= target or (target == 0.0 and rnd < max_rounds):
+            if total_err <= target or (target == 0.0 and rnd < max_rounds):
                 out[rid] = QuadResult(total, total_err, int(neval[rid]))
             elif rnd == max_rounds or b - a >= max_panels:
                 out[rid] = QuadratureNotConverged(
