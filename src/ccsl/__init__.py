@@ -17,7 +17,7 @@ from .noise import WHITE, NoiseSpec, exponential, spectrum, time_correlation
 from .geometry import (Composite, Cuboid, Cylinder, MassDistribution, PointMass,
                        Sphere, composite, cuboid, cylinder, form_factor_sq,
                        point_mass, sphere, total_mass)
-from .diffusion import EtaResult, eta, eta_reduced, eta_reduced_reference
+from .diffusion import EtaResult, eta, eta_column, eta_reduced, eta_reduced_reference
 from .predict import (ColdAtomDescriptor, FullSineDispersion,
                       MechanicalOscillator, PhononModel, cold_atom_diffusion,
                       dns_ccsl, dns_total, heating_rate, lambda_eff_closed,
@@ -37,7 +37,7 @@ __all__ = [
     "Composite", "Cuboid", "Cylinder", "MassDistribution", "PointMass", "Sphere",
     "composite", "cuboid", "cylinder", "form_factor_sq", "point_mass", "sphere",
     "total_mass",
-    "EtaResult", "eta", "eta_reduced", "eta_reduced_reference",
+    "EtaResult", "eta", "eta_column", "eta_reduced", "eta_reduced_reference",
     "ColdAtomDescriptor", "FullSineDispersion", "MechanicalOscillator",
     "PhononModel", "cold_atom_diffusion", "dns_ccsl", "dns_total", "heating_rate",
     "lambda_eff_closed", "lambda_eff_quad", "normalized_xray_rate", "xray_rate",

@@ -10,7 +10,12 @@ factor). For force, X-ray and cold-atom experiments the noise factor does
 not depend on rc: it is f~ at the probe frequency, f~(w_obs), or the
 cold-atom bracket over its white value t^3/2. ``scan`` therefore
 computes their white column once per rc grid and derives each noise's
-column from it in one pass, dividing by one scalar. Bulk heating couples
+column from it in one pass, dividing by one scalar. From _COLUMN_FROM rc
+the white column is one numpy pass as well, with eta from
+``diffusion.eta_column``; its few NaN points (rc <= 0, a composite pair
+with no cross-term route, a non-finite value) and every point of a
+shorter grid take the scalar route, as do the single-point
+``lambda_max_*`` functions. Bulk heating couples
 rc and Wc through x = rc Wc / v_s, so ``scan`` asks ``predict`` for one
 column of lam_eff/lam per noise (closed form, or one batched quadrature for
 the full-sine dispersion) and inverts it point by point.
@@ -25,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import CONSTANTS, CollapseParams
-from .diffusion import DEFAULT_TOL, eta_reduced
+from .diffusion import DEFAULT_TOL, eta_column, eta_reduced
 from .errors import (EmptyInput, NonPositiveFrequency, NonPositiveRc, ValidationError,
                      WashedOut, require_positive)
 from .geometry import MassDistribution
@@ -33,7 +38,8 @@ from .noise import WHITE, NoiseSpec, spectrum
 # lambda_eff_quad is unused here; it stays bound for tracers that wrap it at
 # this import site (bench/spans.py)
 from .predict import (ColdAtomDescriptor, PhononModel, cold_atom_diffusion,  # noqa: F401
-                      cold_atom_noise_factor, lambda_eff_column, lambda_eff_quad)
+                      cold_atom_noise_factor, cold_atom_white_column, lambda_eff_column,
+                      lambda_eff_quad)
 
 FORCE_PSD = "force_psd"
 XRAY_NORMALIZED = "xray_normalized"
@@ -48,6 +54,13 @@ _FACTORED_KINDS = ("optomechanical", "xray", "cold_atom")
 # response ceiling/value all lie in this band: far from overflow and from
 # subnormals, the derived and the scalar route differ by rounding alone
 _SAFE_LO, _SAFE_HI = 1e-290, 1e290
+# grids of at least this many rc take their white column in one pass (eta_column);
+# shorter ones, such as the one rc of `ccsl bound`, stay on the scalar route,
+# which costs less there. Measured in-process with a white and a colored
+# cutoff: the column costs 2.6x the scalar route at one rc and 0.97x at 12 on
+# the six bundled force, X-ray and cold-atom experiments; 3.7x and 0.93x on
+# the benchmark's small-sphere, rod, beam-plus-tip and composite configs.
+_COLUMN_FROM = 12
 
 
 @dataclass(frozen=True)
@@ -223,6 +236,27 @@ def _noise_factor(exp, n: NoiseSpec) -> float:
     return cold_atom_noise_factor(n, exp.coldatom)
 
 
+def _white_column(exp, rc: np.ndarray) -> np.ndarray:
+    """lambda_max_for(exp, WHITE, rc) over an rc column of a force, X-ray or
+    cold-atom experiment in one pass, each element bit for bit the scalar
+    value (white noise: f~ = 1); NaN at the points the scalar route raises
+    at, and where eta_column left the point to eta_reduced."""
+    c, lam = exp.ceiling.value, np.full(rc.size, math.nan)
+    ok = (rc > 0.0) & np.isfinite(rc)
+    with np.errstate(all="ignore"):
+        try:
+            if exp.kind == "xray":  # its ceiling holds the one positive probe it needs
+                lam[ok] = c * rc[ok] * rc[ok]
+                return lam
+            unit = (CONSTANTS.hbar**2 * eta_column(exp.geometry, rc)[0]
+                    if exp.kind == "optomechanical" else cold_atom_white_column(rc, exp.coldatom))
+        except ArithmeticError:  # an rc-free term out of float range, as the scalar route finds
+            return lam
+        ok &= (unit > 0.0) & np.isfinite(unit)
+        lam[ok] = c / unit[ok]
+    return lam
+
+
 def _attempt(exp, n: NoiseSpec, rc: float, tol: float):
     """(lam_max, None) from the scalar route, or (None, the exception it raised)."""
     try:
@@ -243,9 +277,12 @@ def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid,
     exception) when given, per experiment, then noise, then rc.
 
     A force, X-ray or cold-atom column is the white column divided by one
-    factor per noise. Only the points that leave the safe band go back to
-    the scalar route, as does every point when the factor leaves it; a point
-    whose white call failed fails with that error. A bulk-heating column is
+    factor per noise. From _COLUMN_FROM rc the white column is computed in
+    one pass (_white_column, with eta from eta_column), and only its NaN
+    points take the scalar route; shorter grids take it at every point.
+    Only the derived points that leave the safe band go back to the scalar
+    route, as does every point when the factor leaves it; a point whose
+    white call failed fails with that error. A bulk-heating column is
     one lam_eff/lam column per noise, inverted as lambda_max_heating inverts
     one point, with each point's error its own."""
     rc_grid = np.asarray(rc_grid, dtype=float)
@@ -259,7 +296,10 @@ def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid,
     for exp in experiments:
         factored, c = exp.kind in _FACTORED_KINDS, exp.ceiling.value
         if factored:
-            white = [_attempt(exp, WHITE, rc, tol) for rc in rcs]
+            column = (_white_column(exp, rc_grid) if len(rcs) >= _COLUMN_FROM
+                      else np.full(len(rcs), nan))
+            white = [(w, None) if w == w else _attempt(exp, WHITE, rc, tol)
+                     for w, rc in zip(column.tolist(), rcs)]
             usable = [w if err is None and lo <= w <= hi else nan for w, err in white]
             white_failed = [w if w[1] is not None else None for w in white]
         for n, panel in zip(noises, curves):

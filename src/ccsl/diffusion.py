@@ -8,6 +8,14 @@ with k_x the component along the measurement axis. eta is linear in lam;
 ceilings by, memoized per (distribution, rc). It checks only rc: a
 distribution is validated when it is built.
 
+``eta_column`` returns the same values over a whole rc grid as one column,
+each bit for bit the ``eta_reduced`` value: the rc-free work is done once,
+numpy does the + - * / (and sqrt) of every route in the scalar order, and
+every transcendental and power is libm's, called per element in Python.
+The rarer branches stay scalar, point by point: the sphere series below
+X = 1, the cylinder's transverse moments and the isotropic cross terms.
+Points it cannot evaluate are NaN, left to ``eta_reduced``.
+
 Every eta route is closed form, integrated over all k; no quadrature sits on
 the eta production path (the only production adaptive quadrature left in
 ccsl is bulk heating with the full-sine dispersion):
@@ -51,10 +59,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import combinations
+from operator import add
+from types import SimpleNamespace
 
 import numpy as np
 
-from .core import CONSTANTS, CollapseParams
+from .core import CONSTANTS, CollapseParams, map_floats
 from .errors import CompositeCrossTermUnsupported, NonPositiveRc, QuadratureNotConverged
 from .geometry import (Composite, Cuboid, Cylinder, MassDistribution, PointMass, Sphere,
                        circumradius, total_mass, validate_distribution)
@@ -66,7 +77,7 @@ _GAP_DROP = 12.0           # drop cross terms when gap/(2 rc) exceeds this
 _MAX_OSC_PANELS = 20000
 
 _SQRT_PI = math.sqrt(math.pi)
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -76,6 +87,42 @@ class EtaResult:
 
     def __float__(self):
         return self.value
+
+
+# --- one rc or a column of rc ---------------------------------------------------
+#
+# The reductions below that serve both eta_reduced (one rc, a float) and
+# eta_column (a 1-D array of rc) take their transcendentals from ``ops``:
+# math's own functions for one rc, or the same functions mapped over the
+# column in Python (core.map_floats), so that each element is bit for bit its
+# scalar value. numpy does only + - * /, abs and sqrt there, in the scalar
+# order, and sums run left to right (_total). The rarer branches run their
+# scalar helper point by point (_per_point).
+
+def _per_point(fn, *args) -> tuple[np.ndarray, np.ndarray]:
+    """fn(*args[:-1], rc) -> (a, b) at each rc of the column args[-1]; NaN at
+    the points where it raises an arithmetic error (eta_reduced raises it)."""
+    *head, rcs = args
+    out = np.empty((2, rcs.size))
+    for k, rc in enumerate(rcs.tolist()):
+        try:
+            out[:, k] = fn(*head, rc)
+        except ArithmeticError:
+            out[:, k] = math.nan
+    return out[0], out[1]
+
+
+def _total(xs):
+    """Left-to-right sum from 0.0, as builtin sum adds floats before Python
+    3.12 (which compensates): the float.hex pins hold on every version."""
+    return functools.reduce(add, xs, 0.0)
+
+
+_SCALAR = SimpleNamespace(erf=math.erf, exp=math.exp, expm1=math.expm1, min=min, pow=pow)
+_COLUMN = SimpleNamespace(erf=functools.partial(map_floats, math.erf),
+                          exp=functools.partial(map_floats, math.exp),
+                          expm1=functools.partial(map_floats, math.expm1),
+                          min=np.minimum, pow=functools.partial(map_floats, pow))
 
 
 # --- 1-D building blocks -----------------------------------------------------
@@ -96,7 +143,7 @@ def _radial_edges(rc: float, zero_spacing: float | None = None) -> np.ndarray:
     return merge_edges(0.0, k_max, base, zeros)
 
 
-def _axial_moments(L: float, rc: float) -> tuple[float, float]:
+def _axial_moments(L: float, rc, ops=_SCALAR) -> tuple:
     """Full-line moments of the cuboid axis factor:
 
     A0 = Int sinc^2(k L/2) e^{-k^2 rc^2} dk
@@ -105,8 +152,8 @@ def _axial_moments(L: float, rc: float) -> tuple[float, float]:
        = (2 sqrt(pi)/(L^2 rc)) (1 - e^{-x^2})
     """
     x = L / (2.0 * rc)
-    em = math.expm1(-min(x * x, 745.0))  # e^{-x^2} - 1, exact near 0
-    a0 = (2.0 * math.pi / L**2) * (L * math.erf(x) + (2.0 * rc / _SQRT_PI) * em)
+    em = ops.expm1(-ops.min(x * x, 745.0))  # e^{-x^2} - 1, exact near 0
+    a0 = (2.0 * math.pi / L**2) * (L * ops.erf(x) + (2.0 * rc / _SQRT_PI) * em)
     a2 = (2.0 * _SQRT_PI / (L**2 * rc)) * (-em)
     return a0, a2
 
@@ -204,12 +251,22 @@ def _i3_sphere(R: float, m: float, rc: float) -> tuple[float, float]:
     return 3.0 * math.pi ** 1.5 * m * m / rc**5 * s, 5e-15
 
 
-def _i3_cuboid(shape: Cuboid, m: float, rc: float, axis) -> tuple[float, float]:
-    lengths = (shape.lx, shape.ly, shape.lz)
-    a0 = [None, None, None]
-    a2 = [None, None, None]
-    for i, L in enumerate(lengths):
-        a0[i], a2[i] = _axial_moments(L, rc)
+def _i3_sphere_column(R: float, m: float, rc: np.ndarray) -> tuple[np.ndarray, float]:
+    """_i3_sphere over an rc column: the closed form in one pass where
+    X >= 1, the series point by point below."""
+    X = _COLUMN.pow(R / rc, 2)
+    closed = X >= 1.0
+    rcc = rc[closed]
+    ex = _COLUMN.exp(-np.minimum(X[closed], 745.0))
+    bracket = 2.0 * rcc * (ex - 1.0) + (R * R / rcc) * (1.0 + ex)
+    i3 = np.empty(rc.size)
+    i3[closed] = 3.0 * math.pi ** 1.5 * m * m / R**6 * bracket
+    i3[~closed] = _per_point(_i3_sphere, R, m, rc[~closed])[0]
+    return i3, 5e-15
+
+
+def _i3_cuboid(shape: Cuboid, m: float, rc, axis, ops=_SCALAR) -> tuple:
+    a0, a2 = zip(*(_axial_moments(L, rc, ops) for L in (shape.lx, shape.ly, shape.lz)))
     i3 = 0.0
     for i in range(3):
         if axis[i] == 0.0:
@@ -217,8 +274,8 @@ def _i3_cuboid(shape: Cuboid, m: float, rc: float, axis) -> tuple[float, float]:
         term = axis[i] ** 2 * a2[i]
         for j in range(3):
             if j != i:
-                term *= a0[j]
-        i3 += term
+                term = term * a0[j]
+        i3 = i3 + term
     return m * m * i3, 1e-14
 
 
@@ -229,41 +286,44 @@ def _axis_cosine(axis: tuple, cylinder_axis: tuple) -> float:
     return float(np.clip(np.dot(np.asarray(axis), np.asarray(cylinder_axis)), -1.0, 1.0))
 
 
-def _i3_cylinder(shape: Cylinder, m: float, rc: float, axis) -> tuple[float, float]:
+def _i3_cylinder(shape: Cylinder, m: float, rc, axis, ops=_SCALAR) -> tuple:
     c = _axis_cosine(axis, shape.axis)
     s2 = max(0.0, 1.0 - c * c)
-    A0, A2 = _axial_moments(shape.length, rc)
-    B1, B3 = _transverse_moments(shape.radius, rc)
+    A0, A2 = _axial_moments(shape.length, rc, ops)
+    B1, B3 = (_transverse_moments(shape.radius, rc) if ops is _SCALAR
+              else _per_point(_transverse_moments, shape.radius, rc))
     i3 = m * m * (2.0 * math.pi * c * c * A2 * B1 + math.pi * s2 * A0 * B3)
     return i3, 2e-14
 
 
 # --- composite interference --------------------------------------------------
 
-def _Tfun(a: float, rc: float) -> float:
+def _Tfun(a: float, rc, ops=_SCALAR):
     x = abs(a) / (2.0 * rc)
-    return math.pi * (abs(a) * math.erf(x) + (2.0 * rc / _SQRT_PI) * math.expm1(-min(x * x, 745.0)))
+    return math.pi * (abs(a) * ops.erf(x)
+                      + (2.0 * rc / _SQRT_PI) * ops.expm1(-ops.min(x * x, 745.0)))
 
 
-def _Ufun(a: float, rc: float) -> float:
-    return (_SQRT_PI / rc) * math.exp(-min((a / (2.0 * rc)) ** 2, 745.0))
+def _Ufun(a: float, rc, ops=_SCALAR):
+    return (_SQRT_PI / rc) * ops.exp(-ops.min(ops.pow(a / (2.0 * rc), 2), 745.0))
 
 
-def _Vfun(a: float, rc: float) -> float:
-    return math.pi * math.erf(a / (2.0 * rc))
+def _Vfun(a: float, rc, ops=_SCALAR):
+    return math.pi * ops.erf(a / (2.0 * rc))
 
 
-def _W1fun(a: float, rc: float) -> float:
-    return (_SQRT_PI / rc) * (a / (2.0 * rc * rc)) * math.exp(-min((a / (2.0 * rc)) ** 2, 745.0))
+def _W1fun(a: float, rc, ops=_SCALAR):
+    return (_SQRT_PI / rc) * (a / (2.0 * rc * rc)) * ops.exp(
+        -ops.min(ops.pow(a / (2.0 * rc), 2), 745.0))
 
 
-def _W2fun(a: float, rc: float) -> float:
-    x2 = (a / (2.0 * rc)) ** 2
-    return (_SQRT_PI / rc**3) * (0.5 - x2) * math.exp(-min(x2, 745.0))
+def _W2fun(a: float, rc, ops=_SCALAR):
+    x2 = ops.pow(a / (2.0 * rc), 2)
+    return (_SQRT_PI / ops.pow(rc, 3)) * (0.5 - x2) * ops.exp(-ops.min(x2, 745.0))
 
 
 def _axis_pair_factors(Li: float | None, Lj: float | None, delta: float,
-                       rc: float) -> tuple[tuple, tuple]:
+                       rc, ops=_SCALAR) -> tuple[tuple, tuple]:
     """The three 1-D factors of one Cartesian axis for a point/cuboid pair:
 
     f0 = Int s_i s_j cos(k delta) e^{-k^2 rc^2} dk
@@ -276,13 +336,13 @@ def _axis_pair_factors(Li: float | None, Lj: float | None, delta: float,
     its edges (the cuboid/cuboid f0 keeps about eps |delta| / L of them).
     """
     if Li is None and Lj is None:
-        f = (_Ufun(delta, rc), _W1fun(delta, rc), _W2fun(delta, rc))
+        f = (_Ufun(delta, rc, ops), _W1fun(delta, rc, ops), _W2fun(delta, rc, ops))
         return f, tuple(4.0 * _EPS * abs(x) for x in f)
     if Li is None or Lj is None:
         L = Lj if Li is None else Li
         p, q = 0.5 * L + delta, 0.5 * L - delta
-        terms = ((_Vfun(p, rc), _Vfun(q, rc)), (_Ufun(q, rc), _Ufun(p, rc)),
-                 (_W1fun(p, rc), _W1fun(q, rc)))
+        terms = ((_Vfun(p, rc, ops), _Vfun(q, rc, ops)), (_Ufun(q, rc, ops), _Ufun(p, rc, ops)),
+                 (_W1fun(p, rc, ops), _W1fun(q, rc, ops)))
         (v0, v1), (u0, u1), (w0, w1) = terms
         f = ((v0 + v1) / L, (u0 - u1) / L, (w0 + w1) / L)
         scale = 4.0 * _EPS / L
@@ -290,16 +350,16 @@ def _axis_pair_factors(Li: float | None, Lj: float | None, delta: float,
         dp, dm = 0.5 * (Li + Lj), 0.5 * (Li - Lj)
         inv = 1.0 / (Li * Lj)
         scale = 4.0 * _EPS * inv
-        terms = ((_Tfun(dp - delta, rc), _Tfun(dp + delta, rc),
-                  _Tfun(dm - delta, rc), _Tfun(dm + delta, rc)),
-                 (_Vfun(dm + delta, rc), _Vfun(dm - delta, rc),
-                  _Vfun(dp + delta, rc), _Vfun(dp - delta, rc)),
-                 (_Ufun(dm - delta, rc), _Ufun(dm + delta, rc),
-                  _Ufun(dp - delta, rc), _Ufun(dp + delta, rc)))
+        terms = ((_Tfun(dp - delta, rc, ops), _Tfun(dp + delta, rc, ops),
+                  _Tfun(dm - delta, rc, ops), _Tfun(dm + delta, rc, ops)),
+                 (_Vfun(dm + delta, rc, ops), _Vfun(dm - delta, rc, ops),
+                  _Vfun(dp + delta, rc, ops), _Vfun(dp - delta, rc, ops)),
+                 (_Ufun(dm - delta, rc, ops), _Ufun(dm + delta, rc, ops),
+                  _Ufun(dp - delta, rc, ops), _Ufun(dp + delta, rc, ops)))
         (t0, t1, t2, t3), (v0, v1, v2, v3), (u0, u1, u2, u3) = terms
         f = (inv * (t0 + t1 - t2 - t3), inv * (v0 - v1 - v2 + v3),
              inv * (u0 + u1 - u2 - u3))
-    return f, tuple(scale * sum(map(abs, g)) for g in terms)
+    return f, tuple(scale * _total(map(abs, g)) for g in terms)
 
 
 def _cartesian_profile(d: MassDistribution) -> tuple | None:
@@ -312,25 +372,25 @@ def _cartesian_profile(d: MassDistribution) -> tuple | None:
     return None
 
 
-def _cartesian_sum(f, axis, sign: float = -1.0) -> float:
+def _cartesian_sum(f, axis, sign: float = -1.0):
     total = 0.0
     for p in range(3):
         term = axis[p] ** 2 * f[p][2]
         for r in range(3):
             if r != p:
-                term *= f[r][0]
-        total += term
+                term = term * f[r][0]
+        total = total + term
     for p in range(3):
         for q in range(p + 1, 3):
-            total += sign * 2.0 * axis[p] * axis[q] * f[p][1] * f[q][1] * f[3 - p - q][0]
+            total = total + sign * 2.0 * axis[p] * axis[q] * f[p][1] * f[q][1] * f[3 - p - q][0]
     return total
 
 
-def _cross_cartesian(prof_i, prof_j, mi, mj, delta, axis, rc) -> tuple[float, float]:
+def _cross_cartesian(prof_i, prof_j, mi, mj, delta, axis, rc, ops=_SCALAR) -> tuple:
     """2 Re Int mu_i mu_j* kx^2 e^{-k^2 rc^2} e^{-i k.delta} d^3k for a
     point/cuboid pair, as products of the per-axis factors, and its rounding
     error: the factors' errors carried through the sum to first order."""
-    f, noise = zip(*(_axis_pair_factors(prof_i[r], prof_j[r], delta[r], rc)
+    f, noise = zip(*(_axis_pair_factors(prof_i[r], prof_j[r], delta[r], rc, ops)
                      for r in range(3)))
     mag, a = [[abs(x) for x in fr] for fr in f], [abs(x) for x in axis]
     up = [[m + e for m, e in zip(mr, er)] for mr, er in zip(mag, noise)]
@@ -514,64 +574,100 @@ def _cross_isotropic(Ri, Rj, mi, mj, delta, axis, rc) -> tuple[float, float]:
     return pref * total, pref * 8.0 * _EPS * scale
 
 
-def _i3_primitive(d: MassDistribution, rc: float, axis) -> tuple[float, float]:
+def _i3_primitive(d: MassDistribution, rc, axis, ops=_SCALAR) -> tuple:
     """I3 and its relative error for one primitive shape measured along axis."""
     s, m = d.shape, total_mass(d)
     if isinstance(s, PointMass):
-        return math.pi ** 1.5 * m * m / (2.0 * rc**5), 2e-16
+        return math.pi ** 1.5 * m * m / (2.0 * ops.pow(rc, 5)), 2e-16
     if isinstance(s, Sphere):
-        return _i3_sphere(s.radius, m, rc)
+        return (_i3_sphere if ops is _SCALAR else _i3_sphere_column)(s.radius, m, rc)
     if isinstance(s, Cuboid):
-        return _i3_cuboid(s, m, rc, axis)
+        return _i3_cuboid(s, m, rc, axis, ops)
     if isinstance(s, Cylinder):
-        return _i3_cylinder(s, m, rc, axis)
+        return _i3_cylinder(s, m, rc, axis, ops)
     raise TypeError(f"unknown shape {type(s).__name__}")
 
 
-def _i3_composite(d: MassDistribution, rc: float) -> tuple[float, float]:
+@functools.cache
+def _composite_plan(d: MassDistribution) -> tuple[tuple, tuple, tuple]:
+    """The rc-free part of a composite's I3, built once per distribution: its
+    primitive parts, the measurement axis as floats, and per pair of parts
+    (i < j) the surface gap, the offset a_i - a_j, and the interference route
+    ("cartesian", "isotropic" or None) with its profiles and masses."""
     parts = _flatten(d)
-    axis = np.asarray(d.measurement_axis)
+    pairs = []
+    for (i, (pi_, off_i)), (j, (pj_, off_j)) in combinations(enumerate(parts), 2):
+        gap = math.dist(off_i, off_j) - circumradius(pi_) - circumradius(pj_)
+        delta = tuple(a - b for a, b in zip(off_i, off_j))
+        route, args = None, None
+        for name, profile in (("cartesian", _cartesian_profile), ("isotropic", _radial_profile)):
+            prof_i, prof_j = profile(pi_), profile(pj_)
+            if prof_i is not None and prof_j is not None:
+                route, args = name, (prof_i, prof_j, total_mass(pi_), total_mass(pj_))
+                break
+        pairs.append((i, j, gap, delta, route, args))
+    return tuple(part for part, _ in parts), tuple(map(float, d.measurement_axis)), tuple(pairs)
 
-    diag = []
-    for part, _ in parts:
-        v, rel = _i3_primitive(part, rc, d.measurement_axis)
-        diag.append((v, abs(v) * rel))
-    i3 = sum(v for v, _ in diag)
-    abs_err = sum(e for _, e in diag)
 
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            (pi_, off_i), (pj_, off_j) = parts[i], parts[j]
-            gap = math.dist(off_i, off_j) - circumradius(pi_) - circumradius(pj_)
-            if gap > 0.0 and gap / (2.0 * rc) >= _GAP_DROP:
-                # interference bounded by the Gaussian overlap of the smoothed,
-                # disjoint parts: negligible by construction of the threshold,
-                # whichever route would evaluate it
-                abs_err += 2.0 * math.sqrt(diag[i][0] * diag[j][0]) * math.exp(
-                    -min((gap / (2.0 * rc)) ** 2, 745.0))
-                continue
-            delta = np.asarray(off_i) - np.asarray(off_j)
-            cart_i, cart_j = _cartesian_profile(pi_), _cartesian_profile(pj_)
-            if cart_i is not None and cart_j is not None:
-                val, err = _cross_cartesian(cart_i, cart_j, total_mass(pi_), total_mass(pj_),
-                                            delta, axis, rc)
-                i3 += val
-                abs_err += 1e-14 * math.sqrt(diag[i][0] * diag[j][0]) + err
-                continue
-            rad_i, rad_j = _radial_profile(pi_), _radial_profile(pj_)
-            if rad_i is not None and rad_j is not None:
-                val, err = _cross_isotropic(rad_i, rad_j, total_mass(pi_), total_mass(pj_),
-                                            delta, axis, rc)
-                i3 += val
-                abs_err += err
-                continue
+def _i3_composite(d: MassDistribution, rc: float) -> tuple[float, float]:
+    parts, axis, pairs = _composite_plan(d)
+    diag = [_i3_primitive(part, rc, axis) for part in parts]
+    i3 = _total(v for v, _ in diag)
+    abs_err = _total(abs(v) * rel for v, rel in diag)
+    for i, j, gap, delta, route, args in pairs:
+        near = diag[i][0] * diag[j][0]
+        if gap > 0.0 and gap / (2.0 * rc) >= _GAP_DROP:
+            # interference bounded by the Gaussian overlap of the smoothed,
+            # disjoint parts: negligible by construction of the threshold,
+            # whichever route would evaluate it
+            abs_err += 2.0 * math.sqrt(near) * math.exp(-min((gap / (2.0 * rc)) ** 2, 745.0))
+        elif route == "cartesian":
+            val, err = _cross_cartesian(*args, delta, axis, rc)
+            i3 += val
+            abs_err += 1e-14 * math.sqrt(near) + err
+        elif route == "isotropic":
+            val, err = _cross_isotropic(*args, delta, axis, rc)
+            i3 += val
+            abs_err += err
+        else:
             raise CompositeCrossTermUnsupported(
-                f"no evaluation route for {type(pi_.shape).__name__}/"
-                f"{type(pj_.shape).__name__} pair at separation "
+                f"no evaluation route for {type(parts[i].shape).__name__}/"
+                f"{type(parts[j].shape).__name__} pair at separation "
                 f"{np.linalg.norm(delta):.3e} m with rc={rc:.3e} m")
     if i3 <= 0.0:
         return i3, abs_err
     return i3, abs_err / i3
+
+
+def _i3_composite_column(d: MassDistribution, rc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_i3_composite over an rc column, pair by pair: the gap bound splits
+    the column, and each side takes its term in one pass (isotropic cross
+    terms point by point). Each element sees the scalar's additions in the
+    scalar's order; NaN where a pair inside the bound has no route."""
+    parts, axis, pairs = _composite_plan(d)
+    diag = [_i3_primitive(part, rc, axis, _COLUMN) for part in parts]
+    i3 = _total(v for v, _ in diag)
+    abs_err = _total(abs(v) * rel for v, rel in diag)
+    for i, j, gap, delta, route, args in pairs:
+        near = diag[i][0] * diag[j][0]
+        x = gap / (2.0 * rc)
+        drop = x >= _GAP_DROP if gap > 0.0 else np.zeros(rc.size, dtype=bool)
+        if drop.any():
+            abs_err[drop] += 2.0 * np.sqrt(near[drop]) * _COLUMN.exp(
+                -np.minimum(_COLUMN.pow(x[drop], 2), 745.0))
+        keep = ~drop
+        if not keep.any():
+            continue
+        if route == "cartesian":
+            val, err = _cross_cartesian(*args, delta, axis, rc[keep], _COLUMN)
+            err = 1e-14 * np.sqrt(near[keep]) + err
+        elif route == "isotropic":
+            val, err = _per_point(_cross_isotropic, *args, delta, axis, rc[keep])
+        else:
+            val, err = math.nan, math.nan
+        i3[keep] += val
+        abs_err[keep] += err
+    return i3, np.where(i3 <= 0.0, abs_err, abs_err / i3)
 
 
 def _flatten(d: MassDistribution, base=(0.0, 0.0, 0.0)) -> list:
@@ -608,8 +704,46 @@ def eta_reduced(d: MassDistribution, rc: float) -> EtaResult:
     return EtaResult(value, err)
 
 
+def eta_column(d: MassDistribution, rcs) -> tuple[np.ndarray, np.ndarray]:
+    """eta_reduced over a 1-D column of rc in one pass: (values, relative
+    errors), each element bit for bit eta_reduced(d, rc).value and
+    .est_error. The rc-free work (flattening, masses, profiles, pair gaps
+    and routes, axis cosines, per-axis prefactors) is done once, not per rc.
+
+    NaN marks the points left to eta_reduced, which raises or returns a
+    non-finite value there: rc <= 0 or not finite, a composite pair with no
+    route inside the gap bound, an arithmetic error, a non-finite value or
+    error. The memo of eta_reduced is neither read nor filled."""
+    rcs = np.asarray(rcs, dtype=float)
+    value, err = np.full(rcs.size, math.nan), np.full(rcs.size, math.nan)
+    m0 = CONSTANTS.m0
+    with np.errstate(all="ignore"):
+        at = np.flatnonzero((rcs > 0.0) & np.isfinite(rcs))
+        rc = rcs if at.size == rcs.size else rcs[at]
+        try:
+            if isinstance(d.shape, PointMass):
+                m = total_mass(d)
+                v, e = m * m / (2.0 * m0 * m0 * rc * rc), 2e-16
+            else:
+                i3, e = (_i3_composite_column(d, rc) if isinstance(d.shape, Composite)
+                         else _i3_primitive(d, rc, d.measurement_axis, _COLUMN))
+                v = _COLUMN.pow(rc, 3) / (math.pi ** 1.5 * m0 * m0) * i3
+        except ArithmeticError:  # in rc-free work (an edge length whose square underflows)
+            return value, err
+        ok = np.isfinite(v) & np.isfinite(e)
+    value[at[ok]] = v[ok]
+    err[at[ok]] = e[ok] if isinstance(e, np.ndarray) else e
+    return value, err
+
+
 # bound to the cache itself, so it still clears it while eta_reduced is wrapped
-clear_cache = eta_reduced.cache_clear
+_clear_eta_cache = eta_reduced.cache_clear
+
+
+def clear_cache() -> None:
+    """Empty the memo of eta_reduced and the composite plans."""
+    _clear_eta_cache()
+    _composite_plan.cache_clear()
 
 
 def eta(d: MassDistribution, p: CollapseParams) -> EtaResult:

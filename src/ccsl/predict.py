@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONSTANTS, CollapseParams
+from .core import CONSTANTS, CollapseParams, map_floats
 from .diffusion import eta as _eta
 from .diffusion import DEFAULT_TOL
 from .errors import (NonPositiveFrequency, NonPositiveRc, QuadratureNotConverged,
@@ -366,6 +366,16 @@ def cold_atom_diffusion(p: CollapseParams, n: NoiseSpec, ca: ColdAtomDescriptor)
 
     with tau = 1/Wc; white noise is the tau -> 0 limit, bracket -> t^3/2."""
     bracket = _noise_bracket(n, ca)
+    return _cold_prefactor(p.lam, p.rc**2, ca) * bracket
+
+
+def cold_atom_white_column(rc: np.ndarray, ca: ColdAtomDescriptor) -> np.ndarray:
+    """cold_atom_diffusion at lam = 1 and white noise over an rc column, each
+    element bit for bit the scalar value where rc is valid."""
+    return _cold_prefactor(1.0, map_floats(pow, rc, 2), ca) * _noise_bracket(WHITE, ca)
+
+
+def _cold_prefactor(lam, rc2, ca: ColdAtomDescriptor):
+    """3 lam A^2 hbar^2 / (2 m^2 rc^2), given rc^2."""
     c = CONSTANTS
-    pref = 1.5 * p.lam * ca.mass_number**2 * c.hbar**2 / (ca.atom_mass**2 * p.rc**2)
-    return pref * bracket
+    return 1.5 * lam * ca.mass_number**2 * c.hbar**2 / (ca.atom_mass**2 * rc2)

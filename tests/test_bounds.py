@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from ccsl import (CONSTANTS, Ceiling, CollapseParams, ColdAtomDescriptor,
-                  EmptyInput, ExclusionCurve, NonPositiveRc, PhononModel, ValidationError,
+                  CompositeCrossTermUnsupported, EmptyInput, ExclusionCurve, NonPositiveRc, PhononModel, ValidationError,
                   WHITE, WashedOut,
                   cold_atom_diffusion, cuboid, dns_ccsl, envelope, exponential,
                   heating_rate, lambda_max_coldatom, lambda_max_for,
                   lambda_max_force, lambda_max_heating, lambda_max_xray,
                   load, load_all_bundled, normalized_xray_rate, parse_config,
                   scan, sphere)
+from ccsl import bounds
+from ccsl.diffusion import clear_cache
 from fixtures import CANTILEVER_RATIO, HEATING_WHITE_LMAX, LATTICE_HEATING
 
 COPPER = PhononModel(v_s=3000.0)
@@ -354,6 +356,47 @@ def test_multi_noise_scan_matches_scalar_route():
     assert ("cantilever", 1e-146, "WashedOut") in kinds
     cold = panels[noises.index(exponential(1e-6))][exps.index(load("cold-atom"))]
     assert len(cold.points) == grid.size
+
+
+def test_scan_white_column_is_the_scalar_route(monkeypatch):
+    # grids on both sides of the crossover: from _COLUMN_FROM rc the white
+    # column comes from one pass, and curves and error log must be those of
+    # the scalar route at every point, which the scan takes below it. The
+    # column leaves to the scalar route only the points it cannot evaluate:
+    # rc <= 0 and the rod-sphere points inside the gap bound.
+    exps = load_all_bundled() + [_rod_sphere()]
+    factored = len([e for e in exps if e.kind != "bulk_heating"])
+    noises = [WHITE, exponential(1e4), exponential(1e-146)]
+    white_calls = []
+
+    def attempt(exp, n, rc, tol, _scalar=bounds._attempt):
+        out = _scalar(exp, n, rc, tol)
+        if n == WHITE:
+            white_calls.append((exp.id, rc, type(out[1])))
+        return out
+
+    monkeypatch.setattr(bounds, "_attempt", attempt)
+    crossover = bounds._COLUMN_FROM
+    for size in (crossover - 1, crossover, 40):
+        grid = np.concatenate([[-1e-7, 0.0], np.geomspace(1e-9, 1e-3, size - 2)])
+        runs = []
+        for column_from in (crossover, math.inf):
+            monkeypatch.setattr(bounds, "_COLUMN_FROM", column_from)
+            clear_cache()
+            white_calls.clear()
+            errors = []
+            panels = scan(exps, noises, grid, on_error=lambda i, n, rc, e: errors.append(
+                (i, n, rc.hex(), type(e), str(e))))
+            runs.append(([[c.lam.tobytes() for c in curves] for curves in panels], errors,
+                         list(white_calls)))
+        (column, column_errors, column_calls), (scalar, scalar_errors, _) = runs
+        assert column == scalar and column_errors == scalar_errors, f"{size} rc"
+        if size >= crossover:
+            assert {(i, t) for i, rc, t in column_calls if rc > 0.0} == {
+                ("rod-sphere", CompositeCrossTermUnsupported)}
+            assert len([c for c in column_calls if c[1] <= 0.0]) == 2 * factored
+        else:
+            assert len(column_calls) == size * factored
 
 
 def test_multi_noise_scan_reruns_failed_factors():

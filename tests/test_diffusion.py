@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from ccsl import (CONSTANTS, WHITE, CollapseParams, CompositeCrossTermUnsupported,
-                  PhononModel, composite, cuboid, cylinder, eta, eta_reduced,
+                  NonPositiveRc, PhononModel, composite, cuboid, cylinder, eta, eta_reduced,
                   eta_reduced_reference, lambda_eff_quad, load, point_mass, sphere)
 from ccsl import diffusion
-from ccsl.diffusion import (_HANKEL_FROM, _cross_isotropic, _i3_primitive, _i3_sphere, _ive01,
-                            _transverse_moments, clear_cache)
+from ccsl.diffusion import (_DEAD_SHIFT, _GAP_DROP, _HANKEL_FROM, _cross_isotropic, _i3_primitive,
+                            _i3_sphere, _ive01, _transverse_moments, clear_cache, eta_column)
 from ccsl.geometry import (circumradius, disc_kernel, form_factor_sq, sphere_kernel,
                            total_mass)
 from ccsl.quadrature import integrate
@@ -605,6 +605,87 @@ def test_far_cuboid_pair_error_covers_the_cancelling_factor():
     got = eta_reduced(pair, rc)
     cross = 1.0 - rc**3 / (math.pi ** 1.5 * M0 * M0) * (i3 + i3) / got.value
     assert 1e-11 < abs(cross) <= got.est_error < 1e-8
+
+
+# --- eta_column: eta_reduced over an rc grid in one pass ---------------------------
+
+_GRID = np.geomspace(1e-9, 1e-2, 41).tolist()
+
+
+def _around(*rcs):
+    """Each rc and its neighbours 1e-9 below and above."""
+    return [rc * f for rc in rcs for f in (1 - 1e-9, 1.0, 1 + 1e-9)]
+
+
+def _assert_column_is_scalar(d, rcs):
+    clear_cache()
+    values, errors = eta_column(d, rcs)
+    for rc, v, e in zip(rcs, values.tolist(), errors.tolist()):
+        r = eta_reduced(d, rc)
+        assert (v.hex(), e.hex()) == (r.value.hex(), r.est_error.hex()), f"rc={rc!r}"
+
+
+def test_eta_column_primitives_are_the_scalar_bits():
+    R = 1e-7  # sphere: X = (R/rc)^2 switches to the series at X = 1
+    _assert_column_is_scalar(point_mass(1e-3), _GRID)
+    _assert_column_is_scalar(sphere(R, density=2200.0), _GRID + _around(R))
+    # one axis component 0 (skipped), erf arguments beyond the e^-745 clamp
+    _assert_column_is_scalar(cuboid(0.046, 0.02, 1e-5, mass=1.928, measurement_axis=(0.6, 0, 0.8)),
+                             _GRID)
+    # cylinder on oblique axes across the series switch u = 1 and the Hankel
+    # switch u = 19, u = (R/rc)^2/2
+    Rc = 1e-6
+    rod = cylinder(Rc, 4e-6, density=2200.0, **_TILT)
+    switches = _around(Rc / math.sqrt(2.0), Rc / math.sqrt(2.0 * _HANKEL_FROM))
+    _assert_column_is_scalar(rod, _GRID + switches)
+
+
+def test_eta_column_composites_are_the_scalar_bits():
+    beam = cuboid(4.5e-4, 5.7e-5, 2.5e-6, density=2200.0)
+    tip_beam = composite([(beam, (0, 0, 0)), (point_mass(1.1e-10), (2.25e-4, 0, 0))],
+                         measurement_axis=(0, 0, 1))
+    _assert_column_is_scalar(tip_beam, _GRID)
+    _, pair, edge = _cuboid_pair((0.6, 0.2, -0.77))  # across the gap-drop threshold
+    _assert_column_is_scalar(pair, _GRID + _around(edge))
+    # sphere/sphere with a 10 um gap: dropped below rc = gap/(2 _GAP_DROP), the
+    # kernel series where R < rc, the angular series where D < rc
+    ball = sphere(1e-5, density=2200.0)
+    spheres = composite([(ball, (-1.5e-5, 0, 0)), (ball, (1.5e-5, 0, 0))],
+                        measurement_axis=(0.6, 0.8, 0))
+    _assert_column_is_scalar(spheres, _GRID + _around(1e-5 / (2.0 * _GAP_DROP), 1e-5, 3e-5))
+    # a point inside a 50 um sphere, 10 um off centre: the angular factor is
+    # replaced by its D = 0 value where (R - D)/rc >= _DEAD_SHIFT
+    inside = composite([(sphere(5e-5, density=7430.0), (0, 0, 0)),
+                        (point_mass(1e-9), (1e-5, 0, 0))])
+    _assert_column_is_scalar(inside, _GRID + _around(4e-5 / _DEAD_SHIFT, 5e-5))
+    _assert_column_is_scalar(load("lisa-pathfinder").geometry, _GRID)
+
+
+def test_eta_column_leaves_failing_points_to_eta_reduced():
+    # a rod beside a sphere has no cross-term route inside the gap bound, and
+    # rc must be > 0 and finite: the column holds NaN exactly where
+    # eta_reduced raises, and the scalar bits everywhere else
+    rod = cylinder(5e-5, 2e-4, density=2200.0)
+    d = composite([(rod, (0, 0, 0)), (sphere(2e-5, density=7430.0), (1.409e-4, 0, 0))])
+    edge = (1.409e-4 - circumradius(rod) - 2e-5) / (2.0 * _GAP_DROP)
+    rcs = [-1e-7, 0.0, math.nan, math.inf] + _GRID + _around(edge)
+    clear_cache()
+    values, errors = eta_column(d, rcs)
+    raised = 0
+    for rc, v, e in zip(rcs, values.tolist(), errors.tolist()):
+        try:
+            r = eta_reduced(d, rc)
+        except (CompositeCrossTermUnsupported, NonPositiveRc):
+            raised += 1
+            assert math.isnan(v) and math.isnan(e), f"rc={rc!r}"
+            continue
+        assert (v.hex(), e.hex()) == (r.value.hex(), r.est_error.hex()), f"rc={rc!r}"
+    assert 4 < raised < len(rcs) - 4
+    # an edge whose square underflows fails in rc-free work: every point
+    thin = cuboid(1e-170, 1e-5, 1e-5, density=1e3)
+    assert np.isnan(eta_column(thin, _GRID)).all()
+    with pytest.raises(ZeroDivisionError):
+        eta_reduced(thin, 1e-7)
 
 
 # --- caching and bookkeeping ------------------------------------------------------
