@@ -203,8 +203,11 @@ def lambda_max_coldatom(ceiling: Ceiling, n: NoiseSpec, ca: ColdAtomDescriptor,
         raise ValidationError("ceiling.kind", "expected position_variance")
     try:
         unit = cold_atom_diffusion(CollapseParams(lam=1.0, rc=rc), n, ca)
-    except OverflowError:  # the bracket's tau^3 = 1/Wc^3 leaves the float range
-        raise WashedOut(f"cold-atom bracket out of range at omega_c={n.omega_c:.3e}") from None
+    except OverflowError:  # rc^2, or the bracket's t^3 or tau^3 = 1/Wc^3, leaves the float range
+        if math.isinf(rc * rc):  # the unit response, which goes as 1/rc^2, is below every float
+            raise WashedOut(f"unit-lam diffusion underflowed at rc={rc:.3e}") from None
+        at = "for white noise" if n.is_white else f"at omega_c={n.omega_c:.3e}"
+        raise WashedOut(f"cold-atom bracket out of range {at}") from None
     if unit <= 0.0 or not math.isfinite(unit):
         raise WashedOut(f"unit-lam diffusion underflowed at rc={rc:.3e}")
     return ceiling.value / unit

@@ -12,9 +12,11 @@ distribution is validated when it is built.
 each bit for bit the ``eta_reduced`` value: the rc-free work is done once,
 numpy does the + - * / (and sqrt) of every route in the scalar order, and
 every transcendental and power is libm's, called per element in Python.
-The rarer branches stay scalar, point by point: the sphere series below
-X = 1, the cylinder's transverse moments and the isotropic cross terms.
-Points it cannot evaluate are NaN, left to ``eta_reduced``.
+The isotropic cross terms are one code for both, which ``eta_reduced`` runs
+on a column of one rc, and which calls no BLAS routine, so their values do
+not depend on the host's BLAS kernels. The rarer branches stay scalar,
+point by point: the sphere series below X = 1 and the cylinder's transverse
+moments. Points it cannot evaluate are NaN, left to ``eta_reduced``.
 
 Every eta route is closed form, integrated over all k; no quadrature sits on
 the eta production path (the only production adaptive quadrature left in
@@ -45,7 +47,9 @@ ccsl is bulk heating with the full-sine dispersion):
   integrals below; a factor whose trig form cancels (length below rc) is
   replaced by its Taylor series, and next to kernel frequencies 16 rc or
   more above D the angular factor by its D = 0 value, which it then equals
-  to within e^{-64}. Any other pair inside the bound raises
+  to within e^{-64}. The coefficients are real arrays with one row per rc,
+  multiplied out and summed in a fixed order by explicit arithmetic, one
+  pass per regime of the column. Any other pair inside the bound raises
   CompositeCrossTermUnsupported.
 
 ``eta_reduced_reference`` is a deliberately independent spherical-coordinate
@@ -62,6 +66,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import add
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,7 +102,9 @@ class EtaResult:
 # column in Python (core.map_floats), so that each element is bit for bit its
 # scalar value. numpy does only + - * /, abs and sqrt there, in the scalar
 # order, and sums run left to right (_total). The rarer branches run their
-# scalar helper point by point (_per_point).
+# scalar helper point by point (_per_point). The isotropic cross terms work
+# the other way round: one column code that a single rc runs as a column of
+# one (_cross_isotropic).
 
 def _per_point(fn, *args) -> tuple[np.ndarray, np.ndarray]:
     """fn(*args[:-1], rc) -> (a, b) at each rc of the column args[-1]; NaN at
@@ -121,6 +128,7 @@ def _total(xs):
 _SCALAR = SimpleNamespace(erf=math.erf, exp=math.exp, expm1=math.expm1, min=min, pow=pow)
 _COLUMN = SimpleNamespace(erf=functools.partial(map_floats, math.erf),
                           exp=functools.partial(map_floats, math.exp),
+                          erfc=functools.partial(map_floats, math.erfc),
                           expm1=functools.partial(map_floats, math.expm1),
                           min=np.minimum, pow=functools.partial(map_floats, pow))
 
@@ -408,13 +416,20 @@ def _radial_profile(d: MassDistribution) -> float | None:
     return None
 
 
-# Interference of two radially symmetric parts, in units q = k rc with
-# lengths over rc. Each factor of the radial integrand is one group
-# (f, lo, Z): Z[n] is the coefficient of c q^p cos(f q) for even p = lo + n,
-# stored real, or of c q^p sin(f q) for odd p, stored imaginary. In that
-# encoding the product-to-sum rules read: group (f1, Z1) times (f2, Z2) is
-# Z1 Z2/2 at f1 + f2 plus Z1 conj(Z2)/2 at f1 - f2, and a negative frequency
-# is a conjugation.
+# Interference of two radially symmetric parts over a column of rc, in units
+# q = k rc with lengths over rc. Each factor of the radial integrand, and each
+# product of factors, is a group of terms c q^p trig_p(f q), trig_p = cos for
+# even p and sin for odd p, held as real arrays with one row per rc (_Terms).
+# Two groups multiply by the product-to-sum rules: halves at f1 + f2 and at
+# f1 - f2, negative for sin sin at the sum and for cos sin at the difference,
+# and a negative frequency turns the sign of the sine terms. Which form a
+# factor takes (trig or series), whether A(0) replaces the angular factor and
+# whether a frequency is 0 differ from rc to rc, so each group holds the rows
+# of the column it covers and a step that branches splits them. numpy does
+# only + - * /, abs and where there, each row's sums run in a fixed order
+# whatever the other rows (the zero padding past a row's own terms adds
+# zeros at most), and exp, erfc and pow come from libm per element: one rc
+# alone gives the bits of its row in a column.
 
 _TAYLOR_BELOW = 1.0  # below this length/rc a factor's trig form cancels
 _TAYLOR_TRUNC = 1e-18  # bound on a dropped Taylor tail, point-mass units
@@ -423,75 +438,142 @@ _P_MAX = 160  # moment table size; the series reach q^130 (L -> 1, D -> 4)
 # odd p) and, for every x, the rounding scale of the Hermite moments
 _GAUSS_ABS = np.array([0.5 * math.gamma(0.5 * (p + 1)) for p in range(_P_MAX)])
 _GAUSS = np.where(np.arange(_P_MAX) % 2 == 0, _GAUSS_ABS, 0.0)
+_SIGN = np.arange(_P_MAX) & 2 == 2  # (-1)^{p//2} = -1
 
 
-def _kernel_factor(L: float) -> tuple:
-    """K(q L) = 3 sin(qL)/(qL)^3 - 3 cos(qL)/(qL)^2, or where that cancels its
-    series sum_n c_n (qL)^{2n}, c_n = 3 (-1)^n/((2n+3)(2n+1)!). K is an
-    average of cos(q L t), so a dropped tail is below (2n + 1) times its first
-    term; the series stops when that term's Gaussian moment is below
-    _TAYLOR_TRUNC."""
-    if L >= _TAYLOR_BELOW:
-        return L, -3, np.array([3j / L**3, -3.0 / L**2])
-    coeffs = [1.0]
-    c, g, n = 1.0, 1.0, 0  # g = Gamma(n + 5/2)/Gamma(5/2)
-    while True:
-        c *= -L * L / ((2 * n + 5) * (2 * n + 2))
-        n += 1
-        g *= n + 1.5
-        if abs(c) * g * (2 * n + 1) < _TAYLOR_TRUNC:
-            return 0.0, 0, np.array(coeffs, dtype=complex)
-        coeffs.extend((0.0, c))
+class _Terms(NamedTuple):
+    """Terms c q^p trig_p(f q), p = lo, lo + 1, ..., on some rows of an rc
+    column: row r is column position rows[r], with frequency f[r] >= 0 and
+    coefficients c[r, :size[r]]; the rest of c[r] is zero padding."""
+    rows: np.ndarray
+    f: np.ndarray
+    lo: int
+    c: np.ndarray
+    size: np.ndarray
+
+    def take(self, keep: np.ndarray) -> _Terms:
+        return _Terms(self.rows[keep], self.f[keep], self.lo, self.c[keep], self.size[keep])
 
 
-def _angular_factor(D: float, p2: float) -> tuple:
+_ODD = np.arange(_P_MAX + 2) % 2 == 1
+
+
+def _sines(lo: int, n: int) -> np.ndarray:
+    """Which of n terms from q^lo on are sine terms (odd p)."""
+    return _ODD[lo % 2:lo % 2 + n]
+
+
+_TAYLOR_STEPS = 16  # both series stop by step 15 as length/rc -> 1
+_STEP = np.arange(1, _TAYLOR_STEPS + 1)
+_GROWTH = np.multiply.accumulate(_STEP + 1.5)  # Gamma(k + 5/2)/Gamma(5/2) at step k
+
+
+def _taylor_terms(rows: np.ndarray, lo: int, first, coeffs, tails) -> _Terms:
+    """A factor's Taylor series: first at q^lo, then coeffs[:, k - 1] at
+    q^(lo + 2k) for each step k before a row's first tail bound below
+    _TAYLOR_TRUNC; the series are even, so every other term is 0."""
+    live = np.logical_and.accumulate(tails >= _TAYLOR_TRUNC, axis=1)
+    size = 1 + 2 * live.sum(axis=1)
+    c = np.zeros((rows.size, int(size.max())))
+    c[:, 0] = first
+    c[:, 2::2] = np.where(live, coeffs, 0.0)[:, :c.shape[1] // 2]
+    return _Terms(rows, np.zeros(rows.size), lo, c, size)
+
+
+def _kernel_factor(rows: np.ndarray, L: np.ndarray, trig: bool) -> _Terms:
+    """K(q L) = 3 sin(qL)/(qL)^3 - 3 cos(qL)/(qL)^2 (trig, for L >= 1), or
+    where that cancels its series sum_n c_n (qL)^{2n},
+    c_n = 3 (-1)^n/((2n+3)(2n+1)!). K is an average of cos(q L t), so a
+    dropped tail is below (2n + 1) times its first term; a row's series stops
+    when that term's Gaussian moment is below _TAYLOR_TRUNC."""
+    if trig:
+        c = np.array([3.0 / _COLUMN.pow(L, 3), -3.0 / _COLUMN.pow(L, 2)]).T
+        return _Terms(rows, L, -3, c, np.full(L.size, 2))
+    c = np.multiply.accumulate((-L * L)[:, None] / ((2 * _STEP + 3) * (2 * _STEP)), axis=1)
+    return _taylor_terms(rows, 0, 1.0, c, abs(c) * _GROWTH * (2 * _STEP + 1))
+
+
+def _angular_factor(rows: np.ndarray, D: np.ndarray, p2: float, trig: bool) -> _Terms:
     """q^4 times the angular integral 4 pi [j0(qD)/3 - (2/3) P2 j2(qD)], with
-    j0 = sin x/x and j2 = (3/x^3 - 1/x) sin x - 3 cos x/x^2, or their series
-    j0 = sum_n (-1)^n x^{2n}/(2n+1)!, j2 = x^2 sum_n (-x^2/2)^n/(n! (2n+5)!!)
-    where those cancel, truncated like the kernel series (both j are
-    averages of cos(x t) too)."""
-    if D >= _TAYLOR_BELOW:
-        return D, 1, 4.0 * math.pi * np.array(
-            [-2j * p2 / D**3, 2.0 * p2 / D**2, 1j * (1.0 + 2.0 * p2) / (3.0 * D)])
-    t2 = D * D
-    j0, j2 = 1.0 / 3.0, -2.0 * p2 * t2 / 45.0  # the x^0 and x^2 terms of each
-    coeffs = [j0]
-    g, n = 1.0, 0
-    while True:
-        j0 *= -t2 / ((2 * n + 2) * (2 * n + 3))
-        n += 1
-        g *= n + 1.5
-        if (abs(j0) + abs(j2)) * g < _TAYLOR_TRUNC:
-            return 0.0, 4, 4.0 * math.pi * np.array(coeffs, dtype=complex)
-        coeffs.extend((0.0, j0 + j2))
-        j2 *= -t2 / (2.0 * n * (2 * n + 5))
+    j0 = sin x/x and j2 = (3/x^3 - 1/x) sin x - 3 cos x/x^2 (trig, for
+    D >= 1), or their series j0 = sum_n (-1)^n x^{2n}/(2n+1)!,
+    j2 = x^2 sum_n (-x^2/2)^n/(n! (2n+5)!!) where those cancel, truncated
+    like the kernel series (both j are averages of cos(x t) too)."""
+    if trig:
+        c = np.array([-2.0 * p2 / _COLUMN.pow(D, 3), 2.0 * p2 / _COLUMN.pow(D, 2),
+                      (1.0 + 2.0 * p2) / (3.0 * D)]).T
+        return _Terms(rows, D, 1, 4.0 * math.pi * c, np.full(D.size, 3))
+    t2 = (-D * D)[:, None]
+    # step k adds the x^{2k} term of j0 to the x^{2k} term of j2, whose
+    # first (k = 1) is -2 P2 x^2/45
+    j0 = np.multiply.accumulate(np.hstack([np.full_like(t2, 1.0 / 3.0),
+                                           t2 / ((2 * _STEP) * (2 * _STEP + 1))]), axis=1)[:, 1:]
+    j2 = np.multiply.accumulate(np.hstack([-2.0 * p2 * -t2 / 45.0,
+                                           t2 / (2.0 * _STEP * (2 * _STEP + 5))]), axis=1)[:, :-1]
+    c = _taylor_terms(rows, 4, 1.0 / 3.0, j0 + j2, (abs(j0) + abs(j2)) * _GROWTH)
+    return c._replace(c=4.0 * math.pi * c.c)
 
 
-_ANGULAR_AT_0 = _angular_factor(0.0, 0.0)  # 4 pi/3 q^4, the D = 0 factor
 _DEAD_SHIFT = 16.0  # in rc: e^{-(16/2)^2} = 1.6e-28
 
 
-def _group_product(f1, lo1, Z1, f2, lo2, Z2) -> list:
-    """The product of two groups as one or two groups (sin(0 q) = 0)."""
-    lo = lo1 + lo2
-    if f2 == 0.0:
-        return [(f1, lo, np.convolve(Z1, Z2.real))]
-    if f1 == 0.0:
-        return [(f2, lo, np.convolve(Z1.real, Z2))]
-    Zm = 0.5 * np.convolve(Z1, Z2.conj())
-    return [(f1 + f2, lo, 0.5 * np.convolve(Z1, Z2)),
-            (f1 - f2, lo, Zm) if f1 >= f2 else (f2 - f1, lo, Zm.conj())]
+def _convolve(ca: np.ndarray, lo_a: int, cb: np.ndarray, lo_b: int, both: bool) -> list:
+    """The coefficients of the product of two groups, given theirs (ca from
+    q^lo_a on, cb from q^lo_b on): the sums of ca[:, i] cb[:, j] into column
+    i + j, added in order of j, with the signs of the product-to-sum rules:
+    at f_a + f_b a sine times a sine is negative, and at f_a - f_b (the
+    second array, when both) a cosine of a times a sine of b. Columns of cb
+    that are 0 on every row are skipped."""
+    width = ca.shape[1]
+    plus = np.zeros((ca.shape[0], width + cb.shape[1] - 1))
+    minus = np.zeros(plus.shape) if both else None
+    signed = np.where(_sines(lo_a, width), -ca, ca)
+    for j in np.flatnonzero(cb.any(axis=0)).tolist():
+        odd = (lo_b + j) % 2
+        prod = (signed if odd else ca) * cb[:, j:j + 1]
+        plus[:, j:j + width] += prod
+        if both:
+            minus[:, j:j + width] += -prod if odd else prod
+    return [plus, minus] if both else [plus]
 
 
-def _moment_sum(x: float, lo: int, w: np.ndarray) -> tuple[float, float]:
-    """Sum_p w_p M_p and its rounding scale Sum_p |w_p| |pieces of M_p|, for
-    p = lo, lo + 1, ... (lo >= -5) and x >= 0, where
+def _group_product(a: _Terms, b: _Terms) -> list:
+    """The product of two groups on the same rows: one group at f_a + f_b on
+    the rows where either frequency is 0 (sin(0 q) = 0, so that factor's
+    sine terms drop), two on the others, at f_a + f_b and at |f_a - f_b|."""
+    lo, size = a.lo + b.lo, a.size + b.size - 1
+    zero = (a.f == 0.0) | (b.f == 0.0)
+    out = []
+    if zero.any():
+        ca, cb = (np.where((t.f[zero] == 0.0)[:, None] & _sines(t.lo, t.c.shape[1]), 0.0, t.c[zero])
+                  for t in (a, b))
+        out.append(_Terms(a.rows[zero], a.f[zero] + b.f[zero], lo,
+                          _convolve(ca, a.lo, cb, b.lo, False)[0], size[zero]))
+    if not zero.all():
+        fa, fb = a.f[~zero], b.f[~zero]
+        plus, minus = (0.5 * c for c in _convolve(a.c[~zero], a.lo, b.c[~zero], b.lo, True))
+        minus = np.where((fa < fb)[:, None] & _sines(lo, minus.shape[1]), -minus, minus)
+        out += [_Terms(a.rows[~zero], fa + fb, lo, plus, size[~zero]),
+                _Terms(a.rows[~zero], abs(fa - fb), lo, minus, size[~zero])]
+    return out
 
-    M_p = Int_0^inf q^p trig_p(2 x q) e^{-q^2} dq, trig_p = cos for even p
-    and sin for odd p.
+
+def _row_sums(terms: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Each row's terms added left to right (add.accumulate, which unlike
+    add.reduce does not pair them), the zero padding past a row's own terms
+    (live False) counted as 0: its Hermite terms may overflow."""
+    return np.add.accumulate(np.where(live, terms, 0.0), axis=1)[:, -1]
+
+
+def _moment_sum(t: _Terms) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of t, Sum_p c_p M_p and its rounding scale
+    Sum_p |c_p| |pieces of M_p|, for p = lo, lo + 1, ... (lo >= -5), where
+    x = f/2 and
+
+    M_p = Int_0^inf q^p trig_p(2 x q) e^{-q^2} dq.
 
     p >= 0: M_p = (-1)^{p//2} s_p sqrt(pi)/2 with s_p = 2^-p H_p(x) e^{-x^2},
-    rounding scale Int_0^inf q^p e^{-q^2} dq.
+    rounding scale Int_0^inf q^p e^{-q^2} dq; at x = 0 that integral is M_p.
     p < 0: Hadamard finite parts, whose divergent pieces cancel across the
     term table; with i^n erfc the repeated erfc integral,
     S_-1 = (pi/2) erf x,             C_-2 = -pi [x + i^1 erfc x],
@@ -499,44 +581,48 @@ def _moment_sum(x: float, lo: int, w: np.ndarray) -> tuple[float, float]:
     C_-4 = 4 pi [x^3/6 + x/4 + i^3 erfc x],
     S_-5 = 8 pi [x^4/24 + x^2/8 + 1/32 - i^4 erfc x].
     """
+    x, lo, w = 0.5 * t.f, t.lo, t.c
+    hi = lo + w.shape[1] - 1
+    live = np.arange(w.shape[1]) < t.size[:, None]
     total = scale = 0.0
-    hi = lo + w.size - 1
-    ex = math.exp(-x * x)
+    ex = _COLUMN.exp(-x * x)
     if lo < 0:
-        ie = [2.0 / _SQRT_PI * ex, math.erfc(x)]  # i^-1 erfc, i^0 erfc
+        ie = [2.0 / _SQRT_PI * ex, _COLUMN.erfc(x)]  # i^-1 erfc, i^0 erfc
         for n in range(1, 5):
             ie.append(-(x / n) * ie[-1] + ie[-2] / (2 * n))
         x2 = x * x
         finite = (  # p = -1..-5: (prefactor, polynomial part, repeated-erfc part)
-            (0.5 * math.pi, 1.0, -ie[1]),
+            (0.5 * math.pi, np.ones(x.size), -ie[1]),
             (-math.pi, x, ie[2]),
             (-2.0 * math.pi, 0.5 * x2 + 0.25, -ie[3]),
             (4.0 * math.pi, x2 * x / 6.0 + 0.25 * x, ie[4]),
             (8.0 * math.pi, x2 * x2 / 24.0 + x2 / 8.0 + 1.0 / 32.0, -ie[5]),
         )
-        for c, p in zip(w.tolist(), range(lo, min(hi, -1) + 1)):
-            pref, poly, rep = finite[-p - 1]
-            total += c * pref * (poly + rep)
-            scale += abs(c * pref) * (poly + abs(rep))
+        pref, poly, rep = zip(*(finite[-p - 1] for p in range(lo, min(hi, -1) + 1)))
+        poly, rep = np.array(poly).T, np.array(rep).T
+        c = w[:, :len(pref)] * np.array(pref)
+        total = _row_sums(c * (poly + rep), live[:, :len(pref)])
+        scale = _row_sums(abs(c) * (poly + abs(rep)), live[:, :len(pref)])
     if hi >= 0:
-        start = max(lo, 0)
-        tail = w[start - lo:]
-        scale += float(np.dot(np.abs(tail), _GAUSS_ABS[start:hi + 1]))
-        if x == 0.0:
-            total += float(np.dot(tail, _GAUSS[start:hi + 1]))
-        else:
-            acc, s, s_prev = 0.0, ex, 0.0
-            coeffs = tail.tolist()
+        start, at0 = max(lo, 0), x == 0.0
+        c, part = w[:, start - lo:], live[:, start - lo:]
+        scale = scale + _row_sums(abs(c) * _GAUSS_ABS[start:hi + 1], part)
+        gauss = herm = 0.0
+        if at0.any():
+            gauss = _row_sums(c * _GAUSS[start:hi + 1], part)
+        if not at0.all():
+            s_p = np.empty(c.shape)
+            s, s_prev = ex, 0.0
             for p in range(hi + 1):
                 if p >= start:
-                    c = coeffs[p - start]
-                    acc += -c * s if p & 2 else c * s
+                    s_p[:, p - start] = s
                 s, s_prev = x * s - 0.5 * p * s_prev, s
-            total += 0.5 * _SQRT_PI * acc
+            herm = 0.5 * _SQRT_PI * _row_sums(np.where(_SIGN[start:hi + 1], -c, c) * s_p, part)
+        total = total + np.where(at0, gauss, herm)
     return total, scale
 
 
-def _cross_isotropic(Ri, Rj, mi, mj, delta, axis, rc) -> tuple[float, float]:
+def _cross_isotropic(Ri, Rj, mi, mj, delta, axis, rc) -> tuple:
     """Interference of two radially symmetric parts (radius 0: point mass),
     2 mi mj Int_0^inf k^4 K_i K_j e^{-k^2 rc^2} A(k) dk, with the analytic
     angular integral
@@ -544,34 +630,52 @@ def _cross_isotropic(Ri, Rj, mi, mj, delta, axis, rc) -> tuple[float, float]:
     A(k) = Int dOmega (khat.xhat)^2 e^{-i k.D} =
         4 pi [ j0(kD)/3 - (2/3) P2(cos gamma) j2(kD) ],
 
-    gamma the angle between D and the measurement axis. The integrand
-    expands into terms c q^p {cos, sin}(f q) e^{-q^2}, q = k rc, each with an
-    exact Gaussian-trigonometric moment. The error estimate is a few
-    rounding units of the sum of the terms' absolute values; the dropped
-    Taylor tails are far below it."""
+    gamma the angle between D and the measurement axis, at one rc (floats
+    returned) or over a column of rc (arrays), by the same code. The
+    integrand expands into terms c q^p {cos, sin}(f q) e^{-q^2}, q = k rc,
+    each with an exact Gaussian-trigonometric moment. The error estimate is
+    a few rounding units of the sum of the terms' absolute values; the
+    dropped Taylor tails are far below it."""
+    rcs = rc if isinstance(rc, np.ndarray) else np.array([rc], dtype=float)
     dx, dy, dz = (float(c) for c in delta)
     D = math.sqrt(dx * dx + dy * dy + dz * dz)
     p2 = 0.0
     if D > 0.0:
         cg = (dx * float(axis[0]) + dy * float(axis[1]) + dz * float(axis[2])) / D
         p2 = 0.5 * (3.0 * cg * cg - 1.0)
-    angular = _angular_factor(D / rc, p2)
-    total = scale = 0.0
-    ki = _kernel_factor(Ri / rc)
-    kj = ki if Rj == Ri else _kernel_factor(Rj / rc)
-    for group in _group_product(*ki, *kj):
-        # Where a kernel group's frequency f (a sum or difference of radii)
-        # exceeds D by _DEAD_SHIFT, all its terms at f -+ D are finite-part
-        # polynomials, and they add up to those of A(0) to within
-        # e^{-((f - D)/2)^2}. Summed term by term they cancel, losing about
-        # (R/rc)^2/(D/rc)^3 eps next to large spheres, so A(0) is used.
-        ang = _ANGULAR_AT_0 if group[0] - D / rc >= _DEAD_SHIFT else angular
-        for f, lo, Z in _group_product(*group, *ang):
-            t, sc = _moment_sum(0.5 * f, lo, Z.real + Z.imag)
-            total += t
-            scale += sc
-    pref = 2.0 * mi * mj / rc**5
-    return pref * total, pref * 8.0 * _EPS * scale
+    total, scale = np.zeros(rcs.size), np.zeros(rcs.size)
+    with np.errstate(all="ignore"):  # quiet inf and NaN, as float arithmetic on one rc
+        d, li, lj = D / rcs, Ri / rcs, Rj / rcs
+        trig_i, trig_j = li >= _TAYLOR_BELOW, lj >= _TAYLOR_BELOW
+        for ti, tj in ((True, True), (True, False), (False, True), (False, False)):
+            rows = np.flatnonzero((trig_i == ti) & (trig_j == tj))
+            if rows.size == 0:
+                continue
+            ki = _kernel_factor(rows, li[rows], ti)
+            kj = ki if Rj == Ri else _kernel_factor(rows, lj[rows], tj)
+            for group in _group_product(ki, kj):
+                # Where a kernel group's frequency f (a sum or difference of
+                # radii) exceeds D by _DEAD_SHIFT, all its terms at f -+ D are
+                # finite-part polynomials, and they add up to those of A(0) to
+                # within e^{-((f - D)/2)^2}. Summed term by term they cancel,
+                # losing about (R/rc)^2/(D/rc)^3 eps next to large spheres, so
+                # A(0) is used.
+                dg = d[group.rows]
+                dead, trig = group.f - dg >= _DEAD_SHIFT, dg >= _TAYLOR_BELOW
+                for keep, at0, ang_trig in ((dead, True, False), (~dead & trig, False, True),
+                                            (~dead & ~trig, False, False)):
+                    if not keep.any():
+                        continue
+                    g = group.take(keep)
+                    ang = (_angular_factor(g.rows, np.zeros(g.rows.size), 0.0, False) if at0
+                           else _angular_factor(g.rows, d[g.rows], p2, ang_trig))
+                    for term in _group_product(g, ang):
+                        t, sc = _moment_sum(term)
+                        total[term.rows] += t
+                        scale[term.rows] += sc
+        pref = 2.0 * mi * mj / _COLUMN.pow(rcs, 5)
+        value, err = pref * total, pref * 8.0 * _EPS * scale
+    return (value, err) if rcs is rc else (float(value[0]), float(err[0]))
 
 
 def _i3_primitive(d: MassDistribution, rc, axis, ops=_SCALAR) -> tuple:
@@ -633,7 +737,7 @@ def _i3_composite(d: MassDistribution, rc: float) -> tuple[float, float]:
             raise CompositeCrossTermUnsupported(
                 f"no evaluation route for {type(parts[i].shape).__name__}/"
                 f"{type(parts[j].shape).__name__} pair at separation "
-                f"{np.linalg.norm(delta):.3e} m with rc={rc:.3e} m")
+                f"{math.hypot(*delta):.3e} m with rc={rc:.3e} m")
     if i3 <= 0.0:
         return i3, abs_err
     return i3, abs_err / i3
@@ -641,9 +745,9 @@ def _i3_composite(d: MassDistribution, rc: float) -> tuple[float, float]:
 
 def _i3_composite_column(d: MassDistribution, rc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_i3_composite over an rc column, pair by pair: the gap bound splits
-    the column, and each side takes its term in one pass (isotropic cross
-    terms point by point). Each element sees the scalar's additions in the
-    scalar's order; NaN where a pair inside the bound has no route."""
+    the column, and each side takes its term in one pass. Each element sees
+    the scalar's additions in the scalar's order; NaN where a pair inside
+    the bound has no route."""
     parts, axis, pairs = _composite_plan(d)
     diag = [_i3_primitive(part, rc, axis, _COLUMN) for part in parts]
     i3 = _total(v for v, _ in diag)
@@ -662,7 +766,7 @@ def _i3_composite_column(d: MassDistribution, rc: np.ndarray) -> tuple[np.ndarra
             val, err = _cross_cartesian(*args, delta, axis, rc[keep], _COLUMN)
             err = 1e-14 * np.sqrt(near[keep]) + err
         elif route == "isotropic":
-            val, err = _per_point(_cross_isotropic, *args, delta, axis, rc[keep])
+            val, err = _cross_isotropic(*args, delta, axis, rc[keep])
         else:
             val, err = math.nan, math.nan
         i3[keep] += val

@@ -189,6 +189,20 @@ def test_coldatom_low_cutoff_stays_finite():
     assert low == pytest.approx(3.0 * white, rel=1e-3)
 
 
+def test_coldatom_rc_whose_square_overflows_washes_out():
+    # above rc ~ 1.34e154 m, rc^2 leaves the float range: the unit response,
+    # which goes as 1/rc^2, is below every float, for white and colored noise
+    ceiling = Ceiling("position_variance", 1e-9)
+    for n in (WHITE, exponential(1e4)):
+        for rc in (1.4e154, 1e160):
+            with pytest.raises(WashedOut, match=r"unit-lam diffusion underflowed at rc=1\.\d{3}e\+1"):
+                lambda_max_coldatom(ceiling, n, RB87, rc)
+    errors = []
+    scan([load("cold-atom")], [WHITE, exponential(1e4)], np.geomspace(1e150, 1e160, 14),
+         on_error=lambda i, n, rc, e: errors.append(type(e)))
+    assert len(errors) == 16 and set(errors) == {WashedOut}
+
+
 # --- round trips -----------------------------------------------------------------------
 
 def test_round_trip_identities():

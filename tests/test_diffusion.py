@@ -8,8 +8,9 @@ from ccsl import (CONSTANTS, WHITE, CollapseParams, CompositeCrossTermUnsupporte
                   NonPositiveRc, PhononModel, composite, cuboid, cylinder, eta, eta_reduced,
                   eta_reduced_reference, lambda_eff_quad, load, point_mass, sphere)
 from ccsl import diffusion
-from ccsl.diffusion import (_DEAD_SHIFT, _GAP_DROP, _HANKEL_FROM, _cross_isotropic, _i3_primitive,
-                            _i3_sphere, _ive01, _transverse_moments, clear_cache, eta_column)
+from ccsl.diffusion import (_DEAD_SHIFT, _GAP_DROP, _HANKEL_FROM, _TAYLOR_STEPS, _angular_factor,
+                            _cross_isotropic, _i3_primitive, _i3_sphere, _ive01, _kernel_factor,
+                            _transverse_moments, clear_cache, eta_column)
 from ccsl.geometry import (circumradius, disc_kernel, form_factor_sq, sphere_kernel,
                            total_mass)
 from ccsl.quadrature import integrate
@@ -659,6 +660,86 @@ def test_eta_column_composites_are_the_scalar_bits():
                         (point_mass(1e-9), (1e-5, 0, 0))])
     _assert_column_is_scalar(inside, _GRID + _around(4e-5 / _DEAD_SHIFT, 5e-5))
     _assert_column_is_scalar(load("lisa-pathfinder").geometry, _GRID)
+    # the isotropic pairs below, each across its switches: the touching
+    # spheres and the sphere and point of the benchmark, unequal radii (no
+    # kj = ki shortcut) nested and apart on an oblique axis, and a point at
+    # a sphere's centre (D = 0)
+    for d in _ISOTROPIC_PAIRS.values():
+        (a, off_a), (b, off_b) = d.shape.parts
+        Ri, Rj, D = circumradius(a), circumradius(b), math.dist(off_a, off_b)
+        _assert_column_is_scalar(d, _GRID + _isotropic_switches(Ri, Rj, D))
+
+
+def _isotropic_switches(Ri, Rj, D):
+    """The rc around each switch of an isotropic pair: the kernel and angular
+    Taylor switches (a length equal to rc), the A(0) swap (a kernel frequency
+    _DEAD_SHIFT rc above D) and the gap drop (a gap of 2 _GAP_DROP rc)."""
+    edges = [Ri, Rj, D, abs(Ri - Rj), (Ri + Rj - D) / _DEAD_SHIFT,
+             (abs(Ri - Rj) - D) / _DEAD_SHIFT, (D - Ri - Rj) / (2.0 * _GAP_DROP)]
+    return _around(*(rc for rc in edges if rc > 0.0))
+
+
+_BALL, _BIG = sphere(1e-4, density=2200.0), sphere(5e-5, density=7430.0)
+_ISOTROPIC_PAIRS = {
+    "touching": composite([(_BALL, (-1e-4, 0, 0)), (_BALL, (1e-4, 0, 0))]),
+    "sphere-point": composite([(_BIG, (0, 0, 0)), (point_mass(1e-9), (1e-4, 0, 0))]),
+    "nested": composite([(sphere(4e-5, density=2200.0), (0, 0, 0)),
+                         (sphere(1e-5, density=7430.0), (1e-5, 1e-5, 0))],
+                        measurement_axis=_TILT["measurement_axis"]),
+    "apart": composite([(sphere(4e-5, density=2200.0), (0, 0, 0)),
+                        (sphere(1e-5, density=7430.0), (3e-5, 4e-5, 2e-5))],
+                       measurement_axis=_TILT["measurement_axis"]),
+    "centre": composite([(_BIG, (0, 0, 0)), (point_mass(1e-9), (0, 0, 0))],
+                        measurement_axis=(0.6, 0.8, 0)),
+}
+# (eta_reduced(...).value.hex(), .est_error.hex()) per rc, recorded when the
+# isotropic cross terms became one column code free of BLAS calls: kernels
+# trig (rc below the radii) and series, the angular factor trig and series,
+# and the A(0) swap (nested at 1e-7)
+_ISOTROPIC_HEX = {
+    ("touching", 1e-9): ("0x1.5ec32979c3990p+120", "0x1.686e3afbc1acep-48"),
+    ("touching", 3e-6): ("0x1.69294fc7c94b6p+143", "0x1.92f15252903fdp-47"),
+    ("touching", 1.5e-4): ("0x1.b5bd46c33e350p+149", "0x1.3d261e9967481p-46"),
+    ("touching", 1e-3): ("0x1.55923c854ad14p+145", "0x1.f4ee22a5250a9p-49"),
+    ("sphere-point", 1e-5): ("0x1.6b2045fec4268p+150", "0x1.75e2b9fcafc0cp-50"),
+    ("sphere-point", 1e-3): ("0x1.872d0f61302acp+141", "0x1.0f3c8904a462ap-48"),
+    ("nested", 1e-7): ("0x1.d55901109d6c2p+130", "0x1.36d1630987b51p-47"),
+    ("nested", 1e-4): ("0x1.251c0c0fbc21fp+142", "0x1.52ecc6ce0df7fp-48"),
+    ("centre", 1e-6): ("0x1.f4e38cf2f834ep+156", "0x1.e76666c7a5574p-53"),
+    ("centre", 1e-4): ("0x1.1613a6d3c2c5dp+148", "0x1.0fcada7a915efp-48"),
+}
+
+
+def test_isotropic_values_pinned():
+    clear_cache()
+    for (name, rc), want in _ISOTROPIC_HEX.items():
+        r = eta_reduced(_ISOTROPIC_PAIRS[name], rc)
+        assert (r.value.hex(), r.est_error.hex()) == want, f"{name} rc={rc}"
+
+
+def _refuse_blas(*args, **kwargs):
+    raise AssertionError("BLAS call on the isotropic path")
+
+
+def test_isotropic_cross_terms_call_no_blas(monkeypatch):
+    # np.convolve and np.dot round differently under different BLAS kernels
+    monkeypatch.setattr(np, "convolve", _refuse_blas)
+    monkeypatch.setattr(np, "dot", _refuse_blas)
+    clear_cache()
+    for d in _ISOTROPIC_PAIRS.values():
+        assert np.isfinite(eta_column(d, _GRID)[0]).all()
+        assert math.isfinite(eta_reduced(d, 1e-6).value)
+    clear_cache()
+
+
+def test_taylor_series_stop_within_their_steps():
+    # a series factor's terms shrink as its length falls, so the length just
+    # below the trig switch needs the most steps; that must be fewer than
+    # _TAYLOR_STEPS, past which no step is computed
+    edge, rows = np.array([np.nextafter(1.0, 0.0)]), np.array([0])
+    sizes = [_kernel_factor(rows, edge, False).size[0]]
+    sizes += [_angular_factor(rows, edge, p2, False).size[0] for p2 in (1.0, -0.5, 0.0)]
+    assert max(sizes) < 1 + 2 * _TAYLOR_STEPS
 
 
 def test_eta_column_leaves_failing_points_to_eta_reduced():
