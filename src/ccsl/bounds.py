@@ -276,8 +276,9 @@ def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid,
          ) -> list[list[ExclusionCurve]]:
     """Exclusion curves over the rc grid: one list per noise, holding one
     curve per experiment. Washed-out or failed points are NaN in the curves;
-    failures are reported through on_error(experiment_id, noise, rc,
-    exception) when given, per experiment, then noise, then rc.
+    failures, and a lam_max out of float range as WashedOut, are reported
+    through on_error(experiment_id, noise, rc, exception) when given, per
+    experiment, then noise, then rc.
 
     A force, X-ray or cold-atom column is the white column divided by one
     factor per noise. From _COLUMN_FROM rc the white column is computed in
@@ -322,9 +323,11 @@ def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid,
                     known = white_failed
             for i in redo:
                 lm, err = known[i] or _attempt(exp, n, rcs[i], tol)
+                if err is None and not 0.0 < lm < math.inf:
+                    err = WashedOut(f"lambda_max out of float range at rc={rcs[i]:.3e}")
                 if err is not None and on_error is not None:
                     on_error(exp.id, n, rcs[i], err)
-                col[i] = lm if err is None and 0.0 < lm < math.inf else nan
+                col[i] = nan if err is not None else lm
             panel.append(ExclusionCurve(exp.id, n, rc_grid, col))
     return curves
 

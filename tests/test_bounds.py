@@ -197,10 +197,23 @@ def test_coldatom_rc_whose_square_overflows_washes_out():
         for rc in (1.4e154, 1e160):
             with pytest.raises(WashedOut, match=r"unit-lam diffusion underflowed at rc=1\.\d{3}e\+1"):
                 lambda_max_coldatom(ceiling, n, RB87, rc)
-    errors = []
-    scan([load("cold-atom")], [WHITE, exponential(1e4)], np.geomspace(1e150, 1e160, 14),
-         on_error=lambda i, n, rc, e: errors.append(type(e)))
-    assert len(errors) == 16 and set(errors) == {WashedOut}
+
+
+def test_scan_reports_every_point_it_drops():
+    # above rc ~ 1.34e154 m the scalar route raises WashedOut; between about
+    # 1.3e151 m and there the unit response is subnormal and
+    # lambda_max_coldatom returns inf, which scan also drops as WashedOut:
+    # every NaN cell has exactly one error
+    assert lambda_max_coldatom(Ceiling("position_variance", 1e-9), WHITE, RB87,
+                               1e154) == math.inf
+    noises, errors = [WHITE, exponential(1e4)], []
+    panels = scan([load("cold-atom")], noises, np.geomspace(1e150, 1e160, 14),
+                  on_error=lambda i, n, rc, e: errors.append((n, rc, type(e), str(e))))
+    dropped = [(n, rc) for n, (c,) in zip(noises, panels)
+               for rc, lm in zip(c.rc.tolist(), c.lam.tolist()) if lm != lm]
+    assert [(n, rc) for n, rc, _, _ in errors] == dropped and len(dropped) == 24
+    assert {t for _, _, t, _ in errors} == {WashedOut}
+    assert sum("lambda_max out of float range at rc=" in m for *_, m in errors) == 8
 
 
 # --- round trips -----------------------------------------------------------------------

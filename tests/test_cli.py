@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ccsl import cli
@@ -272,6 +273,39 @@ def test_scan_cutoff_spellings_differing_in_case_write_one_panel(tmp_path, capsy
     assert out.splitlines() == [str(tmp_path / n) for n in names]
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(names)
     assert "# omega_c_rad_s: exp:1e4" in (tmp_path / names[0]).read_text().splitlines()
+
+
+def _percent_block(table):
+    row = ",".join(["%.8e"] * table.shape[1]) + "\n"
+    return ((row * table.shape[0]) % tuple(table.ravel().tolist())).replace("nan", "")
+
+
+def test_format_block_is_percent_format(monkeypatch):
+    rng = np.random.default_rng(2024)
+    # random 64-bit patterns: NaN, +-inf, subnormals, both signs, every exponent
+    tables = [rng.integers(0, 2**64, 2700, dtype=np.uint64).view(float).reshape(300, 9)
+              for _ in range(10)]
+    # integers 1e9 +- 5000, exact ties such as 1000000005 and 1000000015
+    # (round half to even) among them, unscaled, scaled and negated
+    ints = np.arange(1e9 - 5000, 1e9 + 5001)
+    tables += [np.column_stack([ints * s, -ints * s]) for s in (1.0, 1e-7, 1e100, 1e-250)]
+    # 10^k for k in [-300, 300], its float neighbours, 3-digit exponents, +-0
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    edges = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+                            -powers, [0.0, -0.0, 1.5e-300, -9.99999999e299, 1e308, 5e-324]])
+    tables += [edges.reshape(-1, 1), edges.reshape(1, -1), edges[:-2].reshape(-1, 7),
+               np.array([[np.nan]])]
+    for table in tables:
+        assert cli._format_block(table) == _percent_block(table)
+    assert cli._format_block(np.array([[1000000005.0, 1000000015.0]])) == (
+        "1.00000000e+09,1.00000002e+09\n")
+    # a tie and a magnitude out of [1e-290, 1e290] reach the "%" fallback; a
+    # NaN is an empty cell without it
+    seen = []
+    monkeypatch.setattr(cli, "_fmt", lambda v: seen.append(v) or "%.8e" % v)
+    table = np.array([[1e-7, 1000000005.0, 1e-300, np.nan, 2.5e300, 3.0]])
+    assert cli._format_block(table) == _percent_block(table)
+    assert seen == [1000000005.0, 1e-300, 2.5e300]
 
 
 def test_scan_blanks_missing_cells_in_data_rows_only(tmp_path, capsys):
