@@ -8,17 +8,14 @@ useful level; an exclusion curve holds NaN there rather than a sentinel.
 Every bound factors as lam_max = ceiling / (unit response(rc) x noise
 factor). For force, X-ray and cold-atom experiments the noise factor does
 not depend on rc: it is f~ at the probe frequency, f~(w_obs), or the
-cold-atom bracket over its white value t^3/2. ``scan`` therefore
-computes their white column once per rc grid and derives each noise's
-column from it in one pass, dividing by one scalar. From _COLUMN_FROM rc
-the white column is one numpy pass as well, with eta from
-``diffusion.eta_column``; its few NaN points (rc <= 0, a composite pair
-with no cross-term route, a non-finite value) and every point of a
-shorter grid take the scalar route, as do the single-point
-``lambda_max_*`` functions. Bulk heating couples
-rc and Wc through x = rc Wc / v_s, so ``scan`` asks ``predict`` for one
-column of lam_eff/lam per noise (closed form, or one batched quadrature for
-the full-sine dispersion) and inverts it point by point.
+cold-atom bracket over its white value t^3/2. ``scan`` therefore computes
+their white column once per rc grid and divides it by one scalar per
+noise. Bulk heating couples rc and Wc through x = rc Wc / v_s, so ``scan``
+inverts one ``predict.lambda_eff_column`` of lam_eff/lam per noise. From
+_COLUMN_FROM rc each of these is a numpy pass over the grid (eta from
+``diffusion.eta_column``), with the band checks, and Python touches only
+the points a pass flags: failed, washed out, or out of the safe band.
+Shorter grids and the single-point ``lambda_max_*`` take the scalar route.
 """
 
 from __future__ import annotations
@@ -38,8 +35,8 @@ from .noise import WHITE, NoiseSpec, spectrum
 # lambda_eff_quad is unused here; it stays bound for tracers that wrap it at
 # this import site (bench/spans.py)
 from .predict import (ColdAtomDescriptor, PhononModel, cold_atom_diffusion,  # noqa: F401
-                      cold_atom_noise_factor, cold_atom_white_column, lambda_eff_column,
-                      lambda_eff_quad)
+                      cold_atom_noise_factor, cold_atom_white_column, lambda_eff,
+                      lambda_eff_column, lambda_eff_quad)
 
 FORCE_PSD = "force_psd"
 XRAY_NORMALIZED = "xray_normalized"
@@ -54,12 +51,11 @@ _FACTORED_KINDS = ("optomechanical", "xray", "cold_atom")
 # response ceiling/value all lie in this band: far from overflow and from
 # subnormals, the derived and the scalar route differ by rounding alone
 _SAFE_LO, _SAFE_HI = 1e-290, 1e290
-# grids of at least this many rc take their white column in one pass (eta_column);
-# shorter ones, such as the one rc of `ccsl bound`, stay on the scalar route,
-# which costs less there. Measured in-process with a white and a colored
-# cutoff: the column costs 2.6x the scalar route at one rc and 0.97x at 12 on
-# the six bundled force, X-ray and cold-atom experiments; 3.7x and 0.93x on
-# the benchmark's small-sphere, rod, beam-plus-tip and composite configs.
+# grids of at least this many rc take the numpy passes; shorter ones, such as
+# the one rc of `ccsl bound`, stay on the scalar route, which costs less
+# there: a white column costs 2.6x the scalar route at one rc and 0.97x at 12
+# (in-process, bundled set), and with the passes on every grid point-queries
+# ran at 3.26k requests/ref_s against 4.95k (bench/run.py, 4 pairs)
 _COLUMN_FROM = 12
 
 
@@ -169,31 +165,21 @@ def lambda_max_xray(ceiling: Ceiling, n: NoiseSpec, rc: float,
     return ceiling.value * rc * rc / f
 
 
-def _heating_column(ceiling: Ceiling, n: NoiseSpec, ph: PhononModel, rcs,
-                    tol: float) -> list:
-    """(lam_max, None) or (None, the exception) at each rc of rcs: one
-    predict column of lam_eff/lam, inverted point by point."""
-    if ceiling.kind != HEATING_POWER:
-        raise ValidationError("ceiling.kind", "expected heating_power")
-    c, out = CONSTANTS, []
-    for rc, ratio in zip(rcs, lambda_eff_column(n, ph, rcs, tol)):
-        if isinstance(ratio, Exception):
-            out.append((None, ratio))
-        elif ratio < _WASHOUT_RATIO:
-            out.append((None, WashedOut(f"lambda_eff/lambda = {ratio:.3e} at rc={rc:.3e}")))
-        else:
-            out.append((ceiling.value * 4.0 * rc * rc * c.m0**2 / (3.0 * c.hbar**2)
-                        / ratio, None))
-    return out
+def _heating_lambda(value: float, rc, ratio):
+    """ceiling value / unit heating response, at one rc or over an rc column."""
+    c = CONSTANTS
+    return value * 4.0 * rc * rc * c.m0**2 / (3.0 * c.hbar**2) / ratio
 
 
 def lambda_max_heating(ceiling: Ceiling, n: NoiseSpec, ph: PhononModel,
                        rc: float, tol: float = DEFAULT_TOL) -> float:
     """Invert dE/(dt dM) = (3/4)(hbar^2/rc^2 m0^2) lam_eff."""
-    ((lam_max, err),) = _heating_column(ceiling, n, ph, [rc], tol)
-    if err is not None:
-        raise err
-    return lam_max
+    if ceiling.kind != HEATING_POWER:
+        raise ValidationError("ceiling.kind", "expected heating_power")
+    ratio = lambda_eff(n, ph, rc, tol)
+    if ratio < _WASHOUT_RATIO:
+        raise WashedOut(f"lambda_eff/lambda = {ratio:.3e} at rc={rc:.3e}")
+    return _heating_lambda(ceiling.value, rc, ratio)
 
 
 def lambda_max_coldatom(ceiling: Ceiling, n: NoiseSpec, ca: ColdAtomDescriptor,
@@ -270,6 +256,51 @@ def _attempt(exp, n: NoiseSpec, rc: float, tol: float):
         return None, err.with_traceback(None)
 
 
+def _white(exp, rc_grid: np.ndarray, rcs: list, tol: float, columns: bool):
+    """The white lam_max of a force, X-ray or cold-atom experiment where it
+    lies in the safe band, NaN elsewhere (an array for a column, a list for
+    a short grid), and {i: (None, error)} for the points whose white call
+    failed. A column takes the scalar route only at _white_column's NaN."""
+    lo, hi = _SAFE_LO, _SAFE_HI
+    if not columns:
+        white = [_attempt(exp, WHITE, rc, tol) for rc in rcs]
+        return ([w if err is None and lo <= w <= hi else math.nan for w, err in white],
+                {i: w for i, w in enumerate(white) if w[1] is not None})
+    white, failed = _white_column(exp, rc_grid), {}
+    for i in np.flatnonzero(np.isnan(white)).tolist():
+        w, err = _attempt(exp, WHITE, rcs[i], tol)
+        if err is None:
+            white[i] = w
+        else:
+            failed[i] = (None, err)
+    return np.where((lo <= white) & (white <= hi), white, math.nan), failed
+
+
+def _derived(usable, factor: float, c: float) -> tuple:
+    """usable / factor, and the indices of the points where it or the
+    ceiling over it leaves the safe band: a numpy pass over a column, a
+    Python one over a short grid's list."""
+    lo, hi = _SAFE_LO, _SAFE_HI
+    if isinstance(usable, list):
+        col = [w / factor for w in usable]
+        return col, [i for i, lm in enumerate(col) if not (lo <= lm <= hi and lo <= c / lm <= hi)]
+    with np.errstate(all="ignore"):
+        col = usable / factor
+        inv = c / col
+        return col, np.flatnonzero(~((lo <= col) & (col <= hi) & (lo <= inv) & (inv <= hi))).tolist()
+
+
+def _heating_column(exp, n: NoiseSpec, rc_grid: np.ndarray, tol: float) -> tuple:
+    """lambda_max_heating over a column in one numpy pass, the indices of the
+    points that failed, washed out or left the float range, and
+    {i: (None, error)} for the points lambda_eff_column failed at."""
+    ratio, errors = lambda_eff_column(n, exp.phonon, rc_grid, tol)
+    with np.errstate(all="ignore"):
+        col = _heating_lambda(exp.ceiling.value, rc_grid, ratio)
+        redo = np.flatnonzero(~((ratio >= _WASHOUT_RATIO) & (col > 0.0) & (col < math.inf)))
+    return col, redo.tolist(), {i: (None, err) for i, err in errors.items()}
+
+
 def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid,
          tol: float = DEFAULT_TOL,
          on_error: Callable[[str, NoiseSpec, float, Exception], None] | None = None
@@ -281,48 +312,38 @@ def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid,
     experiment, then noise, then rc.
 
     A force, X-ray or cold-atom column is the white column divided by one
-    factor per noise. From _COLUMN_FROM rc the white column is computed in
-    one pass (_white_column, with eta from eta_column), and only its NaN
-    points take the scalar route; shorter grids take it at every point.
-    Only the derived points that leave the safe band go back to the scalar
-    route, as does every point when the factor leaves it; a point whose
-    white call failed fails with that error. A bulk-heating column is
-    one lam_eff/lam column per noise, inverted as lambda_max_heating inverts
-    one point, with each point's error its own."""
+    factor per noise; a derived point that leaves the safe band goes back
+    to the scalar route, as does every point when the factor leaves it, and
+    a point whose white call failed fails with that error. A bulk-heating
+    column is inverted as lambda_max_heating inverts one point, bit for
+    bit, with each point's error its own."""
     rc_grid = np.asarray(rc_grid, dtype=float)
     if rc_grid.ndim != 1 or rc_grid.size == 0:
         raise EmptyInput("rc_grid must be a non-empty 1-D array")
     rcs = rc_grid.tolist()
     if any(b <= a for a, b in zip(rcs, rcs[1:])):  # in Python: cheaper than np.diff for one rc
         raise ValidationError("rc_grid", "must be strictly increasing")
-    lo, hi, nan = _SAFE_LO, _SAFE_HI, math.nan
+    columns, nan = len(rcs) >= _COLUMN_FROM, math.nan
     curves: list[list[ExclusionCurve]] = [[] for _ in noises]
     for exp in experiments:
         factored, c = exp.kind in _FACTORED_KINDS, exp.ceiling.value
         if factored:
-            column = (_white_column(exp, rc_grid) if len(rcs) >= _COLUMN_FROM
-                      else np.full(len(rcs), nan))
-            white = [(w, None) if w == w else _attempt(exp, WHITE, rc, tol)
-                     for w, rc in zip(column.tolist(), rcs)]
-            usable = [w if err is None and lo <= w <= hi else nan for w, err in white]
-            white_failed = [w if w[1] is not None else None for w in white]
+            usable, white_failed = _white(exp, rc_grid, rcs, tol, columns)
         for n, panel in zip(noises, curves):
             # known[i]: point i's (lam_max, error) where no scalar call is needed
-            col, redo, known = [nan] * len(rcs), range(len(rcs)), [None] * len(rcs)
-            if exp.kind == "bulk_heating":
-                known = _heating_column(exp.ceiling, n, exp.phonon, rcs, tol)
+            col, redo, known = [nan] * len(rcs), range(len(rcs)), {}
+            if exp.kind == "bulk_heating" and columns:
+                col, redo, known = _heating_column(exp, n, rc_grid, tol)
             elif factored:
                 try:
                     factor = _noise_factor(exp, n)
                 except ArithmeticError:  # a cold-atom bracket that overflows or is 0 at t = 0
                     factor = nan
-                if lo <= factor <= hi:
-                    col = [w / factor for w in usable]
-                    redo = [i for i, lm in enumerate(col)
-                            if not (lo <= lm <= hi and lo <= c / lm <= hi)]
+                if _SAFE_LO <= factor <= _SAFE_HI:
+                    col, redo = _derived(usable, factor, c)
                     known = white_failed
             for i in redo:
-                lm, err = known[i] or _attempt(exp, n, rcs[i], tol)
+                lm, err = known.get(i) or _attempt(exp, n, rcs[i], tol)
                 if err is None and not 0.0 < lm < math.inf:
                     err = WashedOut(f"lambda_max out of float range at rc={rcs[i]:.3e}")
                 if err is not None and on_error is not None:

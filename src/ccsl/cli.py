@@ -104,33 +104,41 @@ class RunManifest:
 # --- predict ----------------------------------------------------------------
 
 def _predict_rows(exp: ExperimentDescriptor, p: CollapseParams, n: NoiseSpec,
-                  omega: float | None, tol: float) -> list[tuple[str, str, float, str]]:
-    rows = []
+                  omega: float | None, tol: float) -> list[tuple[str, object, str]]:
+    """(observable, a call that computes it, unit) for each of exp's rows."""
     if exp.kind == "optomechanical":
         probe = exp.ceiling.probe
         w = omega if omega is not None else (
             probe[0] if isinstance(probe, tuple) else probe)
-        s = dns_ccsl(exp.geometry, p, n, w)
-        rows.append((exp.id, "force_psd_ccsl", float(s), "N^2/Hz"))
+        rows = [("force_psd_ccsl", lambda: dns_ccsl(exp.geometry, p, n, w), "N^2/Hz")]
         osc = exp.oscillator
         if osc is not None and osc.gamma_m is not None:
-            rows.append((exp.id, "displacement_dns_total",
-                         float(dns_total(osc, exp.geometry, p, n, w)), "m^2/Hz"))
-    elif exp.kind == "xray":
+            rows.append(("displacement_dns_total",
+                         lambda: dns_total(osc, exp.geometry, p, n, w), "m^2/Hz"))
+        return rows
+    if exp.kind == "xray":
         w = omega if omega is not None else exp.ceiling.probe
-        rows.append((exp.id, "xray_normalized_rate",
-                     float(normalized_xray_rate(p, n, w)), "s^-1 m^-2"))
-        rows.append((exp.id, "xray_dgamma_domega",
-                     float(xray_rate(p, n, w)), "s^-1/(rad/s)"))
-    elif exp.kind == "bulk_heating":
-        rows.append((exp.id, "heating_rate",
-                     heating_rate(p, n, exp.phonon, tol), "W/kg"))
-    elif exp.kind == "cold_atom":
-        rows.append((exp.id, "position_variance",
-                     cold_atom_diffusion(p, n, exp.coldatom), "m^2"))
-    else:
-        raise ValidationError("experiment.kind", f"unknown kind {exp.kind!r}")
-    return rows
+        return [("xray_normalized_rate", lambda: normalized_xray_rate(p, n, w), "s^-1 m^-2"),
+                ("xray_dgamma_domega", lambda: xray_rate(p, n, w), "s^-1/(rad/s)")]
+    if exp.kind == "bulk_heating":
+        return [("heating_rate", lambda: heating_rate(p, n, exp.phonon, tol), "W/kg")]
+    if exp.kind == "cold_atom":
+        return [("position_variance", lambda: cold_atom_diffusion(p, n, exp.coldatom), "m^2")]
+    raise ValidationError("experiment.kind", f"unknown kind {exp.kind!r}")
+
+
+def _predict_value(exp_id: str, observable: str, call, rc: float) -> float:
+    """call()'s value as a float; a CcslError naming the experiment and the
+    observable when the float arithmetic raised or the value is not finite."""
+    try:
+        value = why = float(call())
+    except CcslError:
+        raise
+    except ArithmeticError as err:
+        value, why = math.nan, type(err).__name__
+    if not math.isfinite(value):
+        raise CcslError(f"{exp_id}: {observable} out of float range at rc={rc:.3e} ({why})")
+    return value
 
 
 def cmd_predict(args) -> int:
@@ -141,9 +149,8 @@ def cmd_predict(args) -> int:
         "lambda_s^-1": args.lam, "rc_m": args.rc, "noise": args.noise,
         "omega_rad_s": args.omega, "tol": args.tol, "format": args.format,
     }, [e.id for e in experiments])
-    rows = []
-    for exp in experiments:
-        rows.extend(_predict_rows(exp, p, n, args.omega, args.tol))
+    rows = [(exp.id, o, _predict_value(exp.id, o, call, p.rc), u) for exp in experiments
+            for o, call, u in _predict_rows(exp, p, n, args.omega, args.tol)]
     if args.format == "json":
         doc = {"manifest": vars(manifest),
                "results": [{"experiment": e, "observable": o, "value": v,

@@ -16,7 +16,8 @@ The isotropic cross terms are one code for both, which ``eta_reduced`` runs
 on a column of one rc, and which calls no BLAS routine, so their values do
 not depend on the host's BLAS kernels. The rarer branches stay scalar,
 point by point: the sphere series below X = 1 and the cylinder's transverse
-moments. Points it cannot evaluate are NaN, left to ``eta_reduced``.
+moments below u = 170 or so (above, their Hankel series is one table over
+the column). Points it cannot evaluate are NaN, left to ``eta_reduced``.
 
 Every eta route is closed form, integrated over all k; no quadrature sits on
 the eta production path (the only production adaptive quadrature left in
@@ -244,6 +245,38 @@ def _transverse_moments(R: float, rc: float) -> tuple[float, float]:
     return (2.0 / R**2) * g, (2.0 / (R**2 * rc**2)) * i1
 
 
+def _hankel01(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_ive01's Hankel branch over a column of u >= 19, bit for bit: the
+    terms t_k of each point as running products down 8 rows, their running
+    sums, and each point's sums after the first k at which both its terms
+    fall below 1e-17, where the scalar loop stops. NaN at the points whose
+    terms have not fallen that far by the last row (u below about 170)."""
+    k = np.arange(1, 9)[:, None]
+    odd2, inv = (2 * k - 1) ** 2, 0.125 / u
+    t0 = np.multiply.accumulate(odd2 * inv / k, axis=0)
+    t1 = np.multiply.accumulate((odd2 - 4) * inv / k, axis=0)
+    stop = (np.abs(t0) <= 1e-17) & (np.abs(t1) <= 1e-17)
+    at, ones = (stop.argmax(axis=0), np.arange(u.size)), np.ones((1, u.size))
+    r = np.where(stop.any(axis=0), 1.0 / np.sqrt(2.0 * math.pi * u), math.nan)
+    return tuple(np.add.accumulate(np.concatenate([ones, t]), axis=0)[1:][at] * r
+                 for t in (t0, t1))
+
+
+def _transverse_moments_column(R: float, rc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_transverse_moments over an rc column: the Hankel branch in one pass
+    where _hankel01 sums it, every other point point by point; NaN where
+    the scalar raises."""
+    u = _COLUMN.pow(R / rc, 2) / 2.0
+    b1, b3, far = np.full(rc.size, math.nan), np.full(rc.size, math.nan), u >= _HANKEL_FROM
+    i0, i1 = _hankel01(u[far])
+    den = R**2 * _COLUMN.pow(rc[far], 2)
+    b1[far] = np.where(den > 0.0, (2.0 / R**2) * (1.0 - i0 - i1), math.nan)
+    b3[far] = 2.0 / den * i1
+    rest = np.isnan(b1)  # where _hankel01 did not sum, or the scalar's 2/den raises
+    b1[rest], b3[rest] = _per_point(_transverse_moments, R, rc[rest])
+    return b1, b3
+
+
 # --- per-shape reductions (all return I3 = Int |mu|^2 kx^2 e^{-k^2 rc^2}) ----
 
 def _i3_sphere(R: float, m: float, rc: float) -> tuple[float, float]:
@@ -298,8 +331,8 @@ def _i3_cylinder(shape: Cylinder, m: float, rc, axis, ops=_SCALAR) -> tuple:
     c = _axis_cosine(axis, shape.axis)
     s2 = max(0.0, 1.0 - c * c)
     A0, A2 = _axial_moments(shape.length, rc, ops)
-    B1, B3 = (_transverse_moments(shape.radius, rc) if ops is _SCALAR
-              else _per_point(_transverse_moments, shape.radius, rc))
+    B1, B3 = (_transverse_moments if ops is _SCALAR
+              else _transverse_moments_column)(shape.radius, rc)
     i3 = m * m * (2.0 * math.pi * c * c * A2 * B1 + math.pi * s2 * A0 * B3)
     return i3, 2e-14
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -243,54 +244,71 @@ def _y_edges(n: NoiseSpec, ph: PhononModel, rc: float) -> np.ndarray:
     return merge_edges(0.0, 40.0, _Y_EDGES, period * np.arange(1, int(40.0 / period) + 1))
 
 
-def lambda_eff_column(n: NoiseSpec, ph: PhononModel, rcs, tol: float = DEFAULT_TOL,
-                      lam: float = 1.0, closed: bool | None = None) -> list:
-    """lam_eff at each rc of rcs for one noise and phonon model: the value,
-    or the exception that rc alone raised. lam = 1 gives lam_eff/lam.
+def _closed(n: NoiseSpec, ph: PhononModel, rc, lam: float, bracket=_phonon_bracket):
+    """The closed form of lambda_eff_closed at rc > 0: at one rc, or over an rc
+    column with bracket mapped over it, each element bit for bit the float."""
+    if n.is_white:
+        return lam
+    x = rc * n.omega_c / ph.v_s
+    return lam * (4.0 * x * x / 3.0) * bracket(x)
 
-    closed=True is the closed form of lambda_eff_closed (linear dispersion
-    assumed), closed=False the radial quadrature of lambda_eff_quad, run for
-    all rc as one batched quadrature; the default is the closed form for
-    linear dispersion and the quadrature otherwise. Each entry is the value
-    of the one-rc call, bit for bit."""
+
+def lambda_eff_column(n: NoiseSpec, ph: PhononModel, rcs, tol: float = DEFAULT_TOL,
+                      lam: float = 1.0, closed: bool | None = None) -> tuple[np.ndarray, dict]:
+    """lam_eff over the rc column rcs for one noise and phonon model: an
+    array, NaN where an rc raised, and {index: that exception}. lam = 1
+    gives lam_eff/lam. closed=True is the closed form of lambda_eff_closed
+    (linear dispersion assumed), one numpy pass with _phonon_bracket mapped
+    over the column; closed=False the radial quadrature of lambda_eff_quad,
+    one batched quadrature for all rc; by default the closed form for linear
+    dispersion. Each value and error is lambda_eff's at its rc, bit for bit."""
     if closed is None:
         closed = ph.dispersion is None
-    out: list = []
-    rows, edges = [], []  # the quadrature's rows: their entries in out, their seed edges
-    for rc in rcs:
-        if not (math.isfinite(rc) and rc > 0):
-            out.append(NonPositiveRc(f"rc must be > 0 and finite, got {rc!r}"))
-        elif closed and n.is_white:
-            out.append(lam)
-        elif closed:
-            x = rc * n.omega_c / ph.v_s
-            out.append(lam * (4.0 * x * x / 3.0) * _phonon_bracket(x))
-        elif not (0.0 < tol < 1e-2):
-            out.append(ValidationError("tol", f"must lie in (0, 1e-2), got {tol!r}"))
-        elif lam == 0.0:
-            out.append(0.0)
+    rc = np.array(rcs, dtype=float)
+    out, ok = np.full(rc.size, math.nan), np.isfinite(rc) & (rc > 0.0)
+    errors = {i: NonPositiveRc(f"rc must be > 0 and finite, got {float(rc[i])!r}")
+              for i in np.flatnonzero(~ok).tolist()}
+    at = np.flatnonzero(ok).tolist()
+    if closed:
+        with np.errstate(all="ignore"):
+            out[ok] = _closed(n, ph, rc[ok], lam, partial(map_floats, _phonon_bracket))
+        return out, errors
+    if not (0.0 < tol < 1e-2):
+        errors.update((i, ValidationError("tol", f"must lie in (0, 1e-2), got {tol!r}"))
+                      for i in at)
+        return out, errors
+    if lam == 0.0:
+        out[ok] = 0.0
+        return out, errors
+    rows, edges = [], []  # the quadrature's rows: their indices, their seed edges
+    for i in at:
+        try:
+            edges.append(_y_edges(n, ph, float(rc[i])))
+        except QuadratureNotConverged as err:
+            errors[i] = err
         else:
-            try:
-                edges.append(_y_edges(n, ph, rc))
-            except QuadratureNotConverged as err:
-                out.append(err)
-            else:
-                rows.append(len(out))
-                out.append(None)
+            rows.append(i)
     if rows:
-        rc_rows = np.array([rcs[i] for i in rows], dtype=float)
+        rc_rows = rc[rows]
         f = lambda y, r: y**4 * np.exp(-(y * y)) * spectrum(n, ph.omega_l(y / rc_rows[r]))
         for i, res in zip(rows, integrate_rows(f, edges, rel_tol=0.1 * tol)):
-            out[i] = res if isinstance(res, Exception) else (
-                lam * (8.0 / (3.0 * _SQRT_PI)) * res.value)
-    return out
+            if isinstance(res, Exception):
+                errors[i] = res
+            else:
+                out[i] = lam * (8.0 / (3.0 * _SQRT_PI)) * res.value
+    return out, errors
 
 
-def _one(column: list) -> float:
-    (value,) = column
-    if isinstance(value, Exception):
-        raise value
-    return value
+def lambda_eff(n: NoiseSpec, ph: PhononModel, rc: float, tol: float = DEFAULT_TOL,
+               lam: float = 1.0, closed: bool | None = None) -> float:
+    """lam_eff at one rc, or the error that rc raises: the closed form in
+    Python floats, the rest as a column of one (lambda_eff_column)."""
+    if (ph.dispersion is None if closed is None else closed) and math.isfinite(rc) and rc > 0:
+        return _closed(n, ph, rc, lam)
+    (value,), errors = lambda_eff_column(n, ph, [rc], tol, lam, closed)
+    if errors:
+        raise errors[0]
+    return float(value)
 
 
 def lambda_eff_closed(p: CollapseParams, n: NoiseSpec, ph: PhononModel) -> float:
@@ -301,7 +319,7 @@ def lambda_eff_closed(p: CollapseParams, n: NoiseSpec, ph: PhononModel) -> float
     """
     if ph.dispersion is not None:
         raise UnsupportedDispersion("closed form exists for linear dispersion only")
-    return _one(lambda_eff_column(n, ph, [p.rc], lam=p.lam, closed=True))
+    return lambda_eff(n, ph, p.rc, lam=p.lam, closed=True)
 
 
 def lambda_eff_quad(p: CollapseParams, n: NoiseSpec, ph: PhononModel,
@@ -313,7 +331,7 @@ def lambda_eff_quad(p: CollapseParams, n: NoiseSpec, ph: PhononModel,
     over y in [0, 40], seeded with _y_edges.
     Supports both dispersion forms; matches lambda_eff_closed for the linear
     one and returns lam (up to tol) for white noise."""
-    return _one(lambda_eff_column(n, ph, [p.rc], tol, p.lam, closed=False))
+    return lambda_eff(n, ph, p.rc, tol, p.lam, closed=False)
 
 
 def heating_rate(p: CollapseParams, n: NoiseSpec, ph: PhononModel,
@@ -321,7 +339,7 @@ def heating_rate(p: CollapseParams, n: NoiseSpec, ph: PhononModel,
     """Bulk energy gain rate per unit mass, W/kg:
     dE/(dt dM) = (3/4) (hbar^2 / rc^2 m0^2) lam_eff, with lam_eff closed form
     for linear dispersion and by quadrature for the full sine."""
-    leff = _one(lambda_eff_column(n, ph, [p.rc], tol, p.lam))
+    leff = lambda_eff(n, ph, p.rc, tol, p.lam)
     c = CONSTANTS
     return 0.75 * c.hbar**2 / (p.rc**2 * c.m0**2) * leff
 

@@ -130,13 +130,16 @@ def test_heating_washed_out_at_tiny_cutoff():
                            exponential(1e-10), COPPER, 1e-7)
 
 
-def test_heating_column_is_the_scalar_route():
+def test_heating_column_is_the_scalar_route(monkeypatch):
     # scan inverts one lambda_eff column per noise; each point and each
     # logged error is lambda_max_heating's at that rc, bit for bit, for a
-    # bad rc and a bad tol too
+    # bad rc and a bad tol too, and at an rc where lambda_max overflows, which
+    # scan reports as WashedOut. The grid is short, so the column is switched
+    # on for it.
     exps = [load("bulk-heating"), parse_config(LATTICE_HEATING)]
     noises = [WHITE, exponential(1e1), exponential(3.3e4), exponential(1e12)]
-    grid = [-1e-9, 1e-12, 2e-9, 1e-8, 1e-6, 1e-4]
+    grid = [-1e-9, 1e-12, 2e-9, 1e-8, 1e-6, 1e-4, 1e160]
+    monkeypatch.setattr(bounds, "_COLUMN_FROM", len(grid))
     for tol in (1e-8, 1e-6, 0.5):
         errors = []
         panels = scan(exps, noises, grid, tol=tol, on_error=lambda i, n, rc, e: errors.append(
@@ -147,7 +150,10 @@ def test_heating_column_is_the_scalar_route():
                 lams = []
                 for rc in grid:
                     try:
-                        lams.append(lambda_max_heating(exp.ceiling, n, exp.phonon, rc, tol))
+                        lm = lambda_max_heating(exp.ceiling, n, exp.phonon, rc, tol)
+                        if not 0.0 < lm < math.inf:
+                            raise WashedOut(f"lambda_max out of float range at rc={rc:.3e}")
+                        lams.append(lm)
                     except Exception as err:
                         lams.append(math.nan)
                         expected.append((exp.id, n, rc, type(err), str(err)))
@@ -387,13 +393,17 @@ def test_multi_noise_scan_matches_scalar_route():
 
 def test_scan_white_column_is_the_scalar_route(monkeypatch):
     # grids on both sides of the crossover: from _COLUMN_FROM rc the white
-    # column comes from one pass, and curves and error log must be those of
-    # the scalar route at every point, which the scan takes below it. The
-    # column leaves to the scalar route only the points it cannot evaluate:
-    # rc <= 0 and the rod-sphere points inside the gap bound.
+    # column and the bulk-heating columns come from numpy passes, and curves
+    # and error log must be those of the scalar route at every point, which
+    # the scan takes below it. The white column leaves to the scalar route
+    # only the points it cannot evaluate: rc <= 0 and the rod-sphere points
+    # inside the gap bound; the heating columns leave none. The cutoffs put
+    # the linear phonon bracket's x = rc Wc / v_s below and above 20 (1e12),
+    # above it everywhere (1e15) and past where x^2 overflows (1e300).
     exps = load_all_bundled() + [_rod_sphere()]
     factored = len([e for e in exps if e.kind != "bulk_heating"])
-    noises = [WHITE, exponential(1e4), exponential(1e-146)]
+    noises = [WHITE, exponential(1e4), exponential(1e-146), exponential(1e12),
+              exponential(1e15), exponential(1e300)]
     white_calls = []
 
     def attempt(exp, n, rc, tol, _scalar=bounds._attempt):
@@ -423,7 +433,7 @@ def test_scan_white_column_is_the_scalar_route(monkeypatch):
                 ("rod-sphere", CompositeCrossTermUnsupported)}
             assert len([c for c in column_calls if c[1] <= 0.0]) == 2 * factored
         else:
-            assert len(column_calls) == size * factored
+            assert len(column_calls) == size * len(exps)
 
 
 def test_multi_noise_scan_reruns_failed_factors():

@@ -60,6 +60,42 @@ def test_predict_json_format(capsys):
     assert res["xray_normalized_rate"]["unit"] == "s^-1 m^-2"
 
 
+@pytest.mark.parametrize("experiment, rc, observable, cause", [
+    # an overflow (in eta, or in rc^2 or the bracket's x^2), a division by an rc^2
+    # that underflowed to 0, and a value that came out NaN without raising
+    ("cantilever", "1e110", "force_psd_ccsl", "OverflowError"),
+    ("auriga", "1e110", "force_psd_ccsl", "OverflowError"),
+    ("xray", "1e200", "xray_normalized_rate", "OverflowError"),
+    ("cold-atom", "1e200", "position_variance", "OverflowError"),
+    ("bulk-heating", "1e200", "heating_rate", "OverflowError"),
+    ("xray", "1e-150", "xray_dgamma_domega", "ZeroDivisionError"),
+    ("cold-atom", "1e-150", "position_variance", "ZeroDivisionError"),
+    ("bulk-heating", "1e-150", "heating_rate", "ZeroDivisionError"),
+    ("auriga", "1e100", "force_psd_ccsl", "nan"),
+    ("bulk-heating", "1e150", "heating_rate", "nan"),
+])
+def test_predict_out_of_float_range_exits_3(capsys, experiment, rc, observable, cause):
+    code, out, err = run(capsys, "predict", "--experiment", experiment,
+                         "--lambda", "1e-8", "--rc", rc, "--noise", "exp:1e10")
+    assert (code, out) == (3, "")
+    assert err == (f"error: {experiment}: {observable} out of float range at "
+                   f"rc={float(rc):.3e} ({cause})\n")
+
+
+def test_predict_in_range_extremes_unchanged(capsys):
+    # values that underflow to 0 or stay finite at these rc still print, exit 0
+    for experiment, rc, value in (("auriga", "1e-150", "0.00000000e+00"),
+                                  ("cold-atom", "1e150", "2.96439388e-323"),
+                                  ("bulk-heating", "1e110", "2.98138468e-243")):
+        code, out, _ = run(capsys, "predict", "--experiment", experiment, "--lambda", "1e-8",
+                           "--rc", rc, "--noise", "exp:1e10")
+        assert code == 0 and data_rows(out)[1].split(",")[2] == value
+    # a comma list prints no row when one of its values is out of range
+    code, out, _ = run(capsys, "predict", "--experiment", "xray,auriga", "--lambda", "1e-8",
+                       "--rc", "1e100", "--noise", "exp:1e10")
+    assert (code, out) == (3, "")
+
+
 def test_malformed_flag_exits_2(capsys):
     code, _, err = run(capsys, "predict", "--experiment", "xray",
                        "--lambda", "1e-12")  # missing --rc

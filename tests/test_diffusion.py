@@ -10,7 +10,8 @@ from ccsl import (CONSTANTS, WHITE, CollapseParams, CompositeCrossTermUnsupporte
 from ccsl import diffusion
 from ccsl.diffusion import (_DEAD_SHIFT, _GAP_DROP, _HANKEL_FROM, _TAYLOR_STEPS, _angular_factor,
                             _cross_isotropic, _i3_primitive, _i3_sphere, _ive01, _kernel_factor,
-                            _transverse_moments, clear_cache, eta_column)
+                            _transverse_moments, _transverse_moments_column, clear_cache,
+                            eta_column)
 from ccsl.geometry import (circumradius, disc_kernel, form_factor_sq, sphere_kernel,
                            total_mass)
 from ccsl.quadrature import integrate
@@ -193,6 +194,29 @@ def test_cylinder_transverse_moments_vs_radial_quadrature():
         b1, b3 = _transverse_moments(R, rc)
         assert b1 == pytest.approx(b1q, rel=1e-10), f"u={u}"
         assert b3 == pytest.approx(b3q, rel=1e-10), f"u={u}"
+
+
+def test_cylinder_column_moments_are_the_scalar_ones():
+    # the column's Hankel pass and the points it leaves to _transverse_moments
+    # give its values bit for bit, on a column across u = 1 and u = 19 (each
+    # switch with its float neighbours) and across the u at which the Hankel
+    # terms need more than the column's rows. NaN where the scalar raises: u
+    # overflows (R/rc above 1.3e154), or R/rc is inf (a subnormal rc) and
+    # R^2 rc^2 is 0; at rc = 5e-155 R^2 rc^2 is subnormal and B3 inf
+    for R in (5e-5, 0.3):
+        at = [R / math.sqrt(2.0 * u) for u in (1.0, _HANKEL_FROM, 170.0)]
+        near = [math.nextafter(r, d) for r in at for d in (0.0, math.inf)]
+        rc = np.concatenate([np.geomspace(R * 1e-12, R * 1e3, 4000), at, near,
+                             [R * 1e-160, 5e-324, 5e-155]])
+        with np.errstate(all="ignore"):  # as eta_column calls it
+            b1, b3 = _transverse_moments_column(R, rc)
+        for r, got in zip(rc.tolist(), zip(b1.tolist(), b3.tolist())):
+            try:
+                want = _transverse_moments(R, r)
+            except ArithmeticError:
+                want = (math.nan, math.nan)
+            assert [v.hex() for v in got] == [v.hex() for v in want], (R, r)
+        assert np.isnan(b1[-3:-1]).all() and b3[-1] == math.inf
 
 
 @mp.workdps(60)
