@@ -11,11 +11,13 @@ not depend on rc: it is f~ at the probe frequency, f~(w_obs), or the
 cold-atom bracket over its white value t^3/2. ``scan`` therefore computes
 their white column once per rc grid and divides it by one scalar per
 noise. Bulk heating couples rc and Wc through x = rc Wc / v_s, so ``scan``
-inverts one ``predict.lambda_eff_column`` of lam_eff/lam per noise. From
-_COLUMN_FROM rc each of these is a numpy pass over the grid (eta from
-``diffusion.eta_column``), with the band checks, and Python touches only
-the points a pass flags: failed, washed out, or out of the safe band.
-Shorter grids and the single-point ``lambda_max_*`` take the scalar route.
+inverts one ``predict.lambda_eff_column`` of lam_eff/lam per noise, a numpy
+pass on every grid; ``lambda_max_heating`` is that pass on one rc. From
+_COLUMN_FROM rc the white column (eta from ``diffusion.eta_column``) and
+each noise's division and band check are numpy passes too; shorter grids
+and the other single-point ``lambda_max_*`` take the scalar route. Python
+touches only the points a pass flags: failed, washed out, or out of the
+safe band.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .noise import WHITE, NoiseSpec, spectrum
 # lambda_eff_quad is unused here; it stays bound for tracers that wrap it at
 # this import site (bench/spans.py)
 from .predict import (ColdAtomDescriptor, PhononModel, cold_atom_diffusion,  # noqa: F401
-                      cold_atom_noise_factor, cold_atom_white_column, lambda_eff,
-                      lambda_eff_column, lambda_eff_quad)
+                      cold_atom_noise_factor, cold_atom_white_column, lambda_eff_column,
+                      lambda_eff_quad)
 
 FORCE_PSD = "force_psd"
 XRAY_NORMALIZED = "xray_normalized"
@@ -51,11 +53,12 @@ _FACTORED_KINDS = ("optomechanical", "xray", "cold_atom")
 # response ceiling/value all lie in this band: far from overflow and from
 # subnormals, the derived and the scalar route differ by rounding alone
 _SAFE_LO, _SAFE_HI = 1e-290, 1e290
-# grids of at least this many rc take the numpy passes; shorter ones, such as
-# the one rc of `ccsl bound`, stay on the scalar route, which costs less
-# there: a white column costs 2.6x the scalar route at one rc and 0.97x at 12
-# (in-process, bundled set), and with the passes on every grid point-queries
-# ran at 3.26k requests/ref_s against 4.95k (bench/run.py, 4 pairs)
+# grids of at least this many rc take the white column and each noise's
+# division as numpy passes; shorter ones, such as the one rc of `ccsl bound`,
+# stay on the scalar route, which costs less there: a white column costs 2.6x
+# the scalar route at one rc and 0.97x at 12 (in-process, bundled set), and
+# with the passes on every grid point-queries ran at 3.26k requests/ref_s
+# against 4.95k (bench/run.py, 4 pairs), mostly eta_column's fixed cost
 _COLUMN_FROM = 12
 
 
@@ -165,21 +168,40 @@ def lambda_max_xray(ceiling: Ceiling, n: NoiseSpec, rc: float,
     return ceiling.value * rc * rc / f
 
 
-def _heating_lambda(value: float, rc, ratio):
-    """ceiling value / unit heating response, at one rc or over an rc column."""
+def _heating_column(ceiling: Ceiling, n: NoiseSpec, ph: PhononModel, rc: np.ndarray,
+                    tol: float) -> tuple[np.ndarray, dict]:
+    """lambda_max_heating over the rc column in one numpy pass, and
+    {i: (lam_max or None, error or None)} for the points it flags: the error
+    lambda_eff_column raised there, WashedOut for a ratio below
+    _WASHOUT_RATIO, or the value where it leaves (0, inf)."""
+    if ceiling.kind != HEATING_POWER:
+        raise ValidationError("ceiling.kind", "expected heating_power")
     c = CONSTANTS
-    return value * 4.0 * rc * rc * c.m0**2 / (3.0 * c.hbar**2) / ratio
+    ratio, errors = lambda_eff_column(n, ph, rc, tol)
+    with np.errstate(all="ignore"):
+        col = ceiling.value * 4.0 * rc * rc * c.m0**2 / (3.0 * c.hbar**2) / ratio
+        flagged = np.flatnonzero(~((ratio >= _WASHOUT_RATIO) & (col > 0.0) & (col < math.inf)))
+    known = {}
+    for i in flagged.tolist():
+        if i in errors:
+            known[i] = (None, errors[i])
+        elif ratio[i] < _WASHOUT_RATIO:
+            known[i] = (None, WashedOut(f"lambda_eff/lambda = {float(ratio[i]):.3e} "
+                                        f"at rc={float(rc[i]):.3e}"))
+        else:  # NaN or out of (0, inf): scan reports it as out of float range
+            known[i] = (float(col[i]), None)
+    return col, known
 
 
 def lambda_max_heating(ceiling: Ceiling, n: NoiseSpec, ph: PhononModel,
                        rc: float, tol: float = DEFAULT_TOL) -> float:
-    """Invert dE/(dt dM) = (3/4)(hbar^2/rc^2 m0^2) lam_eff."""
-    if ceiling.kind != HEATING_POWER:
-        raise ValidationError("ceiling.kind", "expected heating_power")
-    ratio = lambda_eff(n, ph, rc, tol)
-    if ratio < _WASHOUT_RATIO:
-        raise WashedOut(f"lambda_eff/lambda = {ratio:.3e} at rc={rc:.3e}")
-    return _heating_lambda(ceiling.value, rc, ratio)
+    """Invert dE/(dt dM) = (3/4)(hbar^2/rc^2 m0^2) lam_eff: the heating column
+    at one rc."""
+    (lam_max,), known = _heating_column(ceiling, n, ph, np.array([rc], dtype=float), tol)
+    lam_max, err = known.get(0, (float(lam_max), None))
+    if err is not None:
+        raise err
+    return lam_max
 
 
 def lambda_max_coldatom(ceiling: Ceiling, n: NoiseSpec, ca: ColdAtomDescriptor,
@@ -290,17 +312,6 @@ def _derived(usable, factor: float, c: float) -> tuple:
         return col, np.flatnonzero(~((lo <= col) & (col <= hi) & (lo <= inv) & (inv <= hi))).tolist()
 
 
-def _heating_column(exp, n: NoiseSpec, rc_grid: np.ndarray, tol: float) -> tuple:
-    """lambda_max_heating over a column in one numpy pass, the indices of the
-    points that failed, washed out or left the float range, and
-    {i: (None, error)} for the points lambda_eff_column failed at."""
-    ratio, errors = lambda_eff_column(n, exp.phonon, rc_grid, tol)
-    with np.errstate(all="ignore"):
-        col = _heating_lambda(exp.ceiling.value, rc_grid, ratio)
-        redo = np.flatnonzero(~((ratio >= _WASHOUT_RATIO) & (col > 0.0) & (col < math.inf)))
-    return col, redo.tolist(), {i: (None, err) for i, err in errors.items()}
-
-
 def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid,
          tol: float = DEFAULT_TOL,
          on_error: Callable[[str, NoiseSpec, float, Exception], None] | None = None
@@ -332,8 +343,9 @@ def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid,
         for n, panel in zip(noises, curves):
             # known[i]: point i's (lam_max, error) where no scalar call is needed
             col, redo, known = [nan] * len(rcs), range(len(rcs)), {}
-            if exp.kind == "bulk_heating" and columns:
-                col, redo, known = _heating_column(exp, n, rc_grid, tol)
+            if exp.kind == "bulk_heating":
+                col, known = _heating_column(exp.ceiling, n, exp.phonon, rc_grid, tol)
+                redo = list(known)
             elif factored:
                 try:
                     factor = _noise_factor(exp, n)

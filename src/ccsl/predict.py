@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -244,15 +243,6 @@ def _y_edges(n: NoiseSpec, ph: PhononModel, rc: float) -> np.ndarray:
     return merge_edges(0.0, 40.0, _Y_EDGES, period * np.arange(1, int(40.0 / period) + 1))
 
 
-def _closed(n: NoiseSpec, ph: PhononModel, rc, lam: float, bracket=_phonon_bracket):
-    """The closed form of lambda_eff_closed at rc > 0: at one rc, or over an rc
-    column with bracket mapped over it, each element bit for bit the float."""
-    if n.is_white:
-        return lam
-    x = rc * n.omega_c / ph.v_s
-    return lam * (4.0 * x * x / 3.0) * bracket(x)
-
-
 def lambda_eff_column(n: NoiseSpec, ph: PhononModel, rcs, tol: float = DEFAULT_TOL,
                       lam: float = 1.0, closed: bool | None = None) -> tuple[np.ndarray, dict]:
     """lam_eff over the rc column rcs for one noise and phonon model: an
@@ -268,11 +258,15 @@ def lambda_eff_column(n: NoiseSpec, ph: PhononModel, rcs, tol: float = DEFAULT_T
     out, ok = np.full(rc.size, math.nan), np.isfinite(rc) & (rc > 0.0)
     errors = {i: NonPositiveRc(f"rc must be > 0 and finite, got {float(rc[i])!r}")
               for i in np.flatnonzero(~ok).tolist()}
-    at = np.flatnonzero(ok).tolist()
-    if closed:
-        with np.errstate(all="ignore"):
-            out[ok] = _closed(n, ph, rc[ok], lam, partial(map_floats, _phonon_bracket))
+    if closed and n.is_white:
+        out[ok] = lam
         return out, errors
+    if closed:  # the float formula in array passes, the bracket libm's per element
+        with np.errstate(all="ignore"):
+            x = rc[ok] * n.omega_c / ph.v_s
+            out[ok] = lam * (4.0 * x * x / 3.0) * map_floats(_phonon_bracket, x)
+        return out, errors
+    at = np.flatnonzero(ok).tolist()
     if not (0.0 < tol < 1e-2):
         errors.update((i, ValidationError("tol", f"must lie in (0, 1e-2), got {tol!r}"))
                       for i in at)
@@ -301,10 +295,7 @@ def lambda_eff_column(n: NoiseSpec, ph: PhononModel, rcs, tol: float = DEFAULT_T
 
 def lambda_eff(n: NoiseSpec, ph: PhononModel, rc: float, tol: float = DEFAULT_TOL,
                lam: float = 1.0, closed: bool | None = None) -> float:
-    """lam_eff at one rc, or the error that rc raises: the closed form in
-    Python floats, the rest as a column of one (lambda_eff_column)."""
-    if (ph.dispersion is None if closed is None else closed) and math.isfinite(rc) and rc > 0:
-        return _closed(n, ph, rc, lam)
+    """lam_eff at one rc, as a column of one, or the error that rc raises."""
     (value,), errors = lambda_eff_column(n, ph, [rc], tol, lam, closed)
     if errors:
         raise errors[0]

@@ -15,6 +15,7 @@ from ccsl import (CONSTANTS, Ceiling, CollapseParams, ColdAtomDescriptor,
                   scan, sphere)
 from ccsl import bounds
 from ccsl.diffusion import clear_cache
+from ccsl.predict import _phonon_bracket
 from fixtures import CANTILEVER_RATIO, HEATING_WHITE_LMAX, LATTICE_HEATING
 
 COPPER = PhononModel(v_s=3000.0)
@@ -130,16 +131,31 @@ def test_heating_washed_out_at_tiny_cutoff():
                            exponential(1e-10), COPPER, 1e-7)
 
 
-def test_heating_column_is_the_scalar_route(monkeypatch):
+def _heating_in_floats(exp, n, rc):
+    """lambda_max_heating's linear closed form in Python floats, NaN where
+    scan keeps no point (washed out, or lam_max out of (0, inf))."""
+    if n.is_white:
+        ratio = 1.0
+    else:
+        x = rc * n.omega_c / exp.phonon.v_s
+        ratio = 1.0 * (4.0 * x * x / 3.0) * _phonon_bracket(x)
+    c = CONSTANTS
+    lm = exp.ceiling.value * 4.0 * rc * rc * c.m0**2 / (3.0 * c.hbar**2) / ratio
+    return lm if ratio >= bounds._WASHOUT_RATIO and 0.0 < lm < math.inf else math.nan
+
+
+def test_heating_column_is_the_scalar_route():
     # scan inverts one lambda_eff column per noise; each point and each
     # logged error is lambda_max_heating's at that rc, bit for bit, for a
     # bad rc and a bad tol too, and at an rc where lambda_max overflows, which
-    # scan reports as WashedOut. The grid is short, so the column is switched
-    # on for it.
+    # scan reports as WashedOut. The linear model's points are the closed
+    # form in Python floats, with x = rc Wc / v_s on both sides of the
+    # bracket's switch at 20 (1e12), above it everywhere (1e15), and past
+    # where x^2 overflows (1e300)
     exps = [load("bulk-heating"), parse_config(LATTICE_HEATING)]
-    noises = [WHITE, exponential(1e1), exponential(3.3e4), exponential(1e12)]
+    noises = [WHITE, exponential(1e1), exponential(3.3e4), exponential(1e12),
+              exponential(1e15), exponential(1e300)]
     grid = [-1e-9, 1e-12, 2e-9, 1e-8, 1e-6, 1e-4, 1e160]
-    monkeypatch.setattr(bounds, "_COLUMN_FROM", len(grid))
     for tol in (1e-8, 1e-6, 0.5):
         errors = []
         panels = scan(exps, noises, grid, tol=tol, on_error=lambda i, n, rc, e: errors.append(
@@ -159,6 +175,9 @@ def test_heating_column_is_the_scalar_route(monkeypatch):
                         expected.append((exp.id, n, rc, type(err), str(err)))
                 got = curves[exps.index(exp)].lam
                 assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in lams]
+                if exp.phonon.dispersion is None:
+                    assert [v.hex() for v in got.tolist()[1:]] == [
+                        _heating_in_floats(exp, n, rc).hex() for rc in grid[1:]]
         assert errors == expected
         assert {t.__name__ for *_, t, _ in errors} >= {"NonPositiveRc", "QuadratureNotConverged"
                                                       if tol < 0.5 else "ValidationError"}
@@ -393,23 +412,18 @@ def test_multi_noise_scan_matches_scalar_route():
 
 def test_scan_white_column_is_the_scalar_route(monkeypatch):
     # grids on both sides of the crossover: from _COLUMN_FROM rc the white
-    # column and the bulk-heating columns come from numpy passes, and curves
-    # and error log must be those of the scalar route at every point, which
-    # the scan takes below it. The white column leaves to the scalar route
-    # only the points it cannot evaluate: rc <= 0 and the rod-sphere points
-    # inside the gap bound; the heating columns leave none. The cutoffs put
-    # the linear phonon bracket's x = rc Wc / v_s below and above 20 (1e12),
-    # above it everywhere (1e15) and past where x^2 overflows (1e300).
+    # column comes from one pass, and curves and error log must be those of
+    # the scalar route at every point, which the scan takes below it. The
+    # column leaves to the scalar route only the points it cannot evaluate:
+    # rc <= 0 and the rod-sphere points inside the gap bound.
     exps = load_all_bundled() + [_rod_sphere()]
     factored = len([e for e in exps if e.kind != "bulk_heating"])
-    noises = [WHITE, exponential(1e4), exponential(1e-146), exponential(1e12),
-              exponential(1e15), exponential(1e300)]
-    white_calls = []
+    noises = [WHITE, exponential(1e4), exponential(1e-146)]
+    white_calls, colored_calls = [], []
 
     def attempt(exp, n, rc, tol, _scalar=bounds._attempt):
         out = _scalar(exp, n, rc, tol)
-        if n == WHITE:
-            white_calls.append((exp.id, rc, type(out[1])))
+        (white_calls if n == WHITE else colored_calls).append((exp.id, rc, type(out[1])))
         return out
 
     monkeypatch.setattr(bounds, "_attempt", attempt)
@@ -433,7 +447,19 @@ def test_scan_white_column_is_the_scalar_route(monkeypatch):
                 ("rod-sphere", CompositeCrossTermUnsupported)}
             assert len([c for c in column_calls if c[1] <= 0.0]) == 2 * factored
         else:
-            assert len(column_calls) == size * len(exps)
+            assert len(column_calls) == size * factored
+    # a white value below the band whose derived value lands back inside it
+    # (X-ray: 803 rc^2 below 1e-290 over f~(1e19) = 1e-20 near 1e-280) is
+    # not derived but takes the scalar route, on either side of the crossover
+    monkeypatch.setattr(bounds, "_COLUMN_FROM", crossover)
+    xray, n = load("xray"), exponential(1e9)
+    for size in (crossover - 1, crossover):
+        grid = np.geomspace(1e-151, 1e-149, size)
+        colored_calls.clear()
+        ((curve,),) = scan([xray], [n], grid)
+        assert colored_calls == [("xray", rc, type(None)) for rc in grid.tolist()]
+        assert curve.lam.tolist() == [lambda_max_xray(xray.ceiling, n, rc, 1e19)
+                                      for rc in grid.tolist()]
 
 
 def test_multi_noise_scan_reruns_failed_factors():

@@ -294,12 +294,13 @@ def _same(got, want):
 
 
 @pytest.mark.parametrize("ph", [COPPER, LATTICE], ids=["linear", "full-sine"])
-@pytest.mark.parametrize("wc", [None, 1e1, 3.3e4, 1e9, 1e15, 1e-300])
+@pytest.mark.parametrize("wc", [None, 1e1, 3.3e4, 1e9, 1e15, 1e300, 1e-300])
 @pytest.mark.parametrize("lam", [1.0, 2.5e-3])
 def test_lambda_eff_column_is_the_one_rc_call(ph, wc, lam):
     # every entry of one batched column is the one-rc call's value or error,
     # bit for bit; the bad rc at the end fail alone with the CollapseParams
-    # message, and the quadrature's failures stay on their own rc
+    # message, and the quadrature's failures stay on their own rc. The closed
+    # form's entries are its formula in Python floats, NaN where x^2 overflows
     n = WHITE if wc is None else exponential(wc)
     routes = [(False, lambda_eff_quad)] + [(True, lambda_eff_closed)] * (ph is COPPER)
     for closed, one in routes:
@@ -308,6 +309,10 @@ def test_lambda_eff_column_is_the_one_rc_call(ph, wc, lam):
             p = _scalar(CollapseParams, lam, rc)
             want = p if isinstance(p, Exception) else _scalar(one, p, n, ph)
             assert _same(got, want), (closed, rc, got, want)
+            if closed and not isinstance(p, Exception):
+                x = 0.0 if wc is None else rc * wc / ph.v_s
+                floats = lam if wc is None else lam * (4.0 * x * x / 3.0) * _phonon_bracket(x)
+                assert _same(got, floats), (rc, got, floats)
         rate = [_scalar(heating_rate, CollapseParams(lam, rc), n, ph) for rc in COLUMN_RCS[:-3]]
         if closed == (ph.dispersion is None):
             assert all(_same(r, 0.75 * CONSTANTS.hbar**2 / (rc**2 * CONSTANTS.m0**2) * v)
