@@ -11,13 +11,12 @@ not depend on rc: it is f~ at the probe frequency, f~(w_obs), or the
 cold-atom bracket over its white value t^3/2. ``scan`` therefore computes
 their white column once per rc grid and divides it by one scalar per
 noise. Bulk heating couples rc and Wc through x = rc Wc / v_s, so ``scan``
-inverts one ``predict.lambda_eff_column`` of lam_eff/lam per noise, a numpy
-pass on every grid; ``lambda_max_heating`` is that pass on one rc. From
-_COLUMN_FROM rc the white column (eta from ``diffusion.eta_column``) and
-each noise's division and band check are numpy passes too; shorter grids
-and the other single-point ``lambda_max_*`` take the scalar route. Python
-touches only the points a pass flags: failed, washed out, or out of the
-safe band.
+inverts one ``predict.lambda_eff_column`` of lam_eff/lam per noise. From
+_COLUMN_FROM rc each of these is a numpy pass (eta from
+``diffusion.eta_column``), and Python touches only the points a pass flags:
+failed, washed out, or out of the safe band. Shorter grids and the
+single-point ``lambda_max_*`` take the scalar route, except that a
+full-sine heating grid keeps its one batched quadrature at every size.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ from .noise import WHITE, NoiseSpec, spectrum
 # lambda_eff_quad is unused here; it stays bound for tracers that wrap it at
 # this import site (bench/spans.py)
 from .predict import (ColdAtomDescriptor, PhononModel, cold_atom_diffusion,  # noqa: F401
-                      cold_atom_noise_factor, cold_atom_white_column, lambda_eff_column,
-                      lambda_eff_quad)
+                      cold_atom_noise_factor, cold_atom_white_column, lambda_eff,
+                      lambda_eff_column, lambda_eff_quad)
 
 FORCE_PSD = "force_psd"
 XRAY_NORMALIZED = "xray_normalized"
@@ -53,12 +52,11 @@ _FACTORED_KINDS = ("optomechanical", "xray", "cold_atom")
 # response ceiling/value all lie in this band: far from overflow and from
 # subnormals, the derived and the scalar route differ by rounding alone
 _SAFE_LO, _SAFE_HI = 1e-290, 1e290
-# grids of at least this many rc take the white column and each noise's
-# division as numpy passes; shorter ones, such as the one rc of `ccsl bound`,
-# stay on the scalar route, which costs less there: a white column costs 2.6x
-# the scalar route at one rc and 0.97x at 12 (in-process, bundled set), and
-# with the passes on every grid point-queries ran at 3.26k requests/ref_s
-# against 4.95k (bench/run.py, 4 pairs), mostly eta_column's fixed cost
+# grids of at least this many rc take the numpy passes; shorter ones, such as
+# the one rc of `ccsl bound`, stay on the scalar route, which costs less there:
+# a white column costs 2.6x the scalar route at one rc and 0.97x at 12
+# (in-process), and point-queries (bench/run.py) ran about 5% slower with the
+# heating column alone on every grid (8 of 10 pairs), a third with all passes
 _COLUMN_FROM = 12
 
 
@@ -168,40 +166,39 @@ def lambda_max_xray(ceiling: Ceiling, n: NoiseSpec, rc: float,
     return ceiling.value * rc * rc / f
 
 
+def _heating_lambda(value: float, rc, ratio):
+    """ceiling value / unit heating response, at one rc or over an rc column."""
+    return value * 4.0 * rc * rc * CONSTANTS.m0**2 / (3.0 * CONSTANTS.hbar**2) / ratio
+
+
 def _heating_column(ceiling: Ceiling, n: NoiseSpec, ph: PhononModel, rc: np.ndarray,
                     tol: float) -> tuple[np.ndarray, dict]:
-    """lambda_max_heating over the rc column in one numpy pass, and
-    {i: (lam_max or None, error or None)} for the points it flags: the error
-    lambda_eff_column raised there, WashedOut for a ratio below
-    _WASHOUT_RATIO, or the value where it leaves (0, inf)."""
+    """lambda_max_heating over the rc column in one numpy pass, and {i: (lam_max
+    or None, error or None)} for the points it flags: the error lambda_eff_column
+    raised, WashedOut for a ratio below _WASHOUT_RATIO, or a value out of (0, inf)."""
     if ceiling.kind != HEATING_POWER:
         raise ValidationError("ceiling.kind", "expected heating_power")
-    c = CONSTANTS
     ratio, errors = lambda_eff_column(n, ph, rc, tol)
     with np.errstate(all="ignore"):
-        col = ceiling.value * 4.0 * rc * rc * c.m0**2 / (3.0 * c.hbar**2) / ratio
+        col = _heating_lambda(ceiling.value, rc, ratio)
         flagged = np.flatnonzero(~((ratio >= _WASHOUT_RATIO) & (col > 0.0) & (col < math.inf)))
-    known = {}
-    for i in flagged.tolist():
-        if i in errors:
-            known[i] = (None, errors[i])
-        elif ratio[i] < _WASHOUT_RATIO:
-            known[i] = (None, WashedOut(f"lambda_eff/lambda = {float(ratio[i]):.3e} "
-                                        f"at rc={float(rc[i]):.3e}"))
-        else:  # NaN or out of (0, inf): scan reports it as out of float range
-            known[i] = (float(col[i]), None)
+    # the value (scan reports it as out of float range), unless washed out or failed
+    known = {i: (float(col[i]), None) for i in flagged.tolist()}
+    known.update((i, (None, WashedOut(f"lambda_eff/lambda = {ratio[i]:.3e} at rc={rc[i]:.3e}")))
+                 for i in np.flatnonzero(ratio < _WASHOUT_RATIO).tolist())
+    known.update((i, (None, err)) for i, err in errors.items())
     return col, known
 
 
 def lambda_max_heating(ceiling: Ceiling, n: NoiseSpec, ph: PhononModel,
                        rc: float, tol: float = DEFAULT_TOL) -> float:
-    """Invert dE/(dt dM) = (3/4)(hbar^2/rc^2 m0^2) lam_eff: the heating column
-    at one rc."""
-    (lam_max,), known = _heating_column(ceiling, n, ph, np.array([rc], dtype=float), tol)
-    lam_max, err = known.get(0, (float(lam_max), None))
-    if err is not None:
-        raise err
-    return lam_max
+    """Invert dE/(dt dM) = (3/4)(hbar^2/rc^2 m0^2) lam_eff."""
+    if ceiling.kind != HEATING_POWER:
+        raise ValidationError("ceiling.kind", "expected heating_power")
+    ratio = lambda_eff(n, ph, rc, tol)
+    if ratio < _WASHOUT_RATIO:
+        raise WashedOut(f"lambda_eff/lambda = {ratio:.3e} at rc={rc:.3e}")
+    return _heating_lambda(ceiling.value, rc, ratio)
 
 
 def lambda_max_coldatom(ceiling: Ceiling, n: NoiseSpec, ca: ColdAtomDescriptor,
@@ -279,10 +276,9 @@ def _attempt(exp, n: NoiseSpec, rc: float, tol: float):
 
 
 def _white(exp, rc_grid: np.ndarray, rcs: list, tol: float, columns: bool):
-    """The white lam_max of a force, X-ray or cold-atom experiment where it
-    lies in the safe band, NaN elsewhere (an array for a column, a list for
-    a short grid), and {i: (None, error)} for the points whose white call
-    failed. A column takes the scalar route only at _white_column's NaN."""
+    """The white lam_max of a factored experiment where it lies in the safe
+    band, else NaN (a column, or a short grid's list), and {i: (None, error)}
+    where its white call failed; a column calls it only at its NaN."""
     lo, hi = _SAFE_LO, _SAFE_HI
     if not columns:
         white = [_attempt(exp, WHITE, rc, tol) for rc in rcs]
@@ -299,9 +295,8 @@ def _white(exp, rc_grid: np.ndarray, rcs: list, tol: float, columns: bool):
 
 
 def _derived(usable, factor: float, c: float) -> tuple:
-    """usable / factor, and the indices of the points where it or the
-    ceiling over it leaves the safe band: a numpy pass over a column, a
-    Python one over a short grid's list."""
+    """usable / factor (a column, or a short grid's list), and the indices
+    of the points where it or the ceiling over it leaves the safe band."""
     lo, hi = _SAFE_LO, _SAFE_HI
     if isinstance(usable, list):
         col = [w / factor for w in usable]
@@ -309,7 +304,8 @@ def _derived(usable, factor: float, c: float) -> tuple:
     with np.errstate(all="ignore"):
         col = usable / factor
         inv = c / col
-        return col, np.flatnonzero(~((lo <= col) & (col <= hi) & (lo <= inv) & (inv <= hi))).tolist()
+        off = ~((lo <= col) & (col <= hi) & (lo <= inv) & (inv <= hi))
+        return col, np.flatnonzero(off).tolist()
 
 
 def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid,
@@ -325,9 +321,8 @@ def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid,
     A force, X-ray or cold-atom column is the white column divided by one
     factor per noise; a derived point that leaves the safe band goes back
     to the scalar route, as does every point when the factor leaves it, and
-    a point whose white call failed fails with that error. A bulk-heating
-    column is inverted as lambda_max_heating inverts one point, bit for
-    bit, with each point's error its own."""
+    a point whose white call failed fails with that error. Bulk heating's
+    points and errors are lambda_max_heating's at each rc, bit for bit."""
     rc_grid = np.asarray(rc_grid, dtype=float)
     if rc_grid.ndim != 1 or rc_grid.size == 0:
         raise EmptyInput("rc_grid must be a non-empty 1-D array")
@@ -343,7 +338,7 @@ def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid,
         for n, panel in zip(noises, curves):
             # known[i]: point i's (lam_max, error) where no scalar call is needed
             col, redo, known = [nan] * len(rcs), range(len(rcs)), {}
-            if exp.kind == "bulk_heating":
+            if exp.kind == "bulk_heating" and (columns or exp.phonon.dispersion is not None):
                 col, known = _heating_column(exp.ceiling, n, exp.phonon, rc_grid, tol)
                 redo = list(known)
             elif factored:

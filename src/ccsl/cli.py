@@ -128,8 +128,7 @@ def _predict_rows(exp: ExperimentDescriptor, p: CollapseParams, n: NoiseSpec,
 
 
 def _predict_value(exp_id: str, observable: str, call, rc: float) -> float:
-    """call()'s value as a float; a CcslError naming the experiment and the
-    observable when the float arithmetic raised or the value is not finite."""
+    """call()'s value, or a CcslError naming the observable if it is not a finite float."""
     try:
         value = why = float(call())
     except CcslError:

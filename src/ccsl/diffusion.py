@@ -246,11 +246,10 @@ def _transverse_moments(R: float, rc: float) -> tuple[float, float]:
 
 
 def _hankel01(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_ive01's Hankel branch over a column of u >= 19, bit for bit: the
-    terms t_k of each point as running products down 8 rows, their running
-    sums, and each point's sums after the first k at which both its terms
-    fall below 1e-17, where the scalar loop stops. NaN at the points whose
-    terms have not fallen that far by the last row (u below about 170)."""
+    """_ive01's Hankel branch over a column of u >= 19, bit for bit: each
+    point's terms as running products down 8 rows, summed to the first row
+    where both fall below 1e-17, where the scalar loop stops; NaN where they
+    have not by the last row (u below about 170)."""
     k = np.arange(1, 9)[:, None]
     odd2, inv = (2 * k - 1) ** 2, 0.125 / u
     t0 = np.multiply.accumulate(odd2 * inv / k, axis=0)
@@ -263,9 +262,8 @@ def _hankel01(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _transverse_moments_column(R: float, rc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_transverse_moments over an rc column: the Hankel branch in one pass
-    where _hankel01 sums it, every other point point by point; NaN where
-    the scalar raises."""
+    """_transverse_moments over an rc column: _hankel01's points in one pass,
+    the others point by point; NaN where the scalar raises."""
     u = _COLUMN.pow(R / rc, 2) / 2.0
     b1, b3, far = np.full(rc.size, math.nan), np.full(rc.size, math.nan), u >= _HANKEL_FROM
     i0, i1 = _hankel01(u[far])

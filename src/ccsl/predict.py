@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -243,28 +244,31 @@ def _y_edges(n: NoiseSpec, ph: PhononModel, rc: float) -> np.ndarray:
     return merge_edges(0.0, 40.0, _Y_EDGES, period * np.arange(1, int(40.0 / period) + 1))
 
 
+def _closed(n: NoiseSpec, ph: PhononModel, rc, lam: float, bracket=_phonon_bracket):
+    """lambda_eff_closed's formula at rc > 0: at one rc, or over a column of rc."""
+    if n.is_white:
+        return lam
+    x = rc * n.omega_c / ph.v_s
+    return lam * (4.0 * x * x / 3.0) * bracket(x)
+
+
 def lambda_eff_column(n: NoiseSpec, ph: PhononModel, rcs, tol: float = DEFAULT_TOL,
                       lam: float = 1.0, closed: bool | None = None) -> tuple[np.ndarray, dict]:
-    """lam_eff over the rc column rcs for one noise and phonon model: an
-    array, NaN where an rc raised, and {index: that exception}. lam = 1
-    gives lam_eff/lam. closed=True is the closed form of lambda_eff_closed
-    (linear dispersion assumed), one numpy pass with _phonon_bracket mapped
-    over the column; closed=False the radial quadrature of lambda_eff_quad,
-    one batched quadrature for all rc; by default the closed form for linear
-    dispersion. Each value and error is lambda_eff's at its rc, bit for bit."""
+    """lam_eff over the rc column rcs for one noise and phonon model: an array,
+    NaN where an rc raised, and {index: that exception}; lam = 1 gives
+    lam_eff/lam. closed=True is lambda_eff_closed's closed form (linear
+    dispersion assumed) in numpy passes, closed=False lambda_eff_quad's radial
+    quadrature, batched over all rc; by default the closed form for linear
+    dispersion. Each value and error is the one-rc call's, bit for bit."""
     if closed is None:
         closed = ph.dispersion is None
     rc = np.array(rcs, dtype=float)
     out, ok = np.full(rc.size, math.nan), np.isfinite(rc) & (rc > 0.0)
     errors = {i: NonPositiveRc(f"rc must be > 0 and finite, got {float(rc[i])!r}")
               for i in np.flatnonzero(~ok).tolist()}
-    if closed and n.is_white:
-        out[ok] = lam
-        return out, errors
-    if closed:  # the float formula in array passes, the bracket libm's per element
+    if closed:
         with np.errstate(all="ignore"):
-            x = rc[ok] * n.omega_c / ph.v_s
-            out[ok] = lam * (4.0 * x * x / 3.0) * map_floats(_phonon_bracket, x)
+            out[ok] = _closed(n, ph, rc[ok], lam, partial(map_floats, _phonon_bracket))
         return out, errors
     at = np.flatnonzero(ok).tolist()
     if not (0.0 < tol < 1e-2):
@@ -295,7 +299,9 @@ def lambda_eff_column(n: NoiseSpec, ph: PhononModel, rcs, tol: float = DEFAULT_T
 
 def lambda_eff(n: NoiseSpec, ph: PhononModel, rc: float, tol: float = DEFAULT_TOL,
                lam: float = 1.0, closed: bool | None = None) -> float:
-    """lam_eff at one rc, as a column of one, or the error that rc raises."""
+    """lam_eff at one rc: the closed form in Python floats, else a column of one."""
+    if (ph.dispersion is None if closed is None else closed) and math.isfinite(rc) and rc > 0:
+        return _closed(n, ph, rc, lam)
     (value,), errors = lambda_eff_column(n, ph, [rc], tol, lam, closed)
     if errors:
         raise errors[0]

@@ -144,18 +144,20 @@ def _heating_in_floats(exp, n, rc):
     return lm if ratio >= bounds._WASHOUT_RATIO and 0.0 < lm < math.inf else math.nan
 
 
-def test_heating_column_is_the_scalar_route():
+def test_heating_column_is_the_scalar_route(monkeypatch):
     # scan inverts one lambda_eff column per noise; each point and each
     # logged error is lambda_max_heating's at that rc, bit for bit, for a
     # bad rc and a bad tol too, and at an rc where lambda_max overflows, which
     # scan reports as WashedOut. The linear model's points are the closed
     # form in Python floats, with x = rc Wc / v_s on both sides of the
     # bracket's switch at 20 (1e12), above it everywhere (1e15), and past
-    # where x^2 overflows (1e300)
+    # where x^2 overflows (1e300). The grid is short, so the column is
+    # switched on for it (a full-sine grid takes it at every size).
     exps = [load("bulk-heating"), parse_config(LATTICE_HEATING)]
     noises = [WHITE, exponential(1e1), exponential(3.3e4), exponential(1e12),
               exponential(1e15), exponential(1e300)]
     grid = [-1e-9, 1e-12, 2e-9, 1e-8, 1e-6, 1e-4, 1e160]
+    monkeypatch.setattr(bounds, "_COLUMN_FROM", len(grid))
     for tol in (1e-8, 1e-6, 0.5):
         errors = []
         panels = scan(exps, noises, grid, tol=tol, on_error=lambda i, n, rc, e: errors.append(
@@ -181,6 +183,22 @@ def test_heating_column_is_the_scalar_route():
         assert errors == expected
         assert {t.__name__ for *_, t, _ in errors} >= {"NonPositiveRc", "QuadratureNotConverged"
                                                       if tol < 0.5 else "ValidationError"}
+
+
+def test_short_full_sine_grid_is_one_batched_quadrature(monkeypatch):
+    # below _COLUMN_FROM a linear-dispersion grid goes point by point, but a
+    # full-sine one still takes one lambda_eff column, one batched
+    # quadrature, per noise rather than one quadrature per rc
+    sizes = []
+
+    def column(n, ph, rc, tol, _column=bounds.lambda_eff_column):
+        sizes.append((ph.dispersion is None, len(rc)))
+        return _column(n, ph, rc, tol)
+
+    monkeypatch.setattr(bounds, "lambda_eff_column", column)
+    scan([load("bulk-heating"), parse_config(LATTICE_HEATING)], [WHITE, exponential(1e4)],
+         [1e-8, 1e-7, 1e-6])
+    assert sizes == [(False, 3), (False, 3)]
 
 
 # --- cold-atom inversion --------------------------------------------------------------
@@ -412,13 +430,17 @@ def test_multi_noise_scan_matches_scalar_route():
 
 def test_scan_white_column_is_the_scalar_route(monkeypatch):
     # grids on both sides of the crossover: from _COLUMN_FROM rc the white
-    # column comes from one pass, and curves and error log must be those of
-    # the scalar route at every point, which the scan takes below it. The
-    # column leaves to the scalar route only the points it cannot evaluate:
-    # rc <= 0 and the rod-sphere points inside the gap bound.
+    # column and the bulk-heating columns come from numpy passes, and curves
+    # and error log must be those of the scalar route at every point, which
+    # the scan takes below it. The white column leaves to the scalar route
+    # only the points it cannot evaluate: rc <= 0 and the rod-sphere points
+    # inside the gap bound; the heating columns leave none. The cutoffs put
+    # the linear phonon bracket's x = rc Wc / v_s below and above 20 (1e12),
+    # above it everywhere (1e15) and past where x^2 overflows (1e300).
     exps = load_all_bundled() + [_rod_sphere()]
     factored = len([e for e in exps if e.kind != "bulk_heating"])
-    noises = [WHITE, exponential(1e4), exponential(1e-146)]
+    noises = [WHITE, exponential(1e4), exponential(1e-146), exponential(1e12),
+              exponential(1e15), exponential(1e300)]
     white_calls, colored_calls = [], []
 
     def attempt(exp, n, rc, tol, _scalar=bounds._attempt):
@@ -446,8 +468,8 @@ def test_scan_white_column_is_the_scalar_route(monkeypatch):
             assert {(i, t) for i, rc, t in column_calls if rc > 0.0} == {
                 ("rod-sphere", CompositeCrossTermUnsupported)}
             assert len([c for c in column_calls if c[1] <= 0.0]) == 2 * factored
-        else:
-            assert len(column_calls) == size * factored
+        else:  # the linear heating experiment too, point by point
+            assert len(column_calls) == size * (factored + 1)
     # a white value below the band whose derived value lands back inside it
     # (X-ray: 803 rc^2 below 1e-290 over f~(1e19) = 1e-20 near 1e-280) is
     # not derived but takes the scalar route, on either side of the crossover
