@@ -151,8 +151,8 @@ def test_heating_column_is_the_scalar_route(monkeypatch):
     # scan reports as WashedOut. The linear model's points are the closed
     # form in Python floats, with x = rc Wc / v_s on both sides of the
     # bracket's switch at 20 (1e12), above it everywhere (1e15), and past
-    # where x^2 overflows (1e300). The grid is short, so the column is
-    # switched on for it (a full-sine grid takes it at every size).
+    # where x^2 overflows (1e300). The grid is short, so the column route is
+    # switched on for it.
     exps = [load("bulk-heating"), parse_config(LATTICE_HEATING)]
     noises = [WHITE, exponential(1e1), exponential(3.3e4), exponential(1e12),
               exponential(1e15), exponential(1e300)]
@@ -185,20 +185,27 @@ def test_heating_column_is_the_scalar_route(monkeypatch):
                                                       if tol < 0.5 else "ValidationError"}
 
 
-def test_short_full_sine_grid_is_one_batched_quadrature(monkeypatch):
-    # below _COLUMN_FROM a linear-dispersion grid goes point by point, but a
-    # full-sine one still takes one lambda_eff column, one batched
-    # quadrature, per noise rather than one quadrature per rc
-    sizes = []
-
-    def column(n, ph, rc, tol, _column=bounds.lambda_eff_column):
-        sizes.append((ph.dispersion is None, len(rc)))
-        return _column(n, ph, rc, tol)
-
-    monkeypatch.setattr(bounds, "lambda_eff_column", column)
-    scan([load("bulk-heating"), parse_config(LATTICE_HEATING)], [WHITE, exponential(1e4)],
-         [1e-8, 1e-7, 1e-6])
-    assert sizes == [(False, 3), (False, 3)]
+def test_short_full_sine_grid_is_its_column():
+    # a full-sine grid below _COLUMN_FROM goes point by point like every
+    # other short grid, and gives the bits and errors of the batched column
+    # over a 12-rc grid: the grid's halves against the whole, with points
+    # whose quadrature fails (oscillations too fine below 1.6e-13 m, the
+    # panel budget spent at 1e4 rad/s up to 1.9e-10 m) and washed-out ones
+    grid = np.geomspace(1e-13, 1e-3, bounds._COLUMN_FROM)
+    exps, noises = [parse_config(LATTICE_HEATING)], [WHITE, exponential(1e4), exponential(1e-300)]
+    runs = []
+    for parts in ([grid], np.split(grid, 2)):
+        curves, errors = [[] for _ in noises], []
+        for part in parts:
+            panels = scan(exps, noises, part, on_error=lambda i, n, rc, e: errors.append(
+                (n, rc, type(e), str(e))))
+            for lams, (curve,) in zip(curves, panels):
+                lams.extend(curve.lam.tolist())
+        runs.append((curves, sorted(errors, key=str)))
+    column, halves = runs
+    assert [[v.hex() for v in c] for c in column[0]] == [[v.hex() for v in c] for c in halves[0]]
+    assert column[1] == halves[1]
+    assert {t.__name__ for _, _, t, _ in column[1]} == {"QuadratureNotConverged", "WashedOut"}
 
 
 # --- cold-atom inversion --------------------------------------------------------------
@@ -387,10 +394,10 @@ def _rod_sphere():
 
 
 def test_multi_noise_scan_matches_scalar_route():
-    # the factored scan (one white unit response per rc, one noise factor per
-    # cutoff; heating point by point) against lambda_max_for at every point.
-    # At 1e-140 and 1e-146 rad/s the force response hbar^2 eta f~ is
-    # subnormal or 0 while the derived white-curve / f~ is still finite.
+    # the scan's columns (one white column per experiment, divided by one
+    # noise factor per cutoff, a lam_eff column for heating) against
+    # lambda_max_for at every point, bit for bit. At 1e-140 and 1e-146 rad/s
+    # the product hbar^2 eta f~ would be subnormal or 0; neither route forms it.
     exps = load_all_bundled() + [_rod_sphere()]
     noises = [WHITE] + [exponential(w) for w in
                         (1e15, 1e12, 1e9, 1e6, 1e4, 1e2, 1e1, 1e-6, 1e-10,
@@ -415,40 +422,60 @@ def test_multi_noise_scan_matches_scalar_route():
                 if math.isfinite(lm) and lm > 0:
                     expected.append((rc, lm))
             assert [rc for rc, _ in curve.points] == [rc for rc, _ in expected]
-            for (_, got), (_, want) in zip(curve.points, expected):
-                assert abs(got - want) <= 1e-12 * want, (exp.id, n)
+            assert [lm for _, lm in curve.points] == [lm for _, lm in expected], (exp.id, n)
     assert errors == expected_errors
     # the cases the comparison must reach: an unsupported composite, heating
     # washed out at 1e-10 rad/s, and the cold-atom bracket at 1e-6 rad/s
     kinds = {(i, n.omega_c, t.__name__) for i, n, _, t, _ in errors}
     assert ("rod-sphere", None, "CompositeCrossTermUnsupported") in kinds
     assert ("bulk-heating", 1e-10, "WashedOut") in kinds
-    assert ("cantilever", 1e-146, "WashedOut") in kinds
     cold = panels[noises.index(exponential(1e-6))][exps.index(load("cold-atom"))]
     assert len(cold.points) == grid.size
 
 
+def test_low_cutoff_force_bounds_against_mpmath():
+    # at 1e-140 and 1e-146 rad/s the product hbar^2 eta f~ is subnormal or 0
+    # in floats, while (ceiling / hbar^2 eta) / f~ is not: every bound, on a
+    # 60-rc scan and from lambda_max_force, is within 1e-15 of ceiling /
+    # (hbar^2 eta f~) in mpmath, with eta and f~ taken from ccsl
+    import mpmath as mp
+    from ccsl.diffusion import eta_reduced
+    ids = ("auriga", "cantilever", "ligo", "lisa-pathfinder")
+    exps, noises = [load(i) for i in ids], [exponential(1e-140), exponential(1e-146)]
+    grid = np.geomspace(1e-9, 1e-3, 60).tolist()
+    panels = scan(exps, noises, grid)
+    with mp.workprec(200):
+        for n, curves in zip(noises, panels):
+            for exp, curve in zip(exps, curves):
+                f = mp.mpf(bounds.effective_spectrum_factor(exp.ceiling, n))
+                for rc, lam in zip(grid, curve.lam.tolist()):
+                    eta = mp.mpf(eta_reduced(exp.geometry, rc).value)
+                    want = exp.ceiling.value / (mp.mpf(CONSTANTS.hbar)**2 * eta * f)
+                    for got in (lam, lambda_max_force(exp.geometry, exp.ceiling, n, rc)):
+                        assert abs(got / want - 1) <= 1e-15, (exp.id, n, rc)
+    # hbar^2 eta f~ underflows to 0 at every one of these points
+    assert len(panels[1][ids.index("cantilever")].points) == len(grid)
+
+
 def test_scan_white_column_is_the_scalar_route(monkeypatch):
-    # grids on both sides of the crossover: from _COLUMN_FROM rc the white
-    # column and the bulk-heating columns come from numpy passes, and curves
-    # and error log must be those of the scalar route at every point, which
-    # the scan takes below it. The white column leaves to the scalar route
-    # only the points it cannot evaluate: rc <= 0 and the rod-sphere points
-    # inside the gap bound; the heating columns leave none. The cutoffs put
+    # grids on both sides of the crossover: from _COLUMN_FROM rc every curve
+    # is a white column over a noise factor, and curves and error log must be
+    # lambda_max_for's at every point, which the scan calls for each point
+    # below it. The columns call it only at the points they drop, for their
+    # errors: rc <= 0 (except for heating), the rod-sphere points inside the
+    # gap bound, and the points that wash out or overflow. The cutoffs put
     # the linear phonon bracket's x = rc Wc / v_s below and above 20 (1e12),
     # above it everywhere (1e15) and past where x^2 overflows (1e300).
     exps = load_all_bundled() + [_rod_sphere()]
-    factored = len([e for e in exps if e.kind != "bulk_heating"])
     noises = [WHITE, exponential(1e4), exponential(1e-146), exponential(1e12),
               exponential(1e15), exponential(1e300)]
-    white_calls, colored_calls = [], []
+    calls = []
 
-    def attempt(exp, n, rc, tol, _scalar=bounds._attempt):
-        out = _scalar(exp, n, rc, tol)
-        (white_calls if n == WHITE else colored_calls).append((exp.id, rc, type(out[1])))
-        return out
+    def lambda_max_for(exp, n, rc, tol, _scalar=bounds.lambda_max_for):
+        calls.append((exp.id, n, rc.hex()))
+        return _scalar(exp, n, rc, tol)
 
-    monkeypatch.setattr(bounds, "_attempt", attempt)
+    monkeypatch.setattr(bounds, "lambda_max_for", lambda_max_for)
     crossover = bounds._COLUMN_FROM
     for size in (crossover - 1, crossover, 40):
         grid = np.concatenate([[-1e-7, 0.0], np.geomspace(1e-9, 1e-3, size - 2)])
@@ -456,30 +483,35 @@ def test_scan_white_column_is_the_scalar_route(monkeypatch):
         for column_from in (crossover, math.inf):
             monkeypatch.setattr(bounds, "_COLUMN_FROM", column_from)
             clear_cache()
-            white_calls.clear()
+            calls.clear()
             errors = []
             panels = scan(exps, noises, grid, on_error=lambda i, n, rc, e: errors.append(
                 (i, n, rc.hex(), type(e), str(e))))
             runs.append(([[c.lam.tobytes() for c in curves] for curves in panels], errors,
-                         list(white_calls)))
-        (column, column_errors, column_calls), (scalar, scalar_errors, _) = runs
+                         list(calls)))
+        (column, column_errors, column_calls), (scalar, scalar_errors, scalar_calls) = runs
         assert column == scalar and column_errors == scalar_errors, f"{size} rc"
+        assert len(scalar_calls) == size * len(exps) * len(noises)
         if size >= crossover:
-            assert {(i, t) for i, rc, t in column_calls if rc > 0.0} == {
-                ("rod-sphere", CompositeCrossTermUnsupported)}
-            assert len([c for c in column_calls if c[1] <= 0.0]) == 2 * factored
-        else:  # the linear heating experiment too, point by point
-            assert len(column_calls) == size * (factored + 1)
-    # a white value below the band whose derived value lands back inside it
-    # (X-ray: 803 rc^2 below 1e-290 over f~(1e19) = 1e-20 near 1e-280) is
-    # not derived but takes the scalar route, on either side of the crossover
+            # the heating column raises the bad-rc errors itself
+            assert column_calls == [e[:3] for e in column_errors if not (
+                e[0] == "bulk-heating" and float.fromhex(e[2]) <= 0.0)]
+            washed = {("bulk-heating", 1e300)} | {(i, 1e-146) for i in (
+                "bulk-heating", "cold-atom", "xray")}
+            assert {(i, n.omega_c, t) for i, n, rc, t, _ in column_errors
+                    if float.fromhex(rc) > 0.0} == {
+                ("rod-sphere", n.omega_c, CompositeCrossTermUnsupported) for n in noises} | {
+                (i, w, WashedOut) for i, w in washed}
+        else:
+            assert column_calls == scalar_calls
+    # an X-ray white value below the normal floats (803 rc^2 near 1e-299)
+    # whose bound, over f~(1e19) = 1e-20, is normal again: the column divides
+    # the same subnormal by the same factor as lambda_max_xray
     monkeypatch.setattr(bounds, "_COLUMN_FROM", crossover)
     xray, n = load("xray"), exponential(1e9)
     for size in (crossover - 1, crossover):
         grid = np.geomspace(1e-151, 1e-149, size)
-        colored_calls.clear()
         ((curve,),) = scan([xray], [n], grid)
-        assert colored_calls == [("xray", rc, type(None)) for rc in grid.tolist()]
         assert curve.lam.tolist() == [lambda_max_xray(xray.ceiling, n, rc, 1e19)
                                       for rc in grid.tolist()]
 
@@ -514,14 +546,18 @@ def test_multi_noise_scan_reruns_failed_factors():
 
 # SHA-256 of every kept point as "<id> <omega_c!r> <rc.hex()> <lam.hex()>" and
 # of the error log as "<id> <omega_c!r> <rc.hex()> <type> <message>", one
-# line each in scan order, recorded from the per-point scan before curves
-# became columns: the derived, the re-run and the failing route all print
-# the same bits and log the same errors. The error log was re-recorded once
-# since, when a cold-atom bracket out of float range (Wc = 1e-140, 1e-146
-# and 1e-300 rad/s) turned from OverflowError into WashedOut: only those
-# 360 lines changed, and the count stayed 2213
-SCAN_POINTS_DIGEST = (4807, "79b720be31554ffdb047a6cd84a7bd1471510c28ba58b706bdc4a4c3faeca9ab")
-SCAN_ERRORS_DIGEST = (2213, "50fe3619966798071003f34461ece993acb75a874d0bc8a20541ce1dcc4ff925")
+# line each in scan order, first recorded from the per-point scan before
+# curves became columns. The error log was re-recorded when a cold-atom
+# bracket out of float range (Wc = 1e-140, 1e-146 and 1e-300 rad/s) turned
+# from OverflowError into WashedOut: only those 360 lines changed, and the
+# count stayed 2213. Both were re-recorded when every kind came to invert
+# as (ceiling / white unit response) / noise factor, with no product
+# hbar^2 eta f~ that can leave the normal floats: only force points at
+# 1e-140 and 1e-146 rad/s moved (320 values, each now within 2.3e-16 of
+# mpmath, where the parent was off by up to 50%) or gained a value (89,
+# whose "force response vanished" lines left the error log, 2213 -> 2124)
+SCAN_POINTS_DIGEST = (4896, "e9a4a3b658144dbc4412bd7507fd99c84a2f282dc0d0696123ae011a4953aaea")
+SCAN_ERRORS_DIGEST = (2124, "a9cfee419a454f275a0230df2fe15bc928e29c8ce396f5a46ce417e793dc146c")
 
 
 def test_multi_noise_scan_bits_pinned():
