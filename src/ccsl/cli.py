@@ -97,8 +97,21 @@ class RunManifest:
     def to_json(self) -> str:
         return json.dumps(self.__dict__, sort_keys=True)
 
-    def comment_lines(self) -> list[str]:
-        return [f"# manifest: {self.to_json()}"]
+    def comment(self) -> str:
+        return f"# manifest: {self.to_json()}"
+
+
+def _print_rows(manifest: RunManifest, keys: tuple, rows: list, fmt: str) -> None:
+    """Print rows as JSON records under the manifest, or as CSV after its
+    comment line, each float cell through _fmt."""
+    if fmt == "json":
+        doc = {"manifest": vars(manifest), "results": [dict(zip(keys, r)) for r in rows]}
+        print(json.dumps(doc, indent=2, sort_keys=True))
+        return
+    print(manifest.comment())
+    print(",".join(keys))
+    for r in rows:
+        print(",".join(_fmt(c) if isinstance(c, float) else c for c in r))
 
 
 # --- predict ----------------------------------------------------------------
@@ -150,17 +163,7 @@ def cmd_predict(args) -> int:
     }, [e.id for e in experiments])
     rows = [(exp.id, o, _predict_value(exp.id, o, call, p.rc), u) for exp in experiments
             for o, call, u in _predict_rows(exp, p, n, args.omega, args.tol)]
-    if args.format == "json":
-        doc = {"manifest": vars(manifest),
-               "results": [{"experiment": e, "observable": o, "value": v,
-                            "unit": u} for e, o, v, u in rows]}
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for line in manifest.comment_lines():
-            print(line)
-        print("experiment,observable,value,unit")
-        for e, o, v, u in rows:
-            print(f"{e},{o},{_fmt(v)},{u}")
+    _print_rows(manifest, ("experiment", "observable", "value", "unit"), rows, args.format)
     return 0
 
 
@@ -179,18 +182,9 @@ def cmd_bound(args) -> int:
                   on_error=lambda i, _, rc, e: manifest.errors.append(
                       {"experiment": i, "rc_m": rc, "error": str(e)}))[0]
     # washed-out rc points are simply absent from the curve
-    rows = [(c.experiment_id, rc, lm) for c in curves for rc, lm in c.points]
-    if args.format == "json":
-        doc = {"manifest": vars(manifest),
-               "results": [{"experiment": e, "rc_m": rc, "lambda_max_s^-1": lm,
-                            "omega_c_rad_s": omega_c} for e, rc, lm in rows]}
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for line in manifest.comment_lines():
-            print(line)
-        print("experiment,rc_m,lambda_max_s^-1,omega_c_rad_s")
-        for e, rc, lm in rows:
-            print(f"{e},{_fmt(rc)},{_fmt(lm)},{omega_c}")
+    rows = [(c.experiment_id, rc, lm, omega_c) for c in curves for rc, lm in c.points]
+    _print_rows(manifest, ("experiment", "rc_m", "lambda_max_s^-1", "omega_c_rad_s"), rows,
+                args.format)
     if not rows:
         print("error: no bound could be computed (all points washed out or failed)",
               file=sys.stderr)
@@ -260,8 +254,7 @@ def _write_panel_csv(path: Path, token: str, rc_grid: np.ndarray,
                      curves: list[ExclusionCurve], manifest: RunManifest):
     """One panel: rc, one column per curve and the envelope, stacked into one
     table and formatted as one block; a NaN (no bound) is an empty cell."""
-    lines = list(manifest.comment_lines())
-    lines.append(f"# omega_c_rad_s: {token}")
+    lines = [manifest.comment(), f"# omega_c_rad_s: {token}"]
     header = ["rc_m"] + [f"{c.experiment_id}_lambda_max_s^-1" for c in curves]
     header.append("envelope_lambda_max_s^-1")
     lines.append(",".join(header))

@@ -5,7 +5,7 @@ I3 = Integral d^3k |mu~(k)|^2 k_x^2 e^{-k^2 rc^2},
 
 with k_x the component along the measurement axis. eta is linear in lam;
 ``eta_reduced`` returns the lam = 1 value that bound inversions divide
-ceilings by, memoized per (distribution, rc). It checks only rc: a
+ceilings by; it keeps no per-rc state between calls. It checks only rc: a
 distribution is validated when it is built.
 
 ``eta_column`` returns the same values over a whole rc grid as one column,
@@ -822,10 +822,9 @@ def _flatten(d: MassDistribution, base=(0.0, 0.0, 0.0)) -> list:
 
 # --- public operations -------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
 def eta_reduced(d: MassDistribution, rc: float) -> EtaResult:
-    """eta per unit collapse rate (lam = 1) for correlation length rc,
-    memoized per (d, rc); d was validated when it was built."""
+    """eta per unit collapse rate (lam = 1) for correlation length rc;
+    d was validated when it was built."""
     if not (rc > 0 and math.isfinite(rc)):
         raise NonPositiveRc(f"rc must be > 0 and finite, got {rc!r}")
     m0 = CONSTANTS.m0
@@ -848,7 +847,7 @@ def eta_column(d: MassDistribution, rcs) -> tuple[np.ndarray, np.ndarray]:
     NaN marks the points left to eta_reduced, which raises or returns a
     non-finite value there: rc <= 0 or not finite, a composite pair with no
     route inside the gap bound, an arithmetic error, a non-finite value or
-    error. The memo of eta_reduced is neither read nor filled."""
+    error."""
     rcs = np.asarray(rcs, dtype=float)
     value, err = np.full(rcs.size, math.nan), np.full(rcs.size, math.nan)
     m0 = CONSTANTS.m0
@@ -871,13 +870,9 @@ def eta_column(d: MassDistribution, rcs) -> tuple[np.ndarray, np.ndarray]:
     return value, err
 
 
-# bound to the cache itself, so it still clears it while eta_reduced is wrapped
-_clear_eta_cache = eta_reduced.cache_clear
-
-
 def clear_cache() -> None:
-    """Empty the memo of eta_reduced and the composite plans."""
-    _clear_eta_cache()
+    """Empty the cache of composite plans, built once per distribution; eta
+    keeps no per-rc state."""
     _composite_plan.cache_clear()
 
 

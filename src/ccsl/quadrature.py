@@ -102,8 +102,8 @@ def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, row: np.ndarray):
 
 
 def integrate_rows(f: Callable, edges: Sequence[Sequence[float]], *,
-                   rel_tol: float = 1e-10, abs_floor: float = 0.0,
-                   max_panels: int = 20000, max_rounds: int = 100) -> list:
+                   rel_tol: float = 1e-10, max_panels: int = 20000,
+                   max_rounds: int = 100) -> list:
     """Integrate f over [e[0], e[-1]] for each seed edge list e, each row as
     ``integrate`` would; f(x, rows) gets the nodes x and each one's row
     index. Returns, per row, its QuadResult or the QuadratureNotConverged it
@@ -128,7 +128,7 @@ def integrate_rows(f: Callable, edges: Sequence[Sequence[float]], *,
                 out[rid] = QuadratureNotConverged("integrand returned non-finite values")
                 continue
             total, total_err = float(_sum(pan[2, a:b])), float(_sum(pan[3, a:b]))
-            target = max(rel_tol * abs(total), abs_floor)
+            target = rel_tol * abs(total)
             # after the last round, a zero target alone no longer passes
             if total_err <= target or (target == 0.0 and rnd < max_rounds):
                 out[rid] = QuadResult(total, total_err, int(neval[rid]))
@@ -176,14 +176,12 @@ def integrate_rows(f: Callable, edges: Sequence[Sequence[float]], *,
 
 
 def integrate(f: Callable, edges: Sequence[float], *, rel_tol: float = 1e-10,
-              abs_floor: float = 0.0, max_panels: int = 20000,
-              max_rounds: int = 100) -> QuadResult:
+              max_panels: int = 20000, max_rounds: int = 100) -> QuadResult:
     """Integrate f over [edges[0], edges[-1]], seeded with the given panel
     edges, refining adaptively until the summed error estimate is below
-    max(rel_tol * |integral|, abs_floor)."""
+    rel_tol * |integral|."""
     res, = integrate_rows(lambda x, _: f(x), [edges], rel_tol=rel_tol,
-                          abs_floor=abs_floor, max_panels=max_panels,
-                          max_rounds=max_rounds)
+                          max_panels=max_panels, max_rounds=max_rounds)
     if isinstance(res, Exception):
         raise res
     return res

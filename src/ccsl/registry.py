@@ -213,9 +213,16 @@ def _freq(sec: dict, section: str, base: str, required=True):
         if required:
             raise ValidationError(f"{section}.{base}", "missing (_hz or _rad_s)")
         return None
-    v = rad if rad is not None else TWO_PI * hz
+    v = rad if rad is not None else hz
     if not isinstance(v, float):
         raise ValidationError(f"{section}.{base}", "must be a number")
+    return v if hz is None else TWO_PI * v
+
+
+def _vec(sec: dict, section: str, key: str, default: tuple) -> tuple:
+    v = sec.pop(key, default)
+    if not isinstance(v, tuple):
+        raise ValidationError(f"{section}.{key}", "must be a 3-vector")
     return v
 
 
@@ -229,8 +236,8 @@ def _build_geometry(sec: dict, section="geometry") -> MassDistribution:
     shape = sec.pop("shape", None)
     if shape is None:
         raise ValidationError(f"{section}.shape", "missing")
-    meas = sec.pop("measurement_axis", (1.0, 0.0, 0.0)) if section == "geometry" \
-        else (1.0, 0.0, 0.0)
+    meas = _vec(sec, section, "measurement_axis", (1.0, 0.0, 0.0)) \
+        if section == "geometry" else (1.0, 0.0, 0.0)
     density = _num(sec, section, "density", required=False)
     mass = _num(sec, section, "mass", required=False)
     try:
@@ -243,7 +250,7 @@ def _build_geometry(sec: dict, section="geometry") -> MassDistribution:
                        measurement_axis=meas)
         elif shape == "cylinder":
             d = cylinder(_num(sec, section, "radius"), _num(sec, section, "length"),
-                         axis=sec.pop("axis", (0.0, 0.0, 1.0)), density=density,
+                         axis=_vec(sec, section, "axis", (0.0, 0.0, 1.0)), density=density,
                          mass=mass, measurement_axis=meas)
         elif shape == "point_mass":
             if density is not None:

@@ -1,12 +1,14 @@
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ccsl import cli
+from ccsl import CollapseParams, cli, exponential, load, serialize
 from ccsl.cli import build_parser, main
+from ccsl.predict import dns_total
 from fixtures import SPHERE_CYLINDER_PAIR
 from test_runtime_deps import run_python
 
@@ -224,6 +226,27 @@ def test_predict_omega_override(capsys):
     b = float(csv_value(out_b, "xray,xray_normalized_rate", "value"))
     assert a == pytest.approx(1e-12 / (1 + 1e8) / 1e-14, rel=1e-9)
     assert b == pytest.approx(0.5e-12 / 1e-14, rel=1e-9)
+
+
+def test_predict_prints_displacement_row_for_damped_oscillator(tmp_path, capsys):
+    # no bundled descriptor sets gamma_m, so damp a copy of auriga's oscillator
+    exp = load("auriga")
+    exp = replace(exp, id="auriga-damped", oscillator=replace(exp.oscillator, gamma_m=0.05))
+    cfg = tmp_path / "damped.cfg"
+    cfg.write_text(serialize(exp), encoding="utf-8")
+    argv = ("predict", "--experiment", str(cfg), "--lambda", "1e-8", "--rc", "1e-7",
+            "--noise", "exp:1e4")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = data_rows(out)
+    assert rows[0] == "experiment,observable,value,unit"
+    assert [r.split(",")[1] for r in rows[1:]] == ["force_psd_ccsl", "displacement_dns_total"]
+    want = dns_total(exp.oscillator, exp.geometry, CollapseParams(1e-8, 1e-7),
+                     exponential(1e4), exp.ceiling.probe)
+    assert rows[2] == f"auriga-damped,displacement_dns_total,{want:.8e},m^2/Hz"
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    res = {r["observable"]: r for r in json.loads(out)["results"]}
+    assert code == 0 and res["displacement_dns_total"]["value"] == want
 
 
 # --- scan ------------------------------------------------------------------------

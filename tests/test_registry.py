@@ -269,3 +269,147 @@ def test_descriptor_with_mismatched_ceiling_kind_cannot_be_built():
     with pytest.raises(ValidationError) as info:
         ExperimentDescriptor(id="x", kind="xray", ceiling=force)
     assert info.value.field == "ceiling.kind"
+
+
+OPTO = """\
+id = probe
+kind = optomechanical
+[geometry]
+shape = sphere
+radius = 1e-5
+density = 1000.0
+[ceiling]
+kind = force_psd
+value = 1e-30
+probe_hz = 10.0
+"""
+
+HEATING = """\
+id = heat
+kind = bulk_heating
+[phonon]
+v_s = 3000.0
+dispersion = linear
+[ceiling]
+kind = heating_power
+value = 1e-11
+"""
+
+PAIR = """\
+id = pair
+kind = optomechanical
+[geometry]
+shape = composite
+[[geometry.part]]
+shape = sphere
+radius = 1e-5
+density = 1000.0
+offset = 0 0 0
+[ceiling]
+kind = force_psd
+value = 1e-30
+probe_hz = 10.0
+"""
+
+SPHERE_LINES = "shape = sphere\nradius = 1e-5\ndensity = 1000.0"
+
+
+MALFORMED = [
+    # syntax errors carry the line
+    (OPTO.replace("radius = 1e-5", "radius = 1 2 x"), ParseError, 5, "bad vector"),
+    (OPTO.replace("radius = 1e-5", "radius = 1 2"), ParseError, 5, "3-vector"),
+    (OPTO.replace("radius = 1e-5", "radius ="), ParseError, 5, "missing value"),
+    (OPTO.replace("id = probe", 'id = "probe'), ParseError, 1, "unterminated string"),
+    (PAIR.replace("[[geometry.part]]", "[[geometry.part]"), ParseError, 5, "expected ']]'"),
+    (PAIR.replace("[[geometry.part]]", "[[parts]]"), ParseError, 5, "unknown list section"),
+    (OPTO.replace("[ceiling]", "[ceiling"), ParseError, 7, "expected ']'"),
+    (OPTO + "[geometry]\n", ParseError, 11, "duplicate section"),
+    (OPTO.replace("radius = 1e-5", "= 1e-5"), ParseError, 5, "empty key"),
+    # semantic errors carry the field
+    (OPTO.replace("radius = 1e-5", "radius = big"), ValidationError, "geometry.radius",
+     "must be a number"),
+    (OPTO.replace("probe_hz = 10.0", "probe_hz = fast"), ValidationError, "ceiling.probe",
+     "must be a number"),
+    (OPTO.replace("probe_hz = 10.0", "probe_hz = 1 2 3"), ValidationError, "ceiling.probe",
+     "must be a number"),
+    (OPTO.replace("probe_hz = 10.0", "probe_rad_s = fast"), ValidationError, "ceiling.probe",
+     "must be a number"),
+    (OPTO + "[oscillator]\nmass = 1.0\ntemperature = 4.2\n", ValidationError,
+     "oscillator.omega_m", "missing (_hz or _rad_s)"),
+    (OPTO.replace("radius = 1e-5", "radius = 1e-5\nlx = 1.0"), ValidationError,
+     "geometry.lx", "not valid for this geometry"),
+    (HEATING + "[phonon]\n", ParseError, 9, "duplicate section"),
+    (HEATING.replace("dispersion = linear", "dispersion = linear\natom_mass = 1e-25"),
+     ValidationError, "phonon.atom_mass", "not valid for this phonon"),
+    (HEATING.replace("dispersion = linear", "dispersion = quadratic"), ValidationError,
+     "phonon.dispersion", "unknown 'quadratic'"),
+    (OPTO.replace(SPHERE_LINES, "shape = point_mass\nmass = 1.0\ndensity = 1.0"),
+     ValidationError, "geometry.density", "point_mass takes mass only"),
+    (OPTO.replace(SPHERE_LINES, "radius = 1e-5\ndensity = 1000.0"), ValidationError,
+     "geometry.shape", "missing"),
+    (OPTO.replace("shape = sphere", "shape = torus"), ValidationError, "geometry.shape",
+     "unknown shape 'torus'"),
+    (OPTO.replace("density = 1000.0", "density = 1000.0\nmeasurement_axis = up"),
+     ValidationError, "geometry.measurement_axis", "3-vector"),
+    (OPTO.replace(SPHERE_LINES, "shape = cylinder\nradius = 1e-5\nlength = 1.0\n"
+                                "density = 1.0\naxis = z"),
+     ValidationError, "geometry.axis", "3-vector"),
+    (PAIR.replace("offset = 0 0 0\n", ""), ValidationError, "geometry.part[0].offset",
+     "each part needs an offset 3-vector"),
+    (PAIR.replace("shape = composite", "shape = composite\nmass = 1.0"), ValidationError,
+     "geometry.density", "composite parts carry densities"),
+    (OPTO.replace("probe_hz = 10.0", "band_lo_hz = 10.0"), ValidationError, "ceiling.band",
+     "band needs both lo and hi edges"),
+    (OPTO.replace("probe_hz = 10.0", "probe_hz = 10.0\nband_lo_hz = 9.0\nband_hi_hz = 11.0"),
+     ValidationError, "ceiling.probe", "a single probe or a band"),
+    (OPTO.replace("kind = force_psd\n", ""), ValidationError, "ceiling.kind", "missing"),
+    (OPTO.replace("value = 1e-30\n", ""), ValidationError, "ceiling.value", "missing"),
+    (OPTO.split("[ceiling]")[0], ValidationError, "ceiling", "missing [ceiling] section"),
+    (OPTO.replace("id = probe\n", ""), ValidationError, "id", "missing or not a string"),
+    (OPTO.replace("kind = optomechanical\n", ""), ValidationError, "kind", "missing"),
+]
+
+
+@pytest.mark.parametrize("text, cls, where, message", MALFORMED,
+                         ids=[f"{where}-{message}" for _, _, where, message in MALFORMED])
+def test_malformed_config_rejected_at_its_field_or_line(text, cls, where, message):
+    with pytest.raises(cls) as err:
+        parse_config(text)
+    assert type(err.value) is cls
+    if cls is ParseError:
+        assert err.value.line == where and message in err.value.message
+    else:
+        assert err.value.field == where and message in err.value.constraint
+
+
+def test_serialization_round_trip_of_point_mass_damped_oscillator_and_full_sine():
+    point = """\
+id = point
+kind = optomechanical
+[geometry]
+shape = point_mass
+mass = 0.1
+measurement_axis = 0 1 0
+[oscillator]
+mass = 0.1
+omega_m_hz = 1.5
+gamma_m_rad_s = 0.003
+temperature = 0.02
+[ceiling]
+kind = force_psd
+value = 3e-30
+probe_hz = 2.0
+"""
+    sine = HEATING.replace("dispersion = linear",
+                           "dispersion = full_sine\nforce_constant = 14.6\n"
+                           "atom_mass = 1.055e-25\nplane_spacing = 2.55e-10")
+    for text in (point, sine):
+        exp = parse_config(text)
+        again = parse_config(serialize(exp))
+        assert again == exp
+        assert serialize(again) == serialize(exp)
+    exp = parse_config(point)
+    assert exp.oscillator.gamma_m == 0.003
+    assert total_mass(exp.geometry) == 0.1
+    assert exp.geometry.measurement_axis == (0.0, 1.0, 0.0)
+    assert parse_config(sine).phonon.dispersion.force_constant == 14.6
