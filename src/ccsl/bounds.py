@@ -15,6 +15,8 @@ rc grid as numpy columns (eta from ``diffusion.eta_column``, lam_eff from
 ``predict.lambda_eff_column``), in the same order of operations, so every
 point has the same bits either way. Grid size alone picks the route: from
 _COLUMN_FROM rc columns, below it one ``lambda_max_for`` call per point.
+No inversion takes a tolerance, and none returns NaN: a point with no
+bound raises (WashedOut where a term leaves the float range).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import CONSTANTS, CollapseParams
-from .diffusion import DEFAULT_TOL, eta_column, eta_reduced
+from .diffusion import eta_column, eta_reduced
 from .errors import (EmptyInput, NonPositiveFrequency, NonPositiveRc, ValidationError,
                      WashedOut, require_positive)
 from .geometry import MassDistribution
@@ -169,12 +171,11 @@ def _heating_white(value: float, rc):
     return value * 4.0 * rc * rc * CONSTANTS.m0**2 / (3.0 * CONSTANTS.hbar**2)
 
 
-def lambda_max_heating(ceiling: Ceiling, n: NoiseSpec, ph: PhononModel,
-                       rc: float, tol: float = DEFAULT_TOL) -> float:
+def lambda_max_heating(ceiling: Ceiling, n: NoiseSpec, ph: PhononModel, rc: float) -> float:
     """Invert dE/(dt dM) = (3/4)(hbar^2/rc^2 m0^2) lam_eff."""
     _expect(ceiling, HEATING_POWER)
-    ratio = lambda_eff(n, ph, rc, tol)
-    if ratio < _WASHOUT_RATIO:
+    ratio = lambda_eff(n, ph, rc)
+    if not ratio >= _WASHOUT_RATIO:  # also NaN, where x^2 overflows
         raise WashedOut(f"lambda_eff/lambda = {ratio:.3e} at rc={rc:.3e}")
     return _heating_white(ceiling.value, rc) / ratio
 
@@ -186,6 +187,8 @@ def lambda_max_coldatom(ceiling: Ceiling, n: NoiseSpec, ca: ColdAtomDescriptor,
     p = CollapseParams(lam=1.0, rc=rc)
     try:
         factor = cold_atom_noise_factor(n, ca)
+        if math.isnan(factor):  # tau = 1/Wc is inf, and the bracket's series inf * 0
+            raise OverflowError
         unit = cold_atom_diffusion(p, WHITE, ca)
     except ZeroDivisionError:  # no expansion time: the white bracket is 0
         unit = 0.0
@@ -201,7 +204,7 @@ def lambda_max_coldatom(ceiling: Ceiling, n: NoiseSpec, ca: ColdAtomDescriptor,
 
 # --- scans -----------------------------------------------------------------------
 
-def lambda_max_for(exp, n: NoiseSpec, rc: float, tol: float = DEFAULT_TOL) -> float:
+def lambda_max_for(exp, n: NoiseSpec, rc: float) -> float:
     """Dispatch on an ExperimentDescriptor-like object (registry module)."""
     kind = exp.kind
     if kind == "optomechanical":
@@ -209,7 +212,7 @@ def lambda_max_for(exp, n: NoiseSpec, rc: float, tol: float = DEFAULT_TOL) -> fl
     if kind == "xray":
         return lambda_max_xray(exp.ceiling, n, rc, exp.ceiling.probe)
     if kind == "bulk_heating":
-        return lambda_max_heating(exp.ceiling, n, exp.phonon, rc, tol)
+        return lambda_max_heating(exp.ceiling, n, exp.phonon, rc)
     if kind == "cold_atom":
         return lambda_max_coldatom(exp.ceiling, n, exp.coldatom, rc)
     raise ValidationError("experiment.kind", f"unknown kind {kind!r}")
@@ -237,14 +240,14 @@ def _white_column(exp, rc: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _factor(exp, n: NoiseSpec, rc: np.ndarray, tol: float) -> tuple:
+def _factor(exp, n: NoiseSpec, rc: np.ndarray) -> tuple:
     """The factor by which noise n divides the white lam_max of exp, NaN
     where it cannot be evaluated, and {i: error} where lambda_eff_column
     raised. The factor is one number for force (f~ at the probe), X-ray
     (f~(w_obs)) and cold atoms (the bracket ratio), and for bulk heating the
     lam_eff/lam column, NaN where it failed or washed out."""
     if exp.kind == "bulk_heating":
-        ratio, failed = lambda_eff_column(n, exp.phonon, rc, tol)
+        ratio, failed = lambda_eff_column(n, exp.phonon, rc)
         return np.where(ratio >= _WASHOUT_RATIO, ratio, math.nan), failed
     if exp.kind == "optomechanical":
         return effective_spectrum_factor(exp.ceiling, n), {}
@@ -256,8 +259,7 @@ def _factor(exp, n: NoiseSpec, rc: np.ndarray, tol: float) -> tuple:
         return math.nan, {}
 
 
-def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid,
-         tol: float = DEFAULT_TOL,
+def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid, *,
          on_error: Callable[[str, NoiseSpec, float, Exception], None] | None = None
          ) -> list[list[ExclusionCurve]]:
     """Exclusion curves over the rc grid: one list per noise, holding one
@@ -286,7 +288,7 @@ def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid,
         for n, panel in zip(noises, curves):
             col, redo, failed = np.full(len(rcs), math.nan), range(len(rcs)), {}
             if columns:
-                factor, failed = _factor(exp, n, rc_grid, tol)
+                factor, failed = _factor(exp, n, rc_grid)
                 with np.errstate(all="ignore"):
                     col = white / factor
                     redo = np.flatnonzero(~((col > 0.0) & (col < math.inf))).tolist()
@@ -294,7 +296,7 @@ def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid,
                 try:
                     if i in failed:  # the column's own error: no second quadrature
                         raise failed[i]
-                    lm = lambda_max_for(exp, n, rcs[i], tol)
+                    lm = lambda_max_for(exp, n, rcs[i])
                     if not 0.0 < lm < math.inf:
                         raise WashedOut(f"lambda_max out of float range at rc={rcs[i]:.3e}")
                 except Exception as err:  # collected (washed out or failed), not fatal

@@ -23,15 +23,11 @@ import numpy as np
 from . import __version__
 from .bounds import ExclusionCurve, default_rc_grid, envelope, scan
 from .core import CollapseParams
-from .diffusion import DEFAULT_TOL
 from .errors import CcslError, ParseError, ValidationError
 from .noise import WHITE, NoiseSpec, exponential
 from .predict import (cold_atom_diffusion, dns_ccsl, dns_total, heating_rate,
                       normalized_xray_rate, xray_rate)
 from .registry import ExperimentDescriptor, list_bundled, load
-
-_TOL_HELP = ("relative tolerance in (0, 1e-2) of the full-sine heating quadrature "
-             "(lambda_eff_quad); eta is closed form and does not use it")
 
 
 def _fmt(x: float) -> str:
@@ -60,8 +56,6 @@ def _check_numbers(args) -> None:
             raise ValidationError(flag, f"must be > 0 and finite, got {v!r}")
     if lam is not None and not 0.0 <= lam < math.inf:
         raise ValidationError("--lambda", f"must be >= 0 and finite, got {lam!r}")
-    if not 0.0 < args.tol < 1e-2:
-        raise ValidationError("--tol", f"must lie in (0, 1e-2), got {args.tol!r}")
 
 
 def _parse_rc_grid(spec: str) -> np.ndarray:
@@ -117,7 +111,7 @@ def _print_rows(manifest: RunManifest, keys: tuple, rows: list, fmt: str) -> Non
 # --- predict ----------------------------------------------------------------
 
 def _predict_rows(exp: ExperimentDescriptor, p: CollapseParams, n: NoiseSpec,
-                  omega: float | None, tol: float) -> list[tuple[str, object, str]]:
+                  omega: float | None) -> list[tuple[str, object, str]]:
     """(observable, a call that computes it, unit) for each of exp's rows."""
     if exp.kind == "optomechanical":
         probe = exp.ceiling.probe
@@ -134,7 +128,7 @@ def _predict_rows(exp: ExperimentDescriptor, p: CollapseParams, n: NoiseSpec,
         return [("xray_normalized_rate", lambda: normalized_xray_rate(p, n, w), "s^-1 m^-2"),
                 ("xray_dgamma_domega", lambda: xray_rate(p, n, w), "s^-1/(rad/s)")]
     if exp.kind == "bulk_heating":
-        return [("heating_rate", lambda: heating_rate(p, n, exp.phonon, tol), "W/kg")]
+        return [("heating_rate", lambda: heating_rate(p, n, exp.phonon), "W/kg")]
     if exp.kind == "cold_atom":
         return [("position_variance", lambda: cold_atom_diffusion(p, n, exp.coldatom), "m^2")]
     raise ValidationError("experiment.kind", f"unknown kind {exp.kind!r}")
@@ -159,10 +153,10 @@ def cmd_predict(args) -> int:
     p = CollapseParams(lam=args.lam, rc=args.rc)
     manifest = RunManifest("predict", {
         "lambda_s^-1": args.lam, "rc_m": args.rc, "noise": args.noise,
-        "omega_rad_s": args.omega, "tol": args.tol, "format": args.format,
+        "omega_rad_s": args.omega, "format": args.format,
     }, [e.id for e in experiments])
     rows = [(exp.id, o, _predict_value(exp.id, o, call, p.rc), u) for exp in experiments
-            for o, call, u in _predict_rows(exp, p, n, args.omega, args.tol)]
+            for o, call, u in _predict_rows(exp, p, n, args.omega)]
     _print_rows(manifest, ("experiment", "observable", "value", "unit"), rows, args.format)
     return 0
 
@@ -174,11 +168,10 @@ def cmd_bound(args) -> int:
     n = _parse_noise(args.noise)
     rc_values = _parse_rc_grid(args.rc_grid) if args.rc_grid else np.array([args.rc])
     manifest = RunManifest("bound", {
-        "rc_m": args.rc, "rc_grid": args.rc_grid, "noise": args.noise,
-        "tol": args.tol, "format": args.format,
+        "rc_m": args.rc, "rc_grid": args.rc_grid, "noise": args.noise, "format": args.format,
     }, [e.id for e in experiments])
     omega_c = "inf" if n.is_white else _fmt(n.omega_c)
-    curves = scan(experiments, [n], rc_values, args.tol,
+    curves = scan(experiments, [n], rc_values,
                   on_error=lambda i, _, rc, e: manifest.errors.append(
                       {"experiment": i, "rc_m": rc, "error": str(e)}))[0]
     # washed-out rc points are simply absent from the curve
@@ -278,8 +271,7 @@ def cmd_scan(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest("scan", {
         "omega_c_list": noise_tokens, "rc_grid": args.rc_grid,
-        "experiments": [e.id for e in experiments], "tol": args.tol,
-        "jobs": args.jobs,
+        "experiments": [e.id for e in experiments], "jobs": args.jobs,
     }, [e.id for e in experiments])
 
     # one panel per file tag: spellings that name one file ('inf'/'white'/
@@ -293,7 +285,7 @@ def cmd_scan(args) -> int:
     # '1e4' and '10000' are equal specs but separate panels, so an error is
     # logged under the token of the spec object it came from
     token_of = {id(n): t for n, t in zip(noises, tokens)}
-    panels = scan(experiments, noises, rc_grid, args.tol,
+    panels = scan(experiments, noises, rc_grid,
                   on_error=lambda i, n, rc, e: manifest.errors.append(
                       {"experiment": i, "omega_c": token_of[id(n)], "rc_m": rc,
                        "error": str(e)}))
@@ -328,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--noise", default="white",
                        help="'white', 'inf', or 'exp:<omega_c rad/s>'")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_TOL_HELP)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("predict", help="evaluate observables for an experiment")
@@ -359,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out-dir", default="scan_out")
     s.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility and ignored: a scan runs in one process")
-    s.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_TOL_HELP)
     s.set_defaults(func=cmd_scan)
     return ap
 

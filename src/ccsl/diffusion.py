@@ -77,7 +77,7 @@ from .geometry import (Composite, Cuboid, Cylinder, MassDistribution, PointMass,
                        circumradius, total_mass, validate_distribution)
 from .quadrature import integrate, merge_edges
 
-DEFAULT_TOL = 1e-8         # relative tol of full-sine heating's adaptive quadrature
+DEFAULT_TOL = 1e-8         # fixed tol of full-sine heating's quadrature; bench/spans.py imports it
 K_CUTOFF = 10.0            # integrate |k| <= K_CUTOFF/rc; tail weight e^-100
 _GAP_DROP = 12.0           # drop cross terms when gap/(2 rc) exceeds this
 _MAX_OSC_PANELS = 20000

@@ -10,7 +10,8 @@
 * cold_atom_diffusion  excess position variance of a free cloud, m^2
 
 All operations vanish identically at lam = 0 and are homogeneous of degree
-one in lam.
+one in lam. lam_eff's route follows the dispersion: the closed form for
+linear, quadrature at the fixed DEFAULT_TOL for the full sine.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from functools import partial
 import numpy as np
 
 from .core import CONSTANTS, CollapseParams, map_floats
-from .diffusion import eta as _eta
-from .diffusion import DEFAULT_TOL
+from .diffusion import DEFAULT_TOL, eta as _eta
 from .errors import (NonPositiveFrequency, NonPositiveRc, QuadratureNotConverged,
                      UnsupportedDispersion, ValidationError, require_positive)
 from .geometry import MassDistribution
@@ -252,32 +252,12 @@ def _closed(n: NoiseSpec, ph: PhononModel, rc, lam: float, bracket=_phonon_brack
     return lam * (4.0 * x * x / 3.0) * bracket(x)
 
 
-def lambda_eff_column(n: NoiseSpec, ph: PhononModel, rcs, tol: float = DEFAULT_TOL,
-                      lam: float = 1.0, closed: bool | None = None) -> tuple[np.ndarray, dict]:
-    """lam_eff over the rc column rcs for one noise and phonon model: an array,
-    NaN where an rc raised, and {index: that exception}; lam = 1 gives
-    lam_eff/lam. closed=True is lambda_eff_closed's closed form (linear
-    dispersion assumed) in numpy passes, closed=False lambda_eff_quad's radial
-    quadrature, batched over all rc; by default the closed form for linear
-    dispersion. Each value and error is the one-rc call's, bit for bit."""
-    if closed is None:
-        closed = ph.dispersion is None
-    rc = np.array(rcs, dtype=float)
-    out, ok = np.full(rc.size, math.nan), np.isfinite(rc) & (rc > 0.0)
-    errors = {i: NonPositiveRc(f"rc must be > 0 and finite, got {float(rc[i])!r}")
-              for i in np.flatnonzero(~ok).tolist()}
-    if closed:
-        with np.errstate(all="ignore"):
-            out[ok] = _closed(n, ph, rc[ok], lam, partial(map_floats, _phonon_bracket))
-        return out, errors
-    at = np.flatnonzero(ok).tolist()
-    if not (0.0 < tol < 1e-2):
-        errors.update((i, ValidationError("tol", f"must lie in (0, 1e-2), got {tol!r}"))
-                      for i in at)
-        return out, errors
+def _quad_rows(n: NoiseSpec, ph: PhononModel, rc, at, lam, tol, out, errors) -> None:
+    """lambda_eff_quad's radial quadrature at rc[i] for each i in at, in one
+    integrate_rows batch: the value into out[i], or the failure into errors[i]."""
     if lam == 0.0:
-        out[ok] = 0.0
-        return out, errors
+        out[at] = 0.0
+        return
     rows, edges = [], []  # the quadrature's rows: their indices, their seed edges
     for i in at:
         try:
@@ -294,15 +274,33 @@ def lambda_eff_column(n: NoiseSpec, ph: PhononModel, rcs, tol: float = DEFAULT_T
                 errors[i] = res
             else:
                 out[i] = lam * (8.0 / (3.0 * _SQRT_PI)) * res.value
+
+
+def lambda_eff_column(n: NoiseSpec, ph: PhononModel, rcs,
+                      lam: float = 1.0) -> tuple[np.ndarray, dict]:
+    """lam_eff over the rc column rcs for one noise and phonon model: an array,
+    NaN where an rc raised, and {index: that exception}; lam = 1 gives
+    lam_eff/lam. The dispersion picks the route: lambda_eff_closed's closed
+    form in numpy passes for linear dispersion, lambda_eff_quad's radial
+    quadrature at DEFAULT_TOL, batched over all rc, for the full sine. Each
+    value and error is the one-rc call's, bit for bit."""
+    rc = np.array(rcs, dtype=float)
+    out, ok = np.full(rc.size, math.nan), np.isfinite(rc) & (rc > 0.0)
+    errors = {i: NonPositiveRc(f"rc must be > 0 and finite, got {float(rc[i])!r}")
+              for i in np.flatnonzero(~ok).tolist()}
+    if ph.dispersion is None:
+        with np.errstate(all="ignore"):
+            out[ok] = _closed(n, ph, rc[ok], lam, partial(map_floats, _phonon_bracket))
+    else:
+        _quad_rows(n, ph, rc, np.flatnonzero(ok).tolist(), lam, DEFAULT_TOL, out, errors)
     return out, errors
 
 
-def lambda_eff(n: NoiseSpec, ph: PhononModel, rc: float, tol: float = DEFAULT_TOL,
-               lam: float = 1.0, closed: bool | None = None) -> float:
+def lambda_eff(n: NoiseSpec, ph: PhononModel, rc: float, lam: float = 1.0) -> float:
     """lam_eff at one rc: the closed form in Python floats, else a column of one."""
-    if (ph.dispersion is None if closed is None else closed) and math.isfinite(rc) and rc > 0:
+    if ph.dispersion is None and math.isfinite(rc) and rc > 0:
         return _closed(n, ph, rc, lam)
-    (value,), errors = lambda_eff_column(n, ph, [rc], tol, lam, closed)
+    (value,), errors = lambda_eff_column(n, ph, [rc], lam)
     if errors:
         raise errors[0]
     return float(value)
@@ -316,7 +314,7 @@ def lambda_eff_closed(p: CollapseParams, n: NoiseSpec, ph: PhononModel) -> float
     """
     if ph.dispersion is not None:
         raise UnsupportedDispersion("closed form exists for linear dispersion only")
-    return lambda_eff(n, ph, p.rc, lam=p.lam, closed=True)
+    return _closed(n, ph, p.rc, p.lam)
 
 
 def lambda_eff_quad(p: CollapseParams, n: NoiseSpec, ph: PhononModel,
@@ -325,18 +323,23 @@ def lambda_eff_quad(p: CollapseParams, n: NoiseSpec, ph: PhononModel,
 
     lam_eff = (8 lam / (3 sqrt(pi))) Int_0^inf y^4 e^{-y^2} f~(w_L(y/rc)) dy
 
-    over y in [0, 40], seeded with _y_edges.
-    Supports both dispersion forms; matches lambda_eff_closed for the linear
-    one and returns lam (up to tol) for white noise."""
-    return lambda_eff(n, ph, p.rc, tol, p.lam, closed=False)
+    over y in [0, 40], seeded with _y_edges, to relative tolerance tol in
+    (0, 1e-2). Supports both dispersion forms; matches lambda_eff_closed for
+    the linear one and returns lam (up to tol) for white noise."""
+    if not 0.0 < tol < 1e-2:
+        raise ValidationError("tol", f"must lie in (0, 1e-2), got {tol!r}")
+    out, errors = np.full(1, math.nan), {}
+    _quad_rows(n, ph, np.array([p.rc]), [0], p.lam, tol, out, errors)
+    if errors:
+        raise errors[0]
+    return float(out[0])
 
 
-def heating_rate(p: CollapseParams, n: NoiseSpec, ph: PhononModel,
-                 tol: float = DEFAULT_TOL) -> float:
+def heating_rate(p: CollapseParams, n: NoiseSpec, ph: PhononModel) -> float:
     """Bulk energy gain rate per unit mass, W/kg:
     dE/(dt dM) = (3/4) (hbar^2 / rc^2 m0^2) lam_eff, with lam_eff closed form
-    for linear dispersion and by quadrature for the full sine."""
-    leff = lambda_eff(n, ph, p.rc, tol, p.lam)
+    for linear dispersion and by quadrature at DEFAULT_TOL for the full sine."""
+    leff = lambda_eff(n, ph, p.rc, p.lam)
     c = CONSTANTS
     return 0.75 * c.hbar**2 / (p.rc**2 * c.m0**2) * leff
 

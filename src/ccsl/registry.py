@@ -305,6 +305,8 @@ def _build_descriptor(top: dict, sections: dict) -> ExperimentDescriptor:
     provenance = top.pop("provenance", "")
     if not isinstance(exp_id, str) or not exp_id:
         raise ValidationError("id", "missing or not a string")
+    if not isinstance(provenance, str):  # a number or a vector would not round-trip
+        raise ValidationError("provenance", f"not a string: {provenance!r}")
     if not isinstance(kind, str):
         raise ValidationError("kind", "missing")
     _check_consumed(top, "top")

@@ -147,8 +147,8 @@ def _heating_in_floats(exp, n, rc):
 def test_heating_column_is_the_scalar_route(monkeypatch):
     # scan inverts one lambda_eff column per noise; each point and each
     # logged error is lambda_max_heating's at that rc, bit for bit, for a
-    # bad rc and a bad tol too, and at an rc where lambda_max overflows, which
-    # scan reports as WashedOut. The linear model's points are the closed
+    # bad rc too, and at an rc where lambda_max overflows, which scan
+    # reports as WashedOut. The linear model's points are the closed
     # form in Python floats, with x = rc Wc / v_s on both sides of the
     # bracket's switch at 20 (1e12), above it everywhere (1e15), and past
     # where x^2 overflows (1e300). The grid is short, so the column route is
@@ -158,31 +158,29 @@ def test_heating_column_is_the_scalar_route(monkeypatch):
               exponential(1e15), exponential(1e300)]
     grid = [-1e-9, 1e-12, 2e-9, 1e-8, 1e-6, 1e-4, 1e160]
     monkeypatch.setattr(bounds, "_COLUMN_FROM", len(grid))
-    for tol in (1e-8, 1e-6, 0.5):
-        errors = []
-        panels = scan(exps, noises, grid, tol=tol, on_error=lambda i, n, rc, e: errors.append(
-            (i, n, rc, type(e), str(e))))
-        expected = []
-        for exp in exps:
-            for n, curves in zip(noises, panels):
-                lams = []
-                for rc in grid:
-                    try:
-                        lm = lambda_max_heating(exp.ceiling, n, exp.phonon, rc, tol)
-                        if not 0.0 < lm < math.inf:
-                            raise WashedOut(f"lambda_max out of float range at rc={rc:.3e}")
-                        lams.append(lm)
-                    except Exception as err:
-                        lams.append(math.nan)
-                        expected.append((exp.id, n, rc, type(err), str(err)))
-                got = curves[exps.index(exp)].lam
-                assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in lams]
-                if exp.phonon.dispersion is None:
-                    assert [v.hex() for v in got.tolist()[1:]] == [
-                        _heating_in_floats(exp, n, rc).hex() for rc in grid[1:]]
-        assert errors == expected
-        assert {t.__name__ for *_, t, _ in errors} >= {"NonPositiveRc", "QuadratureNotConverged"
-                                                      if tol < 0.5 else "ValidationError"}
+    errors = []
+    panels = scan(exps, noises, grid, on_error=lambda i, n, rc, e: errors.append(
+        (i, n, rc, type(e), str(e))))
+    expected = []
+    for exp in exps:
+        for n, curves in zip(noises, panels):
+            lams = []
+            for rc in grid:
+                try:
+                    lm = lambda_max_heating(exp.ceiling, n, exp.phonon, rc)
+                    if not 0.0 < lm < math.inf:
+                        raise WashedOut(f"lambda_max out of float range at rc={rc:.3e}")
+                    lams.append(lm)
+                except Exception as err:
+                    lams.append(math.nan)
+                    expected.append((exp.id, n, rc, type(err), str(err)))
+            got = curves[exps.index(exp)].lam
+            assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in lams]
+            if exp.phonon.dispersion is None:
+                assert [v.hex() for v in got.tolist()[1:]] == [
+                    _heating_in_floats(exp, n, rc).hex() for rc in grid[1:]]
+    assert errors == expected
+    assert {t.__name__ for *_, t, _ in errors} >= {"NonPositiveRc", "QuadratureNotConverged"}
 
 
 def test_short_full_sine_grid_is_its_column():
@@ -247,6 +245,21 @@ def test_coldatom_rc_whose_square_overflows_washes_out():
         for rc in (1.4e154, 1e160):
             with pytest.raises(WashedOut, match=r"unit-lam diffusion underflowed at rc=1\.\d{3}e\+1"):
                 lambda_max_coldatom(ceiling, n, RB87, rc)
+
+
+def test_single_point_bounds_raise_where_a_term_turns_nan():
+    # two terms leave the float range without an OverflowError: at
+    # Wc = 1e-320 tau = 1/Wc is inf and the cold-atom bracket's series gives
+    # inf * 0, and at Wc = 1e200 the heating x^2 is inf. Neither bound is a
+    # silent NaN: both raise WashedOut, through lambda_max_for too
+    cold, heat = load("cold-atom"), load("bulk-heating")
+    with pytest.raises(WashedOut, match=r"^cold-atom bracket out of range at omega_c=1\.000e-320$"):
+        lambda_max_coldatom(cold.ceiling, exponential(1e-320), cold.coldatom, 1e-7)
+    with pytest.raises(WashedOut, match=r"^lambda_eff/lambda = nan at rc=1\.000e-07$"):
+        lambda_max_heating(heat.ceiling, exponential(1e200), heat.phonon, 1e-7)
+    for exp, wc in ((cold, 1e-320), (heat, 1e200)):
+        with pytest.raises(WashedOut):
+            lambda_max_for(exp, exponential(wc), 1e-7)
 
 
 def test_scan_reports_every_point_it_drops():
@@ -471,9 +484,9 @@ def test_scan_white_column_is_the_scalar_route(monkeypatch):
               exponential(1e15), exponential(1e300)]
     calls = []
 
-    def lambda_max_for(exp, n, rc, tol, _scalar=bounds.lambda_max_for):
+    def lambda_max_for(exp, n, rc, _scalar=bounds.lambda_max_for):
         calls.append((exp.id, n, rc.hex()))
-        return _scalar(exp, n, rc, tol)
+        return _scalar(exp, n, rc)
 
     monkeypatch.setattr(bounds, "lambda_max_for", lambda_max_for)
     crossover = bounds._COLUMN_FROM

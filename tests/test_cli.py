@@ -125,11 +125,11 @@ def test_bad_noise_flag_exits_2(capsys):
     (["bound", "--experiment", "xray", "--rc-grid", "1e-7:1e-7:3"], "--rc-grid"),
     (["scan", "--experiments", "xray", "--rc-grid", "1e-7:1e-7:3", "--jobs", "1"],
      "--rc-grid"),
-    (["predict", "--experiment", "cantilever", "--lambda", "1e-12", "--rc", "1e-7",
-      "--tol", "0.5"], "--tol"),
-    (["bound", "--experiment", "xray", "--rc", "1e-7", "--tol", "0.5"], "--tol"),
-    (["bound", "--experiment", "cantilever", "--rc", "1e-7", "--tol", "0.5"], "--tol"),
-    (["scan", "--experiments", "cantilever", "--tol", "0", "--jobs", "1"], "--tol"),
+    (["predict", "--experiment", "cantilever", "--lambda", "nan", "--rc", "1e-7"], "--lambda"),
+    (["bound", "--experiment", "bulk-heating", "--rc-grid", "0:1e-3:5"], "--rc-grid"),
+    (["bound", "--experiment", "cantilever", "--rc-grid", "1e-7:1e-3:0"], "--rc-grid"),
+    (["scan", "--experiments", "cantilever", "--rc-grid", "1e-3:1e-7:5", "--jobs", "1"],
+     "--rc-grid"),
     (["predict", "--experiment", "xray", "--lambda", "1e-12", "--rc=-1"], "--rc"),
     (["predict", "--experiment", "xray", "--lambda=-1", "--rc", "1e-7"], "--lambda"),
     (["bound", "--experiment", "xray", "--rc", "1e-7", "--noise", "exp:abc"], "--noise"),
@@ -150,6 +150,22 @@ def test_bad_number_exits_2_naming_its_flag(tmp_path, capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith(f"error: {flag}: ")
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--experiment", "bulk-heating", "--lambda", "1e-12", "--rc", "1e-7"],
+    ["bound", "--experiment", "bulk-heating", "--rc", "1e-7"],
+    ["scan", "--experiments", "bulk-heating", "--jobs", "1"],
+], ids=lambda argv: argv[0])
+def test_tol_is_an_unknown_argument(tmp_path, capsys, argv):
+    # the full-sine quadrature runs at one fixed tolerance: no command takes --tol
+    if argv[0] == "scan":
+        argv = [*argv, "--out-dir", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv, "--tol", "1e-8")
+    assert code == 2
+    assert err.endswith("error: unrecognized arguments: --tol 1e-8\n")
     assert out == ""
     assert not (tmp_path / "out").exists()
 

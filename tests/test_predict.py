@@ -11,8 +11,9 @@ from ccsl import (CONSTANTS, CollapseParams, ColdAtomDescriptor,
                   cold_atom_diffusion, cuboid, dns_ccsl, dns_total, exponential,
                   eta, heating_rate, lambda_eff_closed, lambda_eff_quad,
                   normalized_xray_rate, point_mass, sphere, xray_rate)
-from ccsl.predict import (_cold_bracket, _erfcx, _phonon_bracket, cold_atom_noise_factor,
-                          lambda_eff_column)
+from ccsl.diffusion import DEFAULT_TOL
+from ccsl.predict import (_cold_bracket, _erfcx, _phonon_bracket, _quad_rows,
+                          cold_atom_noise_factor, lambda_eff_column)
 from fixtures import (COLD_BRACKET_TABLE, ERFCX_TABLE, ONE_MINUS_2_OVER_E,
                       PHONON_RATIO_TABLE)
 
@@ -298,38 +299,47 @@ def _same(got, want):
 @pytest.mark.parametrize("lam", [1.0, 2.5e-3])
 def test_lambda_eff_column_is_the_one_rc_call(ph, wc, lam):
     # every entry of one batched column is the one-rc call's value or error,
-    # bit for bit; the bad rc at the end fail alone with the CollapseParams
-    # message, and the quadrature's failures stay on their own rc. The closed
-    # form's entries are its formula in Python floats, NaN where x^2 overflows
+    # bit for bit: the dispersion picks the route, lambda_eff_closed's for
+    # linear and lambda_eff_quad's at DEFAULT_TOL for the full sine. The bad
+    # rc at the end fail alone with the CollapseParams message, and the
+    # quadrature's failures stay on their own rc. The closed form's entries
+    # are its formula in Python floats, NaN where x^2 overflows
     n = WHITE if wc is None else exponential(wc)
-    routes = [(False, lambda_eff_quad)] + [(True, lambda_eff_closed)] * (ph is COPPER)
-    for closed, one in routes:
-        col = _entries(lambda_eff_column(n, ph, COLUMN_RCS, lam=lam, closed=closed))
-        for rc, got in zip(COLUMN_RCS, col):
-            p = _scalar(CollapseParams, lam, rc)
-            want = p if isinstance(p, Exception) else _scalar(one, p, n, ph)
-            assert _same(got, want), (closed, rc, got, want)
-            if closed and not isinstance(p, Exception):
-                x = 0.0 if wc is None else rc * wc / ph.v_s
-                floats = lam if wc is None else lam * (4.0 * x * x / 3.0) * _phonon_bracket(x)
-                assert _same(got, floats), (rc, got, floats)
-        rate = [_scalar(heating_rate, CollapseParams(lam, rc), n, ph) for rc in COLUMN_RCS[:-3]]
-        if closed == (ph.dispersion is None):
-            assert all(_same(r, 0.75 * CONSTANTS.hbar**2 / (rc**2 * CONSTANTS.m0**2) * v)
-                       if not isinstance(v, Exception) else _same(r, v)
-                       for rc, r, v in zip(COLUMN_RCS, rate, col))
+    one = lambda_eff_quad if ph.dispersion else lambda_eff_closed
+    col = _entries(lambda_eff_column(n, ph, COLUMN_RCS, lam=lam))
+    for rc, got in zip(COLUMN_RCS, col):
+        p = _scalar(CollapseParams, lam, rc)
+        want = p if isinstance(p, Exception) else _scalar(one, p, n, ph)
+        assert _same(got, want), (rc, got, want)
+        if ph is COPPER and not isinstance(p, Exception):
+            x = 0.0 if wc is None else rc * wc / ph.v_s
+            floats = lam if wc is None else lam * (4.0 * x * x / 3.0) * _phonon_bracket(x)
+            assert _same(got, floats), (rc, got, floats)
+    rate = [_scalar(heating_rate, CollapseParams(lam, rc), n, ph) for rc in COLUMN_RCS[:-3]]
+    assert all(_same(r, 0.75 * CONSTANTS.hbar**2 / (rc**2 * CONSTANTS.m0**2) * v)
+               if not isinstance(v, Exception) else _same(r, v)
+               for rc, r, v in zip(COLUMN_RCS, rate, col))
+    if ph is COPPER:
+        # the quadrature helper batches any dispersion: a linear column
+        # through it is lambda_eff_quad's at each rc
+        rcs = np.array(COLUMN_RCS[:-3])
+        out, errors = np.full(rcs.size, math.nan), {}
+        _quad_rows(n, ph, rcs, list(range(rcs.size)), lam, DEFAULT_TOL, out, errors)
+        for rc, got in zip(COLUMN_RCS, _entries((out, errors))):
+            want = _scalar(lambda_eff_quad, CollapseParams(lam, rc), n, ph)
+            assert _same(got, want), (rc, got, want)
     if ph is LATTICE and wc == 1e1:
         kinds = [type(v).__name__ for v in col]
         assert kinds[:2] == ["QuadratureNotConverged"] * 2 and kinds[4] == "float"
 
 
-def test_lambda_eff_column_bad_tol_fails_each_quadrature_point():
-    col = _entries(lambda_eff_column(exponential(1e4), LATTICE, [1e-7, -1.0], tol=0.5))
-    assert [type(v) for v in col] == [ValidationError, type(_scalar(CollapseParams, 1.0, -1.0))]
-    with pytest.raises(ValidationError, match="tol"):
-        lambda_eff_quad(CollapseParams(1.0, 1e-7), exponential(1e4), LATTICE, tol=0.5)
-    # the closed form takes no tolerance
-    assert _entries(lambda_eff_column(exponential(1e4), COPPER, [1e-7], tol=0.5))[0] > 0.0
+def test_lambda_eff_quad_checks_tol_on_entry():
+    # the reference quadrature keeps its tolerance and rejects one outside
+    # (0, 1e-2) before any work, for either dispersion and at lam = 0 too
+    for ph in (LATTICE, COPPER):
+        for p in (CollapseParams(1.0, 1e-7), CollapseParams(0.0, 1e-7)):
+            with pytest.raises(ValidationError, match="tol"):
+                lambda_eff_quad(p, exponential(1e4), ph, tol=0.5)
 
 
 # --- cold atoms --------------------------------------------------------------------

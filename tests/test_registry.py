@@ -366,6 +366,10 @@ MALFORMED = [
     (OPTO.replace("value = 1e-30\n", ""), ValidationError, "ceiling.value", "missing"),
     (OPTO.split("[ceiling]")[0], ValidationError, "ceiling", "missing [ceiling] section"),
     (OPTO.replace("id = probe\n", ""), ValidationError, "id", "missing or not a string"),
+    (OPTO.replace("id = probe\n", "id = probe\nprovenance = 3\n"), ValidationError,
+     "provenance", "not a string: 3.0"),
+    (OPTO.replace("id = probe\n", "id = probe\nprovenance = 1 2 3\n"), ValidationError,
+     "provenance", "not a string: (1.0, 2.0, 3.0)"),
     (OPTO.replace("kind = optomechanical\n", ""), ValidationError, "kind", "missing"),
 ]
 
