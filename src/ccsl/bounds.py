@@ -13,8 +13,11 @@ couple through x = rc Wc / v_s, so the factor is a column over rc). The
 single-point ``lambda_max_*`` do this at one rc; ``scan`` does it over its
 rc grid as numpy columns (eta from ``diffusion.eta_column``, lam_eff from
 ``predict.lambda_eff_column``), in the same order of operations, so every
-point has the same bits either way. Grid size alone picks the route: from
-_COLUMN_FROM rc columns, below it one ``lambda_max_for`` call per point.
+point has the same bits either way, and each column reports the errors it
+can name (a composite pair with no route, a failed heating point), so a
+point fails with the same error either way. Grid size alone picks the
+route: from _COLUMN_FROM rc columns, below it one ``lambda_max_for`` call
+per point.
 No inversion takes a tolerance, and none returns NaN: a point with no
 bound raises (WashedOut where a term leaves the float range).
 """
@@ -28,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import CONSTANTS, CollapseParams
-from .diffusion import eta_column, eta_reduced
+from .diffusion import _eta_column, eta_reduced
 from .errors import (EmptyInput, NonPositiveFrequency, NonPositiveRc, ValidationError,
                      WashedOut, require_positive)
 from .geometry import MassDistribution
@@ -218,26 +221,30 @@ def lambda_max_for(exp, n: NoiseSpec, rc: float) -> float:
     raise ValidationError("experiment.kind", f"unknown kind {kind!r}")
 
 
-def _white_column(exp, rc: np.ndarray) -> np.ndarray:
+def _white_column(exp, rc: np.ndarray) -> tuple:
     """The white lam_max of exp over an rc column in one pass, each element
     bit for bit the single-point functions' ceiling / unit response; NaN
     where the unit response cannot be evaluated, and where eta_column left
-    the point to eta_reduced."""
-    c, lam = exp.ceiling.value, np.full(rc.size, math.nan)
+    the point to eta_reduced. With it, {i: error} where the eta column
+    reported eta_reduced's error itself."""
+    c, lam, failed = exp.ceiling.value, np.full(rc.size, math.nan), {}
     ok = (rc > 0.0) & np.isfinite(rc)
     with np.errstate(all="ignore"):
         if exp.kind in ("xray", "bulk_heating"):
             lam[ok] = (c * rc[ok] * rc[ok] if exp.kind == "xray"
                        else _heating_white(c, rc[ok]))
-            return lam
+            return lam, failed
         try:
-            unit = (CONSTANTS.hbar**2 * eta_column(exp.geometry, rc)[0]
-                    if exp.kind == "optomechanical" else cold_atom_white_column(rc, exp.coldatom))
+            if exp.kind == "optomechanical":
+                eta, _, failed = _eta_column(exp.geometry, rc)
+                unit = CONSTANTS.hbar**2 * eta
+            else:
+                unit = cold_atom_white_column(rc, exp.coldatom)
         except ArithmeticError:  # an rc-free term out of float range, as lambda_max_for finds
-            return lam
+            return lam, failed
         ok &= (unit > 0.0) & (unit < math.inf)
         lam[ok] = c / unit[ok]
-    return lam
+    return lam, failed
 
 
 def _factor(exp, n: NoiseSpec, rc: np.ndarray) -> tuple:
@@ -269,11 +276,12 @@ def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid, *,
     experiment, then noise, then rc.
 
     On a grid of _COLUMN_FROM rc or more each curve is the white column
-    divided by the noise factor, and lambda_max_for runs only at the points
-    where that is NaN or outside (0, inf), for their error (unless the
-    lam_eff column already raised one there). A shorter grid calls
-    lambda_max_for at every point. Either way each point and each error is
-    lambda_max_for's at that rc, bit for bit."""
+    divided by the noise factor. A point where that is NaN or outside
+    (0, inf) takes the error a column reported there (the eta column's
+    CompositeCrossTermUnsupported, the lam_eff column's failures), and
+    lambda_max_for runs only at the others, for their error. A shorter grid
+    calls lambda_max_for at every point. Either way each point and each
+    error is lambda_max_for's at that rc, bit for bit."""
     rc_grid = np.asarray(rc_grid, dtype=float)
     if rc_grid.ndim != 1 or rc_grid.size == 0:
         raise EmptyInput("rc_grid must be a non-empty 1-D array")
@@ -284,17 +292,18 @@ def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid, *,
     curves: list[list[ExclusionCurve]] = [[] for _ in noises]
     for exp in experiments:
         if columns:
-            white = _white_column(exp, rc_grid)
+            white, white_failed = _white_column(exp, rc_grid)
         for n, panel in zip(noises, curves):
             col, redo, failed = np.full(len(rcs), math.nan), range(len(rcs)), {}
             if columns:
                 factor, failed = _factor(exp, n, rc_grid)
+                failed = white_failed | failed
                 with np.errstate(all="ignore"):
                     col = white / factor
                     redo = np.flatnonzero(~((col > 0.0) & (col < math.inf))).tolist()
             for i in redo:
                 try:
-                    if i in failed:  # the column's own error: no second quadrature
+                    if i in failed:  # a column's own error: no second evaluation
                         raise failed[i]
                     lm = lambda_max_for(exp, n, rcs[i])
                     if not 0.0 < lm < math.inf:

@@ -196,7 +196,13 @@ _CELL = np.frombuffer(b"\0" + b"0.00000000e+000,", np.uint8)
 
 def _format_block(table: np.ndarray) -> str:
     """The data rows of a 2-D table: each cell "%.8e" % x, cells joined by
-    commas and rows ended by newlines, a NaN as an empty cell.
+    commas and rows ended by newlines, a NaN as an empty cell."""
+    return _join_rows(_cells(table).reshape(table.shape[0], -1))
+
+
+def _cells(x: np.ndarray) -> np.ndarray:
+    """Each element's "%.8e" % x bytes and a comma, in one row of _CELL.size
+    bytes per element, NUL-padded; a NaN is an empty cell.
 
     Each cell's bytes are built in numpy, in a slot of _CELL whose NUL bytes
     are dropped at the end. The exponent is e = floor(log10|x|) and the
@@ -207,7 +213,7 @@ def _format_block(table: np.ndarray) -> str:
     rounding tie (so exact ties round half to even, as "%" does), when m
     falls outside [1e8, 1e9], or when |x| lies outside [1e-290, 1e290] (0,
     subnormals, inf): every byte is the one "%" prints."""
-    x = table.ravel()
+    x = x.ravel()
     a = np.abs(x)
     fast = (a >= 1e-290) & (a <= 1e290)  # False at NaN
     a = np.where(fast, a, 1.0)
@@ -233,27 +239,36 @@ def _format_block(table: np.ndarray) -> str:
     buf[:, 13] = np.where(three, hundreds, tens) + 48
     buf[:, 14] = np.where(three, tens, units) + 48
     buf[:, 15] = np.where(three, units + 48, 0)
-    buf[table.shape[1] - 1::table.shape[1], -1] = ord("\n")  # the last cell of each row
     slow = np.flatnonzero(~fast)
     buf[slow, :-1] = 0
     for i, v in zip(slow.tolist(), x[slow].tolist()):
         if v == v:
             s = _fmt(v).encode()
             buf[i, :len(s)] = np.frombuffer(s, np.uint8)
+    return buf
+
+
+def _join_rows(*blocks: np.ndarray) -> str:
+    """Rows of cells (_cells, one row of bytes per table row) from blocks
+    side by side, the last comma of each row a newline, NUL bytes dropped."""
+    buf = np.hstack(blocks)
+    buf[:, -1] = ord("\n")
     return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _write_panel_csv(path: Path, token: str, rc_grid: np.ndarray,
+def _write_panel_csv(path: Path, token: str, rc_cells: np.ndarray,
                      curves: list[ExclusionCurve], manifest: RunManifest):
-    """One panel: rc, one column per curve and the envelope, stacked into one
-    table and formatted as one block; a NaN (no bound) is an empty cell."""
+    """One panel: the scan's rc column, already formatted (_cells, one row
+    per rc), then one column per curve and the envelope, formatted as one
+    block; a NaN (no bound) is an empty cell."""
     lines = [manifest.comment(), f"# omega_c_rad_s: {token}"]
     header = ["rc_m"] + [f"{c.experiment_id}_lambda_max_s^-1" for c in curves]
     header.append("envelope_lambda_max_s^-1")
     lines.append(",".join(header))
-    env = envelope(curves).lam if curves else np.full(rc_grid.shape, np.nan)
-    table = np.column_stack([rc_grid] + [c.lam for c in curves] + [env])
-    path.write_text("\n".join(lines) + "\n" + _format_block(table), encoding="utf-8")
+    env = envelope(curves).lam if curves else np.full(rc_cells.shape[0], np.nan)
+    table = np.column_stack([c.lam for c in curves] + [env])
+    body = _join_rows(rc_cells, _cells(table).reshape(table.shape[0], -1))
+    path.write_text("\n".join(lines) + "\n" + body, encoding="utf-8")
 
 
 def cmd_scan(args) -> int:
@@ -290,10 +305,10 @@ def cmd_scan(args) -> int:
                       {"experiment": i, "omega_c": token_of[id(n)], "rc_m": rc,
                        "error": str(e)}))
 
-    written = []
+    written, rc_cells = [], _cells(rc_grid)  # one rc column for every panel
     for tag, t, curves in zip(raw_by_tag, tokens, panels):
         path = out_dir / f"scan_omega_c_{tag}.csv"
-        _write_panel_csv(path, t, rc_grid, curves, manifest)
+        _write_panel_csv(path, t, rc_cells, curves, manifest)
         written.append(str(path))
     (out_dir / "scan_manifest.json").write_text(manifest.to_json() + "\n",
                                                 encoding="utf-8")

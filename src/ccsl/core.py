@@ -1,5 +1,6 @@
-"""Physical constants, collapse parameters and the per-element map that
-column routes use for transcendentals, shared by every module.
+"""Physical constants, collapse parameters, the per-element map that column
+routes use for transcendentals and a left-to-right float sum, shared by
+every module.
 
 Conventions used throughout the package:
 
@@ -11,9 +12,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from operator import add
 
 import numpy as np
 
@@ -81,3 +84,9 @@ def _or_nan(fn, v: float, args) -> float:
         return fn(v, *args)
     except ArithmeticError:
         return math.nan
+
+
+def sum_left(xs) -> float:
+    """Left-to-right sum from 0.0, as builtin sum adds floats before Python
+    3.12 (which compensates): the float.hex pins hold on every version."""
+    return functools.reduce(add, xs, 0.0)

@@ -12,12 +12,15 @@ distribution is validated when it is built.
 each bit for bit the ``eta_reduced`` value: the rc-free work is done once,
 numpy does the + - * / (and sqrt) of every route in the scalar order, and
 every transcendental and power is libm's, called per element in Python.
-The isotropic cross terms are one code for both, which ``eta_reduced`` runs
-on a column of one rc, and which calls no BLAS routine, so their values do
-not depend on the host's BLAS kernels. The rarer branches stay scalar,
-point by point: the sphere series below X = 1 and the cylinder's transverse
-moments below u = 170 or so (above, their Hankel series is one table over
-the column). Points it cannot evaluate are NaN, left to ``eta_reduced``.
+The series that the scalar code sums in a loop (the sphere's below X = 1,
+the cylinder's g below u = 1, and both branches of the scaled Bessels) are
+tables, one row per step of the loop, each point taken at the row where
+its loop stops, so no branch runs Python once per rc. The isotropic cross
+terms are one code for both, which ``eta_reduced`` runs on a column of one
+rc, and which calls no BLAS routine, so their values do not depend on the
+host's BLAS kernels. Points it cannot evaluate are NaN, left to
+``eta_reduced``; where that raises CompositeCrossTermUnsupported, the
+column can report the same error itself (``_eta_column``).
 
 Every eta route is closed form, integrated over all k; no quadrature sits on
 the eta production path (the only production adaptive quadrature left in
@@ -65,13 +68,12 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from operator import add
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import CONSTANTS, CollapseParams, map_floats
+from .core import CONSTANTS, CollapseParams, map_floats, sum_left
 from .errors import CompositeCrossTermUnsupported, NonPositiveRc, QuadratureNotConverged
 from .geometry import (Composite, Cuboid, Cylinder, MassDistribution, PointMass, Sphere,
                        circumradius, total_mass, validate_distribution)
@@ -102,29 +104,11 @@ class EtaResult:
 # math's own functions for one rc, or the same functions mapped over the
 # column in Python (core.map_floats), so that each element is bit for bit its
 # scalar value. numpy does only + - * /, abs and sqrt there, in the scalar
-# order, and sums run left to right (_total). The rarer branches run their
-# scalar helper point by point (_per_point). The isotropic cross terms work
-# the other way round: one column code that a single rc runs as a column of
-# one (_cross_isotropic).
-
-def _per_point(fn, *args) -> tuple[np.ndarray, np.ndarray]:
-    """fn(*args[:-1], rc) -> (a, b) at each rc of the column args[-1]; NaN at
-    the points where it raises an arithmetic error (eta_reduced raises it)."""
-    *head, rcs = args
-    out = np.empty((2, rcs.size))
-    for k, rc in enumerate(rcs.tolist()):
-        try:
-            out[:, k] = fn(*head, rc)
-        except ArithmeticError:
-            out[:, k] = math.nan
-    return out[0], out[1]
-
-
-def _total(xs):
-    """Left-to-right sum from 0.0, as builtin sum adds floats before Python
-    3.12 (which compensates): the float.hex pins hold on every version."""
-    return functools.reduce(add, xs, 0.0)
-
+# order, and sums run left to right (sum_left). A series that the scalar sums
+# in a loop until its terms are small is, over a column, a table with one
+# row per step of the loop (_tables, _summed). The isotropic cross terms
+# work the other way round: one column code that a single rc runs as a
+# column of one (_cross_isotropic).
 
 _SCALAR = SimpleNamespace(erf=math.erf, exp=math.exp, expm1=math.expm1, min=min, pow=pow)
 _COLUMN = SimpleNamespace(erf=functools.partial(map_floats, math.erf),
@@ -167,15 +151,62 @@ def _axial_moments(L: float, rc, ops=_SCALAR) -> tuple:
     return a0, a2
 
 
-def _series(term: float, ratio) -> float:
-    """Sum term_0 + term_1 + ... with term_{k+1} = term_k * ratio(k), to
-    double precision; for the fast-converging series below."""
-    total, k = term, 0
+_SERIES_ROWS = 48  # most rows of a series table; the longest series, _ive01's
+                   # power series next to u = 19, stops at step 34
+
+
+def _tables(x: np.ndarray, firsts: list, ratios: list, rows: int) -> tuple[list, list]:
+    """Each series' terms and totals over a column of points x as tables
+    down `rows` rows, row k after k steps of the scalar loop
+    `term *= ratio(x, k); total += term` (multiply.accumulate and
+    add.accumulate: the loop's operations in its order)."""
+    k = np.arange(rows - 1)[:, None]
+    terms = [np.multiply.accumulate(np.concatenate([f[None], ratio(x, k)]), axis=0)
+             for f, ratio in zip(firsts, ratios)]
+    return terms, [np.add.accumulate(t, axis=0) for t in terms]
+
+
+def _summed(x: np.ndarray, firsts: list, ratios: list, stop) -> list:
+    """Series over a column of points x, each summed as its scalar loop sums
+    it (_tables): one series per first term and ratio, all ending at the
+    first row where stop(terms, totals) holds. The tables hold the rows that
+    the point with the largest x needs, whose series is the longest (the
+    ratios grow with x); NaN, left to the scalar, where a point has not
+    ended by then."""
+    firsts = [np.broadcast_to(f, x.shape) for f in firsts]
+    if x.size == 0:
+        return [f.astype(float) for f in firsts]
+    w = [int(np.argmax(np.where(np.isnan(x), -np.inf, x)))]
+    rows = int(stop(*_tables(x[w], [f[w] for f in firsts], ratios, _SERIES_ROWS)).argmax()) + 1
+    t, s = _tables(x, firsts, ratios, rows)
+    ended = stop(t, s)
+    row, col = ended.argmax(axis=0), np.arange(x.size)
+    done = ended[row, col]
+    return [np.where(done, total[row, col], math.nan) for total in s]
+
+
+def _series(first, ratio, x):
+    """Sum term_0 + term_1 + ... with term_0 = first and term_{k+1} =
+    term_k * ratio(x, k), until a term is 1e-17 of the sum or less; for the
+    fast-converging series below. At one x a loop; over a column of x
+    tables (_summed), each element the loop's bits."""
+    if isinstance(x, np.ndarray):
+        return _summed(x, [first], [ratio], lambda t, s: ~(abs(t[0]) > 1e-17 * abs(s[0])))[0]
+    total = term = first
+    k = 0
     while abs(term) > 1e-17 * abs(total):
-        term *= ratio(k)
+        term *= ratio(x, k)
         total += term
         k += 1
     return total
+
+
+def _sphere_ratio(X, k):
+    return -X * (k + 2) / ((k + 4) * (k + 1))
+
+
+def _g_ratio(u, k):
+    return -2.0 * u * (k + 1.5) / ((k + 3.0) * (k + 2.0))
 
 
 _HANKEL_FROM = 19.0  # lowest integer u at which the Hankel terms reach 1e-17
@@ -222,6 +253,27 @@ def _ive01(u: float) -> tuple[float, float]:
     return s0 * r, s1 * r
 
 
+def _ive01_column(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_ive01 over a column of u, bit for bit: each branch's two series as
+    tables (_summed) of its loop's steps; NaN where u is NaN."""
+    i0, i1 = np.full(u.size, math.nan), np.full(u.size, math.nan)
+    low, high = u < _HANKEL_FROM, u >= _HANKEL_FROM
+    v = u[low]
+    s0, s1 = _summed(0.25 * v * v, [1.0, 0.5 * v],
+                     [lambda q, k: q / ((k + 1) * (k + 1)), lambda q, k: q / ((k + 1) * (k + 2))],
+                     lambda t, s: ~(t[0] > 1e-17 * s[0]))
+    ex = _COLUMN.exp(-v)
+    i0[low], i1[low] = s0 * ex, s1 * ex
+    w = u[high]
+    s0, s1 = _summed(0.125 / w, [1.0, 1.0],
+                     [lambda inv, k: (2 * k + 1) ** 2 * inv / (k + 1),
+                      lambda inv, k: ((2 * k + 1) ** 2 - 4) * inv / (k + 1)],
+                     lambda t, s: ~((abs(t[0]) > 1e-17) | (abs(t[1]) > 1e-17)))
+    r = 1.0 / np.sqrt(2.0 * math.pi * w)
+    i0[high], i1[high] = s0 * r, s1 * r
+    return i0, i1
+
+
 def _transverse_moments(R: float, rc: float) -> tuple[float, float]:
     """Half-line moments of the cylinder disc factor, with kp the transverse
     wave number:
@@ -238,41 +290,20 @@ def _transverse_moments(R: float, rc: float) -> tuple[float, float]:
     """
     u = (R / rc) ** 2 / 2.0
     i0, i1 = _ive01(u)
-    if u >= 1.0:
-        g = 1.0 - i0 - i1
-    else:
-        g = _series(0.5 * u, lambda k: -2.0 * u * (k + 1.5) / ((k + 3.0) * (k + 2.0)))
+    g = 1.0 - i0 - i1 if u >= 1.0 else _series(0.5 * u, _g_ratio, u)
     return (2.0 / R**2) * g, (2.0 / (R**2 * rc**2)) * i1
 
 
-def _hankel01(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_ive01's Hankel branch over a column of u >= 19, bit for bit: each
-    point's terms as running products down 8 rows, summed to the first row
-    where both fall below 1e-17, where the scalar loop stops; NaN where they
-    have not by the last row (u below about 170)."""
-    k = np.arange(1, 9)[:, None]
-    odd2, inv = (2 * k - 1) ** 2, 0.125 / u
-    t0 = np.multiply.accumulate(odd2 * inv / k, axis=0)
-    t1 = np.multiply.accumulate((odd2 - 4) * inv / k, axis=0)
-    stop = (np.abs(t0) <= 1e-17) & (np.abs(t1) <= 1e-17)
-    at, ones = (stop.argmax(axis=0), np.arange(u.size)), np.ones((1, u.size))
-    r = np.where(stop.any(axis=0), 1.0 / np.sqrt(2.0 * math.pi * u), math.nan)
-    return tuple(np.add.accumulate(np.concatenate([ones, t]), axis=0)[1:][at] * r
-                 for t in (t0, t1))
-
-
 def _transverse_moments_column(R: float, rc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_transverse_moments over an rc column: _hankel01's points in one pass,
-    the others point by point; NaN where the scalar raises."""
+    """_transverse_moments over an rc column, bit for bit; NaN where the
+    scalar raises."""
     u = _COLUMN.pow(R / rc, 2) / 2.0
-    b1, b3, far = np.full(rc.size, math.nan), np.full(rc.size, math.nan), u >= _HANKEL_FROM
-    i0, i1 = _hankel01(u[far])
-    den = R**2 * _COLUMN.pow(rc[far], 2)
-    b1[far] = np.where(den > 0.0, (2.0 / R**2) * (1.0 - i0 - i1), math.nan)
-    b3[far] = 2.0 / den * i1
-    rest = np.isnan(b1)  # where _hankel01 did not sum, or the scalar's 2/den raises
-    b1[rest], b3[rest] = _per_point(_transverse_moments, R, rc[rest])
-    return b1, b3
+    i0, i1 = _ive01_column(u)
+    g, small = 1.0 - i0 - i1, u < 1.0
+    g[small] = _series(0.5 * u[small], _g_ratio, u[small])
+    den = R**2 * _COLUMN.pow(rc, 2)
+    ok = den > 0.0  # the scalar's 2/den raises where den is 0, its rc**2 where den is NaN
+    return np.where(ok, (2.0 / R**2) * g, math.nan), np.where(ok, 2.0 / den * i1, math.nan)
 
 
 # --- per-shape reductions (all return I3 = Int |mu|^2 kx^2 e^{-k^2 rc^2}) ----
@@ -286,21 +317,21 @@ def _i3_sphere(R: float, m: float, rc: float) -> tuple[float, float]:
         ex = math.exp(-min(X, 745.0))
         bracket = 2.0 * rc * (ex - 1.0) + (R * R / rc) * (1.0 + ex)
         return 3.0 * math.pi ** 1.5 * m * m / R**6 * bracket, 5e-15
-    s = _series(1.0 / 6.0, lambda k: -X * (k + 2) / ((k + 4) * (k + 1)))
-    return 3.0 * math.pi ** 1.5 * m * m / rc**5 * s, 5e-15
+    return 3.0 * math.pi ** 1.5 * m * m / rc**5 * _series(1.0 / 6.0, _sphere_ratio, X), 5e-15
 
 
 def _i3_sphere_column(R: float, m: float, rc: np.ndarray) -> tuple[np.ndarray, float]:
-    """_i3_sphere over an rc column: the closed form in one pass where
-    X >= 1, the series point by point below."""
+    """_i3_sphere over an rc column, bit for bit: the closed form where
+    X >= 1, the series table below; not finite where the scalar raises."""
     X = _COLUMN.pow(R / rc, 2)
     closed = X >= 1.0
-    rcc = rc[closed]
+    rcc, rcs = rc[closed], rc[~closed]
     ex = _COLUMN.exp(-np.minimum(X[closed], 745.0))
     bracket = 2.0 * rcc * (ex - 1.0) + (R * R / rcc) * (1.0 + ex)
     i3 = np.empty(rc.size)
     i3[closed] = 3.0 * math.pi ** 1.5 * m * m / R**6 * bracket
-    i3[~closed] = _per_point(_i3_sphere, R, m, rc[~closed])[0]
+    i3[~closed] = (3.0 * math.pi ** 1.5 * m * m / _COLUMN.pow(rcs, 5)
+                   * _series(1.0 / 6.0, _sphere_ratio, X[~closed]))
     return i3, 5e-15
 
 
@@ -398,7 +429,7 @@ def _axis_pair_factors(Li: float | None, Lj: float | None, delta: float,
         (t0, t1, t2, t3), (v0, v1, v2, v3), (u0, u1, u2, u3) = terms
         f = (inv * (t0 + t1 - t2 - t3), inv * (v0 - v1 - v2 + v3),
              inv * (u0 + u1 - u2 - u3))
-    return f, tuple(scale * _total(map(abs, g)) for g in terms)
+    return f, tuple(scale * sum_left(map(abs, g)) for g in terms)
 
 
 def _cartesian_profile(d: MassDistribution) -> tuple | None:
@@ -744,11 +775,19 @@ def _composite_plan(d: MassDistribution) -> tuple[tuple, tuple, tuple]:
     return tuple(part for part, _ in parts), tuple(map(float, d.measurement_axis)), tuple(pairs)
 
 
+def _unsupported(parts: tuple, i: int, j: int, delta: tuple,
+                 rc: float) -> CompositeCrossTermUnsupported:
+    return CompositeCrossTermUnsupported(
+        f"no evaluation route for {type(parts[i].shape).__name__}/"
+        f"{type(parts[j].shape).__name__} pair at separation "
+        f"{math.hypot(*delta):.3e} m with rc={rc:.3e} m")
+
+
 def _i3_composite(d: MassDistribution, rc: float) -> tuple[float, float]:
     parts, axis, pairs = _composite_plan(d)
     diag = [_i3_primitive(part, rc, axis) for part in parts]
-    i3 = _total(v for v, _ in diag)
-    abs_err = _total(abs(v) * rel for v, rel in diag)
+    i3 = sum_left(v for v, _ in diag)
+    abs_err = sum_left(abs(v) * rel for v, rel in diag)
     for i, j, gap, delta, route, args in pairs:
         near = diag[i][0] * diag[j][0]
         if gap > 0.0 and gap / (2.0 * rc) >= _GAP_DROP:
@@ -765,24 +804,26 @@ def _i3_composite(d: MassDistribution, rc: float) -> tuple[float, float]:
             i3 += val
             abs_err += err
         else:
-            raise CompositeCrossTermUnsupported(
-                f"no evaluation route for {type(parts[i].shape).__name__}/"
-                f"{type(parts[j].shape).__name__} pair at separation "
-                f"{math.hypot(*delta):.3e} m with rc={rc:.3e} m")
+            raise _unsupported(parts, i, j, delta, rc)
     if i3 <= 0.0:
         return i3, abs_err
     return i3, abs_err / i3
 
 
-def _i3_composite_column(d: MassDistribution, rc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _i3_composite_column(d: MassDistribution, rc: np.ndarray) -> tuple:
     """_i3_composite over an rc column, pair by pair: the gap bound splits
     the column, and each side takes its term in one pass. Each element sees
-    the scalar's additions in the scalar's order; NaN where a pair inside
-    the bound has no route."""
+    the scalar's additions in the scalar's order. Returns I3, its relative
+    error and {position: the error _i3_composite raises there}. NaN where a
+    pair inside the bound has no route; the error is recorded at the first
+    such pair of a point whose earlier terms are all finite (an earlier
+    term that raises in the scalar is not finite here, so where all are,
+    the scalar reaches that pair and raises there)."""
     parts, axis, pairs = _composite_plan(d)
     diag = [_i3_primitive(part, rc, axis, _COLUMN) for part in parts]
-    i3 = _total(v for v, _ in diag)
-    abs_err = _total(abs(v) * rel for v, rel in diag)
+    i3 = sum_left(v for v, _ in diag)
+    abs_err = sum_left(abs(v) * rel for v, rel in diag)
+    failed = {}
     for i, j, gap, delta, route, args in pairs:
         near = diag[i][0] * diag[j][0]
         x = gap / (2.0 * rc)
@@ -799,10 +840,13 @@ def _i3_composite_column(d: MassDistribution, rc: np.ndarray) -> tuple[np.ndarra
         elif route == "isotropic":
             val, err = _cross_isotropic(*args, delta, axis, rc[keep])
         else:
+            at = np.flatnonzero(keep & np.isfinite(i3) & np.isfinite(abs_err))
+            failed.update((k, _unsupported(parts, i, j, delta, r))
+                          for k, r in zip(at.tolist(), rc[at].tolist()))
             val, err = math.nan, math.nan
         i3[keep] += val
         abs_err[keep] += err
-    return i3, np.where(i3 <= 0.0, abs_err, abs_err / i3)
+    return i3, np.where(i3 <= 0.0, abs_err, abs_err / i3), failed
 
 
 def _flatten(d: MassDistribution, base=(0.0, 0.0, 0.0)) -> list:
@@ -842,15 +886,24 @@ def eta_column(d: MassDistribution, rcs) -> tuple[np.ndarray, np.ndarray]:
     """eta_reduced over a 1-D column of rc in one pass: (values, relative
     errors), each element bit for bit eta_reduced(d, rc).value and
     .est_error. The rc-free work (flattening, masses, profiles, pair gaps
-    and routes, axis cosines, per-axis prefactors) is done once, not per rc.
+    and routes, axis cosines, per-axis prefactors) is done once, not per rc;
+    per rc, only libm's transcendentals are called from Python.
 
     NaN marks the points left to eta_reduced, which raises or returns a
     non-finite value there: rc <= 0 or not finite, a composite pair with no
     route inside the gap bound, an arithmetic error, a non-finite value or
     error."""
+    return _eta_column(d, rcs)[:2]
+
+
+def _eta_column(d: MassDistribution, rcs) -> tuple[np.ndarray, np.ndarray, dict]:
+    """eta_column, and {position: the CompositeCrossTermUnsupported that
+    eta_reduced raises at that rc} for those NaN points whose error the
+    column can vouch for (_i3_composite_column)."""
     rcs = np.asarray(rcs, dtype=float)
     value, err = np.full(rcs.size, math.nan), np.full(rcs.size, math.nan)
     m0 = CONSTANTS.m0
+    failed = {}
     with np.errstate(all="ignore"):
         at = np.flatnonzero((rcs > 0.0) & np.isfinite(rcs))
         rc = rcs if at.size == rcs.size else rcs[at]
@@ -859,15 +912,17 @@ def eta_column(d: MassDistribution, rcs) -> tuple[np.ndarray, np.ndarray]:
                 m = total_mass(d)
                 v, e = m * m / (2.0 * m0 * m0 * rc * rc), 2e-16
             else:
-                i3, e = (_i3_composite_column(d, rc) if isinstance(d.shape, Composite)
-                         else _i3_primitive(d, rc, d.measurement_axis, _COLUMN))
+                if isinstance(d.shape, Composite):
+                    i3, e, failed = _i3_composite_column(d, rc)
+                else:
+                    i3, e = _i3_primitive(d, rc, d.measurement_axis, _COLUMN)
                 v = _COLUMN.pow(rc, 3) / (math.pi ** 1.5 * m0 * m0) * i3
         except ArithmeticError:  # in rc-free work (an edge length whose square underflows)
-            return value, err
+            return value, err, {}
         ok = np.isfinite(v) & np.isfinite(e)
     value[at[ok]] = v[ok]
     err[at[ok]] = e[ok] if isinstance(e, np.ndarray) else e
-    return value, err
+    return value, err, {int(at[k]): x for k, x in failed.items()}
 
 
 def clear_cache() -> None:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .core import sum_left
 from .errors import ValidationError, require_positive
 
 _SERIES_CUT = 1e-4
@@ -178,9 +179,10 @@ def volume(shape: Shape) -> float:
 
 
 def total_mass(d: MassDistribution) -> float:
-    """Total mass in kg: density x analytic volume; Composite sums parts."""
+    """Total mass in kg: density x analytic volume; Composite sums its parts
+    left to right."""
     if isinstance(d.shape, Composite):
-        return sum(total_mass(part) for part, _ in d.shape.parts)
+        return sum_left(total_mass(part) for part, _ in d.shape.parts)
     if isinstance(d.shape, PointMass):
         return d.density
     return d.density * volume(d.shape)

@@ -172,3 +172,17 @@ plane_spacing = 2.5e-10
 kind = heating_power
 value = 1e-11
 """
+
+# lambda_max (s^-1) of LATTICE_HEATING under exponential noise at
+# Wc = 1.637561e4 rad/s, at four rc given as float.hex: 30-digit mpmath
+# quadrature of lam_eff/lam = (8/(3 sqrt(pi))) Int_0^inf y^4 e^{-y^2} dy /
+# (1 + b sin^2(y a/(2 rc))), b = (w_max/Wc)^2, w_max = 2 sqrt(C/m_A), split
+# at y = 10^k/(sqrt(b) a/(2 rc)), then the ceiling times
+# 4 rc^2 m0^2/(3 hbar^2) over it (45 digits give the same 15)
+FULL_SINE_LMAX_WC = 1.637561e4
+FULL_SINE_LMAX = [
+    ("0x1.e505a550f44b3p-14", 168.857799433285),
+    ("0x1.fbf56b482097bp-14", 168.857812438229),
+    ("0x1.23bdf7d132b3fp-13", 168.857859498844),
+    ("0x1.fbdd7b3d4bec1p-11", 168.867019499763),
+]

@@ -9,7 +9,8 @@ from ccsl import (CONSTANTS, WHITE, CollapseParams, CompositeCrossTermUnsupporte
                   eta_reduced_reference, lambda_eff_quad, load, point_mass, sphere)
 from ccsl import diffusion
 from ccsl.diffusion import (_DEAD_SHIFT, _GAP_DROP, _HANKEL_FROM, _TAYLOR_STEPS, _angular_factor,
-                            _cross_isotropic, _i3_primitive, _i3_sphere, _ive01, _kernel_factor,
+                            _cross_isotropic, _eta_column, _g_ratio, _i3_primitive, _i3_sphere,
+                            _ive01, _ive01_column, _kernel_factor, _series, _sphere_ratio,
                             _transverse_moments, _transverse_moments_column, clear_cache,
                             eta_column)
 from ccsl.geometry import (circumradius, disc_kernel, form_factor_sq, sphere_kernel,
@@ -197,17 +198,18 @@ def test_cylinder_transverse_moments_vs_radial_quadrature():
 
 
 def test_cylinder_column_moments_are_the_scalar_ones():
-    # the column's Hankel pass and the points it leaves to _transverse_moments
-    # give its values bit for bit, on a column across u = 1 and u = 19 (each
-    # switch with its float neighbours) and across the u at which the Hankel
-    # terms need more than the column's rows. NaN where the scalar raises: u
-    # overflows (R/rc above 1.3e154), or R/rc is inf (a subnormal rc) and
-    # R^2 rc^2 is 0; at rc = 5e-155 R^2 rc^2 is subnormal and B3 inf
+    # the column's series tables give _transverse_moments' values bit for
+    # bit, on a column across u = 1 and u = 19 (each switch with its float
+    # neighbours) and across u = 170, where an 8-row Hankel table used to
+    # end. NaN where the scalar raises: u overflows (R/rc above 1.3e154), or
+    # R/rc is inf (a subnormal rc) and R^2 rc^2 is 0, or R/rc underflows (u
+    # is 0) and rc^2 overflows; at rc = 5e-155 R^2 rc^2 is subnormal and B3
+    # inf
     for R in (5e-5, 0.3):
         at = [R / math.sqrt(2.0 * u) for u in (1.0, _HANKEL_FROM, 170.0)]
         near = [math.nextafter(r, d) for r in at for d in (0.0, math.inf)]
         rc = np.concatenate([np.geomspace(R * 1e-12, R * 1e3, 4000), at, near,
-                             [R * 1e-160, 5e-324, 5e-155]])
+                             [1.7e308, R * 1e-160, 5e-324, 5e-155]])
         with np.errstate(all="ignore"):  # as eta_column calls it
             b1, b3 = _transverse_moments_column(R, rc)
         for r, got in zip(rc.tolist(), zip(b1.tolist(), b3.tolist())):
@@ -216,7 +218,39 @@ def test_cylinder_column_moments_are_the_scalar_ones():
             except ArithmeticError:
                 want = (math.nan, math.nan)
             assert [v.hex() for v in got] == [v.hex() for v in want], (R, r)
-        assert np.isnan(b1[-3:-1]).all() and b3[-1] == math.inf
+        assert np.isnan(b1[-4:-1]).all() and b3[-1] == math.inf
+
+
+def _neighbours(*xs):
+    """Each x with the floats next to it below and above."""
+    return [y for x in xs for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+
+
+def _hexes(*columns):
+    return [tuple(v.hex() for v in row) for row in zip(*(c.tolist() for c in columns))]
+
+
+def test_series_tables_are_the_scalar_loops():
+    # each series table gives its scalar loop's bits at every point: the
+    # sphere series and the cylinder's g-series below X, u = 1 (X =
+    # nextafter(1, 0) needs the most rows), _ive01's power series below
+    # u = 19 and its Hankel series from there, across the old end of the
+    # Hankel table near u = 170; at 0 and a subnormal (where R/rc
+    # underflows), at inf, and NaN (where the scalar's X overflowed). A
+    # column's tables are as long as its longest series needs, so each runs
+    # on the whole sample and on parts of it
+    x = np.array(_neighbours(1.0)[:2] + [0.0, 5e-324, 1e-300, math.nan]
+                 + np.linspace(0.0, 1.0, 4001)[1:-1].tolist())
+    u = np.array(_neighbours(1.0, _HANKEL_FROM, 170.0) + [0.0, 5e-324, math.inf]
+                 + np.geomspace(1e-6, 1e12, 4001).tolist()
+                 + np.linspace(18.0, 200.0, 4001).tolist())
+    for part in (slice(None), slice(None, None, 2), slice(1000, 3000)):
+        for first, ratio in ((1.0 / 6.0, _sphere_ratio), (0.5 * x[part], _g_ratio)):
+            want = [_series(f, ratio, v) for f, v in np.broadcast(first, x[part])]
+            assert _hexes(_series(first, ratio, x[part])) == _hexes(np.array(want))
+        want = np.array([_ive01(v) for v in u[part].tolist()]).T
+        assert _hexes(*_ive01_column(u[part])) == _hexes(*want)
+    assert np.isnan(_ive01_column(np.array([math.nan]))).all()
 
 
 @mp.workdps(60)
@@ -651,18 +685,21 @@ def _assert_column_is_scalar(d, rcs):
 
 
 def test_eta_column_primitives_are_the_scalar_bits():
-    R = 1e-7  # sphere: X = (R/rc)^2 switches to the series at X = 1
+    # sphere: X = (R/rc)^2 switches to the series table at X = 1; the float
+    # above R gives X = 1 - 2^-52, the largest X below 1 that an rc gives
+    R = 1e-7
     _assert_column_is_scalar(point_mass(1e-3), _GRID)
-    _assert_column_is_scalar(sphere(R, density=2200.0), _GRID + _around(R))
+    _assert_column_is_scalar(sphere(R, density=2200.0), _GRID + _around(R) + _neighbours(R))
     # one axis component 0 (skipped), erf arguments beyond the e^-745 clamp
     _assert_column_is_scalar(cuboid(0.046, 0.02, 1e-5, mass=1.928, measurement_axis=(0.6, 0, 0.8)),
                              _GRID)
-    # cylinder on oblique axes across the series switch u = 1 and the Hankel
-    # switch u = 19, u = (R/rc)^2/2
+    # cylinder on oblique axes across the series switch u = 1, the Hankel
+    # switch u = 19 and u = 170, where an 8-row Hankel table used to end,
+    # u = (R/rc)^2/2, each with its float neighbours
     Rc = 1e-6
     rod = cylinder(Rc, 4e-6, density=2200.0, **_TILT)
-    switches = _around(Rc / math.sqrt(2.0), Rc / math.sqrt(2.0 * _HANKEL_FROM))
-    _assert_column_is_scalar(rod, _GRID + switches)
+    at = [Rc / math.sqrt(2.0 * u) for u in (1.0, _HANKEL_FROM, 170.0)]
+    _assert_column_is_scalar(rod, _GRID + _around(*at) + _neighbours(*at))
 
 
 def test_eta_column_composites_are_the_scalar_bits():
@@ -791,6 +828,48 @@ def test_eta_column_leaves_failing_points_to_eta_reduced():
     assert np.isnan(eta_column(thin, _GRID)).all()
     with pytest.raises(ZeroDivisionError):
         eta_reduced(thin, 1e-7)
+    # a sphere where R/rc underflows: X is 0, and rc**5 overflows
+    ball = sphere(1e-7, density=2200.0)
+    assert np.isnan(eta_column(ball, [1e302, 1.7e308])).all()
+    with pytest.raises(OverflowError):
+        eta_reduced(ball, 1e302)
+
+
+def test_eta_column_reports_the_errors_eta_reduced_raises():
+    # at each valid rc where eta_reduced raises CompositeCrossTermUnsupported
+    # the column reports that error, same class and message: the first pair
+    # with no route inside the gap bound, a rod/sphere or (where that one is
+    # dropped) a rod/rod pair, or a cube in a sphere. It reports nothing
+    # where eta_reduced raises another error first (NonPositiveRc, or rc
+    # whose squares leave the float range) or returns a value; at 1e-156 the
+    # cube and its sphere are finite but the error term of the sphere pair
+    # dropped before them overflows
+    rod, ball = cylinder(5e-5, 2e-4, density=2200.0), sphere(2e-5, density=7430.0)
+    pair = composite([(rod, (0, 0, 0)), (ball, (1.409e-4, 0, 0))])
+    triple = composite([(rod, (0, 0, 0)), (ball, (1.6e-4, 0, 0)), (rod, (-2.3e-4, 0, 0))])
+    small = sphere(1e-5, density=2200.0)
+    boxed = composite([(small, (1.0, 0, 0)), (small, (0, 0, 0)),
+                       (cuboid(1e-5, 1e-5, 1e-5, density=2200.0), (0, 0, 0))])
+    r_rod = circumradius(rod)
+    for d, gaps, names in ((pair, [1.409e-4 - r_rod - 2e-5], {"Cylinder/Sphere"}),
+                           (triple, [1.6e-4 - r_rod - 2e-5, 2.3e-4 - 2.0 * r_rod],
+                            {"Cylinder/Sphere", "Cylinder/Cylinder"}),
+                           (boxed, [], {"Sphere/Cuboid"})):
+        rcs = ([-1e-7, 0.0, math.nan, math.inf, 5e-324, 1e-300, 1e-156, 1e160] + _GRID
+               + _around(*(gap / (2.0 * _GAP_DROP) for gap in gaps)))
+        clear_cache()
+        failed = _eta_column(d, rcs)[2]
+        raised = {}
+        for i, rc in enumerate(rcs):
+            try:
+                eta_reduced(d, rc)
+            except CompositeCrossTermUnsupported as err:
+                raised[i] = err
+            except (ArithmeticError, NonPositiveRc):
+                pass
+        assert {i: (type(e), str(e)) for i, e in failed.items()} == {
+            i: (type(e), str(e)) for i, e in raised.items()}
+        assert {str(e).split()[4] for e in raised.values()} == names
 
 
 # --- caching and bookkeeping ------------------------------------------------------

@@ -40,6 +40,13 @@ def test_composite_mass_sums_parts():
     assert total_mass(d) == pytest.approx(1.0 + 2.0 * volume(sphere(0.1, density=2.0).shape))
 
 
+def test_composite_mass_sums_parts_left_to_right():
+    # ten 0.1 kg points: a left-to-right sum gives 1 - 2^-53, where the
+    # compensated builtin sum of Python 3.12 gives 1.0
+    d = composite([(point_mass(0.1), (i, 0, 0)) for i in range(10)])
+    assert total_mass(d).hex() == "0x1.fffffffffffffp-1"
+
+
 def test_mass_equals_density_times_volume():
     d = cylinder(0.17, 0.2, density=2200.0)
     assert total_mass(d) == pytest.approx(2200.0 * math.pi * 0.17**2 * 0.2, rel=1e-12)
