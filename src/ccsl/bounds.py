@@ -178,7 +178,7 @@ def lambda_max_heating(ceiling: Ceiling, n: NoiseSpec, ph: PhononModel, rc: floa
     """Invert dE/(dt dM) = (3/4)(hbar^2/rc^2 m0^2) lam_eff."""
     _expect(ceiling, HEATING_POWER)
     ratio = lambda_eff(n, ph, rc)
-    if not ratio >= _WASHOUT_RATIO:  # also NaN, where x^2 overflows
+    if not ratio >= _WASHOUT_RATIO:
         raise WashedOut(f"lambda_eff/lambda = {ratio:.3e} at rc={rc:.3e}")
     return _heating_white(ceiling.value, rc) / ratio
 

@@ -11,7 +11,8 @@
 
 All operations vanish identically at lam = 0 and are homogeneous of degree
 one in lam. lam_eff's route follows the dispersion: the closed form for
-linear, quadrature at the fixed DEFAULT_TOL for the full sine.
+linear, quadrature at the fixed DEFAULT_TOL for the full sine (one BLAS-free
+integrate_rows batch per rc column, where each rc's value is its own).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .geometry import MassDistribution
 from .noise import WHITE, NoiseSpec, spectrum
 # integrate itself is unused here; it stays bound for tracers that wrap it at
 # this import site (bench/spans.py)
-from .quadrature import integrate, integrate_rows, merge_edges  # noqa: F401
+from .quadrature import integrate, integrate_rows  # noqa: F401
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -227,53 +228,67 @@ _Y_EDGES = np.concatenate([np.linspace(0.0, 8.0, 17), np.linspace(9.0, 40.0, 8)]
 _LINEAR_KNEES = np.array([1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 10.0])  # times y at w_L = Wc
 
 
-def _y_edges(n: NoiseSpec, ph: PhononModel, rc: float) -> np.ndarray:
-    """Seed edges in y for one rc: _Y_EDGES plus knees where f~(w_L(y/rc))
-    bends, around y = rc Wc / v_s (where w_L = Wc) for linear dispersion and
-    at multiples of the full sine's period pi rc / a."""
+def _y_edges(n: NoiseSpec, ph: PhononModel, rc: np.ndarray) -> tuple[list, np.ndarray]:
+    """Seed edges in y for each rc of the column, in one pass, and the mask of
+    rc too fine for any (over 20000 full-sine periods in [0, 40]). Each
+    other rc's are merge_edges(0, 40, _Y_EDGES, knees), knees where f~(w_L(y/rc))
+    bends: near y = rc Wc / v_s (linear), at multiples of the period pi rc / a."""
+    edges, too_fine = [_Y_EDGES] * rc.size, np.zeros(rc.size, dtype=bool)
     if n.is_white:
-        return _Y_EDGES
-    if ph.dispersion is None:
-        return merge_edges(0.0, 40.0, _Y_EDGES, rc * n.omega_c / ph.v_s * _LINEAR_KNEES)
-    a = ph.dispersion.plane_spacing
-    period = math.pi * rc / a
-    if 40.0 / period > 20000:
-        raise QuadratureNotConverged(f"dispersion oscillations too fine: rc/a = {rc / a:.3e}")
-    if period >= 40.0:
-        return _Y_EDGES
-    return merge_edges(0.0, 40.0, _Y_EDGES, period * np.arange(1, int(40.0 / period) + 1))
+        return edges, too_fine
+    with np.errstate(over="ignore", divide="ignore"):
+        if ph.dispersion is None:
+            knees = np.multiply.outer(rc * n.omega_c / ph.v_s, _LINEAR_KNEES).ravel()
+            row = np.repeat(np.arange(rc.size), _LINEAR_KNEES.size)
+        else:
+            period = math.pi * rc / ph.dispersion.plane_spacing
+            too_fine = 40.0 / period > 20000
+            counts = np.where(too_fine | (period >= 40.0), 0.0, np.floor(40.0 / period)).astype(int)
+            row = np.repeat(np.arange(rc.size), counts)  # knee k = 1, 2, ... of each row
+            knees = period[row] * (np.arange(1, row.size + 1) - (np.cumsum(counts) - counts)[row])
+    inside = (knees > 0.0) & (knees < 40.0)
+    # the rows with knees inside: their _Y_EDGES and knees, sorted and unique
+    rows = np.flatnonzero(np.bincount(row[inside], minlength=rc.size))
+    row = np.concatenate([np.repeat(rows, _Y_EDGES.size), row[inside]])
+    y = np.concatenate([np.tile(_Y_EDGES, rows.size), knees[inside]])
+    order = np.lexsort((y, row))
+    row, y = row[order], y[order]
+    first = (np.diff(row, prepend=-1) != 0) | (np.diff(y, prepend=-1.0) != 0)
+    row, y = row[first], y[first]
+    for i, e in zip(rows.tolist(), np.split(y, np.flatnonzero(np.diff(row)) + 1)):
+        edges[i] = e
+    return [e for e, bad in zip(edges, too_fine.tolist()) if not bad], too_fine
 
 
 def _closed(n: NoiseSpec, ph: PhononModel, rc, lam: float, bracket=_phonon_bracket):
-    """lambda_eff_closed's formula at rc > 0: at one rc, or over a column of rc."""
+    """lambda_eff_closed's formula at rc > 0, at one rc or over a column of rc;
+    lam where 4 x^2 / 3 overflows, as lam_eff/lam = 1 - 5/(2 x^2) + ... is 1.0."""
     if n.is_white:
         return lam
     x = rc * n.omega_c / ph.v_s
-    return lam * (4.0 * x * x / 3.0) * bracket(x)
+    q = 4.0 * x * x / 3.0
+    return np.where(q < math.inf, lam * q * bracket(x), lam)
 
 
 def _quad_rows(n: NoiseSpec, ph: PhononModel, rc, at, lam, tol, out, errors) -> None:
     """lambda_eff_quad's radial quadrature at rc[i] for each i in at, in one
     integrate_rows batch: the value into out[i], or the failure into errors[i]."""
+    at = np.asarray(at, dtype=np.intp)
     if lam == 0.0:
         out[at] = 0.0
         return
-    rows, edges = [], []  # the quadrature's rows: their indices, their seed edges
-    for i in at:
-        try:
-            edges.append(_y_edges(n, ph, float(rc[i])))
-        except QuadratureNotConverged as err:
-            errors[i] = err
+    edges, too_fine = _y_edges(n, ph, rc[at])
+    for i in at[too_fine].tolist():
+        errors[i] = QuadratureNotConverged(
+            f"dispersion oscillations too fine: rc/a = {rc[i] / ph.dispersion.plane_spacing:.3e}")
+    rows = at[~too_fine]
+    rc_rows = rc[rows]
+    f = lambda y, r: y**4 * np.exp(-(y * y)) * spectrum(n, ph.omega_l(y / rc_rows[r]))
+    for i, res in zip(rows.tolist(), integrate_rows(f, edges, rel_tol=0.1 * tol)):
+        if isinstance(res, Exception):
+            errors[i] = res
         else:
-            rows.append(i)
-    if rows:
-        rc_rows = rc[rows]
-        f = lambda y, r: y**4 * np.exp(-(y * y)) * spectrum(n, ph.omega_l(y / rc_rows[r]))
-        for i, res in zip(rows, integrate_rows(f, edges, rel_tol=0.1 * tol)):
-            if isinstance(res, Exception):
-                errors[i] = res
-            else:
-                out[i] = lam * (8.0 / (3.0 * _SQRT_PI)) * res.value
+            out[i] = lam * (8.0 / (3.0 * _SQRT_PI)) * res.value
 
 
 def lambda_eff_column(n: NoiseSpec, ph: PhononModel, rcs,
@@ -292,14 +307,14 @@ def lambda_eff_column(n: NoiseSpec, ph: PhononModel, rcs,
         with np.errstate(all="ignore"):
             out[ok] = _closed(n, ph, rc[ok], lam, partial(map_floats, _phonon_bracket))
     else:
-        _quad_rows(n, ph, rc, np.flatnonzero(ok).tolist(), lam, DEFAULT_TOL, out, errors)
+        _quad_rows(n, ph, rc, np.flatnonzero(ok), lam, DEFAULT_TOL, out, errors)
     return out, errors
 
 
 def lambda_eff(n: NoiseSpec, ph: PhononModel, rc: float, lam: float = 1.0) -> float:
     """lam_eff at one rc: the closed form in Python floats, else a column of one."""
     if ph.dispersion is None and math.isfinite(rc) and rc > 0:
-        return _closed(n, ph, rc, lam)
+        return float(_closed(n, ph, rc, lam))
     (value,), errors = lambda_eff_column(n, ph, [rc], lam)
     if errors:
         raise errors[0]
@@ -314,7 +329,7 @@ def lambda_eff_closed(p: CollapseParams, n: NoiseSpec, ph: PhononModel) -> float
     """
     if ph.dispersion is not None:
         raise UnsupportedDispersion("closed form exists for linear dispersion only")
-    return _closed(n, ph, p.rc, p.lam)
+    return float(_closed(n, ph, p.rc, p.lam))
 
 
 def lambda_eff_quad(p: CollapseParams, n: NoiseSpec, ph: PhononModel,

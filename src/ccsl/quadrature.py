@@ -3,11 +3,14 @@
 ``integrate_rows`` integrates one row per seed edge list. Each row keeps its
 own panels and bisects those whose K15-G7 discrepancy exceeds their fair
 share of its error budget. A round evaluates the 15 Kronrod nodes of every
-new panel of every active row in vectorized integrand calls of at most
-_BLOCK panels, so memory stays flat. Each row's panels then go through
-matrix products and sums of their own, in the order a one-row call keeps
-them: every row is bit-identical to ``integrate``, the one-row call, on its
-edges alone, and repeated calls are bit-identical.
+new panel of every active row node-major, as (15, m) arrays of at most
+_BLOCK panels, so memory stays flat. K15 and G7 are sums w[j] y[j] added
+left to right element by element, with no BLAS routine, so a panel's value
+depends only on its own 15 nodes. Each row's totals are one segmented
+reduction over its panels, in the order a one-row call keeps them, and the
+round's converge/fail/refine tests are array operations: every row is
+bit-identical to ``integrate``, the one-row call, on its edges alone, on
+any host BLAS, and repeated calls are bit-identical.
 
 Integrands take a 1-D numpy array of nodes (for ``integrate_rows`` also the
 row index of each node) and return an array of the same shape. The error
@@ -63,42 +66,39 @@ class QuadResult(NamedTuple):
     neval: int
 
 
-_BLOCK = 256  # panels per integrand call, unless one row's new panels are more
-_sum = np.add.reduce  # ndarray.sum without its Python wrapper
+_BLOCK = 1024  # panels per integrand call
 
 
-def _segments(row: np.ndarray):
-    """Ids, starts and stops of the runs of one id in the sorted row ids."""
-    cut = np.flatnonzero(row[1:] != row[:-1]) + 1
-    return row[np.append(0, cut)].tolist(), [0, *cut.tolist()], [*cut.tolist(), row.size]
+def _left_to_right(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """w[0] y[0] + w[1] y[1] + ..., added left to right element by element."""
+    p = w[:, None] * y
+    total = p[0] + p[1]
+    for q in p[2:]:
+        total += q
+    return total
 
 
 def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, row: np.ndarray):
-    """Panels grouped by row as a (lo, hi, K15, |K15 - G7|) array, and the
-    rows with a non-finite integrand value. Each row's group is one matrix
-    product, whose rounding depends on that group alone."""
+    """The panels as rows (lo, hi, K15, |K15 - G7|) of an (n, 4) array, and
+    the mask of those with a non-finite integrand value, whose K15 and G7
+    are set to 0."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    k15, g7, bad = np.zeros(lo.size), np.zeros(lo.size), set()
-    ids, starts, stops = _segments(row)
-    first = 0
-    for j, b in enumerate(stops):
-        if j + 1 < len(stops) and stops[j + 1] - starts[first] <= _BLOCK:
-            continue
-        a = starts[first]
-        nodes = mid[a:b, None] + half[a:b, None] * XGK[None, :]
-        y = np.asarray(f(nodes.ravel(), np.repeat(row[a:b], XGK.size)),
+    k15, g7, bad = np.empty(lo.size), np.empty(lo.size), np.zeros(lo.size, dtype=bool)
+    for a in range(0, lo.size, _BLOCK):
+        s = slice(a, a + _BLOCK)
+        nodes = mid[s] + half[s] * XGK[:, None]  # node-major: (15, panels)
+        y = np.asarray(f(nodes.ravel(), np.tile(row[s], XGK.size)),
                        dtype=float).reshape(nodes.shape)
-        finite = np.all(np.isfinite(y))
-        for rid, s, e in zip(ids[first:j + 1], starts[first:j + 1], stops[first:j + 1]):
-            ys = y[s - a:e - a]
-            if finite or np.all(np.isfinite(ys)):
-                k15[s:e] = ys @ WGK
-                g7[s:e] = ys[:, _GAUSS_IDX] @ WG
-            else:
-                bad.add(rid)
-        first = j + 1
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf in a bad panel
+            k15[s] = _left_to_right(WGK, y)
+            g7[s] = _left_to_right(WG, y[_GAUSS_IDX])
+        # every weight is positive, so a non-finite y makes K15 non-finite
+        odd = np.flatnonzero(~np.isfinite(k15[s]))
+        if odd.size:
+            bad[a + odd] = ~np.all(np.isfinite(y[:, odd]), axis=0)
+    k15[bad] = g7[bad] = 0.0
     ik = half * k15
-    return np.stack([lo, hi, ik, np.abs(ik - half * g7)]), bad
+    return np.stack([lo, hi, ik, np.abs(ik - half * g7)], axis=1), bad
 
 
 def integrate_rows(f: Callable, edges: Sequence[Sequence[float]], *,
@@ -117,61 +117,61 @@ def integrate_rows(f: Callable, edges: Sequence[Sequence[float]], *,
     lo, hi = np.concatenate([e[:-1] for e in seeds]), np.concatenate([e[1:] for e in seeds])
     if np.any(hi - lo <= 0):
         raise ValueError("edges must be strictly increasing")
-    row = np.repeat(np.arange(len(seeds)), [e.size - 1 for e in seeds])
-    neval = 15 * np.bincount(row)
-    pan, bad = _eval_panels(f, lo, hi, row)  # pan[:, i]: lo, hi, value, error
-
+    # the live rows, ascending, and their panel counts; each row's panels
+    # are one run of pan's rows, in the order a one-row call keeps them
+    ids, counts = np.arange(len(seeds)), np.array([e.size - 1 for e in seeds])
+    row, neval = np.repeat(ids, counts), 15 * counts
+    pan, bad = _eval_panels(f, lo, hi, row)  # pan[i]: lo, hi, value, error
+    nonfinite = np.zeros(len(seeds), dtype=bool)  # rows with a non-finite value
+    nonfinite[row[bad]] = True
     for rnd in range(max_rounds + 1):
-        refine, shares = [], []
-        for rid, a, b in zip(*_segments(row)):
-            if rid in bad:
-                out[rid] = QuadratureNotConverged("integrand returned non-finite values")
-                continue
-            total, total_err = float(_sum(pan[2, a:b])), float(_sum(pan[3, a:b]))
-            target = rel_tol * abs(total)
-            # after the last round, a zero target alone no longer passes
-            if total_err <= target or (target == 0.0 and rnd < max_rounds):
-                out[rid] = QuadResult(total, total_err, int(neval[rid]))
-            elif rnd == max_rounds or b - a >= max_panels:
-                out[rid] = QuadratureNotConverged(
-                    f"error estimate {total_err:.3e} above target {target:.3e} "
-                    f"after {b - a} panels", estimate=total_err, tol=target)
-            else:
-                refine.append(rid)
-                shares.append(target / (2.0 * (b - a)))
-        if not refine:
+        starts = np.cumsum(counts) - counts
+        total, total_err = np.add.reduceat(pan[:, 2], starts), np.add.reduceat(pan[:, 3], starts)
+        target = rel_tol * np.abs(total)
+        failed = nonfinite[ids]
+        # after the last round, a zero target alone no longer passes
+        done = ~failed & ((total_err <= target) | ((target == 0.0) & (rnd < max_rounds)))
+        spent = ~(failed | done) & ((counts >= max_panels) | (rnd == max_rounds))
+        refine = ~(failed | done | spent)
+        for rid in ids[failed].tolist():
+            out[rid] = QuadratureNotConverged("integrand returned non-finite values")
+        for rid, *res in zip(*(v[done].tolist() for v in (ids, total, total_err, neval[ids]))):
+            out[rid] = QuadResult(*res)
+        for rid, err, tol, n in zip(*(v[spent].tolist() for v in (ids, total_err, target, counts))):
+            out[rid] = QuadratureNotConverged(f"error estimate {err:.3e} above target {tol:.3e} "
+                                              f"after {n} panels", estimate=err, tol=tol)
+        if not refine.any():
             break
-        live = np.zeros(len(seeds), dtype=bool)
-        live[refine] = True
-        pan, row = pan.compress(live[row], axis=1), row[live[row]]
+        pan = pan.compress(np.repeat(refine, counts), axis=0)
+        ids, counts = ids[refine], counts[refine]
+        starts = np.cumsum(counts) - counts
+        shares = target[refine] / (2.0 * counts)
         # Bisect the panels holding more than their fair share of their row's
         # budget; a row with none takes its worst panel, and a row with more
         # than fit its budget takes the worst that fit.
-        counts = np.bincount(row)[refine]
-        mask = pan[3] > np.repeat(shares, counts)
-        picked = np.bincount(row[mask], minlength=len(seeds))[refine]
+        mask = pan[:, 3] > np.repeat(shares, counts)
+        picked = np.add.reduceat(mask, starts, dtype=np.intp)
         for k in np.flatnonzero((picked == 0) | (picked > max_panels - counts)).tolist():
-            a = int(counts[:k].sum())
-            err = pan[3, a:a + counts[k]]
+            a, n = int(starts[k]), int(counts[k])
+            err = pan[a:a + n, 3]
             candidates = np.where(err > shares[k])[0]
             if candidates.size == 0:
                 candidates = np.array([int(np.argmax(err))])
-            order = candidates[np.argsort(err[candidates])[::-1]][:max_panels - counts[k]]
-            mask[a:a + counts[k]] = False
+            order = candidates[np.argsort(err[candidates])[::-1]][:max_panels - n]
+            mask[a:a + n] = False
             mask[a + order] = True
-        s_lo, s_hi, s_row = pan[0, mask], pan[1, mask], row[mask]
+            picked[k] = order.size
+        s_lo, s_hi = pan.compress(mask, axis=0)[:, :2].T
         s_mid = 0.5 * (s_lo + s_hi)
-        neval += 30 * np.bincount(s_row, minlength=len(seeds))
-        # a row's new panels: its left halves, then its right halves
-        n_row = np.concatenate([s_row, s_row])
-        order = np.argsort(n_row, kind="stable")
-        new, bad = _eval_panels(f, np.concatenate([s_lo, s_mid])[order],
-                                np.concatenate([s_mid, s_hi])[order], n_row[order])
-        # a row's panels: those it kept, then its new ones
-        row = np.concatenate([row[~mask], n_row[order]])
-        order = np.argsort(row, kind="stable")
-        pan = np.concatenate([pan.compress(~mask, axis=1), new], axis=1).take(order, axis=1)
-        row = row[order]
+        n_row = np.tile(np.repeat(ids, picked), 2)
+        new, bad = _eval_panels(f, np.concatenate([s_lo, s_mid]),
+                                np.concatenate([s_mid, s_hi]), n_row)
+        nonfinite[n_row[bad]] = True
+        neval[ids] += 30 * picked
+        # a row's panels: those it kept, its left halves, its right halves
+        order = np.argsort(np.concatenate([np.repeat(ids, counts - picked), n_row]), kind="stable")
+        pan = np.concatenate([pan.compress(~mask, axis=0), new]).take(order, axis=0)
+        counts = counts + picked
     return out
 
 

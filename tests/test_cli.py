@@ -74,7 +74,6 @@ def test_predict_json_format(capsys):
     ("cold-atom", "1e-150", "position_variance", "ZeroDivisionError"),
     ("bulk-heating", "1e-150", "heating_rate", "ZeroDivisionError"),
     ("auriga", "1e100", "force_psd_ccsl", "nan"),
-    ("bulk-heating", "1e150", "heating_rate", "nan"),
 ])
 def test_predict_out_of_float_range_exits_3(capsys, experiment, rc, observable, cause):
     code, out, err = run(capsys, "predict", "--experiment", experiment,
@@ -96,6 +95,18 @@ def test_predict_in_range_extremes_unchanged(capsys):
     code, out, _ = run(capsys, "predict", "--experiment", "xray,auriga", "--lambda", "1e-8",
                        "--rc", "1e100", "--noise", "exp:1e10")
     assert (code, out) == (3, "")
+
+
+def test_heating_where_x2_overflows_prints_the_white_value(capsys):
+    # (rc*Wc/v_s)^2 overflows at both points; lam_eff/lam is 1.0 there in floats,
+    # so the heating rate and the bound are the white ones, not NaN or WashedOut
+    code, out, _ = run(capsys, "predict", "--experiment", "bulk-heating", "--lambda", "1e-8",
+                       "--rc", "1e150", "--noise", "exp:1e10")
+    assert code == 0 and data_rows(out)[1].split(",")[2] == "2.96439388e-323"
+    for noise in ("white", "exp:1e300"):
+        code, out, _ = run(capsys, "bound", "--experiment", "bulk-heating", "--rc", "1e-7",
+                           "--noise", noise)
+        assert code == 0 and data_rows(out)[1].split(",")[2] == "3.35414617e-11"
 
 
 def test_malformed_flag_exits_2(capsys):

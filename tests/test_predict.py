@@ -12,8 +12,9 @@ from ccsl import (CONSTANTS, CollapseParams, ColdAtomDescriptor,
                   eta, heating_rate, lambda_eff_closed, lambda_eff_quad,
                   normalized_xray_rate, point_mass, sphere, xray_rate)
 from ccsl.diffusion import DEFAULT_TOL
-from ccsl.predict import (_cold_bracket, _erfcx, _phonon_bracket, _quad_rows,
-                          cold_atom_noise_factor, lambda_eff_column)
+from ccsl.predict import (_LINEAR_KNEES, _Y_EDGES, _cold_bracket, _erfcx, _phonon_bracket,
+                          _quad_rows, _y_edges, cold_atom_noise_factor, lambda_eff_column)
+from ccsl.quadrature import merge_edges
 from fixtures import (COLD_BRACKET_TABLE, ERFCX_TABLE, ONE_MINUS_2_OVER_E,
                       PHONON_RATIO_TABLE)
 
@@ -303,7 +304,8 @@ def test_lambda_eff_column_is_the_one_rc_call(ph, wc, lam):
     # linear and lambda_eff_quad's at DEFAULT_TOL for the full sine. The bad
     # rc at the end fail alone with the CollapseParams message, and the
     # quadrature's failures stay on their own rc. The closed form's entries
-    # are its formula in Python floats, NaN where x^2 overflows
+    # are its formula in Python floats, lam where 4 x^2 / 3 overflows (there
+    # lam_eff/lam = 1 - 5/(2 x^2) + O(x^-4) is 1.0 in floats)
     n = WHITE if wc is None else exponential(wc)
     one = lambda_eff_quad if ph.dispersion else lambda_eff_closed
     col = _entries(lambda_eff_column(n, ph, COLUMN_RCS, lam=lam))
@@ -313,7 +315,8 @@ def test_lambda_eff_column_is_the_one_rc_call(ph, wc, lam):
         assert _same(got, want), (rc, got, want)
         if ph is COPPER and not isinstance(p, Exception):
             x = 0.0 if wc is None else rc * wc / ph.v_s
-            floats = lam if wc is None else lam * (4.0 * x * x / 3.0) * _phonon_bracket(x)
+            q = 4.0 * x * x / 3.0
+            floats = lam if wc is None or q == math.inf else lam * q * _phonon_bracket(x)
             assert _same(got, floats), (rc, got, floats)
     rate = [_scalar(heating_rate, CollapseParams(lam, rc), n, ph) for rc in COLUMN_RCS[:-3]]
     assert all(_same(r, 0.75 * CONSTANTS.hbar**2 / (rc**2 * CONSTANTS.m0**2) * v)
@@ -331,6 +334,37 @@ def test_lambda_eff_column_is_the_one_rc_call(ph, wc, lam):
     if ph is LATTICE and wc == 1e1:
         kinds = [type(v).__name__ for v in col]
         assert kinds[:2] == ["QuadratureNotConverged"] * 2 and kinds[4] == "float"
+
+
+@pytest.mark.parametrize("ph", [COPPER, LATTICE], ids=["linear", "full-sine"])
+def test_seed_edges_are_the_per_rc_merge(ph):
+    # _y_edges builds the seed edges of a whole rc column in one pass; each
+    # rc's are the per-rc merge_edges construction's, bit for bit, on the
+    # full-sine pin's grid and cutoffs. The full sine's rc below 1.6e-13 m
+    # have more periods in [0, 40] than the panel budget, and get no edges
+    grid = np.geomspace(1e-13, 1e-3, 120)
+    knees = fine = 0
+    for n in [WHITE] + [exponential(w) for w in (1e1, 1e4, 1e6, 1e9, 1e12, 1e-300)]:
+        edges, too_fine = _y_edges(n, ph, grid)
+        assert len(edges) == grid.size - too_fine.sum()
+        edges = iter(edges)
+        for rc, bad in zip(grid.tolist(), too_fine.tolist()):
+            if n.is_white:
+                want = _Y_EDGES
+            elif ph.dispersion is None:
+                want = merge_edges(0.0, 40.0, _Y_EDGES, rc * n.omega_c / ph.v_s * _LINEAR_KNEES)
+            else:
+                period = math.pi * rc / ph.dispersion.plane_spacing
+                if 40.0 / period > 20000:
+                    assert bad
+                    fine += 1
+                    continue
+                want = _Y_EDGES if period >= 40.0 else merge_edges(
+                    0.0, 40.0, _Y_EDGES, period * np.arange(1, int(40.0 / period) + 1))
+            got = next(edges)
+            assert not bad and got.tobytes() == want.tobytes(), (n, rc)
+            knees += got.size > _Y_EDGES.size
+    assert knees > 100 and fine == (6 * 3 if ph.dispersion else 0)
 
 
 def test_lambda_eff_quad_checks_tol_on_entry():

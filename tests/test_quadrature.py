@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from ccsl import QuadratureNotConverged
+from ccsl import quadrature
 from ccsl.quadrature import XGK, WGK, WG, _GAUSS_IDX, integrate, integrate_rows, merge_edges
 
 
@@ -89,30 +90,43 @@ def test_merge_edges():
     np.testing.assert_allclose(out, [0.0, 2.0, 5.0, 10.0])
 
 
-def test_rows_match_one_row_calls_and_fail_alone():
-    # one batched call over five integrands: each row ends as the one-row
-    # call on it ends, bit for bit, and a failing row fails with its own
-    # message while the others keep their values
-    fs = [lambda x: np.exp(-x * x) * np.cos(7.0 * x),
-          lambda x: 1.0 / ((x - 0.5) ** 2 + 1e-8),   # several rounds
-          lambda x: np.where(x > 0.7, np.nan, x),    # non-finite
-          lambda x: 1.0 / ((x - 0.3) ** 2 + 1e-24),  # exceeds max_panels
-          lambda x: np.sin(50.0 * x) * np.exp(-0.3 * x),
-          lambda x: 1.0 / ((x - 0.5) ** 2 + 1e-16)]  # up to 300 panels
-    edges = [np.linspace(0.0, 8.0, 9), np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3),
-             np.linspace(0.0, 1.0, 3), np.linspace(0.0, 10.0, 40), np.linspace(0.0, 1.0, 3)]
+# integrands of one batch: smooth, refined over several rounds, non-finite,
+# past max_panels, oscillatory, and refined up to 300 panels
+FS = [lambda x: np.exp(-x * x) * np.cos(7.0 * x),
+      lambda x: 1.0 / ((x - 0.5) ** 2 + 1e-8),
+      lambda x: np.where(x > 0.7, np.nan, x),
+      lambda x: 1.0 / ((x - 0.3) ** 2 + 1e-24),
+      lambda x: np.sin(50.0 * x) * np.exp(-0.3 * x),
+      lambda x: 1.0 / ((x - 0.5) ** 2 + 1e-16)]
+EDGES = [np.linspace(0.0, 8.0, 9), np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3),
+         np.linspace(0.0, 1.0, 3), np.linspace(0.0, 10.0, 40), np.linspace(0.0, 1.0, 3)]
+OPTS = dict(rel_tol=1e-11, max_panels=300)
 
+
+def _batch(fs):
+    """One integrand over rows: fs[r] at the nodes of row r."""
     def f(x, rows):
         out = np.empty_like(x)
         for r, g in enumerate(fs):
             out[rows == r] = g(x[rows == r])
         return out
+    return f
 
-    opts = dict(rel_tol=1e-11, max_panels=300)
-    got = integrate_rows(f, edges, **opts)
-    for g, e, res in zip(fs, edges, got):
+
+def _bits(res):
+    if isinstance(res, Exception):
+        return type(res).__name__, str(res), res.estimate, res.tol
+    return res.value.hex(), res.error.hex(), res.neval
+
+
+def test_rows_match_one_row_calls_and_fail_alone():
+    # one batched call over six integrands: each row ends as the one-row
+    # call on it ends, bit for bit, and a failing row fails with its own
+    # message while the others keep their values
+    got = integrate_rows(_batch(FS), EDGES, **OPTS)
+    for g, e, res in zip(FS, EDGES, got):
         try:
-            want = integrate(g, e, **opts)
+            want = integrate(g, e, **OPTS)
         except QuadratureNotConverged as err:
             assert type(res) is QuadratureNotConverged and str(res) == str(err)
             assert (res.estimate, res.tol) == (err.estimate, err.tol)
@@ -124,6 +138,22 @@ def test_rows_match_one_row_calls_and_fail_alone():
                                                "QuadResult"]
     assert "non-finite" in str(got[2]) and "after 300 panels" in str(got[3])
     assert got[1].neval > 15 * 4 and got[5].neval > 15 * 200  # refined
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 4096])
+def test_a_row_has_its_bits_alone_between_rows_and_in_any_block(monkeypatch, block):
+    # a panel's K15 and G7 depend on its own 15 values only, and a row's
+    # totals on its own panels: a row's value, error, neval and failure are
+    # the same bits alone, between two other rows, and with any number of
+    # panels per integrand call
+    alone = [_bits(integrate_rows(_batch([g]), [e], **OPTS)[0]) for g, e in zip(FS, EDGES)]
+    if block is not None:
+        monkeypatch.setattr(quadrature, "_BLOCK", block)
+    assert [_bits(r) for r in integrate_rows(_batch(FS), EDGES, **OPTS)] == alone
+    for k in range(len(FS)):
+        trio = [(k + d) % len(FS) for d in (-1, 0, 1)]
+        got = integrate_rows(_batch([FS[i] for i in trio]), [EDGES[i] for i in trio], **OPTS)
+        assert _bits(got[1]) == alone[k]
 
 
 def test_rows_edge_cases():
