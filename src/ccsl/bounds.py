@@ -50,10 +50,12 @@ POSITION_VARIANCE = "position_variance"
 _WASHOUT_RATIO = 1e-30
 
 # the one route selection: a grid of at least this many rc is inverted as
-# columns, a shorter one point by point, which costs less there: a column
-# costs 2.6x the single-point route at one rc and 0.97x at 12 (in-process),
-# and the one rc of each point-queries request (bench/run.py) ran about a
-# third slower with the columns on every grid
+# columns, a shorter one point by point, which costs less there. In process,
+# one white cylinder curve (auriga, ligo) as a column costs about 16x the
+# point-by-point route at one rc, 3x at 11 rc (auriga 198 vs 63 us, ligo 312
+# vs 111 us) and about 1x at 30-60 rc, and the one rc of each point-queries
+# request (bench/run.py) ran about a third slower with the columns on every
+# grid; no workload scans between 2 and 59 rc, so the threshold stays
 _COLUMN_FROM = 12
 
 
@@ -252,10 +254,15 @@ def _factor(exp, n: NoiseSpec, rc: np.ndarray) -> tuple:
     where it cannot be evaluated, and {i: error} where lambda_eff_column
     raised. The factor is one number for force (f~ at the probe), X-ray
     (f~(w_obs)) and cold atoms (the bracket ratio), and for bulk heating the
-    lam_eff/lam column, NaN where it failed or washed out."""
+    lam_eff/lam column, NaN where it failed or washed out; a washed-out
+    point takes lambda_max_heating's WashedOut, so it is not evaluated twice."""
     if exp.kind == "bulk_heating":
         ratio, failed = lambda_eff_column(n, exp.phonon, rc)
-        return np.where(ratio >= _WASHOUT_RATIO, ratio, math.nan), failed
+        washed = np.isfinite(ratio) & (ratio < _WASHOUT_RATIO)
+        for i in np.flatnonzero(washed).tolist():
+            failed[i] = WashedOut(f"lambda_eff/lambda = {float(ratio[i]):.3e} "
+                                  f"at rc={float(rc[i]):.3e}")
+        return np.where(washed, math.nan, ratio), failed
     if exp.kind == "optomechanical":
         return effective_spectrum_factor(exp.ceiling, n), {}
     if exp.kind == "xray":

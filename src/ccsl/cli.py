@@ -194,12 +194,6 @@ _POW10 = np.array([float(f"1e{k}") for k in range(_POW10_FROM, 301)])
 _CELL = np.frombuffer(b"\0" + b"0.00000000e+000,", np.uint8)
 
 
-def _format_block(table: np.ndarray) -> str:
-    """The data rows of a 2-D table: each cell "%.8e" % x, cells joined by
-    commas and rows ended by newlines, a NaN as an empty cell."""
-    return _join_rows(_cells(table).reshape(table.shape[0], -1))
-
-
 def _cells(x: np.ndarray) -> np.ndarray:
     """Each element's "%.8e" % x bytes and a comma, in one row of _CELL.size
     bytes per element, NUL-padded; a NaN is an empty cell.
@@ -274,13 +268,20 @@ def _write_panel_csv(path: Path, token: str, rc_cells: np.ndarray,
 def cmd_scan(args) -> int:
     experiments = _resolve_experiments(args.experiments)
     noise_tokens = [t.strip() for t in args.omega_c.split(",") if t.strip()]
-    for t in noise_tokens:
-        if t.lower() not in ("inf", "white"):
+    # one panel per file tag: spellings that name one file ('inf'/'white'/
+    # 'INF', '1e4'/'1E4') would write it twice and double every curve, so
+    # keep the first spelling of each tag
+    raw_by_tag: dict[str, str] = {}
+    noises = []
+    for raw in noise_tokens:
+        tag = "inf" if raw.lower() in ("inf", "white") else raw.lower()
+        if tag not in raw_by_tag:
             try:
-                exponential(float(t))
+                noises.append(WHITE if tag == "inf" else exponential(float(raw)))
             except ValueError:  # also a ValidationError from a cutoff <= 0
                 raise ValidationError("--omega-c",
-                                      f"expected 'inf' or a number > 0, got {t!r}") from None
+                                      f"expected 'inf' or a number > 0, got {raw!r}") from None
+            raw_by_tag[tag] = raw
     rc_grid = _parse_rc_grid(args.rc_grid) if args.rc_grid else default_rc_grid()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -289,14 +290,7 @@ def cmd_scan(args) -> int:
         "experiments": [e.id for e in experiments], "jobs": args.jobs,
     }, [e.id for e in experiments])
 
-    # one panel per file tag: spellings that name one file ('inf'/'white'/
-    # 'INF', '1e4'/'1E4') would write it twice and double every curve, so
-    # keep the first spelling of each tag
-    raw_by_tag: dict[str, str] = {}
-    for raw in noise_tokens:
-        raw_by_tag.setdefault("inf" if raw.lower() in ("inf", "white") else raw.lower(), raw)
     tokens = ["inf" if tag == "inf" else f"exp:{raw}" for tag, raw in raw_by_tag.items()]
-    noises = [_parse_noise(t) for t in tokens]
     # '1e4' and '10000' are equal specs but separate panels, so an error is
     # logged under the token of the spec object it came from
     token_of = {id(n): t for n, t in zip(noises, tokens)}

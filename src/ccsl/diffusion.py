@@ -349,15 +349,9 @@ def _i3_cuboid(shape: Cuboid, m: float, rc, axis, ops=_SCALAR) -> tuple:
     return m * m * i3, 1e-14
 
 
-@functools.cache
-def _axis_cosine(axis: tuple, cylinder_axis: tuple) -> float:
-    """Cosine between the measurement axis and a cylinder's axis, computed
-    once per pair of axes: it does not depend on rc."""
-    return float(np.clip(np.dot(np.asarray(axis), np.asarray(cylinder_axis)), -1.0, 1.0))
-
-
 def _i3_cylinder(shape: Cylinder, m: float, rc, axis, ops=_SCALAR) -> tuple:
-    c = _axis_cosine(axis, shape.axis)
+    u = shape.axis  # c: cosine between the measurement and cylinder axes
+    c = min(max(axis[0] * u[0] + axis[1] * u[1] + axis[2] * u[2], -1.0), 1.0)
     s2 = max(0.0, 1.0 - c * c)
     A0, A2 = _axial_moments(shape.length, rc, ops)
     B1, B3 = (_transverse_moments if ops is _SCALAR

@@ -102,14 +102,16 @@ class MassDistribution:
 # --- constructors ------------------------------------------------------------
 
 def _unit(v, field: str) -> tuple[float, float, float]:
+    """v / |v| in Python floats: math.hypot and three divisions have the same
+    bits on every host, whichever BLAS numpy uses."""
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValidationError(field, "must be a 3-vector")
-    norm = float(np.linalg.norm(a))
-    if not np.isfinite(norm) or norm <= 0:
+    x, y, z = a.tolist()
+    norm = math.hypot(x, y, z)
+    if not 0.0 < norm < math.inf:
         raise ValidationError(field, "must have positive finite norm")
-    a = a / norm
-    return (float(a[0]), float(a[1]), float(a[2]))
+    return (x / norm, y / norm, z / norm)
 
 
 def _density_from(shape: Shape, density, mass) -> float:
@@ -153,9 +155,9 @@ def composite(parts, *, measurement_axis=(1.0, 0.0, 0.0)) -> MassDistribution:
     packed = []
     for part, offset in parts:
         off = np.asarray(offset, dtype=float)
-        if off.shape != (3,) or not np.all(np.isfinite(off)):
+        if off.shape != (3,) or not all(map(math.isfinite, off.tolist())):
             raise ValidationError("geometry.part.offset", "must be a finite 3-vector")
-        packed.append((part, (float(off[0]), float(off[1]), float(off[2]))))
+        packed.append((part, tuple(off.tolist())))
     if not packed:
         raise ValidationError("geometry.parts", "composite needs at least one part")
     return MassDistribution(Composite(tuple(packed)), None,
@@ -297,7 +299,7 @@ def circumradius(d: MassDistribution) -> float:
     if isinstance(s, PointMass):
         return 0.0
     if isinstance(s, Composite):
-        return max(float(np.linalg.norm(off)) + circumradius(part)
+        return max(math.hypot(*off) + circumradius(part)
                    for part, off in s.parts)
     raise TypeError(type(s).__name__)
 

@@ -13,7 +13,7 @@ from ccsl import (CONSTANTS, Ceiling, CollapseParams, ColdAtomDescriptor,
                   lambda_max_force, lambda_max_heating, lambda_max_xray,
                   load, load_all_bundled, normalized_xray_rate, parse_config,
                   scan, sphere)
-from ccsl import bounds
+from ccsl import bounds, predict
 from ccsl.diffusion import clear_cache
 from ccsl.predict import _phonon_bracket
 from fixtures import (CANTILEVER_RATIO, FULL_SINE_LMAX, FULL_SINE_LMAX_WC, HEATING_WHITE_LMAX,
@@ -478,8 +478,8 @@ def test_scan_white_column_is_the_scalar_route(monkeypatch):
     # lambda_max_for's at every point, which the scan calls for each point
     # below it. The columns call it only at the points they drop, for their
     # errors: rc <= 0 (except for heating) and the points that wash out or
-    # overflow; the heating column raises its bad-rc errors and the eta
-    # column the rod-sphere ones inside the gap bound itself. The cutoffs put
+    # overflow; the heating column raises its bad-rc errors and washouts, and
+    # the eta column the rod-sphere ones inside the gap bound, itself. The cutoffs put
     # the linear phonon bracket's x = rc Wc / v_s below and above 20 (1e12),
     # above it everywhere (1e15) and past where x^2 overflows (1e300).
     exps = load_all_bundled() + [_rod_sphere()]
@@ -510,7 +510,8 @@ def test_scan_white_column_is_the_scalar_route(monkeypatch):
         assert len(scalar_calls) == size * len(exps) * len(noises)
         if size >= crossover:
             assert column_calls == [e[:3] for e in column_errors if not (
-                e[0] == "bulk-heating" and float.fromhex(e[2]) <= 0.0
+                e[0] == "bulk-heating" and (float.fromhex(e[2]) <= 0.0
+                                            or e[4].startswith("lambda_eff/lambda"))
                 or e[3] is CompositeCrossTermUnsupported)]
             washed = {(i, 1e-146) for i in ("bulk-heating", "cold-atom", "xray")}
             assert {(i, n.omega_c, t) for i, n, rc, t, _ in column_errors
@@ -622,6 +623,24 @@ def test_full_sine_heating_scan_bits_pinned():
         assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
     kinds = {e.split()[3] for e in errors}
     assert kinds == {"QuadratureNotConverged", "WashedOut"}
+
+
+def test_washed_out_full_sine_points_run_one_quadrature(monkeypatch):
+    # at Wc = 1e-300 all but the two finest rc of the pin's grid wash out: the
+    # batched column names their WashedOut, so no rc runs a quadrature of its own
+    calls = []
+
+    def integrate_rows(*args, _rows=predict.integrate_rows, **kwargs):
+        calls.append(len(args[1]))
+        return _rows(*args, **kwargs)
+
+    monkeypatch.setattr(predict, "integrate_rows", integrate_rows)
+    errors = []
+    scan([parse_config(LATTICE_HEATING)], [exponential(1e-300)], np.geomspace(1e-13, 1e-3, 120),
+         on_error=lambda i, n, rc, e: errors.append((type(e), str(e))))
+    assert len(calls) == 1
+    washed = [msg for t, msg in errors if t is WashedOut]
+    assert len(washed) == 117 and all(m.startswith("lambda_eff/lambda = ") for m in washed)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the full-sine quadrature is off "

@@ -366,6 +366,11 @@ def _percent_block(table):
     return ((row * table.shape[0]) % tuple(table.ravel().tolist())).replace("nan", "")
 
 
+def _block(table):
+    # the data rows of a 2-D table as _write_panel_csv writes them
+    return cli._join_rows(cli._cells(table).reshape(table.shape[0], -1))
+
+
 def test_format_block_is_percent_format(monkeypatch):
     rng = np.random.default_rng(2024)
     # random 64-bit patterns: NaN, +-inf, subnormals, both signs, every exponent
@@ -382,15 +387,15 @@ def test_format_block_is_percent_format(monkeypatch):
     tables += [edges.reshape(-1, 1), edges.reshape(1, -1), edges[:-2].reshape(-1, 7),
                np.array([[np.nan]])]
     for table in tables:
-        assert cli._format_block(table) == _percent_block(table)
-    assert cli._format_block(np.array([[1000000005.0, 1000000015.0]])) == (
+        assert _block(table) == _percent_block(table)
+    assert _block(np.array([[1000000005.0, 1000000015.0]])) == (
         "1.00000000e+09,1.00000002e+09\n")
     # a tie and a magnitude out of [1e-290, 1e290] reach the "%" fallback; a
     # NaN is an empty cell without it
     seen = []
     monkeypatch.setattr(cli, "_fmt", lambda v: seen.append(v) or "%.8e" % v)
     table = np.array([[1e-7, 1000000005.0, 1e-300, np.nan, 2.5e300, 3.0]])
-    assert cli._format_block(table) == _percent_block(table)
+    assert _block(table) == _percent_block(table)
     assert seen == [1000000005.0, 1e-300, 2.5e300]
 
 

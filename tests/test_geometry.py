@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from ccsl import (Composite, Cuboid, Cylinder, MassDistribution, PointMass, Sphere,
                   ValidationError, composite, cuboid, cylinder, form_factor_sq,
                   point_mass, sphere, total_mass)
-from ccsl.geometry import (bessel_j1, circumradius, disc_kernel, sinc_kernel,
+from ccsl.diffusion import eta_column, eta_reduced
+from ccsl.geometry import (_unit, bessel_j1, circumradius, disc_kernel, sinc_kernel,
                            sphere_kernel, validate_distribution, volume,
                            with_measurement_axis)
 from fixtures import CANTILEVER_SPHERE_MASS, J1_TABLE, LISA_CUBE_DENSITY, SPHERE_FF_AT_KR_PI
@@ -240,6 +242,37 @@ def test_circumradius():
     assert circumradius(point_mass(1.0)) == 0.0
     d = composite([(sphere(0.5, density=1), (2, 0, 0))])
     assert circumradius(d) == pytest.approx(2.5)
+
+
+# SHA-256 of the float.hex values in test_oblique_vectors_have_the_same_bits_on_every_host
+_OBLIQUE_ETA_DIGEST = "2342f215ff809409307d8ce7922eafa7524eb3812c0ba9145c491356bb678c2b"
+
+
+def test_oblique_vectors_have_the_same_bits_on_every_host():
+    # unit vectors, offsets and the cylinder axis cosine are plain-float
+    # arithmetic, so their bits (and eta's) do not depend on the BLAS kernels;
+    # uniform draws are exact, so the inputs are the same on every host too
+    rng = np.random.default_rng(20)
+    vs = rng.uniform(-1.0, 1.0, (2000, 3))
+    offs = rng.uniform(-0.1, 0.1, (2000, 3))
+    ball = sphere(0.01, density=1000.0)
+    for v, off in zip(vs.tolist(), offs.tolist()):
+        assert _unit(v, "axis") == tuple(c / math.hypot(*v) for c in v)
+        assert circumradius(composite([(ball, off)])) == math.hypot(*off) + 0.01
+    rcs = np.array([1e-9, 1e-7, 1e-5, 1e-3])
+    bodies = [cylinder(0.02, 0.1, density=2700.0, axis=a, measurement_axis=b)
+              for a, b in zip(vs[:40].tolist(), vs[40:80].tolist())]
+    bodies += [composite([(rod, (0.0, 0.0, 0.0)), (ball, (10.0 * off).tolist())],
+                         measurement_axis=m)
+               for rod, off, m in zip(bodies[:20], offs[:20], vs[80:100].tolist())]
+    bodies += [composite([(ball, (0.0, 0.0, 0.0)), (ball, off)], measurement_axis=m)
+               for off, m in zip(offs[20:40].tolist(), vs[100:120].tolist())]
+    digest = hashlib.sha256()
+    for d in bodies:
+        values, _ = eta_column(d, rcs)
+        for rc, v in zip(rcs.tolist(), values.tolist()):
+            digest.update(f"{eta_reduced(d, rc).value.hex()} {v.hex()}\n".encode())
+    assert digest.hexdigest() == _OBLIQUE_ETA_DIGEST
 
 
 def test_with_measurement_axis_normalizes():
