@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from .core import CONSTANTS, CollapseParams, PhysicalConstants, validate_params
 from .errors import (CcslError, CompositeCrossTermUnsupported, EmptyInput,
                      NegativeLambda, NonPositiveFrequency, NonPositiveRc,
-                     ParseError, QuadratureNotConverged, UnsupportedDispersion,
-                     ValidationError, WashedOut, WhiteKernelNotPointwise)
+                     ParseError, QuadratureNotConverged, ValidationError, WashedOut,
+                     WhiteKernelNotPointwise)
 from .noise import WHITE, NoiseSpec, exponential, spectrum, time_correlation
 from .geometry import (Composite, Cuboid, Cylinder, MassDistribution, PointMass,
                        Sphere, composite, cuboid, cylinder, form_factor_sq,
@@ -20,11 +20,11 @@ from .geometry import (Composite, Cuboid, Cylinder, MassDistribution, PointMass,
 from .diffusion import EtaResult, eta, eta_column, eta_reduced, eta_reduced_reference
 from .predict import (ColdAtomDescriptor, FullSineDispersion,
                       MechanicalOscillator, PhononModel, cold_atom_diffusion,
-                      dns_ccsl, dns_total, heating_rate, lambda_eff_closed,
-                      lambda_eff_quad, normalized_xray_rate, xray_rate)
-from .bounds import (Ceiling, ExclusionCurve, default_rc_grid, envelope,
-                     lambda_max_coldatom, lambda_max_for, lambda_max_force,
-                     lambda_max_heating, lambda_max_xray, scan)
+                      dns_ccsl, dns_total, heating_rate, lambda_eff, lambda_eff_quad,
+                      normalized_xray_rate, xray_rate)
+from .bounds import (Ceiling, ExclusionCurve, envelope, lambda_max_coldatom,
+                     lambda_max_for, lambda_max_force, lambda_max_heating,
+                     lambda_max_xray, scan)
 from .registry import (ExperimentDescriptor, list_bundled, load,
                        load_all_bundled, parse_config, serialize)
 
@@ -32,7 +32,7 @@ __all__ = [
     "CONSTANTS", "CollapseParams", "PhysicalConstants", "validate_params",
     "CcslError", "CompositeCrossTermUnsupported", "EmptyInput", "NegativeLambda",
     "NonPositiveFrequency", "NonPositiveRc", "ParseError", "QuadratureNotConverged",
-    "UnsupportedDispersion", "ValidationError", "WashedOut", "WhiteKernelNotPointwise",
+    "ValidationError", "WashedOut", "WhiteKernelNotPointwise",
     "WHITE", "NoiseSpec", "exponential", "spectrum", "time_correlation",
     "Composite", "Cuboid", "Cylinder", "MassDistribution", "PointMass", "Sphere",
     "composite", "cuboid", "cylinder", "form_factor_sq", "point_mass", "sphere",
@@ -40,8 +40,8 @@ __all__ = [
     "EtaResult", "eta", "eta_column", "eta_reduced", "eta_reduced_reference",
     "ColdAtomDescriptor", "FullSineDispersion", "MechanicalOscillator",
     "PhononModel", "cold_atom_diffusion", "dns_ccsl", "dns_total", "heating_rate",
-    "lambda_eff_closed", "lambda_eff_quad", "normalized_xray_rate", "xray_rate",
-    "Ceiling", "ExclusionCurve", "default_rc_grid", "envelope",
+    "lambda_eff", "lambda_eff_quad", "normalized_xray_rate", "xray_rate",
+    "Ceiling", "ExclusionCurve", "envelope",
     "lambda_max_coldatom", "lambda_max_for", "lambda_max_force",
     "lambda_max_heating", "lambda_max_xray", "scan",
     "ExperimentDescriptor", "list_bundled", "load", "load_all_bundled",

@@ -32,8 +32,7 @@ import numpy as np
 
 from .core import CONSTANTS, CollapseParams
 from .diffusion import _eta_column, eta_reduced
-from .errors import (EmptyInput, NonPositiveFrequency, NonPositiveRc, ValidationError,
-                     WashedOut, require_positive)
+from .errors import EmptyInput, NonPositiveRc, ValidationError, WashedOut, require_positive
 from .geometry import MassDistribution
 from .noise import WHITE, NoiseSpec, spectrum
 # lambda_eff_quad is unused here; it stays bound for tracers that wrap it at
@@ -107,8 +106,8 @@ def effective_spectrum_factor(ceiling: Ceiling, n: NoiseSpec) -> float:
 class ExclusionCurve:
     """lam_max over an rc grid for one experiment and one noise model, as two
     read-only columns of one length: rc strictly increases, and lam is NaN
-    where the point washed out or failed. ``points``, ``rc_values()`` and
-    ``lambda_values()`` hold the kept points only."""
+    where the point washed out or failed. ``points`` holds the kept points
+    only."""
 
     experiment_id: str
     noise: NoiseSpec
@@ -127,12 +126,6 @@ class ExclusionCurve:
     def points(self) -> tuple[tuple[float, float], ...]:  # (rc m, lam_max s^-1)
         return tuple((rc, lm) for rc, lm in zip(self.rc.tolist(), self.lam.tolist())
                      if lm == lm)
-
-    def rc_values(self) -> np.ndarray:
-        return self.rc[~np.isnan(self.lam)]
-
-    def lambda_values(self) -> np.ndarray:
-        return self.lam[~np.isnan(self.lam)]
 
 
 # --- single-point inversions ---------------------------------------------------
@@ -156,17 +149,15 @@ def lambda_max_force(d: MassDistribution, ceiling: Ceiling, n: NoiseSpec,
     return ceiling.value / unit / f_eff
 
 
-def lambda_max_xray(ceiling: Ceiling, n: NoiseSpec, rc: float,
-                    omega_obs: float) -> float:
-    """Invert the normalized emission rate lam f~(w_obs)/rc^2."""
+def lambda_max_xray(ceiling: Ceiling, n: NoiseSpec, rc: float) -> float:
+    """Invert the normalized emission rate lam f~(w_obs)/rc^2, with w_obs the
+    ceiling's probe."""
     _expect(ceiling, XRAY_NORMALIZED)
-    if not (omega_obs > 0 and math.isfinite(omega_obs)):
-        raise NonPositiveFrequency("omega_obs must be > 0")
     if not (rc > 0 and math.isfinite(rc)):
         raise NonPositiveRc(f"rc must be > 0 and finite, got {rc!r}")
-    f = float(spectrum(n, omega_obs))
+    f = float(spectrum(n, ceiling.probe))
     if f <= 0:
-        raise WashedOut(f"spectrum vanished at omega_obs={omega_obs:.3e}")
+        raise WashedOut(f"spectrum vanished at omega_obs={ceiling.probe:.3e}")
     return ceiling.value * rc * rc / f
 
 
@@ -215,7 +206,7 @@ def lambda_max_for(exp, n: NoiseSpec, rc: float) -> float:
     if kind == "optomechanical":
         return lambda_max_force(exp.geometry, exp.ceiling, n, rc)
     if kind == "xray":
-        return lambda_max_xray(exp.ceiling, n, rc, exp.ceiling.probe)
+        return lambda_max_xray(exp.ceiling, n, rc)
     if kind == "bulk_heating":
         return lambda_max_heating(exp.ceiling, n, exp.phonon, rc)
     if kind == "cold_atom":
@@ -323,10 +314,6 @@ def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid, *,
                 col[i] = lm
             panel.append(ExclusionCurve(exp.id, n, rc_grid, col))
     return curves
-
-
-def default_rc_grid(lo: float = 1e-9, hi: float = 1e-3, num: int = 60) -> np.ndarray:
-    return np.geomspace(lo, hi, num)
 
 
 def envelope(curves: Sequence[ExclusionCurve]) -> ExclusionCurve:

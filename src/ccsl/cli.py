@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import ExclusionCurve, default_rc_grid, envelope, scan
+from .bounds import ExclusionCurve, envelope, scan
 from .core import CollapseParams
 from .errors import CcslError, ParseError, ValidationError
 from .noise import WHITE, NoiseSpec, exponential
@@ -282,7 +282,7 @@ def cmd_scan(args) -> int:
                 raise ValidationError("--omega-c",
                                       f"expected 'inf' or a number > 0, got {raw!r}") from None
             raw_by_tag[tag] = raw
-    rc_grid = _parse_rc_grid(args.rc_grid) if args.rc_grid else default_rc_grid()
+    rc_grid = _parse_rc_grid(args.rc_grid)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest("scan", {
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--experiments", default="all")
     s.add_argument("--omega-c", default="inf,1e15,1e4,1e1",
                    help="comma list of cutoffs in rad/s; 'inf' selects white noise")
-    s.add_argument("--rc-grid", default=None, help="<lo>:<hi>:<n>, default 1e-9:1e-3:60")
+    s.add_argument("--rc-grid", default="1e-9:1e-3:60", help="<lo>:<hi>:<n> log-spaced grid, m")
     s.add_argument("--out-dir", default="scan_out")
     s.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility and ignored: a scan runs in one process")

@@ -77,12 +77,11 @@ from .core import CONSTANTS, CollapseParams, map_floats, sum_left
 from .errors import CompositeCrossTermUnsupported, NonPositiveRc, QuadratureNotConverged
 from .geometry import (Composite, Cuboid, Cylinder, MassDistribution, PointMass, Sphere,
                        circumradius, total_mass, validate_distribution)
-from .quadrature import integrate, merge_edges
+from .quadrature import MAX_PANELS, integrate, merge_edges
 
 DEFAULT_TOL = 1e-8         # fixed tol of full-sine heating's quadrature; bench/spans.py imports it
 K_CUTOFF = 10.0            # integrate |k| <= K_CUTOFF/rc; tail weight e^-100
 _GAP_DROP = 12.0           # drop cross terms when gap/(2 rc) exceeds this
-_MAX_OSC_PANELS = 20000
 
 _SQRT_PI = math.sqrt(math.pi)
 _EPS = float(np.finfo(float).eps)
@@ -129,9 +128,9 @@ def _radial_edges(rc: float, zero_spacing: float | None = None) -> np.ndarray:
     zeros = ()
     if zero_spacing is not None and zero_spacing < k_max:
         n = int(k_max / zero_spacing)
-        if n + 1 > _MAX_OSC_PANELS:
+        if n + 1 > MAX_PANELS:
             raise QuadratureNotConverged(
-                f"integrand needs {n} oscillation panels (limit {_MAX_OSC_PANELS})")
+                f"integrand needs {n} oscillation panels (limit {MAX_PANELS})")
         zeros = zero_spacing * np.arange(1, n + 1)
     return merge_edges(0.0, k_max, base, zeros)
 

@@ -27,10 +27,6 @@ class NonPositiveFrequency(CcslError, ValueError):
     """Operation has a 1/omega pole; omega must be > 0."""
 
 
-class UnsupportedDispersion(CcslError, ValueError):
-    """Closed-form phonon rate only exists for the linear dispersion."""
-
-
 class QuadratureNotConverged(CcslError, ArithmeticError):
     """Adaptive quadrature exhausted its panel budget above the tolerance."""
 

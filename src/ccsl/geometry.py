@@ -20,7 +20,7 @@ distributions check their invariants when built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -316,7 +316,3 @@ def validate_distribution(d: MassDistribution) -> MassDistribution:
         raise ValidationError(field, "must be > 0")
     _require_unit("measurement_axis", d.measurement_axis)
     return d
-
-
-def with_measurement_axis(d: MassDistribution, axis) -> MassDistribution:
-    return replace(d, measurement_axis=_unit(axis, "measurement_axis"))

@@ -26,13 +26,13 @@ import numpy as np
 
 from .core import CONSTANTS, CollapseParams, map_floats
 from .diffusion import DEFAULT_TOL, eta as _eta
-from .errors import (NonPositiveFrequency, NonPositiveRc, QuadratureNotConverged,
-                     UnsupportedDispersion, ValidationError, require_positive)
+from .errors import (NegativeLambda, NonPositiveFrequency, NonPositiveRc,
+                     QuadratureNotConverged, ValidationError, require_positive)
 from .geometry import MassDistribution
 from .noise import WHITE, NoiseSpec, spectrum
 # integrate itself is unused here; it stays bound for tracers that wrap it at
 # this import site (bench/spans.py)
-from .quadrature import integrate, integrate_rows  # noqa: F401
+from .quadrature import MAX_PANELS, integrate, integrate_rows  # noqa: F401
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -230,7 +230,7 @@ _LINEAR_KNEES = np.array([1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 10.0])  # times y at w
 
 def _y_edges(n: NoiseSpec, ph: PhononModel, rc: np.ndarray) -> tuple[list, np.ndarray]:
     """Seed edges in y for each rc of the column, in one pass, and the mask of
-    rc too fine for any (over 20000 full-sine periods in [0, 40]). Each
+    rc too fine for any (over MAX_PANELS full-sine periods in [0, 40]). Each
     other rc's are merge_edges(0, 40, _Y_EDGES, knees), knees where f~(w_L(y/rc))
     bends: near y = rc Wc / v_s (linear), at multiples of the period pi rc / a."""
     edges, too_fine = [_Y_EDGES] * rc.size, np.zeros(rc.size, dtype=bool)
@@ -242,7 +242,7 @@ def _y_edges(n: NoiseSpec, ph: PhononModel, rc: np.ndarray) -> tuple[list, np.nd
             row = np.repeat(np.arange(rc.size), _LINEAR_KNEES.size)
         else:
             period = math.pi * rc / ph.dispersion.plane_spacing
-            too_fine = 40.0 / period > 20000
+            too_fine = 40.0 / period > MAX_PANELS
             counts = np.where(too_fine | (period >= 40.0), 0.0, np.floor(40.0 / period)).astype(int)
             row = np.repeat(np.arange(rc.size), counts)  # knee k = 1, 2, ... of each row
             knees = period[row] * (np.arange(1, row.size + 1) - (np.cumsum(counts) - counts)[row])
@@ -261,8 +261,9 @@ def _y_edges(n: NoiseSpec, ph: PhononModel, rc: np.ndarray) -> tuple[list, np.nd
 
 
 def _closed(n: NoiseSpec, ph: PhononModel, rc, lam: float, bracket=_phonon_bracket):
-    """lambda_eff_closed's formula at rc > 0, at one rc or over a column of rc;
-    lam where 4 x^2 / 3 overflows, as lam_eff/lam = 1 - 5/(2 x^2) + ... is 1.0."""
+    """lambda_eff's closed form for linear dispersion at rc > 0, at one rc or
+    over a column of rc; lam where 4 x^2 / 3 overflows, as
+    lam_eff/lam = 1 - 5/(2 x^2) + ... is 1.0."""
     if n.is_white:
         return lam
     x = rc * n.omega_c / ph.v_s
@@ -295,8 +296,8 @@ def lambda_eff_column(n: NoiseSpec, ph: PhononModel, rcs,
                       lam: float = 1.0) -> tuple[np.ndarray, dict]:
     """lam_eff over the rc column rcs for one noise and phonon model: an array,
     NaN where an rc raised, and {index: that exception}; lam = 1 gives
-    lam_eff/lam. The dispersion picks the route: lambda_eff_closed's closed
-    form in numpy passes for linear dispersion, lambda_eff_quad's radial
+    lam_eff/lam. The dispersion picks the route: lambda_eff's closed form
+    in numpy passes for linear dispersion, lambda_eff_quad's radial
     quadrature at DEFAULT_TOL, batched over all rc, for the full sine. Each
     value and error is the one-rc call's, bit for bit."""
     rc = np.array(rcs, dtype=float)
@@ -312,24 +313,21 @@ def lambda_eff_column(n: NoiseSpec, ph: PhononModel, rcs,
 
 
 def lambda_eff(n: NoiseSpec, ph: PhononModel, rc: float, lam: float = 1.0) -> float:
-    """lam_eff at one rc: the closed form in Python floats, else a column of one."""
+    """Effective collapse rate driving bulk heating at one rc. For linear
+    dispersion the closed form, in Python floats:
+
+    lam_eff = (4 lam rc^2 Wc^2 / 3 v_s^2) [1/2 - x^2 + sqrt(pi) x^3 e^{x^2} erfc(x)],
+    x = rc Wc / v_s, which equals lam for white noise. For the full sine
+    lambda_eff_column's quadrature, on a column of one. lam and rc are
+    checked as CollapseParams checks them."""
+    if not 0.0 <= lam < math.inf:
+        raise NegativeLambda(f"lambda must be >= 0 and finite, got {lam!r}")
     if ph.dispersion is None and math.isfinite(rc) and rc > 0:
         return float(_closed(n, ph, rc, lam))
     (value,), errors = lambda_eff_column(n, ph, [rc], lam)
     if errors:
         raise errors[0]
     return float(value)
-
-
-def lambda_eff_closed(p: CollapseParams, n: NoiseSpec, ph: PhononModel) -> float:
-    """Effective collapse rate for linear dispersion:
-
-    lam_eff = (4 lam rc^2 Wc^2 / 3 v_s^2) [1/2 - x^2 + sqrt(pi) x^3 e^{x^2} erfc(x)],
-    x = rc Wc / v_s. Equals lam for white noise.
-    """
-    if ph.dispersion is not None:
-        raise UnsupportedDispersion("closed form exists for linear dispersion only")
-    return float(_closed(n, ph, p.rc, p.lam))
 
 
 def lambda_eff_quad(p: CollapseParams, n: NoiseSpec, ph: PhononModel,
@@ -339,8 +337,8 @@ def lambda_eff_quad(p: CollapseParams, n: NoiseSpec, ph: PhononModel,
     lam_eff = (8 lam / (3 sqrt(pi))) Int_0^inf y^4 e^{-y^2} f~(w_L(y/rc)) dy
 
     over y in [0, 40], seeded with _y_edges, to relative tolerance tol in
-    (0, 1e-2). Supports both dispersion forms; matches lambda_eff_closed for
-    the linear one and returns lam (up to tol) for white noise."""
+    (0, 1e-2). Supports both dispersion forms; matches lambda_eff's closed
+    form for the linear one and returns lam (up to tol) for white noise."""
     if not 0.0 < tol < 1e-2:
         raise ValidationError("tol", f"must lie in (0, 1e-2), got {tol!r}")
     out, errors = np.full(1, math.nan), {}

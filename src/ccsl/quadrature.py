@@ -67,6 +67,8 @@ class QuadResult(NamedTuple):
 
 
 _BLOCK = 1024  # panels per integrand call
+MAX_PANELS = 20000  # panels a row may hold, its seed panels included
+_MAX_ROUNDS = 100  # bisection rounds
 
 
 def _left_to_right(w: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -102,8 +104,7 @@ def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, row: np.ndarray):
 
 
 def integrate_rows(f: Callable, edges: Sequence[Sequence[float]], *,
-                   rel_tol: float = 1e-10, max_panels: int = 20000,
-                   max_rounds: int = 100) -> list:
+                   rel_tol: float = 1e-10) -> list:
     """Integrate f over [e[0], e[-1]] for each seed edge list e, each row as
     ``integrate`` would; f(x, rows) gets the nodes x and each one's row
     index. Returns, per row, its QuadResult or the QuadratureNotConverged it
@@ -124,14 +125,14 @@ def integrate_rows(f: Callable, edges: Sequence[Sequence[float]], *,
     pan, bad = _eval_panels(f, lo, hi, row)  # pan[i]: lo, hi, value, error
     nonfinite = np.zeros(len(seeds), dtype=bool)  # rows with a non-finite value
     nonfinite[row[bad]] = True
-    for rnd in range(max_rounds + 1):
+    for rnd in range(_MAX_ROUNDS + 1):
         starts = np.cumsum(counts) - counts
         total, total_err = np.add.reduceat(pan[:, 2], starts), np.add.reduceat(pan[:, 3], starts)
         target = rel_tol * np.abs(total)
         failed = nonfinite[ids]
         # after the last round, a zero target alone no longer passes
-        done = ~failed & ((total_err <= target) | ((target == 0.0) & (rnd < max_rounds)))
-        spent = ~(failed | done) & ((counts >= max_panels) | (rnd == max_rounds))
+        done = ~failed & ((total_err <= target) | ((target == 0.0) & (rnd < _MAX_ROUNDS)))
+        spent = ~(failed | done) & ((counts >= MAX_PANELS) | (rnd == _MAX_ROUNDS))
         refine = ~(failed | done | spent)
         for rid in ids[failed].tolist():
             out[rid] = QuadratureNotConverged("integrand returned non-finite values")
@@ -151,13 +152,13 @@ def integrate_rows(f: Callable, edges: Sequence[Sequence[float]], *,
         # than fit its budget takes the worst that fit.
         mask = pan[:, 3] > np.repeat(shares, counts)
         picked = np.add.reduceat(mask, starts, dtype=np.intp)
-        for k in np.flatnonzero((picked == 0) | (picked > max_panels - counts)).tolist():
+        for k in np.flatnonzero((picked == 0) | (picked > MAX_PANELS - counts)).tolist():
             a, n = int(starts[k]), int(counts[k])
             err = pan[a:a + n, 3]
             candidates = np.where(err > shares[k])[0]
             if candidates.size == 0:
                 candidates = np.array([int(np.argmax(err))])
-            order = candidates[np.argsort(err[candidates])[::-1]][:max_panels - n]
+            order = candidates[np.argsort(err[candidates])[::-1]][:MAX_PANELS - n]
             mask[a:a + n] = False
             mask[a + order] = True
             picked[k] = order.size
@@ -175,13 +176,11 @@ def integrate_rows(f: Callable, edges: Sequence[Sequence[float]], *,
     return out
 
 
-def integrate(f: Callable, edges: Sequence[float], *, rel_tol: float = 1e-10,
-              max_panels: int = 20000, max_rounds: int = 100) -> QuadResult:
+def integrate(f: Callable, edges: Sequence[float], *, rel_tol: float = 1e-10) -> QuadResult:
     """Integrate f over [edges[0], edges[-1]], seeded with the given panel
     edges, refining adaptively until the summed error estimate is below
     rel_tol * |integral|."""
-    res, = integrate_rows(lambda x, _: f(x), [edges], rel_tol=rel_tol,
-                          max_panels=max_panels, max_rounds=max_rounds)
+    res, = integrate_rows(lambda x, _: f(x), [edges], rel_tol=rel_tol)
     if isinstance(res, Exception):
         raise res
     return res

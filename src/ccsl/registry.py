@@ -90,21 +90,6 @@ def validate_descriptor(desc: ExperimentDescriptor) -> ExperimentDescriptor:
 
 _SECTIONS = ("geometry", "oscillator", "ceiling", "phonon", "coldatom")
 
-_KEYS = {
-    "": {"id", "kind", "provenance"},
-    "geometry": {"shape", "radius", "length", "lx", "ly", "lz", "axis",
-                 "density", "mass", "measurement_axis"},
-    "geometry.part": {"shape", "radius", "length", "lx", "ly", "lz", "axis",
-                      "density", "mass", "offset"},
-    "oscillator": {"mass", "omega_m_hz", "omega_m_rad_s", "gamma_m_rad_s",
-                   "temperature"},
-    "ceiling": {"kind", "value", "probe_hz", "probe_rad_s", "band_lo_hz",
-                "band_hi_hz", "band_lo_rad_s", "band_hi_rad_s"},
-    "phonon": {"v_s", "dispersion", "force_constant", "atom_mass",
-               "plane_spacing"},
-    "coldatom": {"mass_number", "atom_mass", "expansion_time"},
-}
-
 _BARE_FREQ_KEYS = {"probe", "omega_m", "gamma_m", "band_lo", "band_hi", "omega_c"}
 
 
@@ -180,11 +165,12 @@ def parse_config(text: str) -> ExperimentDescriptor:
         key = key.strip()
         if not key:
             raise ParseError(line_no, 1, "empty key")
+        section = current_name or "top"
         if key in _BARE_FREQ_KEYS:
-            raise ValidationError(f"{current_name or 'top'}.{key}",
+            raise ValidationError(f"{section}.{key}",
                                   "frequency keys need an explicit _hz or _rad_s suffix")
-        if key not in _KEYS[current_name]:
-            raise ValidationError(f"{current_name or 'top'}.{key}", "unknown key")
+        if key.startswith("_"):  # "_parts" holds the [[geometry.part]] sections
+            raise ValidationError(f"{section}.{key}", f"not valid for this {section}")
         if key in current:
             raise ParseError(line_no, 1, f"duplicate key {key!r}")
         current[key] = _parse_value(raw_value, line_no, line.index("=") + 2)
@@ -227,15 +213,17 @@ def _vec(sec: dict, section: str, key: str, default: tuple) -> tuple:
 
 
 def _check_consumed(sec: dict, section: str):
+    """The one check for unknown keys: a builder pops every key it uses."""
     for key in sec:
-        if not key.startswith("_"):
-            raise ValidationError(f"{section}.{key}", f"not valid for this {section}")
+        raise ValidationError(f"{section}.{key}", f"not valid for this {section}")
 
 
 def _build_geometry(sec: dict, section="geometry") -> MassDistribution:
-    shape = sec.pop("shape", None)
+    shape, parts = sec.pop("shape", None), sec.pop("_parts", None)
     if shape is None:
         raise ValidationError(f"{section}.shape", "missing")
+    if parts and shape != "composite":
+        raise ValidationError(f"{section}.shape", f"{shape} takes no [[geometry.part]] sections")
     meas = _vec(sec, section, "measurement_axis", (1.0, 0.0, 0.0)) \
         if section == "geometry" else (1.0, 0.0, 0.0)
     density = _num(sec, section, "density", required=False)
@@ -258,8 +246,7 @@ def _build_geometry(sec: dict, section="geometry") -> MassDistribution:
             d = point_mass(mass if mass is not None else float("nan"),
                            measurement_axis=meas)
         elif shape == "composite":
-            parts = sec.pop("_parts", None)
-            if section != "geometry" or not parts:
+            if not parts:
                 raise ValidationError(f"{section}.shape",
                                       "composite needs [[geometry.part]] sections")
             if density is not None or mass is not None:

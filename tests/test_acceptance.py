@@ -12,7 +12,7 @@ import pytest
 from ccsl import (CONSTANTS, Ceiling, CollapseParams, ColdAtomDescriptor,
                   PhononModel, WHITE, WashedOut, cold_atom_diffusion, dns_ccsl,
                   envelope, exponential, eta_reduced, heating_rate,
-                  lambda_eff_closed, lambda_eff_quad, lambda_max_coldatom,
+                  lambda_eff, lambda_eff_quad, lambda_max_coldatom,
                   lambda_max_for, lambda_max_force, lambda_max_heating,
                   lambda_max_xray, load, load_all_bundled, normalized_xray_rate,
                   scan, spectrum, sphere, xray_rate)
@@ -41,7 +41,7 @@ def test_criterion_1_phonon_closed_quad_equivalence():
             p = CollapseParams(1.0, rc)
             n = exponential(x * COPPER.v_s / rc)
             q = lambda_eff_quad(p, n, COPPER, tol=1e-9)
-            c = lambda_eff_closed(p, n, COPPER)
+            c = lambda_eff(n, COPPER, rc)
             assert abs(q / c - 1.0) <= 1e-8, f"x={x}: {q} vs {c}"
         assert time.perf_counter() - t0 < 10.0
     _report(1, "lambda_eff quadrature matches closed form to 1e-8 over "
@@ -59,7 +59,7 @@ def test_criterion_2_white_limit_recovery():
         assert abs(xray_rate(p, exponential(1e6 * w_x), w_x)
                    / xray_rate(p, WHITE, w_x) - 1.0) <= 1e-6
         w_ph = COPPER.v_s / p.rc
-        assert abs(lambda_eff_closed(p, exponential(1e6 * w_ph), COPPER)
+        assert abs(lambda_eff(exponential(1e6 * w_ph), COPPER, p.rc, p.lam)
                    / p.lam - 1.0) <= 1e-6
         assert abs(lambda_eff_quad(p, exponential(1e6 * w_ph), COPPER, tol=1e-9)
                    / p.lam - 1.0) <= 1e-6
@@ -90,8 +90,7 @@ def test_criterion_3_point_mass_identity():
 
 def test_criterion_4_xray_bound_point():
     def body():
-        got = lambda_max_xray(Ceiling("xray_normalized", 803.0, probe=1e19),
-                              WHITE, 1e-7, omega_obs=1e19)
+        got = lambda_max_xray(Ceiling("xray_normalized", 803.0, probe=1e19), WHITE, 1e-7)
         assert abs(got / 8.03e-12 - 1.0) <= 1e-3
     _report(4, "white X-ray inversion at rc = 1e-7 m gives "
                "lambda_max = 8.03e-12 s^-1 within 0.1%", body)
@@ -106,8 +105,8 @@ def test_criterion_5_cutoff_weakening_ratios():
         expect = 1.0 + (2 * math.pi * 8174.01 / 1e4) ** 2
         assert abs(colored / white / expect - 1.0) <= 1e-3
         cx = Ceiling("xray_normalized", 803.0, probe=1e19)
-        w = lambda_max_xray(cx, WHITE, 1e-7, 1e19)
-        c = lambda_max_xray(cx, exponential(1e15), 1e-7, 1e19)
+        w = lambda_max_xray(cx, WHITE, 1e-7)
+        c = lambda_max_xray(cx, exponential(1e15), 1e-7)
         assert abs(c / w / (1.0 + 1e8) - 1.0) <= 1e-3
     _report(5, "cutoff weakening: cantilever 27.38x at omega_c = 1e4, "
                "X-ray (1 + 1e8)x at omega_c = 1e15", body)
@@ -127,7 +126,7 @@ def test_criterion_6_round_trip_identity():
             assert abs(back / cant.ceiling.value - 1.0) <= 1e-10
 
             cx = Ceiling("xray_normalized", 803.0, probe=1e19)
-            lm = lambda_max_xray(cx, n, rc, 1e19)
+            lm = lambda_max_xray(cx, n, rc)
             assert abs(normalized_xray_rate(CollapseParams(lm, rc), n, 1e19)
                        / 803.0 - 1.0) <= 1e-10
 

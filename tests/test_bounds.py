@@ -75,29 +75,28 @@ def test_band_ceiling_uses_lower_edge():
 # --- X-ray inversion --------------------------------------------------------------
 
 def test_xray_white_point():
-    got = lambda_max_xray(Ceiling("xray_normalized", 803.0, probe=1e19),
-                          WHITE, 1e-7, omega_obs=1e19)
+    got = lambda_max_xray(Ceiling("xray_normalized", 803.0, probe=1e19), WHITE, 1e-7)
     assert got == pytest.approx(8.03e-12, rel=1e-3)
 
 
 def test_xray_cutoff_inflation():
     ceiling = Ceiling("xray_normalized", 803.0, probe=1e19)
-    white = lambda_max_xray(ceiling, WHITE, 1e-7, 1e19)
-    colored = lambda_max_xray(ceiling, exponential(1e15), 1e-7, 1e19)
+    white = lambda_max_xray(ceiling, WHITE, 1e-7)
+    colored = lambda_max_xray(ceiling, exponential(1e15), 1e-7)
     assert colored / white == pytest.approx(1.0 + 1e8, rel=1e-3)
 
 
 def test_xray_scales_with_rc_squared():
     ceiling = Ceiling("xray_normalized", 803.0, probe=1e19)
-    a = lambda_max_xray(ceiling, WHITE, 1e-7, 1e19)
-    b = lambda_max_xray(ceiling, WHITE, 2e-7, 1e19)
+    a = lambda_max_xray(ceiling, WHITE, 1e-7)
+    b = lambda_max_xray(ceiling, WHITE, 2e-7)
     assert b == pytest.approx(4.0 * a, rel=1e-14)
 
 
 @pytest.mark.parametrize("rc", [-1e-7, 0.0, math.nan, math.inf])
 def test_xray_rejects_bad_rc(rc):
     with pytest.raises(NonPositiveRc):
-        lambda_max_xray(load("xray").ceiling, WHITE, rc, 1e19)
+        lambda_max_xray(load("xray").ceiling, WHITE, rc)
 
 
 def test_scan_collects_xray_bad_rc_as_error():
@@ -296,7 +295,7 @@ def test_round_trip_identities():
         assert back == pytest.approx(CANTILEVER_CEILING.value, rel=1e-10)
 
         cx = Ceiling("xray_normalized", 803.0, probe=1e19)
-        lm = lambda_max_xray(cx, n, rc, 1e19)
+        lm = lambda_max_xray(cx, n, rc)
         assert normalized_xray_rate(CollapseParams(lm, rc), n, 1e19) == pytest.approx(
             803.0, rel=1e-10)
 
@@ -528,7 +527,7 @@ def test_scan_white_column_is_the_scalar_route(monkeypatch):
     for size in (crossover - 1, crossover):
         grid = np.geomspace(1e-151, 1e-149, size)
         ((curve,),) = scan([xray], [n], grid)
-        assert curve.lam.tolist() == [lambda_max_xray(xray.ceiling, n, rc, 1e19)
+        assert curve.lam.tolist() == [lambda_max_xray(xray.ceiling, n, rc)
                                       for rc in grid.tolist()]
 
 
@@ -661,8 +660,8 @@ def test_curve_is_a_read_only_column():
     xray, heating = curve
     assert xray.rc.shape == xray.lam.shape == (4,)
     assert np.isnan(heating.lam).all() and heating.points == ()
-    assert xray.points == tuple(zip(xray.rc_values().tolist(),
-                                    xray.lambda_values().tolist()))
+    kept = ~np.isnan(xray.lam)
+    assert xray.points == tuple(zip(xray.rc[kept].tolist(), xray.lam[kept].tolist()))
     for col in (xray.rc, xray.lam):
         with pytest.raises(ValueError):
             col[0] = 1.0

@@ -337,6 +337,21 @@ def test_scan_full_default_grid(tmp_path, capsys):
     assert len(rows) == 61
 
 
+def test_default_scan_records_its_grid_and_matches_it_given_explicitly(tmp_path, capsys):
+    # the default rc grid is the spec 1e-9:1e-3:60: the manifest records it,
+    # and every panel holds the data rows of the same spec given on the command line
+    for name, grid in (("default", ()), ("explicit", ("--rc-grid", "1e-9:1e-3:60"))):
+        assert run(capsys, "scan", "--out-dir", str(tmp_path / name), *grid)[0] == 0
+    manifest = json.loads((tmp_path / "default" / "scan_manifest.json").read_text())
+    assert manifest["parameters"]["rc_grid"] == "1e-9:1e-3:60"
+    names = sorted(p.name for p in (tmp_path / "default").glob("*.csv"))
+    assert len(names) == 4 and names == sorted(
+        p.name for p in (tmp_path / "explicit").glob("*.csv"))
+    for name in names:
+        assert (data_rows((tmp_path / "default" / name).read_text())
+                == data_rows((tmp_path / "explicit" / name).read_text()))
+
+
 def test_scan_single_point_grid(tmp_path, capsys):
     code, _, _ = run(capsys, "scan", "--omega-c", "inf", "--rc-grid",
                      "1e-7:1e-7:1", "--out-dir", str(tmp_path), "--jobs", "1",

@@ -12,8 +12,7 @@ from ccsl import (Composite, Cuboid, Cylinder, MassDistribution, PointMass, Sphe
                   point_mass, sphere, total_mass)
 from ccsl.diffusion import eta_column, eta_reduced
 from ccsl.geometry import (_unit, bessel_j1, circumradius, disc_kernel, sinc_kernel,
-                           sphere_kernel, validate_distribution, volume,
-                           with_measurement_axis)
+                           sphere_kernel, validate_distribution, volume)
 from fixtures import CANTILEVER_SPHERE_MASS, J1_TABLE, LISA_CUBE_DENSITY, SPHERE_FF_AT_KR_PI
 
 
@@ -276,5 +275,5 @@ def test_oblique_vectors_have_the_same_bits_on_every_host():
 
 
 def test_with_measurement_axis_normalizes():
-    d = with_measurement_axis(sphere(1.0, density=1.0), (0, 0, 2))
+    d = sphere(1.0, density=1.0, measurement_axis=(0, 0, 2))
     assert d.measurement_axis == (0.0, 0.0, 1.0)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 from scipy.special import erfcx as scipy_erfcx
 
 from ccsl import (CONSTANTS, CollapseParams, ColdAtomDescriptor,
-                  FullSineDispersion, MechanicalOscillator, NonPositiveFrequency,
-                  PhononModel, UnsupportedDispersion, ValidationError, WHITE,
+                  FullSineDispersion, MechanicalOscillator, NegativeLambda,
+                  NonPositiveFrequency, NonPositiveRc, PhononModel, ValidationError, WHITE,
                   cold_atom_diffusion, cuboid, dns_ccsl, dns_total, exponential,
-                  eta, heating_rate, lambda_eff_closed, lambda_eff_quad,
+                  eta, heating_rate, lambda_eff, lambda_eff_quad,
                   normalized_xray_rate, point_mass, sphere, xray_rate)
 from ccsl.diffusion import DEFAULT_TOL
 from ccsl.predict import (_LINEAR_KNEES, _Y_EDGES, _cold_bracket, _erfcx, _phonon_bracket,
@@ -182,7 +183,7 @@ def test_erfcx_matches_scipy_and_is_continuous_at_its_switch():
 
 
 def test_lambda_eff_white_is_lambda():
-    assert lambda_eff_closed(GRW, WHITE, COPPER) == GRW.lam
+    assert lambda_eff(WHITE, COPPER, GRW.rc, GRW.lam) == GRW.lam
     assert lambda_eff_quad(GRW, WHITE, COPPER) == pytest.approx(GRW.lam, rel=1e-9)
 
 
@@ -190,8 +191,7 @@ def test_lambda_eff_closed_against_fixtures():
     for x, ratio in PHONON_RATIO_TABLE:
         rc = 1e-7
         wc = x * COPPER.v_s / rc
-        p = CollapseParams(1.0, rc)
-        got = lambda_eff_closed(p, exponential(wc), COPPER)
+        got = lambda_eff(exponential(wc), COPPER, rc)
         assert got == pytest.approx(ratio, rel=1e-10), f"x={x}"
 
 
@@ -207,31 +207,21 @@ def test_lambda_eff_quad_matches_closed_form():
         p = CollapseParams(1.0, rc)
         n = exponential(x * COPPER.v_s / rc)
         q = lambda_eff_quad(p, n, COPPER, tol=1e-9)
-        c = lambda_eff_closed(p, n, COPPER)
+        c = lambda_eff(n, COPPER, rc)
         assert q == pytest.approx(c, rel=1e-8), f"x={x}"
 
 
 def test_lambda_eff_ratio_in_unit_interval_and_monotone():
     rc = 1e-7
     xs = np.geomspace(1e-4, 1e6, 40)
-    vals = [lambda_eff_closed(CollapseParams(1.0, rc),
-                              exponential(x * COPPER.v_s / rc), COPPER)
-            for x in xs]
+    vals = [lambda_eff(exponential(x * COPPER.v_s / rc), COPPER, rc) for x in xs]
     assert all(0.0 < v <= 1.0 for v in vals)
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_lambda_eff_asymptote():
-    p = CollapseParams(1.0, 1e-7)
-    v = lambda_eff_closed(p, exponential(100.0 * COPPER.v_s / 1e-7), COPPER)
+    v = lambda_eff(exponential(100.0 * COPPER.v_s / 1e-7), COPPER, 1e-7)
     assert 0.999 <= v <= 1.0
-
-
-def test_lambda_eff_closed_rejects_full_sine():
-    disp = FullSineDispersion(9e5, 1e-25, 1e-10)
-    ph = PhononModel(v_s=disp.sound_speed(), dispersion=disp)
-    with pytest.raises(UnsupportedDispersion):
-        lambda_eff_closed(GRW, exponential(1e4), ph)
 
 
 def test_full_sine_matches_linear_in_validity_regime():
@@ -300,14 +290,14 @@ def _same(got, want):
 @pytest.mark.parametrize("lam", [1.0, 2.5e-3])
 def test_lambda_eff_column_is_the_one_rc_call(ph, wc, lam):
     # every entry of one batched column is the one-rc call's value or error,
-    # bit for bit: the dispersion picks the route, lambda_eff_closed's for
+    # bit for bit: the dispersion picks the route, lambda_eff's closed form for
     # linear and lambda_eff_quad's at DEFAULT_TOL for the full sine. The bad
     # rc at the end fail alone with the CollapseParams message, and the
     # quadrature's failures stay on their own rc. The closed form's entries
     # are its formula in Python floats, lam where 4 x^2 / 3 overflows (there
     # lam_eff/lam = 1 - 5/(2 x^2) + O(x^-4) is 1.0 in floats)
     n = WHITE if wc is None else exponential(wc)
-    one = lambda_eff_quad if ph.dispersion else lambda_eff_closed
+    one = lambda_eff_quad if ph.dispersion else lambda p, n, ph: lambda_eff(n, ph, p.rc, p.lam)
     col = _entries(lambda_eff_column(n, ph, COLUMN_RCS, lam=lam))
     for rc, got in zip(COLUMN_RCS, col):
         p = _scalar(CollapseParams, lam, rc)
@@ -458,7 +448,7 @@ def test_white_limit_recovery_all_predictors():
     assert xray_rate(GRW, exponential(1e6 * 1e19), 1e19) == pytest.approx(
         xray_rate(GRW, WHITE, 1e19), rel=1e-6)
     w_ph = COPPER.v_s / GRW.rc
-    assert lambda_eff_closed(GRW, exponential(1e6 * w_ph), COPPER) == pytest.approx(
+    assert lambda_eff(exponential(1e6 * w_ph), COPPER, GRW.rc, GRW.lam) == pytest.approx(
         GRW.lam, rel=1e-6)
     assert heating_rate(GRW, exponential(1e6 * w_ph), COPPER) == pytest.approx(
         heating_rate(GRW, WHITE, COPPER), rel=1e-6)
@@ -476,9 +466,21 @@ def test_everything_homogeneous_degree_one_in_lambda():
         (eta(d, p1).value, eta(d, p2).value),
         (dns_ccsl(d, p1, n, 100.0), dns_ccsl(d, p2, n, 100.0)),
         (xray_rate(p1, n, 1e19), xray_rate(p2, n, 1e19)),
-        (lambda_eff_closed(p1, n, COPPER), lambda_eff_closed(p2, n, COPPER)),
+        (lambda_eff(n, COPPER, p1.rc, p1.lam), lambda_eff(n, COPPER, p2.rc, p2.lam)),
         (heating_rate(p1, n, COPPER), heating_rate(p2, n, COPPER)),
         (cold_atom_diffusion(p1, n, RB87), cold_atom_diffusion(p2, n, RB87)),
     ]
     for single, double in checks:
         assert double == pytest.approx(2.0 * single, rel=1e-12)
+
+
+@pytest.mark.parametrize("ph", [COPPER, LATTICE], ids=["linear", "full-sine"])
+@pytest.mark.parametrize("lam, rc", [(-1e-16, 1e-7), (math.nan, 1e-7), (math.inf, 1e-7),
+                                     (1e-16, 0.0), (1e-16, -1e-7), (1e-16, math.inf)])
+def test_lambda_eff_rejects_what_collapse_params_rejects(ph, lam, rc):
+    # lambda_eff takes lam and rc as floats, and raises the error and message
+    # that CollapseParams(lam, rc) raises
+    with pytest.raises((NegativeLambda, NonPositiveRc)) as want:
+        CollapseParams(lam, rc)
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        lambda_eff(exponential(1e4), ph, rc, lam)

@@ -55,11 +55,12 @@ def test_sharp_peak_needs_adaptivity():
     assert res.value == pytest.approx(ref, rel=1e-8)
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
+    monkeypatch.setattr(quadrature, "_MAX_ROUNDS", 4)
     f = lambda x: 1.0 / ((x - 0.5) ** 2 + 1e-16)
     with pytest.raises(QuadratureNotConverged) as err:
-        integrate(f, np.linspace(0.0, 1.0, 3), rel_tol=1e-14, max_panels=8,
-                  max_rounds=4)
+        integrate(f, np.linspace(0.0, 1.0, 3), rel_tol=1e-14)
     assert err.value.estimate is not None
 
 
@@ -91,7 +92,8 @@ def test_merge_edges():
 
 
 # integrands of one batch: smooth, refined over several rounds, non-finite,
-# past max_panels, oscillatory, and refined up to 300 panels
+# past a panel budget of 300 (the budget fixture), oscillatory, and refined
+# up to 300 panels
 FS = [lambda x: np.exp(-x * x) * np.cos(7.0 * x),
       lambda x: 1.0 / ((x - 0.5) ** 2 + 1e-8),
       lambda x: np.where(x > 0.7, np.nan, x),
@@ -100,7 +102,12 @@ FS = [lambda x: np.exp(-x * x) * np.cos(7.0 * x),
       lambda x: 1.0 / ((x - 0.5) ** 2 + 1e-16)]
 EDGES = [np.linspace(0.0, 8.0, 9), np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3),
          np.linspace(0.0, 1.0, 3), np.linspace(0.0, 10.0, 40), np.linspace(0.0, 1.0, 3)]
-OPTS = dict(rel_tol=1e-11, max_panels=300)
+OPTS = dict(rel_tol=1e-11)
+
+
+@pytest.fixture
+def budget(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 300)
 
 
 def _batch(fs):
@@ -119,7 +126,7 @@ def _bits(res):
     return res.value.hex(), res.error.hex(), res.neval
 
 
-def test_rows_match_one_row_calls_and_fail_alone():
+def test_rows_match_one_row_calls_and_fail_alone(budget):
     # one batched call over six integrands: each row ends as the one-row
     # call on it ends, bit for bit, and a failing row fails with its own
     # message while the others keep their values
@@ -141,7 +148,7 @@ def test_rows_match_one_row_calls_and_fail_alone():
 
 
 @pytest.mark.parametrize("block", [None, 1, 7, 4096])
-def test_a_row_has_its_bits_alone_between_rows_and_in_any_block(monkeypatch, block):
+def test_a_row_has_its_bits_alone_between_rows_and_in_any_block(monkeypatch, budget, block):
     # a panel's K15 and G7 depend on its own 15 values only, and a row's
     # totals on its own panels: a row's value, error, neval and failure are
     # the same bits alone, between two other rows, and with any number of

@@ -371,6 +371,18 @@ MALFORMED = [
     (OPTO.replace("id = probe\n", "id = probe\nprovenance = 1 2 3\n"), ValidationError,
      "provenance", "not a string: (1.0, 2.0, 3.0)"),
     (OPTO.replace("kind = optomechanical\n", ""), ValidationError, "kind", "missing"),
+    # every builder pops the keys it uses and rejects the rest; a key starting
+    # with "_" is rejected where it is read, as "_parts" holds the parts
+    (OPTO.replace("id = probe\n", "id = probe\ncolour = blue\n"), ValidationError,
+     "top.colour", "not valid for this top"),
+    (OPTO.replace("id = probe\n", "id = probe\n_colour = blue\n"), ValidationError,
+     "top._colour", "not valid for this top"),
+    (PAIR.replace("shape = composite", "shape = composite\n_parts = 1"), ValidationError,
+     "geometry._parts", "not valid for this geometry"),
+    (PAIR.replace("offset = 0 0 0", "offset = 0 0 0\nmeasurement_axis = 0 0 1"),
+     ValidationError, "geometry.part.measurement_axis", "not valid for this geometry.part"),
+    (PAIR.replace("shape = composite", SPHERE_LINES), ValidationError, "geometry.shape",
+     "sphere takes no [[geometry.part]] sections"),
 ]
 
 
