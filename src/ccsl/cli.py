@@ -72,10 +72,13 @@ def _parse_rc_grid(spec: str) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def _resolve_experiments(spec: str) -> list[ExperimentDescriptor]:
+def _resolve_experiments(spec: str, flag: str) -> list[ExperimentDescriptor]:
     if spec == "all":
         return [load(name) for name in list_bundled()]
-    return [load(token.strip()) for token in spec.split(",") if token.strip()]
+    tokens = [token.strip() for token in spec.split(",") if token.strip()]
+    if not tokens:
+        raise ValidationError(flag, f"names no experiment, got {spec!r}")
+    return [load(token) for token in tokens]
 
 
 @dataclass
@@ -148,7 +151,7 @@ def _predict_value(exp_id: str, observable: str, call, rc: float) -> float:
 
 
 def cmd_predict(args) -> int:
-    experiments = _resolve_experiments(args.experiment)
+    experiments = _resolve_experiments(args.experiment, "--experiment")
     n = _parse_noise(args.noise)
     p = CollapseParams(lam=args.lam, rc=args.rc)
     manifest = RunManifest("predict", {
@@ -164,7 +167,7 @@ def cmd_predict(args) -> int:
 # --- bound ------------------------------------------------------------------
 
 def cmd_bound(args) -> int:
-    experiments = _resolve_experiments(args.experiment)
+    experiments = _resolve_experiments(args.experiment, "--experiment")
     n = _parse_noise(args.noise)
     rc_values = _parse_rc_grid(args.rc_grid) if args.rc_grid else np.array([args.rc])
     manifest = RunManifest("bound", {
@@ -259,15 +262,16 @@ def _write_panel_csv(path: Path, token: str, rc_cells: np.ndarray,
     header = ["rc_m"] + [f"{c.experiment_id}_lambda_max_s^-1" for c in curves]
     header.append("envelope_lambda_max_s^-1")
     lines.append(",".join(header))
-    env = envelope(curves).lam if curves else np.full(rc_cells.shape[0], np.nan)
-    table = np.column_stack([c.lam for c in curves] + [env])
+    table = np.column_stack([c.lam for c in curves] + [envelope(curves).lam])
     body = _join_rows(rc_cells, _cells(table).reshape(table.shape[0], -1))
     path.write_text("\n".join(lines) + "\n" + body, encoding="utf-8")
 
 
 def cmd_scan(args) -> int:
-    experiments = _resolve_experiments(args.experiments)
+    experiments = _resolve_experiments(args.experiments, "--experiments")
     noise_tokens = [t.strip() for t in args.omega_c.split(",") if t.strip()]
+    if not noise_tokens:
+        raise ValidationError("--omega-c", f"names no cutoff, got {args.omega_c!r}")
     # one panel per file tag: spellings that name one file ('inf'/'white'/
     # 'INF', '1e4'/'1E4') would write it twice and double every curve, so
     # keep the first spelling of each tag
@@ -320,7 +324,8 @@ def cmd_scan(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on first use and reused by every main() call:
     parse_args returns a fresh Namespace each time, and the cmd_* functions
-    it dispatches to look up load/scan/envelope when they run."""
+    it dispatches to look up load/scan/envelope when they run. Its
+    ``commands`` maps each command name to that command's parser."""
     ap = argparse.ArgumentParser(
         prog="ccsl",
         description="Collapse-model (colored CSL) predictions and exclusion bounds.")
@@ -360,12 +365,18 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility and ignored: a scan runs in one process")
     s.set_defaults(func=cmd_scan)
+    ap.commands = sub.choices
     return ap
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = build_parser()
+    # argv naming a command is parsed once, by that command's parser; the
+    # top-level parser sees only argv that names none (help, no or unknown command)
+    command = ap.commands.get(argv[0]) if argv else None
     try:
-        args = build_parser().parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else ap.parse_args(argv)
     except SystemExit as err:
         return int(err.code) if err.code else 0
     try:

@@ -181,6 +181,24 @@ def test_tol_is_an_unknown_argument(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["predict", "--experiment", ",", "--lambda", "1e-12", "--rc", "1e-7"],
+     "error: --experiment: names no experiment, got ','\n"),
+    (["bound", "--experiment", " , ", "--rc", "1e-7"],
+     "error: --experiment: names no experiment, got ' , '\n"),
+    (["scan", "--experiments", ","], "error: --experiments: names no experiment, got ','\n"),
+    (["scan", "--experiments", ""], "error: --experiments: names no experiment, got ''\n"),
+    (["scan", "--omega-c", ","], "error: --omega-c: names no cutoff, got ','\n"),
+], ids=["predict", "bound", "scan-experiments", "scan-experiments-empty", "scan-omega-c"])
+def test_empty_list_exits_2_naming_its_flag(tmp_path, capsys, argv, err):
+    # a list that names nothing is an argument error, caught before any
+    # output is printed or any file written
+    if argv[0] == "scan":
+        argv = [*argv, "--rc-grid", "1e-8:1e-6:3", "--out-dir", str(tmp_path / "out")]
+    assert run(capsys, *argv) == (2, "", err)
+    assert not (tmp_path / "out").exists()
+
+
 # --- bound -----------------------------------------------------------------------
 
 def test_bound_xray_white(capsys):
@@ -456,15 +474,6 @@ def test_scan_panel_with_every_point_failed_is_empty(tmp_path, capsys):
     assert len(errors) == 3
 
 
-def test_scan_with_no_experiments_writes_rc_and_empty_envelope(tmp_path, capsys):
-    code, _, err = run(capsys, "scan", "--experiments", "", "--omega-c", "inf",
-                       "--rc-grid", "1e-8:1e-6:3", "--out-dir", str(tmp_path))
-    assert code == 3 and err == "error: every scan point failed\n"
-    rows = data_rows((tmp_path / "scan_omega_c_inf.csv").read_text(encoding="utf-8"))
-    assert rows == ["rc_m,envelope_lambda_max_s^-1", "1.00000000e-08,",
-                    "1.00000000e-07,", "1.00000000e-06,"]
-
-
 def test_numerical_failure_exits_3(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(SPHERE_CYLINDER_PAIR, encoding="utf-8")
@@ -518,6 +527,78 @@ def test_main_reuses_one_parser_across_calls(tmp_path, capsys):
     assert code == 0
     assert without_timestamp(last) == without_timestamp(first)
     assert build_parser() is parser
+
+
+# requests of every command, between them --omega, --rc-grid and --format json
+COMMAND_ARGV = [
+    ["predict", "--experiment", "xray,cantilever", "--lambda", "1e-12", "--rc", "1e-7",
+     "--omega", "1e15", "--noise", "exp:1e4"],
+    ["predict", "--experiment", "bulk-heating", "--lambda", "1e-12", "--rc", "1e-7",
+     "--format", "json"],
+    ["bound", "--experiment", "xray", "--rc", "1e-7", "--noise", "inf"],
+    ["bound", "--experiment", "all", "--rc-grid", "1e-8:1e-6:3", "--format", "json"],
+    ["scan", "--experiments", "xray,cantilever", "--omega-c", "inf,1e4",
+     "--rc-grid", "1e-8:1e-6:3", "--jobs", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGV,
+                         ids=["predict-omega", "predict-json", "bound-rc", "bound-rc-grid-json",
+                              "scan"])
+def test_main_parses_as_the_top_level_parser(tmp_path, capsys, monkeypatch, argv):
+    # main hands argv naming a command to that command's parser alone; the
+    # Namespace is the top-level parser's, but for the command name it sets
+    if argv[0] == "scan":
+        argv = [*argv, "--out-dir", str(tmp_path)]
+    parsed, check = [], cli._check_numbers
+
+    def recording(args):
+        parsed.append(dict(vars(args)))
+        check(args)
+
+    monkeypatch.setattr(cli, "_check_numbers", recording)
+    assert run(capsys, *argv)[0] == 0
+    want = vars(build_parser().parse_args(argv))
+    assert want.pop("command") == argv[0]
+    assert parsed == [want]
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["frob"], ["bound", "-h"]],
+                         ids=lambda argv: "_".join(argv) or "no-argv")
+def test_help_and_bad_command_keep_their_exit_and_first_line(capsys, argv):
+    # main prints what the top-level parser alone prints for these argv
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    parser_out = capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert code == (exc.value.code or 0) == (0 if "-h" in argv or "--help" in argv else 2)
+    text, parser_text = (out, parser_out.out) if code == 0 else (err, parser_out.err)
+    first = text.splitlines()[0]
+    assert first == parser_text.splitlines()[0]
+    assert first.startswith("usage: ccsl bound [-h]" if argv[:1] == ["bound"] else
+                            "usage: ccsl [-h] {predict,bound,scan}")
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGV[::2], ids=lambda argv: argv[0])
+def test_unknown_argument_shows_the_command_usage(tmp_path, capsys, argv):
+    if argv[0] == "scan":
+        argv = [*argv, "--out-dir", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv, "--bogus")
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert lines[0].startswith(f"usage: ccsl {argv[0]} [-h]")
+    assert lines[-1] == f"ccsl {argv[0]}: error: unrecognized arguments: --bogus"
+    assert not (tmp_path / "out").exists()
+
+
+def test_module_entry_point_prints_the_rows_main_prints(capsys):
+    # python -m ccsl calls main() with no argv, which reads sys.argv
+    argv = ["bound", "--experiment", "xray,cantilever", "--rc-grid", "1e-8:1e-6:3",
+            "--noise", "exp:1e4"]
+    proc = run_python("-m", "ccsl", *argv)
+    code, out, _ = run(capsys, *argv)
+    assert proc.returncode == code == 0
+    assert data_rows(proc.stdout) == data_rows(out)
 
 
 def test_parser_is_not_built_at_import():

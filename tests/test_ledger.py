@@ -15,7 +15,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from ccsl.predict import _cold_bracket, _phonon_bracket
+from ccsl.predict import _cold_bracket, _erfcx, _phonon_bracket
 
 _T = 1.0  # expansion time, s: the bracket is tau^3 times a function of t/tau
 
@@ -37,6 +37,13 @@ def _phonon_bracket_mp(x: float):
     with mp.workdps(60):
         x = mp.mpf(x)
         return mp.mpf(1) / 2 - x * x + mp.sqrt(mp.pi) * x**3 * mp.exp(x * x) * mp.erfc(x)
+
+
+def _erfcx_mp(x: float):
+    """e^{x^2} erfc(x) in 60-digit mpmath."""
+    with mp.workdps(60):
+        x = mp.mpf(x)
+        return mp.exp(x * x) * mp.erfc(x)
 
 
 class Row(NamedTuple):
@@ -62,6 +69,15 @@ ROWS = [
                  marks=pytest.mark.xfail(strict=True, raises=AssertionError,
                                          reason="ROADMAP item 7: the linear phonon bracket "
                                                 "cancels by about x^4 below x = 20")),
+    # the direct form on [0, 1); on [1, 2) it already reaches 1.5e-14 (the
+    # cancellation of ROADMAP item 7), so that stretch has no row of its own
+    Row("heating.linear.bracket.small_x", _phonon_bracket, _phonon_bracket_mp,
+        np.concatenate([[0.0], _RNG.uniform(0.0, 1.0, 127)]), 2e-15),
+    # the asymptotic series from x = 20
+    Row("heating.linear.bracket.series", _phonon_bracket, _phonon_bracket_mp,
+        np.concatenate([[20.0, 1e8], 10.0 ** _RNG.uniform(np.log10(20.0), 8.0, 126)]), 1e-15),
+    Row("predict.erfcx", _erfcx, _erfcx_mp,
+        np.concatenate([[1e-3, 20.0, 1e9], 10.0 ** _RNG.uniform(-3.0, 9.0, 125)]), 5e-16),
 ]
 
 
