@@ -93,11 +93,10 @@ class Ceiling:
 
 
 def effective_spectrum_factor(ceiling: Ceiling, n: NoiseSpec) -> float:
-    """f~ at the probe. For a band the ceiling must hold at every measured
-    frequency, and f~ is non-increasing in |w|, so the strongest justified
-    bound uses the lower band edge."""
-    if ceiling.probe is None:
-        return 1.0
+    """f~ at the probe of a force ceiling, which always has one. For a band
+    the ceiling must hold at every measured frequency, and f~ is
+    non-increasing in |w|, so the strongest justified bound uses the lower
+    band edge."""
     w = ceiling.probe[0] if isinstance(ceiling.probe, tuple) else ceiling.probe
     return float(spectrum(n, w))
 

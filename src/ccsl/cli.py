@@ -274,18 +274,17 @@ def cmd_scan(args) -> int:
         raise ValidationError("--omega-c", f"names no cutoff, got {args.omega_c!r}")
     # one panel per file tag: spellings that name one file ('inf'/'white'/
     # 'INF', '1e4'/'1E4') would write it twice and double every curve, so
-    # keep the first spelling of each tag
-    raw_by_tag: dict[str, str] = {}
-    noises = []
+    # keep the first spelling of each tag, with its token and noise
+    panels_of: dict[str, tuple] = {}
     for raw in noise_tokens:
         tag = "inf" if raw.lower() in ("inf", "white") else raw.lower()
-        if tag not in raw_by_tag:
+        if tag not in panels_of:
             try:
-                noises.append(WHITE if tag == "inf" else exponential(float(raw)))
+                noise = WHITE if tag == "inf" else exponential(float(raw))
             except ValueError:  # also a ValidationError from a cutoff <= 0
                 raise ValidationError("--omega-c",
                                       f"expected 'inf' or a number > 0, got {raw!r}") from None
-            raw_by_tag[tag] = raw
+            panels_of[tag] = ("inf" if tag == "inf" else f"exp:{raw}", noise)
     rc_grid = _parse_rc_grid(args.rc_grid)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -294,19 +293,17 @@ def cmd_scan(args) -> int:
         "experiments": [e.id for e in experiments], "jobs": args.jobs,
     }, [e.id for e in experiments])
 
-    tokens = ["inf" if tag == "inf" else f"exp:{raw}" for tag, raw in raw_by_tag.items()]
     # '1e4' and '10000' are equal specs but separate panels, so an error is
     # logged under the token of the spec object it came from
-    token_of = {id(n): t for n, t in zip(noises, tokens)}
-    panels = scan(experiments, noises, rc_grid,
+    panels = scan(experiments, [n for _, n in panels_of.values()], rc_grid,
                   on_error=lambda i, n, rc, e: manifest.errors.append(
-                      {"experiment": i, "omega_c": token_of[id(n)], "rc_m": rc,
-                       "error": str(e)}))
+                      {"experiment": i, "rc_m": rc, "error": str(e),
+                       "omega_c": next(t for t, m in panels_of.values() if m is n)}))
 
     written, rc_cells = [], _cells(rc_grid)  # one rc column for every panel
-    for tag, t, curves in zip(raw_by_tag, tokens, panels):
+    for (tag, (token, _)), curves in zip(panels_of.items(), panels):
         path = out_dir / f"scan_omega_c_{tag}.csv"
-        _write_panel_csv(path, t, rc_cells, curves, manifest)
+        _write_panel_csv(path, token, rc_cells, curves, manifest)
         written.append(str(path))
     (out_dir / "scan_manifest.json").write_text(manifest.to_json() + "\n",
                                                 encoding="utf-8")

@@ -8,19 +8,16 @@ with k_x the component along the measurement axis. eta is linear in lam;
 ceilings by; it keeps no per-rc state between calls. It checks only rc: a
 distribution is validated when it is built.
 
-``eta_column`` returns the same values over a whole rc grid as one column,
-each bit for bit the ``eta_reduced`` value: the rc-free work is done once,
-numpy does the + - * / (and sqrt) of every route in the scalar order, and
-every transcendental and power is libm's, called per element in Python.
-The series that the scalar code sums in a loop (the sphere's below X = 1,
-the cylinder's g below u = 1, and both branches of the scaled Bessels) are
-tables, one row per step of the loop, each point taken at the row where
-its loop stops, so no branch runs Python once per rc. The isotropic cross
-terms are one code for both, which ``eta_reduced`` runs on a column of one
-rc, and which calls no BLAS routine, so their values do not depend on the
-host's BLAS kernels. Points it cannot evaluate are NaN, left to
-``eta_reduced``; where that raises CompositeCrossTermUnsupported, the
-column can report the same error itself (``_eta_column``).
+``eta_column`` returns the same values over a whole rc grid as one column.
+Both run one core, and each route below is one piece of code for one rc and
+for a column (see "one rc or a column of rc"), so each element is the
+``eta_reduced`` value by construction: the rc-free work is done once, numpy
+does the + - * / (and sqrt) of every route, and every transcendental and
+power is libm's, called per element in Python. No route calls a BLAS
+routine, so no value depends on the host's BLAS kernels. Points the column
+cannot evaluate are NaN, left to ``eta_reduced``; where that raises
+CompositeCrossTermUnsupported, the column can report the same error itself
+(``_eta_column``).
 
 Every eta route is closed form, integrated over all k; no quadrature sits on
 the eta production path (the only production adaptive quadrature left in
@@ -98,23 +95,104 @@ class EtaResult:
 
 # --- one rc or a column of rc ---------------------------------------------------
 #
-# The reductions below that serve both eta_reduced (one rc, a float) and
-# eta_column (a 1-D array of rc) take their transcendentals from ``ops``:
-# math's own functions for one rc, or the same functions mapped over the
-# column in Python (core.map_floats), so that each element is bit for bit its
-# scalar value. numpy does only + - * /, abs and sqrt there, in the scalar
-# order, and sums run left to right (sum_left). A series that the scalar sums
-# in a loop until its terms are small is, over a column, a table with one
-# row per step of the loop (_tables, _summed). The isotropic cross terms
-# work the other way round: one column code that a single rc runs as a
-# column of one (_cross_isotropic).
+# Each route below is one piece of code for eta_reduced (one rc, a float) and
+# eta_column (a 1-D array of rc): what differs between the two comes from
+# ``ops``. At one rc those are math's functions, a plain ``if`` (_if) and a
+# loop that sums series in lockstep (_loop). Over a column they are the same
+# functions mapped per element in Python (core.map_floats), so that each
+# element is bit for bit its scalar value; row masks (_rows); and, for each
+# series, a table with one row per step of the loop (_summed). numpy does
+# only + - * /, abs and sqrt there, in the order the code states, and sums run
+# left to right (sum_left). The isotropic cross terms are column code that
+# one rc runs as a column of one (_cross_isotropic).
 
-_SCALAR = SimpleNamespace(erf=math.erf, exp=math.exp, expm1=math.expm1, min=min, pow=pow)
+def _if(cond, then, other, *args):
+    """then(*args) where cond holds, else other(*args): a branch at one rc."""
+    return then(*args) if cond else other(*args)
+
+
+def _rows(cond, then, other, *args):
+    """_if over a column: then on the rows where cond holds and other on the
+    rest, NaN rows included as the scalar ``if`` sends NaN to other, each
+    given its own rows of the array args (a float arg passes whole). The
+    results, an array or a tuple of arrays, are merged row by row."""
+    out = {}
+    for rows, fn in ((cond, then), (~cond, other)):
+        if rows.any() or (fn is other and not out):
+            got = fn(*(a[rows] if isinstance(a, np.ndarray) else a for a in args))
+            for n, v in enumerate(got if isinstance(got, tuple) else (got,)):
+                out.setdefault(n, np.empty(cond.size))[rows] = v
+    return tuple(out.values()) if isinstance(got, tuple) else out[0]
+
+
+def _loop(x, firsts: list, ratios: list, more) -> list:
+    """Series summed in lockstep at one point x: each starts at its first
+    term, and while more(terms, totals) holds, step k = 0, 1, ... does
+    `term *= ratio(x, k); total += term` for each. Returns the totals."""
+    terms, totals, k = list(firsts), list(firsts), 0
+    series = range(len(ratios))
+    while more(terms, totals):
+        for n in series:
+            terms[n] *= ratios[n](x, k)
+            totals[n] += terms[n]
+        k += 1
+    return totals
+
+
+_SERIES_ROWS = 48  # most rows of a series table; the longest series, _ive01's
+                   # power series next to u = 19, stops at step 34
+
+
+def _tables(x: np.ndarray, firsts: list, ratios: list, rows: int) -> tuple[list, list]:
+    """Each series' terms and totals over a column of points x as tables
+    down `rows` rows, row k after k steps of _loop (multiply.accumulate and
+    add.accumulate: the loop's operations in its order)."""
+    k = np.arange(rows - 1)[:, None]
+    terms = [np.multiply.accumulate(np.concatenate([f[None], ratio(x, k)]), axis=0)
+             for f, ratio in zip(firsts, ratios)]
+    return terms, [np.add.accumulate(t, axis=0) for t in terms]
+
+
+def _summed(x: np.ndarray, firsts: list, ratios: list, more) -> list:
+    """_loop over a column of points x: each point's totals at the first row
+    of its tables (_tables) where more(terms, totals) fails. The tables hold
+    the rows that the point with the largest x needs, whose series is the
+    longest (the ratios grow with x); NaN, left to the scalar, where a point
+    has not ended by then."""
+    firsts = [np.broadcast_to(f, x.shape) for f in firsts]
+    if x.size == 0:
+        return [f.astype(float) for f in firsts]
+    w = [int(np.argmax(np.where(np.isnan(x), -np.inf, x)))]
+    top = _tables(x[w], [f[w] for f in firsts], ratios, _SERIES_ROWS)
+    t, s = _tables(x, firsts, ratios, int((~more(*top)).argmax()) + 1)
+    ended = ~more(t, s)
+    row, col = ended.argmax(axis=0), np.arange(x.size)
+    done = ended[row, col]
+    return [np.where(done, total[row, col], math.nan) for total in s]
+
+
+def _raise(failed: dict, rc, i3, abs_err, error):
+    """A composite pair with no route, at one rc: raise error(rc)."""
+    raise error(rc)
+
+
+def _record(failed: dict, rc, i3, abs_err, error):
+    """A composite pair with no route, over a column: NaN, with the error
+    recorded in failed for each rc at which the terms added before are
+    finite. A term that raises at one rc is not finite here, so where all
+    are, eta_reduced reaches this pair and raises error(rc) there."""
+    failed.update((r, error) for r in rc[np.isfinite(i3) & np.isfinite(abs_err)].tolist())
+    return np.full(rc.size, math.nan), np.full(rc.size, math.nan)
+
+
+_SCALAR = SimpleNamespace(erf=math.erf, exp=math.exp, expm1=math.expm1, min=min, pow=pow,
+                          sqrt=math.sqrt, branch=_if, series=_loop, fail=_raise)
 _COLUMN = SimpleNamespace(erf=functools.partial(map_floats, math.erf),
                           exp=functools.partial(map_floats, math.exp),
                           erfc=functools.partial(map_floats, math.erfc),
                           expm1=functools.partial(map_floats, math.expm1),
-                          min=np.minimum, pow=functools.partial(map_floats, pow))
+                          min=np.minimum, pow=functools.partial(map_floats, pow),
+                          sqrt=np.sqrt, branch=_rows, series=_summed, fail=_record)
 
 
 # --- 1-D building blocks -----------------------------------------------------
@@ -150,54 +228,11 @@ def _axial_moments(L: float, rc, ops=_SCALAR) -> tuple:
     return a0, a2
 
 
-_SERIES_ROWS = 48  # most rows of a series table; the longest series, _ive01's
-                   # power series next to u = 19, stops at step 34
-
-
-def _tables(x: np.ndarray, firsts: list, ratios: list, rows: int) -> tuple[list, list]:
-    """Each series' terms and totals over a column of points x as tables
-    down `rows` rows, row k after k steps of the scalar loop
-    `term *= ratio(x, k); total += term` (multiply.accumulate and
-    add.accumulate: the loop's operations in its order)."""
-    k = np.arange(rows - 1)[:, None]
-    terms = [np.multiply.accumulate(np.concatenate([f[None], ratio(x, k)]), axis=0)
-             for f, ratio in zip(firsts, ratios)]
-    return terms, [np.add.accumulate(t, axis=0) for t in terms]
-
-
-def _summed(x: np.ndarray, firsts: list, ratios: list, stop) -> list:
-    """Series over a column of points x, each summed as its scalar loop sums
-    it (_tables): one series per first term and ratio, all ending at the
-    first row where stop(terms, totals) holds. The tables hold the rows that
-    the point with the largest x needs, whose series is the longest (the
-    ratios grow with x); NaN, left to the scalar, where a point has not
-    ended by then."""
-    firsts = [np.broadcast_to(f, x.shape) for f in firsts]
-    if x.size == 0:
-        return [f.astype(float) for f in firsts]
-    w = [int(np.argmax(np.where(np.isnan(x), -np.inf, x)))]
-    rows = int(stop(*_tables(x[w], [f[w] for f in firsts], ratios, _SERIES_ROWS)).argmax()) + 1
-    t, s = _tables(x, firsts, ratios, rows)
-    ended = stop(t, s)
-    row, col = ended.argmax(axis=0), np.arange(x.size)
-    done = ended[row, col]
-    return [np.where(done, total[row, col], math.nan) for total in s]
-
-
-def _series(first, ratio, x):
+def _series(first, ratio, x, ops=_SCALAR):
     """Sum term_0 + term_1 + ... with term_0 = first and term_{k+1} =
     term_k * ratio(x, k), until a term is 1e-17 of the sum or less; for the
-    fast-converging series below. At one x a loop; over a column of x
-    tables (_summed), each element the loop's bits."""
-    if isinstance(x, np.ndarray):
-        return _summed(x, [first], [ratio], lambda t, s: ~(abs(t[0]) > 1e-17 * abs(s[0])))[0]
-    total = term = first
-    k = 0
-    while abs(term) > 1e-17 * abs(total):
-        term *= ratio(x, k)
-        total += term
-        k += 1
-    return total
+    fast-converging series below."""
+    return ops.series(x, [first], [ratio], lambda t, s: abs(t[0]) > 1e-17 * abs(s[0]))[0]
 
 
 def _sphere_ratio(X, k):
@@ -211,7 +246,7 @@ def _g_ratio(u, k):
 _HANKEL_FROM = 19.0  # lowest integer u at which the Hankel terms reach 1e-17
 
 
-def _ive01(u: float) -> tuple[float, float]:
+def _ive01(u, ops=_SCALAR) -> tuple:
     """The scaled modified Bessels (e^{-u} I0(u), e^{-u} I1(u)) for u >= 0,
     in one pass.
 
@@ -224,56 +259,29 @@ def _ive01(u: float) -> tuple[float, float]:
     about 2u; its smallest term is 4e-18 at u = 19 and 3e-17 at u = 18, so
     19 is the lowest integer switch that reaches 1e-17. Both branches are
     within 1e-15 relative of mpmath over u in [1e-6, 1e12]; at u = inf both
-    values are 0."""
-    if u < _HANKEL_FROM:
-        q = 0.25 * u * u
-        t0, t1 = 1.0, 0.5 * u
-        s0, s1 = t0, t1
-        k = 0
-        while t0 > 1e-17 * s0:  # t1/s1 is below t0/s0
-            k += 1
-            t0 *= q / (k * k)
-            t1 *= q / (k * (k + 1))
-            s0 += t0
-            s1 += t1
-        ex = math.exp(-u)
-        return s0 * ex, s1 * ex
-    inv = 0.125 / u
-    t0 = t1 = s0 = s1 = 1.0
-    k = 0
-    while abs(t0) > 1e-17 or abs(t1) > 1e-17:
-        odd2 = (2 * k + 1) ** 2
-        k += 1
-        t0 *= odd2 * inv / k
-        t1 *= (odd2 - 4) * inv / k
-        s0 += t0
-        s1 += t1
-    r = 1.0 / math.sqrt(2.0 * math.pi * u)
+    values are 0, at NaN both NaN."""
+    return ops.branch(u < _HANKEL_FROM, _ive01_power, _ive01_hankel, u, ops)
+
+
+def _ive01_power(u, ops):
+    s0, s1 = ops.series(0.25 * u * u, [1.0, 0.5 * u],
+                        [lambda q, k: q / ((k + 1) * (k + 1)),
+                         lambda q, k: q / ((k + 1) * (k + 2))],
+                        lambda t, s: t[0] > 1e-17 * s[0])  # t1/s1 is below t0/s0
+    ex = ops.exp(-u)
+    return s0 * ex, s1 * ex
+
+
+def _ive01_hankel(u, ops):
+    s0, s1 = ops.series(0.125 / u, [1.0, 1.0],
+                        [lambda inv, k: (2 * k + 1) ** 2 * inv / (k + 1),
+                         lambda inv, k: ((2 * k + 1) ** 2 - 4) * inv / (k + 1)],
+                        lambda t, s: (abs(t[0]) > 1e-17) | (abs(t[1]) > 1e-17))
+    r = 1.0 / ops.sqrt(2.0 * math.pi * u)
     return s0 * r, s1 * r
 
 
-def _ive01_column(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_ive01 over a column of u, bit for bit: each branch's two series as
-    tables (_summed) of its loop's steps; NaN where u is NaN."""
-    i0, i1 = np.full(u.size, math.nan), np.full(u.size, math.nan)
-    low, high = u < _HANKEL_FROM, u >= _HANKEL_FROM
-    v = u[low]
-    s0, s1 = _summed(0.25 * v * v, [1.0, 0.5 * v],
-                     [lambda q, k: q / ((k + 1) * (k + 1)), lambda q, k: q / ((k + 1) * (k + 2))],
-                     lambda t, s: ~(t[0] > 1e-17 * s[0]))
-    ex = _COLUMN.exp(-v)
-    i0[low], i1[low] = s0 * ex, s1 * ex
-    w = u[high]
-    s0, s1 = _summed(0.125 / w, [1.0, 1.0],
-                     [lambda inv, k: (2 * k + 1) ** 2 * inv / (k + 1),
-                      lambda inv, k: ((2 * k + 1) ** 2 - 4) * inv / (k + 1)],
-                     lambda t, s: ~((abs(t[0]) > 1e-17) | (abs(t[1]) > 1e-17)))
-    r = 1.0 / np.sqrt(2.0 * math.pi * w)
-    i0[high], i1[high] = s0 * r, s1 * r
-    return i0, i1
-
-
-def _transverse_moments(R: float, rc: float) -> tuple[float, float]:
+def _transverse_moments(R: float, rc, ops=_SCALAR) -> tuple:
     """Half-line moments of the cylinder disc factor, with kp the transverse
     wave number:
 
@@ -287,51 +295,30 @@ def _transverse_moments(R: float, rc: float) -> tuple[float, float]:
     series e^{-t} I1(t)/t = (1/2) 1F1(3/2; 3; -2t) integrated term by term:
     g(u) = (1/2) sum_k (3/2)_k/(3)_k (-2)^k u^{k+1}/((k+1) k!).
     """
-    u = (R / rc) ** 2 / 2.0
-    i0, i1 = _ive01(u)
-    g = 1.0 - i0 - i1 if u >= 1.0 else _series(0.5 * u, _g_ratio, u)
-    return (2.0 / R**2) * g, (2.0 / (R**2 * rc**2)) * i1
-
-
-def _transverse_moments_column(R: float, rc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_transverse_moments over an rc column, bit for bit; NaN where the
-    scalar raises."""
-    u = _COLUMN.pow(R / rc, 2) / 2.0
-    i0, i1 = _ive01_column(u)
-    g, small = 1.0 - i0 - i1, u < 1.0
-    g[small] = _series(0.5 * u[small], _g_ratio, u[small])
-    den = R**2 * _COLUMN.pow(rc, 2)
-    ok = den > 0.0  # the scalar's 2/den raises where den is 0, its rc**2 where den is NaN
-    return np.where(ok, (2.0 / R**2) * g, math.nan), np.where(ok, 2.0 / den * i1, math.nan)
+    u = ops.pow(R / rc, 2) / 2.0
+    i0, i1 = _ive01(u, ops)
+    g = ops.branch(u >= 1.0, lambda u, i0, i1: 1.0 - i0 - i1,
+                   lambda u, i0, i1: _series(0.5 * u, _g_ratio, u, ops), u, i0, i1)
+    return (2.0 / R**2) * g, (2.0 / (R**2 * ops.pow(rc, 2))) * i1
 
 
 # --- per-shape reductions (all return I3 = Int |mu|^2 kx^2 e^{-k^2 rc^2}) ----
 
-def _i3_sphere(R: float, m: float, rc: float) -> tuple[float, float]:
+def _i3_sphere(R: float, m: float, rc, ops=_SCALAR) -> tuple:
     """I3 = 3 pi^{3/2} (m^2/R^6) [2 rc (e^-X - 1) + (R^2/rc)(1 + e^-X)],
     X = (R/rc)^2. Below X = 1, where it cancels, the bracket is its series
     rc sum_{n>=3} (-1)^n (2 - n) X^n/n!, summed here divided by rc X^3."""
-    X = (R / rc) ** 2
-    if X >= 1.0:
-        ex = math.exp(-min(X, 745.0))
-        bracket = 2.0 * rc * (ex - 1.0) + (R * R / rc) * (1.0 + ex)
-        return 3.0 * math.pi ** 1.5 * m * m / R**6 * bracket, 5e-15
-    return 3.0 * math.pi ** 1.5 * m * m / rc**5 * _series(1.0 / 6.0, _sphere_ratio, X), 5e-15
+    def closed(X, rc):
+        ex = ops.exp(-ops.min(X, 745.0))
+        return 3.0 * math.pi ** 1.5 * m * m / R**6 * (2.0 * rc * (ex - 1.0)
+                                                     + (R * R / rc) * (1.0 + ex))
 
+    def series(X, rc):
+        return 3.0 * math.pi ** 1.5 * m * m / ops.pow(rc, 5) * _series(
+            1.0 / 6.0, _sphere_ratio, X, ops)
 
-def _i3_sphere_column(R: float, m: float, rc: np.ndarray) -> tuple[np.ndarray, float]:
-    """_i3_sphere over an rc column, bit for bit: the closed form where
-    X >= 1, the series table below; not finite where the scalar raises."""
-    X = _COLUMN.pow(R / rc, 2)
-    closed = X >= 1.0
-    rcc, rcs = rc[closed], rc[~closed]
-    ex = _COLUMN.exp(-np.minimum(X[closed], 745.0))
-    bracket = 2.0 * rcc * (ex - 1.0) + (R * R / rcc) * (1.0 + ex)
-    i3 = np.empty(rc.size)
-    i3[closed] = 3.0 * math.pi ** 1.5 * m * m / R**6 * bracket
-    i3[~closed] = (3.0 * math.pi ** 1.5 * m * m / _COLUMN.pow(rcs, 5)
-                   * _series(1.0 / 6.0, _sphere_ratio, X[~closed]))
-    return i3, 5e-15
+    X = ops.pow(R / rc, 2)
+    return ops.branch(X >= 1.0, closed, series, X, rc), 5e-15
 
 
 def _i3_cuboid(shape: Cuboid, m: float, rc, axis, ops=_SCALAR) -> tuple:
@@ -353,8 +340,7 @@ def _i3_cylinder(shape: Cylinder, m: float, rc, axis, ops=_SCALAR) -> tuple:
     c = min(max(axis[0] * u[0] + axis[1] * u[1] + axis[2] * u[2], -1.0), 1.0)
     s2 = max(0.0, 1.0 - c * c)
     A0, A2 = _axial_moments(shape.length, rc, ops)
-    B1, B3 = (_transverse_moments if ops is _SCALAR
-              else _transverse_moments_column)(shape.radius, rc)
+    B1, B3 = _transverse_moments(shape.radius, rc, ops)
     i3 = m * m * (2.0 * math.pi * c * c * A2 * B1 + math.pi * s2 * A0 * B3)
     return i3, 2e-14
 
@@ -739,7 +725,7 @@ def _i3_primitive(d: MassDistribution, rc, axis, ops=_SCALAR) -> tuple:
     if isinstance(s, PointMass):
         return math.pi ** 1.5 * m * m / (2.0 * ops.pow(rc, 5)), 2e-16
     if isinstance(s, Sphere):
-        return (_i3_sphere if ops is _SCALAR else _i3_sphere_column)(s.radius, m, rc)
+        return _i3_sphere(s.radius, m, rc, ops)
     if isinstance(s, Cuboid):
         return _i3_cuboid(s, m, rc, axis, ops)
     if isinstance(s, Cylinder):
@@ -776,70 +762,48 @@ def _unsupported(parts: tuple, i: int, j: int, delta: tuple,
         f"{math.hypot(*delta):.3e} m with rc={rc:.3e} m")
 
 
-def _i3_composite(d: MassDistribution, rc: float) -> tuple[float, float]:
-    parts, axis, pairs = _composite_plan(d)
-    diag = [_i3_primitive(part, rc, axis) for part in parts]
-    i3 = sum_left(v for v, _ in diag)
-    abs_err = sum_left(abs(v) * rel for v, rel in diag)
-    for i, j, gap, delta, route, args in pairs:
-        near = diag[i][0] * diag[j][0]
-        if gap > 0.0 and gap / (2.0 * rc) >= _GAP_DROP:
-            # interference bounded by the Gaussian overlap of the smoothed,
-            # disjoint parts: negligible by construction of the threshold,
-            # whichever route would evaluate it
-            abs_err += 2.0 * math.sqrt(near) * math.exp(-min((gap / (2.0 * rc)) ** 2, 745.0))
-        elif route == "cartesian":
-            val, err = _cross_cartesian(*args, delta, axis, rc)
-            i3 += val
-            abs_err += 1e-14 * math.sqrt(near) + err
-        elif route == "isotropic":
-            val, err = _cross_isotropic(*args, delta, axis, rc)
-            i3 += val
-            abs_err += err
-        else:
-            raise _unsupported(parts, i, j, delta, rc)
-    if i3 <= 0.0:
-        return i3, abs_err
-    return i3, abs_err / i3
+def _dropped(ops, x, near, rc, i3, abs_err) -> tuple:
+    """A pair whose gap/(2 rc) = x passes the gap bound: its interference is
+    bounded by the Gaussian overlap of the smoothed, disjoint parts,
+    negligible by construction of the threshold whichever route would
+    evaluate it, so only that bound is added, to the error."""
+    return i3, abs_err + 2.0 * ops.sqrt(near) * ops.exp(-ops.min(ops.pow(x, 2), 745.0))
 
 
-def _i3_composite_column(d: MassDistribution, rc: np.ndarray) -> tuple:
-    """_i3_composite over an rc column, pair by pair: the gap bound splits
-    the column, and each side takes its term in one pass. Each element sees
-    the scalar's additions in the scalar's order. Returns I3, its relative
-    error and {position: the error _i3_composite raises there}. NaN where a
-    pair inside the bound has no route; the error is recorded at the first
-    such pair of a point whose earlier terms are all finite (an earlier
-    term that raises in the scalar is not finite here, so where all are,
-    the scalar reaches that pair and raises there)."""
-    parts, axis, pairs = _composite_plan(d)
-    diag = [_i3_primitive(part, rc, axis, _COLUMN) for part in parts]
+def _interference(ops, plan, pair, failed, x, near, rc, i3, abs_err) -> tuple:
+    """A pair inside the gap bound: its interference term and error added,
+    or, where it has no route, ops.fail."""
+    parts, axis, _ = plan
+    i, j, _, delta, route, args = pair
+    if route == "cartesian":
+        val, err = _cross_cartesian(*args, delta, axis, rc, ops)
+        return i3 + val, abs_err + (1e-14 * ops.sqrt(near) + err)
+    if route == "isotropic":
+        val, err = _cross_isotropic(*args, delta, axis, rc)
+        return i3 + val, abs_err + err
+    return ops.fail(failed, rc, i3, abs_err, functools.partial(_unsupported, parts, i, j, delta))
+
+
+def _i3_composite(d: MassDistribution, rc, ops=_SCALAR) -> tuple:
+    """I3 of a composite, its relative error and {rc: f(rc) giving the error
+    raised at rc} for the rc of a column where a pair has no route (_record).
+    The parts' terms come first, then pair by pair the gap bound splits the
+    rc (_dropped, _interference), each rc taking its additions in the same
+    order at one rc and in a column."""
+    plan = _composite_plan(d)
+    parts, axis, pairs = plan
+    diag = [_i3_primitive(part, rc, axis, ops) for part in parts]
     i3 = sum_left(v for v, _ in diag)
     abs_err = sum_left(abs(v) * rel for v, rel in diag)
     failed = {}
-    for i, j, gap, delta, route, args in pairs:
-        near = diag[i][0] * diag[j][0]
+    for pair in pairs:
+        i, j, gap = pair[:3]
         x = gap / (2.0 * rc)
-        drop = x >= _GAP_DROP if gap > 0.0 else np.zeros(rc.size, dtype=bool)
-        if drop.any():
-            abs_err[drop] += 2.0 * np.sqrt(near[drop]) * _COLUMN.exp(
-                -np.minimum(_COLUMN.pow(x[drop], 2), 745.0))
-        keep = ~drop
-        if not keep.any():
-            continue
-        if route == "cartesian":
-            val, err = _cross_cartesian(*args, delta, axis, rc[keep], _COLUMN)
-            err = 1e-14 * np.sqrt(near[keep]) + err
-        elif route == "isotropic":
-            val, err = _cross_isotropic(*args, delta, axis, rc[keep])
-        else:
-            at = np.flatnonzero(keep & np.isfinite(i3) & np.isfinite(abs_err))
-            failed.update((k, _unsupported(parts, i, j, delta, r))
-                          for k, r in zip(at.tolist(), rc[at].tolist()))
-            val, err = math.nan, math.nan
-        i3[keep] += val
-        abs_err[keep] += err
-    return i3, np.where(i3 <= 0.0, abs_err, abs_err / i3), failed
+        i3, abs_err = ops.branch((gap > 0.0) & (x >= _GAP_DROP), functools.partial(_dropped, ops),
+                                 functools.partial(_interference, ops, plan, pair, failed),
+                                 x, diag[i][0] * diag[j][0], rc, i3, abs_err)
+    rel = ops.branch(i3 <= 0.0, lambda i3, e: e, lambda i3, e: e / i3, i3, abs_err)
+    return i3, rel, failed
 
 
 def _flatten(d: MassDistribution, base=(0.0, 0.0, 0.0)) -> list:
@@ -859,26 +823,32 @@ def _flatten(d: MassDistribution, base=(0.0, 0.0, 0.0)) -> list:
 
 # --- public operations -------------------------------------------------------
 
+def _eta(d: MassDistribution, rc, ops) -> tuple:
+    """eta per unit collapse rate at one valid rc or over a column of them:
+    the value, its relative error and the composite's failures
+    (_i3_composite)."""
+    m0 = CONSTANTS.m0
+    if isinstance(d.shape, PointMass):
+        m = total_mass(d)
+        return m * m / (2.0 * m0 * m0 * rc * rc), 2e-16, {}
+    i3, err, failed = (_i3_composite(d, rc, ops) if isinstance(d.shape, Composite)
+                       else (*_i3_primitive(d, rc, d.measurement_axis, ops), {}))
+    return ops.pow(rc, 3) / (math.pi ** 1.5 * m0 * m0) * i3, err, failed
+
+
 def eta_reduced(d: MassDistribution, rc: float) -> EtaResult:
     """eta per unit collapse rate (lam = 1) for correlation length rc;
     d was validated when it was built."""
     if not (rc > 0 and math.isfinite(rc)):
         raise NonPositiveRc(f"rc must be > 0 and finite, got {rc!r}")
-    m0 = CONSTANTS.m0
-    if isinstance(d.shape, PointMass):
-        m = total_mass(d)
-        value, err = m * m / (2.0 * m0 * m0 * rc * rc), 2e-16
-    else:
-        i3, err = (_i3_composite(d, rc) if isinstance(d.shape, Composite)
-                   else _i3_primitive(d, rc, d.measurement_axis))
-        value = rc**3 / (math.pi ** 1.5 * m0 * m0) * i3
+    value, err, _ = _eta(d, rc, _SCALAR)
     return EtaResult(value, err)
 
 
 def eta_column(d: MassDistribution, rcs) -> tuple[np.ndarray, np.ndarray]:
     """eta_reduced over a 1-D column of rc in one pass: (values, relative
-    errors), each element bit for bit eta_reduced(d, rc).value and
-    .est_error. The rc-free work (flattening, masses, profiles, pair gaps
+    errors), each element eta_reduced(d, rc).value and .est_error, from the
+    same code. The rc-free work (flattening, masses, profiles, pair gaps
     and routes, axis cosines, per-axis prefactors) is done once, not per rc;
     per rc, only libm's transcendentals are called from Python.
 
@@ -892,30 +862,21 @@ def eta_column(d: MassDistribution, rcs) -> tuple[np.ndarray, np.ndarray]:
 def _eta_column(d: MassDistribution, rcs) -> tuple[np.ndarray, np.ndarray, dict]:
     """eta_column, and {position: the CompositeCrossTermUnsupported that
     eta_reduced raises at that rc} for those NaN points whose error the
-    column can vouch for (_i3_composite_column)."""
+    column can vouch for (_record)."""
     rcs = np.asarray(rcs, dtype=float)
     value, err = np.full(rcs.size, math.nan), np.full(rcs.size, math.nan)
-    m0 = CONSTANTS.m0
-    failed = {}
     with np.errstate(all="ignore"):
         at = np.flatnonzero((rcs > 0.0) & np.isfinite(rcs))
         rc = rcs if at.size == rcs.size else rcs[at]
         try:
-            if isinstance(d.shape, PointMass):
-                m = total_mass(d)
-                v, e = m * m / (2.0 * m0 * m0 * rc * rc), 2e-16
-            else:
-                if isinstance(d.shape, Composite):
-                    i3, e, failed = _i3_composite_column(d, rc)
-                else:
-                    i3, e = _i3_primitive(d, rc, d.measurement_axis, _COLUMN)
-                v = _COLUMN.pow(rc, 3) / (math.pi ** 1.5 * m0 * m0) * i3
+            v, e, failed = _eta(d, rc, _COLUMN)
         except ArithmeticError:  # in rc-free work (an edge length whose square underflows)
             return value, err, {}
         ok = np.isfinite(v) & np.isfinite(e)
     value[at[ok]] = v[ok]
     err[at[ok]] = e[ok] if isinstance(e, np.ndarray) else e
-    return value, err, {int(at[k]): x for k, x in failed.items()}
+    return value, err, failed and {int(k): failed[r](r) for k, r in zip(at.tolist(), rc.tolist())
+                                   if r in failed}
 
 
 def clear_cache() -> None:

@@ -90,7 +90,9 @@ def validate_descriptor(desc: ExperimentDescriptor) -> ExperimentDescriptor:
 
 _SECTIONS = ("geometry", "oscillator", "ceiling", "phonon", "coldatom")
 
-_BARE_FREQ_KEYS = {"probe", "omega_m", "gamma_m", "band_lo", "band_hi", "omega_c"}
+# per section, the frequencies its builder reads through _freq: each takes an
+# _hz or _rad_s suffix, so its bare name is an error of its own
+_BARE_FREQ_KEYS = {"oscillator": ("omega_m", "gamma_m"), "ceiling": ("probe", "band_lo", "band_hi")}
 
 
 def _strip_comment(line: str) -> str:
@@ -166,7 +168,7 @@ def parse_config(text: str) -> ExperimentDescriptor:
         if not key:
             raise ParseError(line_no, 1, "empty key")
         section = current_name or "top"
-        if key in _BARE_FREQ_KEYS:
+        if key in _BARE_FREQ_KEYS.get(section, ()):
             raise ValidationError(f"{section}.{key}",
                                   "frequency keys need an explicit _hz or _rad_s suffix")
         if key.startswith("_"):  # "_parts" holds the [[geometry.part]] sections

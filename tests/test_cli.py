@@ -394,6 +394,23 @@ def test_scan_cutoff_spellings_differing_in_case_write_one_panel(tmp_path, capsy
     assert "# omega_c_rad_s: exp:1e4" in (tmp_path / names[0]).read_text().splitlines()
 
 
+def test_scan_error_log_names_the_cutoff_spelling_of_each_panel(tmp_path, capsys):
+    # '1e-300' and '1.0e-300' are equal cutoffs in separate panels; every
+    # point washes out at both, and each error is logged under its own
+    # panel's token, none under the white panel
+    code, _, _ = run(capsys, "scan", "--experiments", "bulk-heating,xray",
+                     "--rc-grid", "1e-8:1e-6:3", "--omega-c", "1e-300,1.0e-300,inf",
+                     "--out-dir", str(tmp_path))
+    assert code == 0
+    errors = json.loads((tmp_path / "scan_manifest.json").read_text())["errors"]
+    counts = {}
+    for e in errors:
+        key = (e["experiment"], e["omega_c"])
+        counts[key] = counts.get(key, 0) + 1
+    assert counts == {(x, t): 3 for x in ("bulk-heating", "xray")
+                      for t in ("exp:1e-300", "exp:1.0e-300")}
+
+
 def _percent_block(table):
     row = ",".join(["%.8e"] * table.shape[1]) + "\n"
     return ((row * table.shape[0]) % tuple(table.ravel().tolist())).replace("nan", "")

@@ -8,11 +8,10 @@ from ccsl import (CONSTANTS, WHITE, CollapseParams, CompositeCrossTermUnsupporte
                   NonPositiveRc, PhononModel, composite, cuboid, cylinder, eta, eta_reduced,
                   eta_reduced_reference, lambda_eff_quad, load, point_mass, sphere)
 from ccsl import diffusion
-from ccsl.diffusion import (_DEAD_SHIFT, _GAP_DROP, _HANKEL_FROM, _TAYLOR_STEPS, _angular_factor,
-                            _cross_isotropic, _eta_column, _g_ratio, _i3_primitive, _i3_sphere,
-                            _ive01, _ive01_column, _kernel_factor, _series, _sphere_ratio,
-                            _transverse_moments, _transverse_moments_column, clear_cache,
-                            eta_column)
+from ccsl.diffusion import (_COLUMN, _DEAD_SHIFT, _GAP_DROP, _HANKEL_FROM, _SCALAR,
+                            _TAYLOR_STEPS, _angular_factor, _cross_isotropic, _eta_column,
+                            _g_ratio, _i3_primitive, _i3_sphere, _ive01, _kernel_factor, _series,
+                            _sphere_ratio, _transverse_moments, clear_cache, eta_column)
 from ccsl.geometry import (circumradius, disc_kernel, form_factor_sq, sphere_kernel,
                            total_mass)
 from ccsl.quadrature import integrate
@@ -198,27 +197,19 @@ def test_cylinder_transverse_moments_vs_radial_quadrature():
 
 
 def test_cylinder_column_moments_are_the_scalar_ones():
-    # the column's series tables give _transverse_moments' values bit for
+    # _transverse_moments over a column gives its values at one rc bit for
     # bit, on a column across u = 1 and u = 19 (each switch with its float
     # neighbours) and across u = 170, where an 8-row Hankel table used to
-    # end. NaN where the scalar raises: u overflows (R/rc above 1.3e154), or
-    # R/rc is inf (a subnormal rc) and R^2 rc^2 is 0, or R/rc underflows (u
-    # is 0) and rc^2 overflows; at rc = 5e-155 R^2 rc^2 is subnormal and B3
-    # inf
+    # end; the rc where one rc raises are checked on eta itself
+    # (test_eta_column_primitives_are_the_scalar_bits)
     for R in (5e-5, 0.3):
         at = [R / math.sqrt(2.0 * u) for u in (1.0, _HANKEL_FROM, 170.0)]
         near = [math.nextafter(r, d) for r in at for d in (0.0, math.inf)]
-        rc = np.concatenate([np.geomspace(R * 1e-12, R * 1e3, 4000), at, near,
-                             [1.7e308, R * 1e-160, 5e-324, 5e-155]])
+        rc = np.concatenate([np.geomspace(R * 1e-12, R * 1e3, 4000), at, near])
         with np.errstate(all="ignore"):  # as eta_column calls it
-            b1, b3 = _transverse_moments_column(R, rc)
-        for r, got in zip(rc.tolist(), zip(b1.tolist(), b3.tolist())):
-            try:
-                want = _transverse_moments(R, r)
-            except ArithmeticError:
-                want = (math.nan, math.nan)
-            assert [v.hex() for v in got] == [v.hex() for v in want], (R, r)
-        assert np.isnan(b1[-4:-1]).all() and b3[-1] == math.inf
+            b1, b3 = _transverse_moments(R, rc, _COLUMN)
+        want = np.array([_transverse_moments(R, r) for r in rc.tolist()]).T
+        assert _hexes(b1, b3) == _hexes(*want)
 
 
 def _neighbours(*xs):
@@ -247,10 +238,30 @@ def test_series_tables_are_the_scalar_loops():
     for part in (slice(None), slice(None, None, 2), slice(1000, 3000)):
         for first, ratio in ((1.0 / 6.0, _sphere_ratio), (0.5 * x[part], _g_ratio)):
             want = [_series(f, ratio, v) for f, v in np.broadcast(first, x[part])]
-            assert _hexes(_series(first, ratio, x[part])) == _hexes(np.array(want))
+            assert _hexes(_series(first, ratio, x[part], _COLUMN)) == _hexes(np.array(want))
         want = np.array([_ive01(v) for v in u[part].tolist()]).T
-        assert _hexes(*_ive01_column(u[part])) == _hexes(*want)
-    assert np.isnan(_ive01_column(np.array([math.nan]))).all()
+        assert _hexes(*_ive01(u[part], _COLUMN)) == _hexes(*want)
+    assert np.isnan(_ive01(np.array([math.nan]), _COLUMN)).all()
+    assert all(math.isnan(v) for v in _ive01(math.nan))
+
+
+def test_column_branch_is_the_scalar_if():
+    # the branch primitive sends each row where the condition holds to one
+    # function and every other row, NaN included, to the other, as an if at
+    # one point does; each function sees only its rows, a float argument
+    # passes whole, and a tuple result is merged element by element
+    x = np.array([0.5, math.nan, 2.0, -math.inf, 1.0, math.nan, math.inf])
+    then = lambda v, c: (v * c, v + 1.0)
+    other = lambda v, c: (v - c, v / 2.0)
+    for cond in (lambda v: v >= 1.0, lambda v: v < 1.0):
+        want = np.array([_SCALAR.branch(cond(v), then, other, v, 3.0) for v in x.tolist()]).T
+        assert _hexes(*_COLUMN.branch(cond(x), then, other, x, 3.0)) == _hexes(*want)
+    assert np.isnan(_COLUMN.branch(x >= 1.0, lambda v: v, lambda v: v + 1.0, x)[[1, 5]]).all()
+    single = _COLUMN.branch(np.array([True, False]), lambda v: v, lambda v: -v, x[[0, 2]])
+    assert single.tolist() == [0.5, -2.0]
+    # no rows at all: the other function gives the (empty) shape
+    empty = _COLUMN.branch(np.array([], dtype=bool), then, other, np.array([]), 3.0)
+    assert [c.shape for c in empty] == [(0,), (0,)]
 
 
 @mp.workdps(60)
@@ -676,12 +687,22 @@ def _around(*rcs):
     return [rc * f for rc in rcs for f in (1 - 1e-9, 1.0, 1 + 1e-9)]
 
 
-def _assert_column_is_scalar(d, rcs):
+def _assert_column_is_scalar(d, rcs, failing=()):
+    """One column over rcs and then failing holds eta_reduced's bits at each
+    of rcs, and NaN at each of failing, where eta_reduced raises an
+    ArithmeticError or returns a value or error that is not finite."""
     clear_cache()
-    values, errors = eta_column(d, rcs)
+    values, errors = eta_column(d, list(rcs) + list(failing))
     for rc, v, e in zip(rcs, values.tolist(), errors.tolist()):
         r = eta_reduced(d, rc)
         assert (v.hex(), e.hex()) == (r.value.hex(), r.est_error.hex()), f"rc={rc!r}"
+    assert np.isnan(values[len(rcs):]).all() and np.isnan(errors[len(rcs):]).all()
+    for rc in failing:
+        try:
+            r = eta_reduced(d, rc)
+        except ArithmeticError:
+            continue
+        assert not (math.isfinite(r.value) and math.isfinite(r.est_error)), f"rc={rc!r}"
 
 
 def test_eta_column_primitives_are_the_scalar_bits():
@@ -700,6 +721,14 @@ def test_eta_column_primitives_are_the_scalar_bits():
     rod = cylinder(Rc, 4e-6, density=2200.0, **_TILT)
     at = [Rc / math.sqrt(2.0 * u) for u in (1.0, _HANKEL_FROM, 170.0)]
     _assert_column_is_scalar(rod, _GRID + _around(*at) + _neighbours(*at))
+    # NaN where eta_reduced raises or is not finite, on the measurement axis,
+    # across it and oblique: u overflows (R/rc above 1.3e154), or R/rc is inf
+    # (a subnormal rc) and R^2 rc^2 is 0, or R/rc underflows (u is 0) and
+    # rc^2 overflows; at rc = 5e-155 R^2 rc^2 is subnormal and B3 inf
+    for R in (5e-5, 0.3):
+        for axes in ({"measurement_axis": (0, 0, 1)}, {"measurement_axis": (1, 0, 0)}, _TILT):
+            _assert_column_is_scalar(cylinder(R, 4.0 * R, density=2200.0, **axes), _GRID,
+                                     [1.7e308, R * 1e-160, 5e-324, 5e-155])
 
 
 def test_eta_column_composites_are_the_scalar_bits():

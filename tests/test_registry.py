@@ -358,6 +358,12 @@ MALFORMED = [
      "each part needs an offset 3-vector"),
     (PAIR.replace("shape = composite", "shape = composite\nmass = 1.0"), ValidationError,
      "geometry.density", "composite parts carry densities"),
+    # a bare frequency name is its own error only where the section reads it
+    # with a suffix; elsewhere it is an unknown key like any other
+    (OPTO.replace("probe_hz = 10.0", "probe_hz = 10.0\nomega_c = 5"), ValidationError,
+     "ceiling.omega_c", "not valid for this ceiling"),
+    (OPTO + "[oscillator]\nmass = 1.0\nomega_m_hz = 1.0\ntemperature = 4.2\nprobe = 5\n",
+     ValidationError, "oscillator.probe", "not valid for this oscillator"),
     (OPTO.replace("probe_hz = 10.0", "band_lo_hz = 10.0"), ValidationError, "ceiling.band",
      "band needs both lo and hi edges"),
     (OPTO.replace("probe_hz = 10.0", "probe_hz = 10.0\nband_lo_hz = 9.0\nband_hi_hz = 11.0"),
