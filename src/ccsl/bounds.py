@@ -101,12 +101,23 @@ def effective_spectrum_factor(ceiling: Ceiling, n: NoiseSpec) -> float:
     return float(spectrum(n, w))
 
 
+def _frozen(col: np.ndarray) -> np.ndarray:
+    """col, made read-only in place."""
+    col.flags.writeable = False
+    return col
+
+
 @dataclass(frozen=True, eq=False)
 class ExclusionCurve:
     """lam_max over an rc grid for one experiment and one noise model, as two
     read-only columns of one length: rc strictly increases, and lam is NaN
     where the point washed out or failed. ``points`` holds the kept points
-    only."""
+    only.
+
+    A column given as a read-only float array that owns its data is kept as
+    it is, so the curves of one scan share its rc column and keep the lam
+    columns it built; any other column (a writable array, a view, a list)
+    is copied into a read-only array."""
 
     experiment_id: str
     noise: NoiseSpec
@@ -115,9 +126,10 @@ class ExclusionCurve:
 
     def __post_init__(self):
         for name in ("rc", "lam"):
-            col = np.array(getattr(self, name), dtype=float)
-            col.flags.writeable = False
-            object.__setattr__(self, name, col)
+            col = getattr(self, name)
+            if not (isinstance(col, np.ndarray) and col.dtype == float
+                    and not col.flags.writeable and col.flags.owndata):
+                object.__setattr__(self, name, _frozen(np.array(col, dtype=float)))
         if self.rc.ndim != 1 or self.rc.shape != self.lam.shape:
             raise ValidationError("curve", "rc and lam must be 1-D columns of one length")
 
@@ -279,7 +291,7 @@ def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid, *,
     lambda_max_for runs only at the others, for their error. A shorter grid
     calls lambda_max_for at every point. Either way each point and each
     error is lambda_max_for's at that rc, bit for bit."""
-    rc_grid = np.asarray(rc_grid, dtype=float)
+    rc_grid = _frozen(np.array(rc_grid, dtype=float))  # one copy, shared by every curve
     if rc_grid.ndim != 1 or rc_grid.size == 0:
         raise EmptyInput("rc_grid must be a non-empty 1-D array")
     rcs = rc_grid.tolist()
@@ -311,7 +323,7 @@ def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid, *,
                         # without its traceback, a held error keeps no frame alive
                         on_error(exp.id, n, rcs[i], err.with_traceback(None))
                 col[i] = lm
-            panel.append(ExclusionCurve(exp.id, n, rc_grid, col))
+            panel.append(ExclusionCurve(exp.id, n, rc_grid, _frozen(col)))
     return curves
 
 
@@ -321,7 +333,7 @@ def envelope(curves: Sequence[ExclusionCurve]) -> ExclusionCurve:
     if not curves:
         raise EmptyInput("envelope of no curves")
     rc = curves[0].rc
-    if any(not np.array_equal(c.rc, rc) for c in curves[1:]):
+    if any(c.rc is not rc and not np.array_equal(c.rc, rc) for c in curves[1:]):
         raise ValidationError("curves", "envelope needs curves on one rc grid")
     return ExclusionCurve("envelope", curves[0].noise, rc,
-                          np.fmin.reduce([c.lam for c in curves]))
+                          _frozen(np.fmin.reduce([c.lam for c in curves])))

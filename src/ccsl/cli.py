@@ -41,10 +41,9 @@ def _parse_noise(token: str) -> NoiseSpec:
         return WHITE
     if token.startswith("exp:"):
         try:
-            omega_c = float(token[4:])
-        except ValueError:
+            return exponential(float(token[4:]))
+        except ValueError:  # also a ValidationError from a cutoff <= 0, inf or NaN
             raise ValidationError("--noise", f"bad cutoff in {token!r}") from None
-        return exponential(omega_c)
     raise ValidationError("--noise", f"expected 'white', 'inf' or 'exp:<rad_s>', got {token!r}")
 
 
@@ -199,7 +198,9 @@ _CELL = np.frombuffer(b"\0" + b"0.00000000e+000,", np.uint8)
 
 def _cells(x: np.ndarray) -> np.ndarray:
     """Each element's "%.8e" % x bytes and a comma, in one row of _CELL.size
-    bytes per element, NUL-padded; a NaN is an empty cell.
+    (17) bytes per element of x in C order, NUL-padded, in a new
+    (x.size, _CELL.size) uint8 array; a NaN is an empty cell. x may have any
+    shape, so a scan formats all its panels in one call.
 
     Each cell's bytes are built in numpy, in a slot of _CELL whose NUL bytes
     are dropped at the end. The exponent is e = floor(log10|x|) and the
@@ -253,18 +254,16 @@ def _join_rows(*blocks: np.ndarray) -> str:
     return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _write_panel_csv(path: Path, token: str, rc_cells: np.ndarray,
-                     curves: list[ExclusionCurve], manifest: RunManifest):
-    """One panel: the scan's rc column, already formatted (_cells, one row
-    per rc), then one column per curve and the envelope, formatted as one
-    block; a NaN (no bound) is an empty cell."""
-    lines = [manifest.comment(), f"# omega_c_rad_s: {token}"]
+def _write_panel_csv(path: Path, comment: str, token: str, curves: list[ExclusionCurve],
+                     rc_cells: np.ndarray, cells: np.ndarray):
+    """One panel: the manifest comment line, the cutoff, a header naming rc,
+    each curve and the envelope, then the rows of the scan's rc column and
+    of the panel's cells (_cells, one row per rc), formatted already; a NaN
+    (no bound) is an empty cell."""
     header = ["rc_m"] + [f"{c.experiment_id}_lambda_max_s^-1" for c in curves]
     header.append("envelope_lambda_max_s^-1")
-    lines.append(",".join(header))
-    table = np.column_stack([c.lam for c in curves] + [envelope(curves).lam])
-    body = _join_rows(rc_cells, _cells(table).reshape(table.shape[0], -1))
-    path.write_text("\n".join(lines) + "\n" + body, encoding="utf-8")
+    lines = [comment, f"# omega_c_rad_s: {token}", ",".join(header)]
+    path.write_text("\n".join(lines) + "\n" + _join_rows(rc_cells, cells), encoding="utf-8")
 
 
 def cmd_scan(args) -> int:
@@ -300,13 +299,19 @@ def cmd_scan(args) -> int:
                       {"experiment": i, "rc_m": rc, "error": str(e),
                        "omega_c": next(t for t, m in panels_of.values() if m is n)}))
 
-    written, rc_cells = [], _cells(rc_grid)  # one rc column for every panel
-    for (tag, (token, _)), curves in zip(panels_of.items(), panels):
+    # one rc column for every panel, and every panel's curves and envelope
+    # as one (panels x rc x experiments + 1) table, each formatted in one pass
+    rc_cells = _cells(rc_grid)
+    table = np.stack([np.column_stack([c.lam for c in curves] + [envelope(curves).lam])
+                      for curves in panels])
+    cells = _cells(table).reshape(*table.shape[:2], -1)
+    encoded = manifest.to_json()  # once, for every panel's comment and the manifest file
+    written = []
+    for (tag, (token, _)), curves, panel_cells in zip(panels_of.items(), panels, cells):
         path = out_dir / f"scan_omega_c_{tag}.csv"
-        _write_panel_csv(path, token, rc_cells, curves, manifest)
+        _write_panel_csv(path, f"# manifest: {encoded}", token, curves, rc_cells, panel_cells)
         written.append(str(path))
-    (out_dir / "scan_manifest.json").write_text(manifest.to_json() + "\n",
-                                                encoding="utf-8")
+    (out_dir / "scan_manifest.json").write_text(encoded + "\n", encoding="utf-8")
     for path in written:
         print(path)
     if not any(c.points for curves in panels for c in curves):

@@ -185,8 +185,8 @@ def _record(failed: dict, rc, i3, abs_err, error):
     return np.full(rc.size, math.nan), np.full(rc.size, math.nan)
 
 
-_SCALAR = SimpleNamespace(erf=math.erf, exp=math.exp, expm1=math.expm1, min=min, pow=pow,
-                          sqrt=math.sqrt, branch=_if, series=_loop, fail=_raise)
+_SCALAR = SimpleNamespace(erf=math.erf, exp=math.exp, erfc=math.erfc, expm1=math.expm1, min=min,
+                          pow=pow, sqrt=math.sqrt, branch=_if, series=_loop, fail=_raise)
 _COLUMN = SimpleNamespace(erf=functools.partial(map_floats, math.erf),
                           exp=functools.partial(map_floats, math.exp),
                           erfc=functools.partial(map_floats, math.erfc),

@@ -11,7 +11,8 @@
 
 All operations vanish identically at lam = 0 and are homogeneous of degree
 one in lam. lam_eff's route follows the dispersion: the closed form for
-linear, quadrature at the fixed DEFAULT_TOL for the full sine (one BLAS-free
+linear (one piece of code for one rc and a column, on diffusion's ops),
+quadrature at the fixed DEFAULT_TOL for the full sine (one BLAS-free
 integrate_rows batch per rc column, where each rc's value is its own).
 """
 
@@ -20,12 +21,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .core import CONSTANTS, CollapseParams, map_floats
-from .diffusion import DEFAULT_TOL, eta as _eta
+from .diffusion import _COLUMN, _SCALAR, DEFAULT_TOL, eta as _eta
 from .errors import (NegativeLambda, NonPositiveFrequency, NonPositiveRc,
                      QuadratureNotConverged, ValidationError, require_positive)
 from .geometry import MassDistribution
@@ -180,45 +180,51 @@ _BRACKET_SWITCH = 20.0
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant for doubles
 
 
-def _erfcx(x: float) -> float:
-    """Scaled complementary error function e^{x^2} erfc(x) for x >= 0.
+def _erfcx(x, ops=_SCALAR):
+    """Scaled complementary error function e^{x^2} erfc(x) for x >= 0, at
+    one x or over a column of x (ops, as diffusion's routes take it).
 
     Below x = 20: with x = hi + lo split (Veltkamp) so that hi^2 is exact,
-    e^{x^2} = e^{hi^2} e^{lo (x + hi)}, times math.erfc(x), which stays a
-    normal float to x = 26. From x = 20: the asymptotic series
+    e^{x^2} = e^{hi^2} e^{lo (x + hi)}, times erfc(x), which stays a normal
+    float to x = 26. From x = 20: the asymptotic series
     (1/(x sqrt(pi))) sum_n (-1)^n (2n - 1)!!/(2x^2)^n, summed until a term
     falls below 1e-17 (10 terms at x = 20). Within 5e-16 relative of mpmath
     on [1e-3, 1e9]."""
-    if x < _BRACKET_SWITCH:
-        c = _SPLIT * x
-        hi = c - (c - x)
-        lo = x - hi
-        return math.exp(hi * hi) * math.exp(lo * (x + hi)) * math.erfc(x)
+    return ops.branch(x < _BRACKET_SWITCH, _erfcx_split, _erfcx_series, x, ops)
+
+
+def _erfcx_split(x, ops):
+    c = _SPLIT * x
+    hi = c - (c - x)
+    lo = x - hi
+    return ops.exp(hi * hi) * ops.exp(lo * (x + hi)) * ops.erfc(x)
+
+
+def _erfcx_series(x, ops):
     inv = 0.5 / (x * x)
-    total = term = 1.0
-    n = 0
-    while abs(term) > 1e-17:
-        n += 1
-        term *= -(2 * n - 1) * inv
-        total += term
+    (total,) = ops.series(inv, [1.0], [lambda inv, k: -(2 * k + 1) * inv],
+                          lambda t, s: abs(t[0]) > 1e-17)
     return total / (x * _SQRT_PI)
 
 
-def _phonon_bracket(x: float) -> float:
+def _phonon_bracket(x, ops=_SCALAR):
     """[1/2 - x^2 + sqrt(pi) x^3 e^{x^2} erfc(x)] evaluated without overflow
-    or cancellation: below x = 20 directly, with the split-exponential
-    e^{x^2} erfc(x) of _erfcx; above, the asymptotic series
-    3/(4x^2) - 15/(8x^4) + ... (direct subtraction loses ~x^4 eps)."""
-    if x < _BRACKET_SWITCH:
-        return 0.5 - x * x + _SQRT_PI * x**3 * _erfcx(x)
+    or cancellation, at one x or over a column of x: below x = 20 directly,
+    with the split-exponential e^{x^2} erfc(x) of _erfcx; above, the
+    asymptotic series 3/(4x^2) - 15/(8x^4) + ... (direct subtraction loses
+    ~x^4 eps), summed until a term falls below 1e-18 of the sum, past which
+    the shrinking terms cannot change it."""
+    return ops.branch(x < _BRACKET_SWITCH, _bracket_direct, _bracket_series, x, ops)
+
+
+def _bracket_direct(x, ops):
+    return 0.5 - x * x + _SQRT_PI * ops.pow(x, 3) * _erfcx_split(x, ops)
+
+
+def _bracket_series(x, ops):
     inv2 = 1.0 / (x * x)
-    total = 0.0
-    term = 0.75 * inv2  # n = 1: 3/(4 x^2)
-    n = 1
-    while abs(term) > 1e-18 * abs(total) + 5e-324 and n < 60:
-        total += term
-        n += 1
-        term *= -(2 * n + 1) * 0.5 * inv2
+    (total,) = ops.series(inv2, [0.75 * inv2], [lambda inv2, k: -(2 * k + 5) * 0.5 * inv2],
+                          lambda t, s: abs(t[0]) > 1e-18 * abs(s[0]) + 5e-324)
     return total
 
 
@@ -260,15 +266,15 @@ def _y_edges(n: NoiseSpec, ph: PhononModel, rc: np.ndarray) -> tuple[list, np.nd
     return [e for e, bad in zip(edges, too_fine.tolist()) if not bad], too_fine
 
 
-def _closed(n: NoiseSpec, ph: PhononModel, rc, lam: float, bracket=_phonon_bracket):
+def _closed(n: NoiseSpec, ph: PhononModel, rc, lam: float, ops=_SCALAR):
     """lambda_eff's closed form for linear dispersion at rc > 0, at one rc or
-    over a column of rc; lam where 4 x^2 / 3 overflows, as
+    over a column of rc (ops); lam where 4 x^2 / 3 overflows, as
     lam_eff/lam = 1 - 5/(2 x^2) + ... is 1.0."""
     if n.is_white:
         return lam
     x = rc * n.omega_c / ph.v_s
     q = 4.0 * x * x / 3.0
-    return np.where(q < math.inf, lam * q * bracket(x), lam)
+    return np.where(q < math.inf, lam * q * _phonon_bracket(x, ops), lam)
 
 
 def _quad_rows(n: NoiseSpec, ph: PhononModel, rc, at, lam, tol, out, errors) -> None:
@@ -294,19 +300,22 @@ def _quad_rows(n: NoiseSpec, ph: PhononModel, rc, at, lam, tol, out, errors) -> 
 
 def lambda_eff_column(n: NoiseSpec, ph: PhononModel, rcs,
                       lam: float = 1.0) -> tuple[np.ndarray, dict]:
-    """lam_eff over the rc column rcs for one noise and phonon model: an array,
-    NaN where an rc raised, and {index: that exception}; lam = 1 gives
-    lam_eff/lam. The dispersion picks the route: lambda_eff's closed form
-    in numpy passes for linear dispersion, lambda_eff_quad's radial
-    quadrature at DEFAULT_TOL, batched over all rc, for the full sine. Each
-    value and error is the one-rc call's, bit for bit."""
+    """lam_eff over the rc column rcs for one noise and phonon model: a new
+    array, NaN where an rc raised, and {index: that exception}; lam = 1
+    gives lam_eff/lam. rcs is read into a float copy, so the caller's array
+    is never written. The dispersion picks the route: for linear dispersion
+    lambda_eff's closed form run over the column (_COLUMN: numpy + - * / in
+    the scalar's order, libm's exp, erfc and pow per element, the bracket's
+    x < 20 branch as row masks and its series as tables), lambda_eff_quad's
+    radial quadrature at DEFAULT_TOL, batched over all rc, for the full
+    sine. Each value and error is the one-rc call's, bit for bit."""
     rc = np.array(rcs, dtype=float)
     out, ok = np.full(rc.size, math.nan), np.isfinite(rc) & (rc > 0.0)
     errors = {i: NonPositiveRc(f"rc must be > 0 and finite, got {float(rc[i])!r}")
               for i in np.flatnonzero(~ok).tolist()}
     if ph.dispersion is None:
         with np.errstate(all="ignore"):
-            out[ok] = _closed(n, ph, rc[ok], lam, partial(map_floats, _phonon_bracket))
+            out[ok] = _closed(n, ph, rc[ok], lam, _COLUMN)
     else:
         _quad_rows(n, ph, rc, np.flatnonzero(ok), lam, DEFAULT_TOL, out, errors)
     return out, errors

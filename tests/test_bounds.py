@@ -655,9 +655,13 @@ def test_full_sine_heating_prints_the_mpmath_digits():
 
 
 def test_curve_is_a_read_only_column():
-    curve = scan([load("xray"), load("bulk-heating")], [exponential(1e-10)],
-                 np.geomspace(1e-9, 1e-3, 4))[0]
+    grid = np.geomspace(1e-9, 1e-3, 4)
+    curve = scan([load("xray"), load("bulk-heating")], [exponential(1e-10)], grid)[0]
     xray, heating = curve
+    # scan copies the caller's grid once, and its curves share that copy
+    assert xray.rc is heating.rc and xray.rc is not grid
+    grid[0] = 5.0
+    assert xray.rc[0] == 1e-9
     assert xray.rc.shape == xray.lam.shape == (4,)
     assert np.isnan(heating.lam).all() and heating.points == ()
     kept = ~np.isnan(xray.lam)
@@ -670,6 +674,12 @@ def test_curve_is_a_read_only_column():
     built = ExclusionCurve("x", WHITE, rc, lam)
     lam[1] = 2.0
     assert built.points == ((1e-7, 1.0),)
+    # a read-only float array that owns its data is kept, a read-only view copied
+    lam.flags.writeable = False
+    assert ExclusionCurve("x", WHITE, rc, lam).lam is lam
+    view = np.array([1e-7, 1e-6, 1e-5])[:2]
+    view.flags.writeable = False
+    assert ExclusionCurve("x", WHITE, view, lam).rc is not view
     with pytest.raises(ValidationError):
         ExclusionCurve("x", WHITE, rc, [1.0])
 

@@ -154,6 +154,12 @@ def test_bad_noise_flag_exits_2(capsys):
       "--omega", "nan"], "--omega"),
     (["predict", "--experiment", "cantilever", "--lambda", "1e-12", "--rc", "1e-7",
       "--omega", "0"], "--omega"),
+    (["bound", "--experiment", "xray", "--rc", "1e-7", "--noise", "exp:-1"], "--noise"),
+    (["predict", "--experiment", "cantilever", "--lambda", "1e-12", "--rc", "1e-7",
+      "--noise", "exp:0"], "--noise"),
+    (["bound", "--experiment", "xray", "--rc", "1e-7", "--noise", "exp:nan"], "--noise"),
+    (["predict", "--experiment", "xray", "--lambda", "1e-12", "--rc", "1e-7",
+      "--noise", "exp:inf"], "--noise"),
 ])
 def test_bad_number_exits_2_naming_its_flag(tmp_path, capsys, argv, flag):
     if argv[0] == "scan":
@@ -416,37 +422,62 @@ def _percent_block(table):
     return ((row * table.shape[0]) % tuple(table.ravel().tolist())).replace("nan", "")
 
 
-def _block(table):
-    # the data rows of a 2-D table as _write_panel_csv writes them
-    return cli._join_rows(cli._cells(table).reshape(table.shape[0], -1))
+def _blocks(table):
+    # the data rows of each panel of a (panels x rc x columns) table, as
+    # cmd_scan writes them from one _cells call over all its panels
+    cells = cli._cells(table).reshape(*table.shape[:2], -1)
+    return [cli._join_rows(panel) for panel in cells]
 
 
 def test_format_block_is_percent_format(monkeypatch):
     rng = np.random.default_rng(2024)
-    # random 64-bit patterns: NaN, +-inf, subnormals, both signs, every exponent
-    tables = [rng.integers(0, 2**64, 2700, dtype=np.uint64).view(float).reshape(300, 9)
-              for _ in range(10)]
+    # random 64-bit patterns: NaN, +-inf, subnormals, both signs, every
+    # exponent, as 10 panels of 300 rc and 9 columns
+    tables = [rng.integers(0, 2**64, 27000, dtype=np.uint64).view(float).reshape(10, 300, 9)]
     # integers 1e9 +- 5000, exact ties such as 1000000005 and 1000000015
-    # (round half to even) among them, unscaled, scaled and negated
+    # (round half to even) among them, unscaled, scaled and negated: a panel each
     ints = np.arange(1e9 - 5000, 1e9 + 5001)
-    tables += [np.column_stack([ints * s, -ints * s]) for s in (1.0, 1e-7, 1e100, 1e-250)]
+    tables.append(np.stack([np.column_stack([ints * s, -ints * s])
+                            for s in (1.0, 1e-7, 1e100, 1e-250)]))
     # 10^k for k in [-300, 300], its float neighbours, 3-digit exponents, +-0
     powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
     edges = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
                             -powers, [0.0, -0.0, 1.5e-300, -9.99999999e299, 1e308, 5e-324]])
-    tables += [edges.reshape(-1, 1), edges.reshape(1, -1), edges[:-2].reshape(-1, 7),
-               np.array([[np.nan]])]
+    tables += [edges.reshape(1, -1, 1), edges.reshape(1, 1, -1), edges[:-2].reshape(2, -1, 7),
+               np.array([[[np.nan]]])]
     for table in tables:
-        assert _block(table) == _percent_block(table)
-    assert _block(np.array([[1000000005.0, 1000000015.0]])) == (
-        "1.00000000e+09,1.00000002e+09\n")
-    # a tie and a magnitude out of [1e-290, 1e290] reach the "%" fallback; a
-    # NaN is an empty cell without it
+        assert _blocks(table) == [_percent_block(panel) for panel in table]
+    assert _blocks(np.array([[[1000000005.0, 1000000015.0]]])) == [
+        "1.00000000e+09,1.00000002e+09\n"]
+    # a tie and a magnitude out of [1e-290, 1e290] reach the "%" fallback, in
+    # panel order; a NaN is an empty cell without it
     seen = []
     monkeypatch.setattr(cli, "_fmt", lambda v: seen.append(v) or "%.8e" % v)
-    table = np.array([[1e-7, 1000000005.0, 1e-300, np.nan, 2.5e300, 3.0]])
-    assert _block(table) == _percent_block(table)
+    table = np.array([[[1e-7, 1000000005.0, 1e-300]], [[np.nan, 2.5e300, 3.0]]])
+    assert _blocks(table) == [_percent_block(panel) for panel in table]
     assert seen == [1000000005.0, 1e-300, 2.5e300]
+
+
+def test_multi_cutoff_panels_are_the_one_cutoff_scans(tmp_path, capsys):
+    # a scan formats all its panels in one pass: each panel it writes is,
+    # but for the manifest line, byte for byte the panel a scan of that cutoff
+    # alone writes, washed-out (empty) cells and an all-empty panel included
+    cutoffs = ("inf", "1e-10", "1e4", "3e12", "1e-300")
+    args = ("--experiments", "bulk-heating,xray,cantilever,cold-atom",
+            "--rc-grid", "1e-9:1e-3:40")
+    assert run(capsys, "scan", *args, "--omega-c", ",".join(cutoffs),
+               "--out-dir", str(tmp_path / "all"))[0] == 0
+    empty = {}
+    for cutoff in cutoffs:
+        code = run(capsys, "scan", *args, "--omega-c", cutoff, "--out-dir", str(tmp_path / cutoff))[0]
+        assert code == (3 if cutoff == "1e-300" else 0)  # 3: every point of the scan failed
+        name = f"scan_omega_c_{cutoff}.csv"
+        many, one = ((tmp_path / d / name).read_text(encoding="utf-8").split("\n", 1)
+                     for d in ("all", cutoff))
+        assert many[0].startswith("# manifest: ") and one[0].startswith("# manifest: ")
+        assert many[1] == one[1], cutoff
+        empty[cutoff] = sum(row.split(",").count("") for row in many[1].splitlines()[2:])
+    assert empty["inf"] == 0 and empty["1e-10"] == 40 and empty["1e-300"] == 200
 
 
 def test_scan_blanks_missing_cells_in_data_rows_only(tmp_path, capsys):

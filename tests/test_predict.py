@@ -324,6 +324,26 @@ def test_lambda_eff_column_is_the_one_rc_call(ph, wc, lam):
     if ph is LATTICE and wc == 1e1:
         kinds = [type(v).__name__ for v in col]
         assert kinds[:2] == ["QuadratureNotConverged"] * 2 and kinds[4] == "float"
+    if ph is COPPER and wc is not None:
+        # the linear bracket as a column (numpy arithmetic, libm per element)
+        # is the one-rc call's at every x: a seeded sample, and 64 rc either
+        # side of those that put x at 5e-324, 20 (the series switch), 1e154
+        # (1/x^2 subnormal), 1.2e154 (4 x^2 / 3 overflows) and 1e155 (x^2 does)
+        rng = np.random.default_rng(24)
+        targets = np.array([5e-324, 20.0, 1e154, 1.2e154, 1e155])
+        with np.errstate(all="ignore"):  # rc past 1.8e308 is inf, an error either way
+            sample = 10.0 ** rng.uniform(-4.0, 160.0, 2000) * ph.v_s / wc
+            near = targets[:, None] * ph.v_s / wc
+            near = near + np.spacing(near) * np.arange(-64, 65)
+        rcs = [5e-324, *sample.tolist(), *near.ravel().tolist(), math.nan]
+        for rc, got in zip(rcs, _entries(lambda_eff_column(n, ph, rcs, lam=lam))):
+            want = _scalar(lambda_eff, n, ph, rc, lam)
+            assert _same(got, want), (rc, got, want)
+        if wc == 1e1:  # where every case above is reached: x = 0 at rc = 5e-324
+            with np.errstate(all="ignore"):
+                x = np.array(rcs) * wc / ph.v_s
+            for t in (0.0, 5e-324, math.nextafter(20.0, 0.0), 20.0, math.nextafter(20.0, 21.0)):
+                assert (x == t).any(), t
 
 
 @pytest.mark.parametrize("ph", [COPPER, LATTICE], ids=["linear", "full-sine"])
