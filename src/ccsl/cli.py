@@ -97,17 +97,63 @@ class RunManifest:
         return f"# manifest: {self.to_json()}"
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write_json(o, indent: str, out: list) -> None:
+    """Append the text of json.dumps(o, indent=2, sort_keys=True) to out,
+    o nested at indent ("\n" and two spaces per level); dict keys are str.
+    Dispatches in json's order, and raises TypeError where json does."""
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(float.__repr__(o) if math.isfinite(o) else
+                   "NaN" if o != o else "Infinity" if o > 0 else "-Infinity")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner, sep = indent + "  ", "["
+        for value in o:
+            out.append(sep + inner)
+            _write_json(value, inner, out)
+            sep = ","
+        out.append(indent + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner, sep = indent + "  ", "{"
+        for key, value in sorted(o.items()):
+            out.append(f"{sep}{inner}{_quote(key)}: ")
+            _write_json(value, inner, out)
+            sep = ","
+        out.append(indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _print_rows(manifest: RunManifest, keys: tuple, rows: list, fmt: str) -> None:
-    """Print rows as JSON records under the manifest, or as CSV after its
-    comment line, each float cell through _fmt."""
+    """Write rows to sys.stdout in one call: as JSON records under the
+    manifest (the bytes of json.dumps(doc, indent=2, sort_keys=True)), or as
+    CSV after its comment line, each float cell through _fmt."""
     if fmt == "json":
-        doc = {"manifest": vars(manifest), "results": [dict(zip(keys, r)) for r in rows]}
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return
-    print(manifest.comment())
-    print(",".join(keys))
-    for r in rows:
-        print(",".join(_fmt(c) if isinstance(c, float) else c for c in r))
+        out = []
+        _write_json({"manifest": vars(manifest),
+                     "results": [dict(zip(keys, r)) for r in rows]}, "\n", out)
+        text = "".join(out)
+    else:
+        text = "\n".join([manifest.comment(), ",".join(keys), *(
+            ",".join(_fmt(c) if isinstance(c, float) else c for c in r) for r in rows)])
+    sys.stdout.write(text + "\n")
 
 
 # --- predict ----------------------------------------------------------------
@@ -327,60 +373,132 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on first use and reused by every main() call:
     parse_args returns a fresh Namespace each time, and the cmd_* functions
     it dispatches to look up load/scan/envelope when they run. Its
-    ``commands`` maps each command name to that command's parser."""
+    ``commands`` maps each command name to that command's parser, which
+    keeps the Actions its add_argument calls returned as ``arguments`` and
+    each mutually exclusive group with its Actions in ``exclusive``."""
     ap = argparse.ArgumentParser(
         prog="ccsl",
         description="Collapse-model (colored CSL) predictions and exclusion bounds.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--noise", default="white",
-                       help="'white', 'inf', or 'exp:<omega_c rad/s>'")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        return [p.add_argument("--noise", default="white",
+                               help="'white', 'inf', or 'exp:<omega_c rad/s>'"),
+                p.add_argument("--format", choices=("csv", "json"), default="csv")]
 
     p = sub.add_parser("predict", help="evaluate observables for an experiment")
-    p.add_argument("--experiment", required=True,
-                   help="bundled id, config path, comma list, or 'all'")
-    p.add_argument("--lambda", dest="lam", type=float, required=True,
-                   help="collapse rate, s^-1")
-    p.add_argument("--rc", type=float, required=True,
-                   help="correlation length, m")
-    p.add_argument("--omega", type=float, default=None,
-                   help="probe angular frequency, rad/s (defaults to the ceiling probe)")
-    common(p)
+    p.arguments = [
+        p.add_argument("--experiment", required=True,
+                       help="bundled id, config path, comma list, or 'all'"),
+        p.add_argument("--lambda", dest="lam", type=float, required=True,
+                       help="collapse rate, s^-1"),
+        p.add_argument("--rc", type=float, required=True,
+                       help="correlation length, m"),
+        p.add_argument("--omega", type=float, default=None,
+                       help="probe angular frequency, rad/s (defaults to the ceiling probe)"),
+        *common(p)]
+    p.exclusive = []
     p.set_defaults(func=cmd_predict)
 
     b = sub.add_parser("bound", help="invert a ceiling into lambda_max")
-    b.add_argument("--experiment", required=True)
+    experiment = b.add_argument("--experiment", required=True)
     group = b.add_mutually_exclusive_group(required=True)
-    group.add_argument("--rc", type=float, help="single rc, m")
-    group.add_argument("--rc-grid", help="<lo>:<hi>:<n> log-spaced grid, m")
-    common(b)
+    rc = (group.add_argument("--rc", type=float, help="single rc, m"),
+          group.add_argument("--rc-grid", help="<lo>:<hi>:<n> log-spaced grid, m"))
+    b.arguments = [experiment, *rc, *common(b)]
+    b.exclusive = [(group, rc)]
     b.set_defaults(func=cmd_bound)
 
     s = sub.add_parser("scan", help="full exclusion scan, one CSV per cutoff")
-    s.add_argument("--experiments", default="all")
-    s.add_argument("--omega-c", default="inf,1e15,1e4,1e1",
-                   help="comma list of cutoffs in rad/s; 'inf' selects white noise")
-    s.add_argument("--rc-grid", default="1e-9:1e-3:60", help="<lo>:<hi>:<n> log-spaced grid, m")
-    s.add_argument("--out-dir", default="scan_out")
-    s.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility and ignored: a scan runs in one process")
+    s.arguments = [
+        s.add_argument("--experiments", default="all"),
+        s.add_argument("--omega-c", default="inf,1e15,1e4,1e1",
+                       help="comma list of cutoffs in rad/s; 'inf' selects white noise"),
+        s.add_argument("--rc-grid", default="1e-9:1e-3:60",
+                       help="<lo>:<hi>:<n> log-spaced grid, m"),
+        s.add_argument("--out-dir", default="scan_out"),
+        s.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility and ignored: a scan runs in one process")]
+    s.exclusive = []
     s.set_defaults(func=cmd_scan)
     ap.commands = sub.choices
     return ap
 
 
+@functools.cache
+def _exact_forms() -> dict:
+    """Each command's exact form, built on first use from the Actions its
+    parser keeps: (its Actions by option string, the Namespace's defaults,
+    its required Actions, its exclusive groups with their Actions). A form
+    models single-value store options only, and neither a str default with
+    a type (parse_args converts it at its end) nor a default in an exclusive
+    group; a command with any other Action has no form (None), and argparse
+    parses all of its argv."""
+    # the Action class of a plain add_argument call
+    store = type(argparse.ArgumentParser(add_help=False).add_argument("x"))
+    forms = {}
+    for name, parser in build_parser().commands.items():
+        actions = parser.arguments
+        modelled = all(type(a) is store and a.nargs is None
+                       and not (a.type is not None and isinstance(a.default, str))
+                       for a in actions) and all(
+            a.default is None for _, members in parser.exclusive for a in members)
+        forms[name] = ({flag: a for a in actions for flag in a.option_strings},
+                       {a.dest: a.default for a in actions} | {"func": parser.get_default("func")},
+                       [a for a in actions if a.required],
+                       parser.exclusive) if modelled else None
+    return forms
+
+
+def _parse_exact(name: str, argv: list):
+    """The Namespace command `name`'s parser returns for argv, if argv is in
+    the command's exact form: '--flag value' pairs, each flag one of the
+    command's option strings exactly and given once, no value starting with
+    '-', each value converted by its flag's type and in its choices, every
+    required flag given, and each exclusive group holding at most one flag
+    (one if the group is required). None for any other argv, which the
+    parser then parses, with its own messages."""
+    form = _exact_forms()[name]
+    if form is None or len(argv) % 2:
+        return None
+    flags, defaults, required, exclusive = form
+    given = {}
+    for flag, text in zip(argv[::2], argv[1::2]):
+        action = flags.get(flag)
+        if action is None or action in given or text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action] = value
+    if not all(a in given for a in required):
+        return None
+    for group, members in exclusive:
+        count = sum(a in given for a in members)
+        if count > 1 or group.required and not count:
+            return None
+    args = argparse.Namespace(**defaults)
+    for action, value in given.items():
+        setattr(args, action.dest, value)
+    return args
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
-    # argv naming a command is parsed once, by that command's parser; the
-    # top-level parser sees only argv that names none (help, no or unknown command)
+    # argv naming a command is parsed once: by its exact form if it has
+    # that form, else by that command's parser; the top-level parser sees
+    # only argv that names none (help, no or unknown command)
     command = ap.commands.get(argv[0]) if argv else None
-    try:
-        args = command.parse_args(argv[1:]) if command else ap.parse_args(argv)
-    except SystemExit as err:
-        return int(err.code) if err.code else 0
+    args = _parse_exact(argv[0], argv[1:]) if command else None
+    if args is None:
+        try:
+            args = command.parse_args(argv[1:]) if command else ap.parse_args(argv)
+        except SystemExit as err:
+            return int(err.code) if err.code else 0
     try:
         _check_numbers(args)
         return args.func(args)

@@ -1,10 +1,16 @@
+import argparse
+import io
 import json
+import math
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccsl import CollapseParams, cli, exponential, load, serialize
 from ccsl.cli import build_parser, main
@@ -590,14 +596,28 @@ COMMAND_ARGV = [
 ]
 
 
-@pytest.mark.parametrize("argv", COMMAND_ARGV,
+# the same kinds of request spelled as only argparse parses them: an
+# abbreviated flag, "--flag=value", a repeated flag, a "-"-prefixed value
+FALLBACK_ARGV = [
+    ["bound", "--exp", "xray", "--rc=1e-7", "--format=json"],
+    ["bound", "--experiment", "cantilever", "--experiment", "xray", "--rc", "1e-7"],
+    ["predict", "--experiment", "xray", "--lambda", "-0", "--rc", "1e-7"],
+    ["scan", "--experiments=xray", "--omega-c", "inf", "--rc-grid", "1e-8:1e-6:3", "--jobs=2"],
+]
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGV + FALLBACK_ARGV,
                          ids=["predict-omega", "predict-json", "bound-rc", "bound-rc-grid-json",
-                              "scan"])
+                              "scan", "bound-abbreviated", "bound-repeated",
+                              "predict-negative-zero", "scan-equals"])
 def test_main_parses_as_the_top_level_parser(tmp_path, capsys, monkeypatch, argv):
-    # main hands argv naming a command to that command's parser alone; the
-    # Namespace is the top-level parser's, but for the command name it sets
+    # main hands argv naming a command to that command's exact form or, for
+    # any other spelling, to that command's parser alone; the Namespace is
+    # the top-level parser's, but for the command name it sets
+    exact = argv in COMMAND_ARGV
     if argv[0] == "scan":
         argv = [*argv, "--out-dir", str(tmp_path)]
+    assert (cli._parse_exact(argv[0], argv[1:]) is not None) == exact
     parsed, check = [], cli._check_numbers
 
     def recording(args):
@@ -609,6 +629,118 @@ def test_main_parses_as_the_top_level_parser(tmp_path, capsys, monkeypatch, argv
     want = vars(build_parser().parse_args(argv))
     assert want.pop("command") == argv[0]
     assert parsed == [want]
+
+
+def parse_alone(parser, argv):
+    """(Namespace, None), or (None, (exit code, stdout, stderr)) where
+    parser.parse_args(argv) exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return parser.parse_args(argv), None
+        except SystemExit as exc:
+            return None, (exc.code or 0, out.getvalue(), err.getvalue())
+
+
+def flags_in_help(parser):
+    return set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", parser.format_help()))
+
+
+VALUES = ["xray", "xray,cantilever", "1e-7", " 3e-8", "1_0", "2", "0", "-0", "-1", "nan", "inf",
+          "abc", "", "csv", "json", "xml", "exp:1e4", "1e-8:1e-6:3", "a=b", "-h", "--", "--rc"]
+
+
+def values_for(action):
+    """Values for a flag, mostly ones its type and choices take."""
+    if action.choices:
+        return [*action.choices, "xml"]
+    if action.type is not None:
+        return ["1e-7", " 3e-8", "1_0", "2", "inf", "nan", "2.5", "abc"]
+    return ["xray", "xray,cantilever", "1e-8:1e-6:3", "", "a=b", "exp:1e4"]
+
+
+def argv_for(command):
+    """argv for command: "--flag value" pairs of all its flags but up to
+    two, in any order, and the spellings that argparse alone parses or
+    rejects (abbreviations, "--flag=value", repeats, lone flags or values,
+    "-h", "--", unknown flags), alone or spliced into such pairs."""
+    actions = cli._exact_forms()[command][0]
+    flags = sorted(flags_in_help(build_parser().commands[command]) - {"-h", "--help"})
+    canonical = st.permutations(flags).flatmap(
+        lambda order: st.integers(len(order) - 2, len(order)).flatmap(
+            lambda k: st.tuples(*(st.sampled_from(values_for(actions[f])) for f in order[:k])).map(
+                lambda values: [t for fv in zip(order, values) for t in fv])))
+    tokens = flags + ["-h", "--help", "--bogus", "--exp", "--rc-g", "--form", "--"]
+    pair = st.tuples(st.sampled_from(tokens), st.sampled_from(VALUES))
+    piece = st.one_of(pair.map(list), pair.map(lambda fv: ["=".join(fv)]),
+                      st.sampled_from(tokens + VALUES).map(lambda t: [t]))
+    messy = st.lists(piece, max_size=7).map(lambda pieces: [t for p in pieces for t in p])
+    spliced = st.tuples(canonical, messy, st.integers(0, 8)).map(
+        lambda c: c[0][:2 * c[2]] + c[1] + c[0][2 * c[2]:])
+    return st.one_of(canonical, st.one_of(messy, spliced))
+
+
+def comparable(namespace):
+    return {k: repr(v) if isinstance(v, float) else v for k, v in vars(namespace).items()}
+
+
+@pytest.mark.parametrize("command", ["predict", "bound", "scan"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_exact_form_parses_as_argparse(command, data):
+    # where the exact form takes argv it returns argparse's Namespace; where
+    # the command's parser exits, the form declines and main exits as the
+    # parser alone does, printing the same bytes
+    argv = data.draw(argv_for(command))
+    exact = cli._parse_exact(command, argv)
+    _, exited = parse_alone(build_parser().commands[command], argv)
+    if exact is not None:
+        want = build_parser().parse_args([command, *argv])
+        del want.command
+        assert comparable(exact) == comparable(want)
+    if exited:
+        assert exact is None
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, *argv])
+        assert (code, out.getvalue(), err.getvalue()) == exited
+
+
+def test_every_flag_of_every_command_is_in_its_exact_form():
+    # a flag a command parser gains is either modelled by the exact form or
+    # found here: its table holds every flag the help lists but -h/--help
+    for name, parser in build_parser().commands.items():
+        form = cli._exact_forms()[name]
+        assert form is not None, name
+        assert set(form[0]) == flags_in_help(parser) - {"-h", "--help"}
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(action="store_true"), dict(action="store_const", const=1), dict(action="append"),
+    dict(action="count"), dict(nargs="?"), dict(nargs=1), dict(nargs="+"),
+    dict(type=int, default="1"),  # parse_args converts a str default at its end
+], ids=repr)
+def test_exact_form_declines_what_it_does_not_model(monkeypatch, kwargs):
+    def fake_parser(group_default=None, **extra):
+        p = argparse.ArgumentParser(prog="fake")
+        group = p.add_mutually_exclusive_group()
+        members = (group.add_argument("--a", default=group_default),)
+        p.arguments = [p.add_argument("--x", type=float), *members]
+        if extra:
+            p.arguments.append(p.add_argument("--odd", **extra))
+        p.exclusive = [(group, members)]
+        ap = argparse.ArgumentParser()
+        ap.commands = {"fake": p}
+        return ap
+
+    for parser, modelled in [(fake_parser(), True), (fake_parser(**kwargs), False),
+                             (fake_parser(group_default="a"), False)]:
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        cli._exact_forms.cache_clear()
+        try:
+            assert (cli._exact_forms()["fake"] is not None) == modelled
+        finally:
+            cli._exact_forms.cache_clear()
 
 
 @pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["frob"], ["bound", "-h"]],
@@ -650,8 +782,9 @@ def test_module_entry_point_prints_the_rows_main_prints(capsys):
 
 
 def test_parser_is_not_built_at_import():
-    proc = run_python("-c", "import ccsl.cli as c; print(c.build_parser.cache_info().currsize)")
-    assert proc.returncode == 0 and proc.stdout == "0\n"
+    proc = run_python("-c", "import ccsl.cli as c; print(c.build_parser.cache_info().currsize, "
+                            "c._exact_forms.cache_info().currsize)")
+    assert proc.returncode == 0 and proc.stdout == "0 0\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -679,3 +812,37 @@ def test_json_output_matches_the_round_tripped_manifest(tmp_path, capsys, monkey
     old = json.dumps({"manifest": json.loads(made[0].to_json()), "results": doc["results"]},
                      indent=2, sort_keys=True) + "\n"
     assert out == old
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]
+TEXT = st.one_of(st.text(), st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\x80\u00e9\u2028'
+                                              '\ud800\udfff\U0001f600 aZ'))
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                   st.sampled_from(EDGE_FLOATS), st.floats().map(np.float64), TEXT)
+TREES = st.recursive(LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(TEXT, kids, max_size=4)), max_leaves=25)
+
+
+def written_json(o):
+    out = []
+    cli._write_json(o, "\n", out)
+    return "".join(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(o=st.one_of(TREES, TREES.map(lambda t: {"a": [(t, {})], "b": []})))
+def test_json_writer_prints_the_bytes_of_json_dumps(o):
+    # the second kind nests every tree at least 3 deep beside empty containers
+    assert written_json(o) == json.dumps(o, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("o", [{1, 2}, {"a": [{"b": {1}}]}, [object()], {(1,): 1},
+                               np.bool_(True), np.int64(1), np.float32(1.0), b"x"],
+                         ids=["set", "nested-set", "object", "tuple-key", "np-bool", "np-int64",
+                              "np-float32", "bytes"])
+def test_json_writer_raises_type_error_where_json_does(o):
+    with pytest.raises(TypeError):
+        json.dumps(o, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        written_json(o)
