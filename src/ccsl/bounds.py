@@ -16,8 +16,10 @@ rc grid as numpy columns (eta from ``diffusion.eta_column``, lam_eff from
 point has the same bits either way, and each column reports the errors it
 can name (a composite pair with no route, a failed heating point), so a
 point fails with the same error either way. Grid size alone picks the
-route: from _COLUMN_FROM rc columns, below it one ``lambda_max_for`` call
-per point.
+route: from _COLUMN_FROM rc columns, below it one ``lambda_max_at`` call
+(``lambda_max_for`` with its range check) per point. A single-rc ``ccsl
+bound`` does not scan: it calls ``lambda_max_at`` for each experiment,
+while ``--rc-grid`` goes through ``scan``.
 No inversion takes a tolerance, and none returns NaN: a point with no
 bound raises (WashedOut where a term leaves the float range).
 """
@@ -52,9 +54,10 @@ _WASHOUT_RATIO = 1e-30
 # columns, a shorter one point by point, which costs less there. In process,
 # one white cylinder curve (auriga, ligo) as a column costs about 16x the
 # point-by-point route at one rc, 3x at 11 rc (auriga 198 vs 63 us, ligo 312
-# vs 111 us) and about 1x at 30-60 rc, and the one rc of each point-queries
-# request (bench/run.py) ran about a third slower with the columns on every
-# grid; no workload scans between 2 and 59 rc, so the threshold stays
+# vs 111 us) and about 1x at 30-60 rc. A single-rc ``ccsl bound`` does not
+# scan (it calls lambda_max_at), so the short grids are those of ``--rc-grid``
+# and of library callers; no workload scans between 2 and 59 rc, so the
+# threshold stays
 _COLUMN_FROM = 12
 
 
@@ -225,6 +228,16 @@ def lambda_max_for(exp, n: NoiseSpec, rc: float) -> float:
     raise ValidationError("experiment.kind", f"unknown kind {kind!r}")
 
 
+def lambda_max_at(exp, n: NoiseSpec, rc: float) -> float:
+    """lambda_max_for(exp, n, rc), the bound at one point: WashedOut where
+    it is not in (0, inf). ``scan`` inverts each point it does not take
+    from its columns here, and a single-rc ``ccsl bound`` each experiment."""
+    lm = lambda_max_for(exp, n, rc)
+    if not 0.0 < lm < math.inf:
+        raise WashedOut(f"lambda_max out of float range at rc={rc:.3e}")
+    return lm
+
+
 def _white_column(exp, rc: np.ndarray) -> tuple:
     """The white lam_max of exp over an rc column in one pass, each element
     bit for bit the single-point functions' ceiling / unit response; NaN
@@ -288,9 +301,10 @@ def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid, *,
     divided by the noise factor. A point where that is NaN or outside
     (0, inf) takes the error a column reported there (the eta column's
     CompositeCrossTermUnsupported, the lam_eff column's failures), and
-    lambda_max_for runs only at the others, for their error. A shorter grid
-    calls lambda_max_for at every point. Either way each point and each
-    error is lambda_max_for's at that rc, bit for bit."""
+    lambda_max_at runs only at the others, for their error. A shorter grid
+    calls lambda_max_at at every point. Either way each point and each
+    error is lambda_max_at's at that rc, bit for bit, which is what a
+    single-rc ``ccsl bound`` prints without scanning."""
     rc_grid = _frozen(np.array(rc_grid, dtype=float))  # one copy, shared by every curve
     if rc_grid.ndim != 1 or rc_grid.size == 0:
         raise EmptyInput("rc_grid must be a non-empty 1-D array")
@@ -314,9 +328,7 @@ def scan(experiments: Sequence, noises: Sequence[NoiseSpec], rc_grid, *,
                 try:
                     if i in failed:  # a column's own error: no second evaluation
                         raise failed[i]
-                    lm = lambda_max_for(exp, n, rcs[i])
-                    if not 0.0 < lm < math.inf:
-                        raise WashedOut(f"lambda_max out of float range at rc={rcs[i]:.3e}")
+                    lm = lambda_max_at(exp, n, rcs[i])
                 except Exception as err:  # collected (washed out or failed), not fatal
                     lm = math.nan
                     if on_error is not None:

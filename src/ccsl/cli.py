@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import ExclusionCurve, envelope, scan
+from .bounds import ExclusionCurve, envelope, lambda_max_at, scan
 from .core import CollapseParams
 from .errors import CcslError, ParseError, ValidationError
 from .noise import WHITE, NoiseSpec, exponential
@@ -214,16 +214,27 @@ def cmd_predict(args) -> int:
 def cmd_bound(args) -> int:
     experiments = _resolve_experiments(args.experiment, "--experiment")
     n = _parse_noise(args.noise)
-    rc_values = _parse_rc_grid(args.rc_grid) if args.rc_grid else np.array([args.rc])
+    rc_grid = _parse_rc_grid(args.rc_grid) if args.rc_grid else None
     manifest = RunManifest("bound", {
         "rc_m": args.rc, "rc_grid": args.rc_grid, "noise": args.noise, "format": args.format,
     }, [e.id for e in experiments])
     omega_c = "inf" if n.is_white else _fmt(n.omega_c)
-    curves = scan(experiments, [n], rc_values,
-                  on_error=lambda i, _, rc, e: manifest.errors.append(
-                      {"experiment": i, "rc_m": rc, "error": str(e)}))[0]
-    # washed-out rc points are simply absent from the curve
-    rows = [(c.experiment_id, rc, lm, omega_c) for c in curves for rc, lm in c.points]
+
+    def failed(exp_id: str, rc: float, err: Exception) -> None:
+        manifest.errors.append({"experiment": exp_id, "rc_m": rc, "error": str(err)})
+
+    # washed-out or failed points are absent from the rows, and logged
+    if rc_grid is None:
+        rows = []
+        for exp in experiments:
+            try:
+                rows.append((exp.id, args.rc, lambda_max_at(exp, n, args.rc), omega_c))
+            except Exception as err:  # collected as scan collects it, not fatal
+                failed(exp.id, args.rc, err)
+    else:
+        curves = scan(experiments, [n], rc_grid,
+                      on_error=lambda i, _, rc, e: failed(i, rc, e))[0]
+        rows = [(c.experiment_id, rc, lm, omega_c) for c in curves for rc, lm in c.points]
     _print_rows(manifest, ("experiment", "rc_m", "lambda_max_s^-1", "omega_c_rad_s"), rows,
                 args.format)
     if not rows:

@@ -66,16 +66,28 @@ def time_correlation(n: NoiseSpec, dt):
 
 
 def spectrum(n: NoiseSpec, omega):
-    """Noise spectrum f~(omega), dimensionless, in (0, 1].
+    """Noise spectrum f~(omega), dimensionless, in [0, 1].
 
     Computed as 1/(1 + (omega/omega_c)^2), which stays finite for any
     representable omega_c: where the ratio or its square overflows to inf
     (a tiny omega_c), the spectrum is 0, with no overflow warning.
+
+    A Python float omega gives a Python float, computed in Python floats;
+    any other omega (an int, a numpy scalar, an array) is read as a float
+    array, and gives a float when it is 0-d and an array otherwise. Both
+    give the same bits: Python's float ** is libm's pow, as numpy's scalar
+    ** is.
     """
+    if type(omega) is float:
+        if n.is_white:
+            return 1.0
+        try:
+            return 1.0 / (1.0 + (omega / n.omega_c) ** 2)
+        except OverflowError:  # where numpy's square is inf, so f~ is 0
+            return 0.0
     omega = np.asarray(omega, dtype=float)
     if n.is_white:
-        # scans ask for one white value per point; np.ones_like on a 0-d
-        # array costs more than the colored formula
+        # a 0-d omega gives the float a Python float omega gives
         return np.ones_like(omega) if omega.ndim else 1.0
     with np.errstate(over="ignore"):
         out = 1.0 / (1.0 + (omega / n.omega_c) ** 2)

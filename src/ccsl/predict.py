@@ -147,31 +147,41 @@ def dns_total(osc: MechanicalOscillator, d: MassDistribution, p: CollapseParams,
 
 # --- X-ray emission -------------------------------------------------------------
 
+def _emission_frequency(omega, caller: str):
+    """omega, checked > 0 and finite: a Python float stays one (as spectrum
+    keeps it), anything else becomes a float array."""
+    if type(omega) is float:
+        ok = 0.0 < omega < math.inf
+    else:
+        omega = np.asarray(omega, dtype=float)
+        ok = not np.any(omega <= 0) and np.all(np.isfinite(omega))
+    if not ok:
+        raise NonPositiveFrequency(f"{caller} requires omega > 0")
+    return omega
+
+
 def xray_rate(p: CollapseParams, n: NoiseSpec, omega):
     """Photon emission rate density dGamma/dw at angular frequency omega:
 
     dGamma/dw = e^2 hbar eta / (2 pi^2 eps0 c^3 me^2 w) * f~(w),
 
-    with the point-electron eta = lam me^2/(2 m0^2 rc^2)."""
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0) or not np.all(np.isfinite(omega)):
-        raise NonPositiveFrequency("xray_rate requires omega > 0")
+    with the point-electron eta = lam me^2/(2 m0^2 rc^2). A float for a
+    Python float or 0-d omega, else an array."""
+    omega = _emission_frequency(omega, "xray_rate")
     c = CONSTANTS
     eta_e = p.lam * c.me**2 / (2.0 * c.m0**2 * p.rc**2)
     pref = c.e_charge**2 * c.hbar * eta_e / (2.0 * math.pi**2 * c.eps0
                                              * c.c_light**3 * c.me**2)
     out = pref / omega * spectrum(n, omega)
-    return out if out.ndim else float(out)
+    return out if type(omega) is float or out.ndim else float(out)
 
 
 def normalized_xray_rate(p: CollapseParams, n: NoiseSpec, omega):
     """The detector-side combination 4 pi^2 eps0 c^3 m0^2 w (dGamma/dw)/(e^2 hbar),
-    which reduces to lam f~(w) / rc^2 (units s^-1 m^-2)."""
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0) or not np.all(np.isfinite(omega)):
-        raise NonPositiveFrequency("normalized_xray_rate requires omega > 0")
-    out = np.asarray(p.lam * spectrum(n, omega) / p.rc**2)
-    return out if out.ndim else float(out)
+    which reduces to lam f~(w) / rc^2 (units s^-1 m^-2). A float for a
+    Python float or 0-d omega, as spectrum gives one, else an array."""
+    omega = _emission_frequency(omega, "normalized_xray_rate")
+    return p.lam * spectrum(n, omega) / p.rc**2
 
 
 # --- phonon heating --------------------------------------------------------------

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ccsl import CollapseParams, cli, exponential, load, serialize
+from ccsl import WHITE, CollapseParams, cli, exponential, list_bundled, load, scan, serialize
 from ccsl.cli import build_parser, main
 from ccsl.predict import dns_total
 from fixtures import SPHERE_CYLINDER_PAIR
@@ -268,6 +268,36 @@ def test_bound_notes_washed_out_points_in_manifest(capsys):
     assert doc["results"] == []
     assert doc["manifest"]["errors"]
     assert "rc_m" in doc["manifest"]["errors"][0]
+
+
+@given(rc=st.floats(-12.0, -1.0).map(lambda e: 10.0**e),
+       omega_c=st.one_of(st.none(), st.floats(-300.0, 20.0).map(lambda e: 10.0**e)))
+@settings(max_examples=60, deadline=None)
+@example(rc=1e-7, omega_c=1e-300)  # every experiment washes out: exit 3
+@example(rc=1e-1, omega_c=1e-135)  # X-ray: f~ = 1e-308, lambda_max overflows to inf
+@example(rc=2.142187461841597e-06, omega_c=2821.939626196855)
+@example(rc=1e-12, omega_c=1e20)
+@example(rc=1e-1, omega_c=None)
+def test_single_rc_bound_is_the_scan_at_that_rc(rc, omega_c):
+    # bound --rc inverts each experiment at its rc directly; bounds.scan over
+    # that one rc must give the same rows, the same logged errors (messages
+    # included) and the same exit code
+    n, token = (WHITE, "white") if omega_c is None else (exponential(omega_c),
+                                                         f"exp:{omega_c!r}")
+    for name in list_bundled():
+        errors = []
+        ((curve,),) = scan([load(name)], [n], [rc], on_error=lambda i, _, r, e: errors.append(
+            {"experiment": i, "rc_m": r, "error": str(e)}))
+        rows = [{"experiment": name, "rc_m": r, "lambda_max_s^-1": lm,
+                 "omega_c_rad_s": "inf" if n.is_white else cli._fmt(n.omega_c)}
+                for r, lm in curve.points]
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(["bound", "--experiment", name, "--rc", repr(rc), "--noise", token,
+                         "--format", "json"])
+        doc = json.loads(out.getvalue())
+        assert (code, doc["results"], doc["manifest"]["errors"]) == (
+            0 if rows else 3, rows, errors)
 
 
 def test_predict_omega_override(capsys):

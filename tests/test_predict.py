@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import erfcx as scipy_erfcx
 
 from ccsl import (CONSTANTS, CollapseParams, ColdAtomDescriptor,
@@ -11,7 +13,7 @@ from ccsl import (CONSTANTS, CollapseParams, ColdAtomDescriptor,
                   NonPositiveFrequency, NonPositiveRc, PhononModel, ValidationError, WHITE,
                   cold_atom_diffusion, cuboid, dns_ccsl, dns_total, exponential,
                   eta, heating_rate, lambda_eff, lambda_eff_quad,
-                  normalized_xray_rate, point_mass, sphere, xray_rate)
+                  normalized_xray_rate, point_mass, sphere, spectrum, xray_rate)
 from ccsl.diffusion import DEFAULT_TOL
 from ccsl.predict import (_LINEAR_KNEES, _Y_EDGES, _cold_bracket, _erfcx, _phonon_bracket,
                           _quad_rows, _y_edges, cold_atom_noise_factor, lambda_eff_column)
@@ -156,6 +158,49 @@ def test_xray_rejects_nonpositive_frequency():
             xray_rate(GRW, WHITE, w)
         with pytest.raises(NonPositiveFrequency):
             normalized_xray_rate(GRW, WHITE, w)
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return a.hex() == b.hex() or (a != a and b != b)
+
+
+_DECADE = st.floats(min_value=-300.0, max_value=300.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(st.one_of(st.none(), _DECADE.map(lambda e: 10.0**e)),
+       st.one_of(st.floats(), _DECADE.map(lambda e: 10.0**e)))
+@settings(max_examples=400, deadline=None)
+@example(None, 1e19)
+@example(2821.939626196855, 1e19)  # libm's pow(r, 2) is one ulp off r * r here
+@example(1e-300, 1e-100)   # the ratio is finite, its square overflows: f~ = 0
+@example(1e-300, 1e10)     # the ratio itself overflows
+@example(1e-300, -1e-100)
+@example(1e-300, 1e-150)   # f~ = 1e-300
+@example(1e-300, 5e-324)
+@example(1e20, 1e-300)     # the square underflows: f~ = 1
+@example(1e4, math.inf)
+@example(1e4, -math.inf)
+@example(1e4, math.nan)
+@example(None, math.nan)
+@example(1e4, 0.0)
+@example(1e4, -0.0)
+@example(1e4, -5.0)
+def test_float_omega_gives_the_bits_of_numpy_scalar_omega(omega_c, omega):
+    """spectrum and both X-ray rates take a Python float omega in Python
+    floats; a numpy scalar takes the array route. Both give the same float,
+    or raise NonPositiveFrequency alike, with no RuntimeWarning."""
+    n = WHITE if omega_c is None else exponential(omega_c)
+    f = spectrum(n, omega)
+    assert type(f) is float and _same_bits(f, spectrum(n, np.float64(omega)))
+    for rate in (xray_rate, normalized_xray_rate):
+        if 0.0 < omega < math.inf:
+            got = rate(GRW, n, omega)
+            assert type(got) is float and _same_bits(got, rate(GRW, n, np.float64(omega)))
+        else:
+            for w in (omega, np.float64(omega)):
+                with pytest.raises(NonPositiveFrequency, match=f"^{rate.__name__} requires"):
+                    rate(GRW, n, w)
 
 
 # --- phonon heating ---------------------------------------------------------------
