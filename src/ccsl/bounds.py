@@ -7,7 +7,7 @@ useful level; an exclusion curve holds NaN there rather than a sentinel.
 
 Every kind inverts the same way: lam_max = white lam_max / noise factor,
 where the white lam_max is ceiling / unit response(rc) and the factor is
-f~ at the probe (force), f~(w_obs) (X-ray), the cold-atom bracket over its
+f~ at ``Ceiling.omega`` (force and X-ray), the cold-atom bracket over its
 white value t^3/2, or lam_eff/lam (bulk heating, where rc and the cutoff
 couple through x = rc Wc / v_s, so the factor is a column over rc). The
 single-point ``lambda_max_*`` do this at one rc; ``scan`` does it over its
@@ -94,14 +94,19 @@ class Ceiling:
             raise ValidationError("ceiling.probe",
                                   "xray_normalized needs a single observation frequency")
 
+    @property
+    def omega(self) -> float | None:
+        """The angular frequency f~ is taken at: the probe, or a band's lower
+        edge (None without a probe). A band ceiling must hold at every
+        frequency of the band, and f~ does not increase with |w|, so the
+        lower edge gives the strongest bound that is justified."""
+        return self.probe[0] if isinstance(self.probe, tuple) else self.probe
+
 
 def effective_spectrum_factor(ceiling: Ceiling, n: NoiseSpec) -> float:
-    """f~ at the probe of a force ceiling, which always has one. For a band
-    the ceiling must hold at every measured frequency, and f~ is
-    non-increasing in |w|, so the strongest justified bound uses the lower
-    band edge."""
-    w = ceiling.probe[0] if isinstance(ceiling.probe, tuple) else ceiling.probe
-    return float(spectrum(n, w))
+    """f~ at ``ceiling.omega``, the probe of a force or X-ray ceiling (which
+    always has one) or a force band's lower edge."""
+    return float(spectrum(n, ceiling.omega))
 
 
 def _frozen(col: np.ndarray) -> np.ndarray:
@@ -169,9 +174,9 @@ def lambda_max_xray(ceiling: Ceiling, n: NoiseSpec, rc: float) -> float:
     _expect(ceiling, XRAY_NORMALIZED)
     if not (rc > 0 and math.isfinite(rc)):
         raise NonPositiveRc(f"rc must be > 0 and finite, got {rc!r}")
-    f = float(spectrum(n, ceiling.probe))
+    f = effective_spectrum_factor(ceiling, n)
     if f <= 0:
-        raise WashedOut(f"spectrum vanished at omega_obs={ceiling.probe:.3e}")
+        raise WashedOut(f"spectrum vanished at omega_obs={ceiling.omega:.3e}")
     return ceiling.value * rc * rc / f
 
 
@@ -267,10 +272,11 @@ def _white_column(exp, rc: np.ndarray) -> tuple:
 def _factor(exp, n: NoiseSpec, rc: np.ndarray) -> tuple:
     """The factor by which noise n divides the white lam_max of exp, NaN
     where it cannot be evaluated, and {i: error} where lambda_eff_column
-    raised. The factor is one number for force (f~ at the probe), X-ray
-    (f~(w_obs)) and cold atoms (the bracket ratio), and for bulk heating the
-    lam_eff/lam column, NaN where it failed or washed out; a washed-out
-    point takes lambda_max_heating's WashedOut, so it is not evaluated twice."""
+    raised. The factor is one number for force and X-ray (f~ at
+    ``Ceiling.omega``) and cold atoms (the bracket ratio), and for bulk
+    heating the lam_eff/lam column, NaN where it failed or washed out; a
+    washed-out point takes lambda_max_heating's WashedOut, so it is not
+    evaluated twice."""
     if exp.kind == "bulk_heating":
         ratio, failed = lambda_eff_column(n, exp.phonon, rc)
         washed = np.isfinite(ratio) & (ratio < _WASHOUT_RATIO)
@@ -278,10 +284,8 @@ def _factor(exp, n: NoiseSpec, rc: np.ndarray) -> tuple:
             failed[i] = WashedOut(f"lambda_eff/lambda = {float(ratio[i]):.3e} "
                                   f"at rc={float(rc[i]):.3e}")
         return np.where(washed, math.nan, ratio), failed
-    if exp.kind == "optomechanical":
+    if exp.kind in ("optomechanical", "xray"):
         return effective_spectrum_factor(exp.ceiling, n), {}
-    if exp.kind == "xray":
-        return float(spectrum(n, exp.ceiling.probe)), {}
     try:
         return cold_atom_noise_factor(n, exp.coldatom), {}
     except ArithmeticError:  # a bracket that overflows, or is 0 at t = 0

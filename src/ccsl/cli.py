@@ -161,10 +161,8 @@ def _print_rows(manifest: RunManifest, keys: tuple, rows: list, fmt: str) -> Non
 def _predict_rows(exp: ExperimentDescriptor, p: CollapseParams, n: NoiseSpec,
                   omega: float | None) -> list[tuple[str, object, str]]:
     """(observable, a call that computes it, unit) for each of exp's rows."""
+    w = omega if omega is not None else exp.ceiling.omega
     if exp.kind == "optomechanical":
-        probe = exp.ceiling.probe
-        w = omega if omega is not None else (
-            probe[0] if isinstance(probe, tuple) else probe)
         rows = [("force_psd_ccsl", lambda: dns_ccsl(exp.geometry, p, n, w), "N^2/Hz")]
         osc = exp.oscillator
         if osc is not None and osc.gamma_m is not None:
@@ -172,7 +170,6 @@ def _predict_rows(exp: ExperimentDescriptor, p: CollapseParams, n: NoiseSpec,
                          lambda: dns_total(osc, exp.geometry, p, n, w), "m^2/Hz"))
         return rows
     if exp.kind == "xray":
-        w = omega if omega is not None else exp.ceiling.probe
         return [("xray_normalized_rate", lambda: normalized_xray_rate(p, n, w), "s^-1 m^-2"),
                 ("xray_dgamma_domega", lambda: xray_rate(p, n, w), "s^-1/(rad/s)")]
     if exp.kind == "bulk_heating":

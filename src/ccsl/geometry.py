@@ -103,7 +103,9 @@ class MassDistribution:
 
 def _unit(v, field: str) -> tuple[float, float, float]:
     """v / |v| in Python floats: math.hypot and three divisions have the same
-    bits on every host, whichever BLAS numpy uses."""
+    bits on every host, whichever BLAS numpy uses. A v whose norm is within
+    4 ulp(1) of 1, as the norm of every vector this returns is, is returned
+    as it is, so a unit vector read back from a config keeps its bits."""
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValidationError(field, "must be a 3-vector")
@@ -111,6 +113,8 @@ def _unit(v, field: str) -> tuple[float, float, float]:
     norm = math.hypot(x, y, z)
     if not 0.0 < norm < math.inf:
         raise ValidationError(field, "must have positive finite norm")
+    if abs(norm - 1.0) <= 4.0 * math.ulp(1.0):
+        return (x, y, z)
     return (x / norm, y / norm, z / norm)
 
 

@@ -12,6 +12,12 @@ carry a unit suffix, ``_hz`` (multiplied by 2*pi on load) or ``_rad_s``;
 a bare ``probe =`` is rejected. Unknown keys and sections are errors
 (strict mode).
 
+The keys of [oscillator], [coldatom], a full-sine [phonon] and each
+primitive shape are the fields of the dataclass built from them
+(MechanicalOscillator, ColdAtomDescriptor, FullSineDispersion, Sphere,
+Cuboid, Cylinder): the reader takes them in field order and ``serialize``
+writes them in that order.
+
 Loaded descriptors are immutable and safe to share between threads. A
 bundled id is parsed once per process and the same descriptor is returned on
 every later load; a config file path is read and parsed on every load.
@@ -19,8 +25,8 @@ every later load; a config file path is read and parsed on every load.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -29,16 +35,10 @@ from .bounds import (FORCE_PSD, HEATING_POWER, POSITION_VARIANCE, XRAY_NORMALIZE
                      Ceiling)
 from .core import TWO_PI
 from .errors import ParseError, ValidationError
-from .geometry import MassDistribution, composite, cuboid, cylinder, point_mass, sphere
+from .geometry import (Composite, Cuboid, Cylinder, MassDistribution, PointMass, Sphere,
+                       composite, cuboid, cylinder, point_mass, sphere)
 from .predict import (ColdAtomDescriptor, FullSineDispersion, MechanicalOscillator,
                       PhononModel)
-
-OPTOMECHANICAL = "optomechanical"
-XRAY = "xray"
-BULK_HEATING = "bulk_heating"
-COLD_ATOM = "cold_atom"
-
-_KINDS = (OPTOMECHANICAL, XRAY, BULK_HEATING, COLD_ATOM)
 
 _BUNDLED = ("auriga", "bulk-heating", "cantilever", "cold-atom", "ligo",
             "lisa-pathfinder", "xray")
@@ -63,16 +63,14 @@ def validate_descriptor(desc: ExperimentDescriptor) -> ExperimentDescriptor:
     """Exactly the fields demanded by the kind must be present."""
     if not desc.id:
         raise ValidationError("id", "must be non-empty")
-    if desc.kind not in _KINDS:
-        raise ValidationError("kind", f"unknown kind {desc.kind!r}")
-    need = {
-        OPTOMECHANICAL: (("geometry",), FORCE_PSD, ("phonon", "coldatom")),
-        XRAY: ((), XRAY_NORMALIZED, ("geometry", "oscillator", "phonon", "coldatom")),
-        BULK_HEATING: (("phonon",), HEATING_POWER,
-                       ("geometry", "oscillator", "coldatom")),
-        COLD_ATOM: (("coldatom",), POSITION_VARIANCE,
-                    ("geometry", "oscillator", "phonon")),
+    need = {  # per kind: required sections, ceiling kind, forbidden sections
+        "optomechanical": (("geometry",), FORCE_PSD, ("phonon", "coldatom")),
+        "xray": ((), XRAY_NORMALIZED, ("geometry", "oscillator", "phonon", "coldatom")),
+        "bulk_heating": (("phonon",), HEATING_POWER, ("geometry", "oscillator", "coldatom")),
+        "cold_atom": (("coldatom",), POSITION_VARIANCE, ("geometry", "oscillator", "phonon")),
     }
+    if desc.kind not in need:
+        raise ValidationError("kind", f"unknown kind {desc.kind!r}")
     required, ceiling_kind, forbidden = need[desc.kind]
     for field in required:
         if getattr(desc, field) is None:
@@ -90,8 +88,8 @@ def validate_descriptor(desc: ExperimentDescriptor) -> ExperimentDescriptor:
 
 _SECTIONS = ("geometry", "oscillator", "ceiling", "phonon", "coldatom")
 
-# per section, the frequencies its builder reads through _freq: each takes an
-# _hz or _rad_s suffix, so its bare name is an error of its own
+# per section, its frequency keys: each is read through _freq with an _hz or
+# _rad_s suffix and written as <key>_rad_s, so its bare name is an error of its own
 _BARE_FREQ_KEYS = {"oscillator": ("omega_m", "gamma_m"), "ceiling": ("probe", "band_lo", "band_hi")}
 
 
@@ -214,10 +212,34 @@ def _vec(sec: dict, section: str, key: str, default: tuple) -> tuple:
     return v
 
 
+def _fields(cls, sec: dict, section: str) -> dict:
+    """cls's fields read from sec in field order, as keyword arguments: a
+    3-vector where the field defaults to a tuple, the _hz/_rad_s pair for a
+    key in _BARE_FREQ_KEYS, a number otherwise. A field with a default may
+    be absent, and then takes it."""
+    freqs, kw = _BARE_FREQ_KEYS.get(section, ()), {}
+    for f in dataclasses.fields(cls):
+        if isinstance(f.default, tuple):
+            v = _vec(sec, section, f.name, f.default)
+        else:
+            read = _freq if f.name in freqs else _num
+            v = read(sec, section, f.name, required=f.default is dataclasses.MISSING)
+        if v is not None:
+            kw[f.name] = v
+    return kw
+
+
 def _check_consumed(sec: dict, section: str):
     """The one check for unknown keys: a builder pops every key it uses."""
     for key in sec:
         raise ValidationError(f"{section}.{key}", f"not valid for this {section}")
+
+
+def _build_section(cls, sec: dict, section: str):
+    """cls built from its own section: its fields, and no other key."""
+    obj = cls(**_fields(cls, sec, section))
+    _check_consumed(sec, section)
+    return obj
 
 
 def _build_geometry(sec: dict, section="geometry") -> MassDistribution:
@@ -230,43 +252,31 @@ def _build_geometry(sec: dict, section="geometry") -> MassDistribution:
         if section == "geometry" else (1.0, 0.0, 0.0)
     density = _num(sec, section, "density", required=False)
     mass = _num(sec, section, "mass", required=False)
-    try:
-        if shape == "sphere":
-            d = sphere(_num(sec, section, "radius"), density=density, mass=mass,
-                       measurement_axis=meas)
-        elif shape == "cuboid":
-            d = cuboid(_num(sec, section, "lx"), _num(sec, section, "ly"),
-                       _num(sec, section, "lz"), density=density, mass=mass,
-                       measurement_axis=meas)
-        elif shape == "cylinder":
-            d = cylinder(_num(sec, section, "radius"), _num(sec, section, "length"),
-                         axis=_vec(sec, section, "axis", (0.0, 0.0, 1.0)), density=density,
-                         mass=mass, measurement_axis=meas)
-        elif shape == "point_mass":
-            if density is not None:
-                raise ValidationError(f"{section}.density", "point_mass takes mass only")
-            d = point_mass(mass if mass is not None else float("nan"),
-                           measurement_axis=meas)
-        elif shape == "composite":
-            if not parts:
-                raise ValidationError(f"{section}.shape",
-                                      "composite needs [[geometry.part]] sections")
-            if density is not None or mass is not None:
-                raise ValidationError(f"{section}.density",
-                                      "composite parts carry densities")
-            built = []
-            for i, p in enumerate(parts):
-                off = p.pop("offset", None)
-                if not isinstance(off, tuple):
-                    raise ValidationError(f"geometry.part[{i}].offset",
-                                          "each part needs an offset 3-vector")
-                child = _build_geometry(p, section="geometry.part")
-                built.append((child, off))
-            d = composite(built, measurement_axis=meas)
-        else:
-            raise ValidationError(f"{section}.shape", f"unknown shape {shape!r}")
-    except TypeError as err:
-        raise ValidationError(f"{section}.shape", str(err)) from None
+    primitives = {"sphere": (sphere, Sphere), "cuboid": (cuboid, Cuboid),
+                  "cylinder": (cylinder, Cylinder)}
+    if shape in primitives:
+        make, cls = primitives[shape]
+        d = make(**_fields(cls, sec, section), density=density, mass=mass,
+                 measurement_axis=meas)
+    elif shape == "point_mass":
+        if density is not None:
+            raise ValidationError(f"{section}.density", "point_mass takes mass only")
+        d = point_mass(mass if mass is not None else float("nan"), measurement_axis=meas)
+    elif shape == "composite":
+        if not parts:
+            raise ValidationError(f"{section}.shape", "composite needs [[geometry.part]] sections")
+        if density is not None or mass is not None:
+            raise ValidationError(f"{section}.density", "composite parts carry densities")
+        built = []
+        for i, p in enumerate(parts):
+            off = p.pop("offset", None)
+            if not isinstance(off, tuple):
+                raise ValidationError(f"geometry.part[{i}].offset",
+                                      "each part needs an offset 3-vector")
+            built.append((_build_geometry(p, section="geometry.part"), off))
+        d = composite(built, measurement_axis=meas)
+    else:
+        raise ValidationError(f"{section}.shape", f"unknown shape {shape!r}")
     _check_consumed(sec, section)
     return d
 
@@ -304,14 +314,7 @@ def _build_descriptor(top: dict, sections: dict) -> ExperimentDescriptor:
     if "geometry" in sections:
         geometry = _build_geometry(sections.pop("geometry"))
     if "oscillator" in sections:
-        sec = sections.pop("oscillator")
-        oscillator = MechanicalOscillator(
-            mass=_num(sec, "oscillator", "mass"),
-            omega_m=_freq(sec, "oscillator", "omega_m"),
-            temperature=_num(sec, "oscillator", "temperature"),
-            gamma_m=_freq(sec, "oscillator", "gamma_m", required=False),
-        )
-        _check_consumed(sec, "oscillator")
+        oscillator = _build_section(MechanicalOscillator, sections.pop("oscillator"), "oscillator")
     if "phonon" in sections:
         sec = sections.pop("phonon")
         v_s = _num(sec, "phonon", "v_s")
@@ -319,23 +322,13 @@ def _build_descriptor(top: dict, sections: dict) -> ExperimentDescriptor:
         if disp_name == "linear":
             dispersion = None
         elif disp_name == "full_sine":
-            dispersion = FullSineDispersion(
-                force_constant=_num(sec, "phonon", "force_constant"),
-                atom_mass=_num(sec, "phonon", "atom_mass"),
-                plane_spacing=_num(sec, "phonon", "plane_spacing"),
-            )
+            dispersion = FullSineDispersion(**_fields(FullSineDispersion, sec, "phonon"))
         else:
             raise ValidationError("phonon.dispersion", f"unknown {disp_name!r}")
         phonon = PhononModel(v_s=v_s, dispersion=dispersion)
         _check_consumed(sec, "phonon")
     if "coldatom" in sections:
-        sec = sections.pop("coldatom")
-        coldatom = ColdAtomDescriptor(
-            mass_number=_num(sec, "coldatom", "mass_number"),
-            atom_mass=_num(sec, "coldatom", "atom_mass"),
-            expansion_time=_num(sec, "coldatom", "expansion_time"),
-        )
-        _check_consumed(sec, "coldatom")
+        coldatom = _build_section(ColdAtomDescriptor, sections.pop("coldatom"), "coldatom")
     if "ceiling" not in sections:
         raise ValidationError("ceiling", "missing [ceiling] section")
     ceiling = _build_ceiling(sections.pop("ceiling"))
@@ -356,9 +349,16 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _field_lines(obj, section: str) -> list[str]:
+    """obj's fields as config lines in field order, the order _fields reads
+    them: a frequency as <key>_rad_s, a None field left out."""
+    freqs = _BARE_FREQ_KEYS.get(section, ())
+    return [f"{f.name}{'_rad_s' if f.name in freqs else ''} = {_fmt(v)}"
+            for f in dataclasses.fields(obj) if (v := getattr(obj, f.name)) is not None]
+
+
 def _geometry_lines(d: MassDistribution, header: str, out: list,
                     offset=None) -> None:
-    from .geometry import Composite, Cuboid, Cylinder, PointMass, Sphere
     s = d.shape
     out.append(header)
     if isinstance(s, Composite):
@@ -368,23 +368,12 @@ def _geometry_lines(d: MassDistribution, header: str, out: list,
             out.append("")
             _geometry_lines(part, "[[geometry.part]]", out, offset=off)
         return
-    if isinstance(s, Sphere):
-        out.append("shape = sphere")
-        out.append(f"radius = {_fmt(s.radius)}")
-    elif isinstance(s, Cuboid):
-        out.append("shape = cuboid")
-        out.append(f"lx = {_fmt(s.lx)}")
-        out.append(f"ly = {_fmt(s.ly)}")
-        out.append(f"lz = {_fmt(s.lz)}")
-    elif isinstance(s, Cylinder):
-        out.append("shape = cylinder")
-        out.append(f"radius = {_fmt(s.radius)}")
-        out.append(f"length = {_fmt(s.length)}")
-        out.append(f"axis = {_fmt(s.axis)}")
-    elif isinstance(s, PointMass):
+    if isinstance(s, PointMass):
         out.append("shape = point_mass")
         out.append(f"mass = {_fmt(d.density)}")
-    if not isinstance(s, PointMass):
+    else:  # a primitive, named in configs by its class name in lower case
+        out.append(f"shape = {type(s).__name__.lower()}")
+        out.extend(_field_lines(s, "geometry"))
         out.append(f"density = {_fmt(d.density)}")
     if offset is not None:
         out.append(f"offset = {_fmt(offset)}")
@@ -401,12 +390,7 @@ def serialize(desc: ExperimentDescriptor) -> str:
         out.append("")
         _geometry_lines(desc.geometry, "[geometry]", out)
     if desc.oscillator is not None:
-        o = desc.oscillator
-        out.extend(["", "[oscillator]", f"mass = {_fmt(o.mass)}",
-                    f"omega_m_rad_s = {_fmt(o.omega_m)}"])
-        if o.gamma_m is not None:
-            out.append(f"gamma_m_rad_s = {_fmt(o.gamma_m)}")
-        out.append(f"temperature = {_fmt(o.temperature)}")
+        out.extend(["", "[oscillator]", *_field_lines(desc.oscillator, "oscillator")])
     if desc.phonon is not None:
         p = desc.phonon
         out.extend(["", "[phonon]", f"v_s = {_fmt(p.v_s)}"])
@@ -414,14 +398,9 @@ def serialize(desc: ExperimentDescriptor) -> str:
             out.append("dispersion = linear")
         else:
             out.append("dispersion = full_sine")
-            out.append(f"force_constant = {_fmt(p.dispersion.force_constant)}")
-            out.append(f"atom_mass = {_fmt(p.dispersion.atom_mass)}")
-            out.append(f"plane_spacing = {_fmt(p.dispersion.plane_spacing)}")
+            out.extend(_field_lines(p.dispersion, "phonon"))
     if desc.coldatom is not None:
-        ca = desc.coldatom
-        out.extend(["", "[coldatom]", f"mass_number = {_fmt(ca.mass_number)}",
-                    f"atom_mass = {_fmt(ca.atom_mass)}",
-                    f"expansion_time = {_fmt(ca.expansion_time)}"])
+        out.extend(["", "[coldatom]", *_field_lines(desc.coldatom, "coldatom")])
     c = desc.ceiling
     out.extend(["", "[ceiling]", f"kind = {c.kind}", f"value = {_fmt(c.value)}"])
     if isinstance(c.probe, tuple):

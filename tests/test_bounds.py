@@ -557,6 +557,20 @@ def test_multi_noise_scan_reruns_failed_factors():
     assert [c.points for c, in panels] == [(), (), ()]
     assert seen == [(WHITE, WashedOut), (exponential(1e3), WashedOut),
                     (n, WashedOut)]
+    # an expansion time whose cube overflows: the white column fails for
+    # every rc at once, and the columns (12 rc) log each point's error as the
+    # point-by-point route (11 rc) does
+    far = dataclasses.replace(load("cold-atom"), coldatom=dataclasses.replace(
+        RB87, expansion_time=1e103))
+    for size in (bounds._COLUMN_FROM - 1, bounds._COLUMN_FROM):
+        seen, grid = [], np.geomspace(1e-9, 1e-5, size)
+        panels = scan([far], [WHITE, exponential(1e4)], grid,
+                      on_error=lambda i, m, rc, e: seen.append((m, rc, type(e), str(e))))
+        assert [c.points for c, in panels] == [(), ()]
+        assert seen == [(m, rc, WashedOut, f"cold-atom bracket out of range {at}")
+                        for m, at in ((WHITE, "for white noise"),
+                                      (exponential(1e4), "at omega_c=1.000e+04"))
+                        for rc in grid.tolist()]
 
 
 # SHA-256 of every kept point as "<id> <omega_c!r> <rc.hex()> <lam.hex()>" and

@@ -277,3 +277,8 @@ def test_oblique_vectors_have_the_same_bits_on_every_host():
 def test_with_measurement_axis_normalizes():
     d = sphere(1.0, density=1.0, measurement_axis=(0, 0, 2))
     assert d.measurement_axis == (0.0, 0.0, 1.0)
+    # normalizing is idempotent, so a unit vector written to a config and
+    # read back keeps its bits
+    for v in np.random.default_rng(7).uniform(-1.0, 1.0, (2000, 3)).tolist():
+        u = _unit(v, "axis")
+        assert _unit(u, "axis") == u

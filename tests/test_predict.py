@@ -293,6 +293,8 @@ def test_heating_rate_white_closed_form():
 
 def test_heating_rate_zero_lambda():
     assert heating_rate(CollapseParams(0.0, 1e-7), WHITE, COPPER) == 0.0
+    # the full sine's quadrature route returns 0 at lambda = 0 without integrating
+    assert heating_rate(CollapseParams(0.0, 1e-7), exponential(1e13), LATTICE) == 0.0
 
 
 def test_heating_rate_monotone_in_cutoff():

@@ -1,10 +1,15 @@
 import math
+from dataclasses import replace
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ccsl import (Ceiling, ParseError, ValidationError, list_bundled, load,
-                  load_all_bundled, parse_config, serialize, total_mass)
+from ccsl import (Ceiling, ColdAtomDescriptor, FullSineDispersion, MechanicalOscillator,
+                  ParseError, PhononModel, ValidationError, composite, cuboid, cylinder,
+                  list_bundled, load, load_all_bundled, parse_config, point_mass, serialize,
+                  sphere, total_mass)
 from ccsl.geometry import Composite, Cuboid, Cylinder, Sphere
 from ccsl.registry import ExperimentDescriptor, validate_descriptor
 
@@ -435,3 +440,196 @@ probe_hz = 2.0
     assert total_mass(exp.geometry) == 0.1
     assert exp.geometry.measurement_axis == (0.0, 1.0, 0.0)
     assert parse_config(sine).phonon.dispersion.force_constant == 14.6
+
+
+# the kind rules, pinned field by field: per kind the sections it requires
+# and forbids (the oscillator is optional for optomechanical, forbidden
+# elsewhere) and the ceiling kind it needs
+KIND_RULES = {
+    "optomechanical": ("cantilever", ("geometry",), ("phonon", "coldatom"), "force_psd"),
+    "xray": ("xray", (), ("geometry", "oscillator", "phonon", "coldatom"), "xray_normalized"),
+    "bulk_heating": ("bulk-heating", ("phonon",), ("geometry", "oscillator", "coldatom"),
+                     "heating_power"),
+    "cold_atom": ("cold-atom", ("coldatom",), ("geometry", "oscillator", "phonon"),
+                  "position_variance"),
+}
+
+
+def _section_samples():
+    return {"geometry": load("cantilever").geometry, "oscillator": load("auriga").oscillator,
+            "phonon": load("bulk-heating").phonon, "coldatom": load("cold-atom").coldatom}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_RULES))
+@pytest.mark.parametrize("field", ["geometry", "oscillator", "phonon", "coldatom"])
+def test_kind_rules_name_the_field_and_the_kind(kind, field):
+    base_id, required, forbidden, ceiling_kind = KIND_RULES[kind]
+    base = load(base_id)
+    assert base.kind == kind
+    if field in required:
+        with pytest.raises(ValidationError) as err:
+            replace(base, **{field: None})
+        assert (err.value.field, err.value.constraint) == (field, f"required for kind {kind}")
+    elif field in forbidden:
+        assert getattr(base, field) is None
+        with pytest.raises(ValidationError) as err:
+            replace(base, **{field: _section_samples()[field]})
+        assert (err.value.field, err.value.constraint) == (field, f"not allowed for kind {kind}")
+    else:  # optional: the descriptor is valid with and without it
+        assert replace(base, **{field: _section_samples()[field]}) != base
+        assert replace(base, **{field: None}) == base
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_RULES))
+def test_kind_rules_ceiling_kind_and_precedence(kind):
+    base_id, required, forbidden, ceiling_kind = KIND_RULES[kind]
+    base, samples = load(base_id), _section_samples()
+    other = next(k for k in KIND_RULES if k != kind)
+    wrong_ceiling = load(KIND_RULES[other][0]).ceiling
+    with pytest.raises(ValidationError) as err:
+        replace(base, ceiling=wrong_ceiling)
+    assert (err.value.field, err.value.constraint) == (
+        "ceiling.kind", f"kind {kind} requires {ceiling_kind}")
+    # a forbidden section wins over the ceiling kind, and the first forbidden
+    # section in field order over the later ones
+    every_forbidden = {f: samples[f] for f in forbidden}
+    with pytest.raises(ValidationError) as err:
+        replace(base, ceiling=wrong_ceiling, **every_forbidden)
+    assert (err.value.field, err.value.constraint) == (
+        forbidden[0], f"not allowed for kind {kind}")
+    # a missing required section wins over a forbidden one
+    for field in required:
+        with pytest.raises(ValidationError) as err:
+            replace(base, ceiling=wrong_ceiling, **{field: None}, **every_forbidden)
+        assert (err.value.field, err.value.constraint) == (field, f"required for kind {kind}")
+    # an unknown kind wins over every section rule, and an empty id over the kind
+    with pytest.raises(ValidationError) as err:
+        replace(base, kind="torsion", **every_forbidden)
+    assert (err.value.field, err.value.constraint) == ("kind", "unknown kind 'torsion'")
+    with pytest.raises(ValidationError) as err:
+        replace(base, id="", kind="torsion")
+    assert (err.value.field, err.value.constraint) == ("id", "must be non-empty")
+
+
+# --- round trip of drawn descriptors -------------------------------------------
+
+_pos = st.floats(1e-30, 1e30)
+# any direction, tilted ones included: the constructors normalize it
+_vector = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 1e-3)
+_offset = st.tuples(*[st.floats(-10.0, 10.0)] * 3)
+
+
+def _primitive(measurement_axis):
+    return st.one_of(
+        st.builds(lambda r, rho: sphere(r, density=rho, measurement_axis=measurement_axis),
+                  _pos, _pos),
+        st.builds(lambda x, y, z, rho: cuboid(x, y, z, density=rho,
+                                              measurement_axis=measurement_axis),
+                  _pos, _pos, _pos, _pos),
+        st.builds(lambda r, ln, ax, rho: cylinder(r, ln, axis=ax, density=rho,
+                                                  measurement_axis=measurement_axis),
+                  _pos, _pos, _vector, _pos),
+        st.builds(lambda m: point_mass(m, measurement_axis=measurement_axis), _pos))
+
+
+# a part's measurement axis has no key in a config, which reads every part
+# with the default one; the body's own axis is drawn
+_geometry = _vector.flatmap(lambda m: st.one_of(
+    _primitive(m),
+    st.lists(st.tuples(_primitive((1.0, 0.0, 0.0)), _offset), min_size=1, max_size=3)
+    .map(lambda parts: composite(parts, measurement_axis=m))))
+
+_oscillator = st.builds(
+    lambda mass, w, t, damped, g: MechanicalOscillator(mass, w, t, w * g if damped else None),
+    _pos, _pos, _pos, st.booleans(), st.floats(1e-12, 0.5))
+
+
+def _full_sine(c, m, a, stretch):
+    disp = FullSineDispersion(c, m, a)
+    return PhononModel(disp.sound_speed() * stretch, disp)
+
+
+_phonon = st.one_of(st.builds(PhononModel, _pos),
+                    st.builds(_full_sine, st.floats(1e-3, 1e3), st.floats(1e-27, 1e-23),
+                              st.floats(1e-11, 1e-9), st.floats(0.995, 1.005)))
+_coldatom = st.builds(ColdAtomDescriptor, _pos, _pos, st.one_of(st.just(0.0), _pos))
+_band = st.tuples(_pos, st.floats(1.0 + 1e-9, 1e6)).map(lambda b: (b[0], b[0] * b[1]))
+_probe = st.one_of(st.none(), _pos)
+
+_descriptor = st.one_of(
+    st.builds(lambda g, o, probe, v: ExperimentDescriptor(
+        "drawn", "optomechanical", Ceiling("force_psd", v, probe), geometry=g, oscillator=o),
+        _geometry, st.one_of(st.none(), _oscillator), st.one_of(_pos, _band), _pos),
+    st.builds(lambda probe, v: ExperimentDescriptor(
+        "drawn", "xray", Ceiling("xray_normalized", v, probe), provenance="drawn \"x\" # 1"),
+        _pos, _pos),
+    st.builds(lambda ph, probe, v: ExperimentDescriptor(
+        "drawn", "bulk_heating", Ceiling("heating_power", v, probe), phonon=ph),
+        _phonon, _probe, _pos),
+    st.builds(lambda ca, probe, v: ExperimentDescriptor(
+        "drawn", "cold_atom", Ceiling("position_variance", v, probe), coldatom=ca),
+        _coldatom, _probe, _pos))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_descriptor)
+def test_drawn_descriptors_round_trip(desc):
+    text = serialize(desc)
+    again = parse_config(text)
+    assert again == desc
+    assert serialize(again) == text
+
+
+# per section built from a dataclass, a config holding every required key,
+# and those keys in field order
+_SINE = HEATING.replace("dispersion = linear", "dispersion = full_sine\nforce_constant = 14.6\n"
+                        "atom_mass = 1.055e-25\nplane_spacing = 2.55e-10")
+_COLD = """\
+id = cold
+kind = cold_atom
+[coldatom]
+mass_number = 87.0
+atom_mass = 1.44e-25
+expansion_time = 1.0
+[ceiling]
+kind = position_variance
+value = 4.8e-9
+"""
+_OSCILLATOR = OPTO + "[oscillator]\nmass = 0.1\nomega_m_hz = 1.5\ntemperature = 0.02\n"
+_SHAPE = OPTO.replace(SPHERE_LINES, "shape = {}\ndensity = 1000.0\n{}")
+REQUIRED_KEYS = [
+    (_OSCILLATOR, "oscillator", ("mass", "omega_m", "temperature")),
+    (_COLD, "coldatom", ("mass_number", "atom_mass", "expansion_time")),
+    (_SINE, "phonon", ("force_constant", "atom_mass", "plane_spacing")),
+    (_SHAPE.format("sphere", "radius = 1e-5"), "geometry", ("radius",)),
+    (_SHAPE.format("cuboid", "lx = 1.0\nly = 2.0\nlz = 3.0"), "geometry", ("lx", "ly", "lz")),
+    (_SHAPE.format("cylinder", "radius = 0.1\nlength = 1.0"), "geometry", ("radius", "length")),
+    (PAIR, "geometry.part", ("radius",)),
+]
+
+
+@pytest.mark.parametrize("text, section, keys", REQUIRED_KEYS,
+                         ids=[f"{s}-{'-'.join(k)}" for _, s, k in REQUIRED_KEYS])
+def test_missing_required_keys_name_the_first_in_field_order(text, section, keys):
+    assert parse_config(text)  # complete, it parses
+    # two keys gone; a shape with one required key loses its density as well,
+    # which is read before the shape's fields and checked after them
+    pairs = [(a, b) for i, a in enumerate(keys) for b in keys[i + 1:]] or [(keys[0], "density")]
+    for gone in pairs:
+        lines = [ln for ln in text.splitlines()
+                 if ln.partition("=")[0].strip() not in
+                 {f"{k}{suffix}" for k in gone for suffix in ("", "_hz", "_rad_s")}]
+        with pytest.raises(ValidationError) as err:
+            parse_config("\n".join(lines) + "\n")
+        missing = "missing (_hz or _rad_s)" if gone[0] == "omega_m" else "missing"
+        assert (err.value.field, err.value.constraint) == (f"{section}.{gone[0]}", missing)
+
+
+def test_serialize_writes_a_number_that_is_no_float_as_it_prints():
+    # a library caller may build a section from ints: each is written as it
+    # prints, and reads back as the equal float
+    exp = replace(load("auriga"), oscillator=MechanicalOscillator(2, 10, 4, gamma_m=1))
+    text = serialize(exp)
+    assert text.split("[oscillator]\n")[1].split("\n\n")[0] == (
+        "mass = 2\nomega_m_rad_s = 10\ntemperature = 4\ngamma_m_rad_s = 1")
+    assert parse_config(text) == exp
