@@ -34,19 +34,15 @@ import numpy as np
 
 from .core import CONSTANTS, CollapseParams
 from .diffusion import _eta_column, eta_reduced
-from .errors import EmptyInput, NonPositiveRc, ValidationError, WashedOut, require_positive
+from .errors import EmptyInput, NonPositiveRc, ValidationError, WashedOut
 from .geometry import MassDistribution
 from .noise import WHITE, NoiseSpec, spectrum
 # lambda_eff_quad is unused here; it stays bound for tracers that wrap it at
 # this import site (bench/spans.py)
-from .predict import (ColdAtomDescriptor, PhononModel, cold_atom_diffusion,  # noqa: F401
-                      cold_atom_noise_factor, cold_atom_white_column, lambda_eff,
-                      lambda_eff_column, lambda_eff_quad)
-
-FORCE_PSD = "force_psd"
-XRAY_NORMALIZED = "xray_normalized"
-HEATING_POWER = "heating_power"
-POSITION_VARIANCE = "position_variance"
+from .predict import (cold_atom_diffusion, cold_atom_noise_factor,  # noqa: F401
+                      cold_atom_white_column, lambda_eff, lambda_eff_column, lambda_eff_quad)
+from .registry import (FORCE_PSD, HEATING_POWER, POSITION_VARIANCE, XRAY_NORMALIZED,
+                       Ceiling, ColdAtomDescriptor, PhononModel)
 
 _WASHOUT_RATIO = 1e-30
 
@@ -59,48 +55,6 @@ _WASHOUT_RATIO = 1e-30
 # and of library callers; no workload scans between 2 and 59 rc, so the
 # threshold stays
 _COLUMN_FROM = 12
-
-
-@dataclass(frozen=True)
-class Ceiling:
-    """A measured maximum signal attributable to collapse noise.
-
-    kind/value units: force_psd N^2/Hz, xray_normalized s^-1 m^-2,
-    heating_power W/kg, position_variance m^2. probe is a single angular
-    frequency (rad/s), or an (lo, hi) band for force_psd.
-    """
-
-    kind: str
-    value: float
-    probe: float | tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.kind not in (FORCE_PSD, XRAY_NORMALIZED, HEATING_POWER,
-                             POSITION_VARIANCE):
-            raise ValidationError("ceiling.kind", f"unknown kind {self.kind!r}")
-        require_positive("ceiling.value", self.value)
-        if isinstance(self.probe, tuple):
-            if self.kind != FORCE_PSD:
-                raise ValidationError("ceiling.probe", "bands only for force_psd")
-            lo, hi = self.probe
-            if not (0 < lo < hi and math.isfinite(hi)):
-                raise ValidationError("ceiling.probe", "band needs 0 < lo < hi")
-        elif self.probe is not None:
-            require_positive("ceiling.probe", self.probe)
-        if self.kind == FORCE_PSD and self.probe is None:
-            raise ValidationError("ceiling.probe", "force_psd needs a probe frequency")
-        if self.kind == XRAY_NORMALIZED and (self.probe is None
-                                             or isinstance(self.probe, tuple)):
-            raise ValidationError("ceiling.probe",
-                                  "xray_normalized needs a single observation frequency")
-
-    @property
-    def omega(self) -> float | None:
-        """The angular frequency f~ is taken at: the probe, or a band's lower
-        edge (None without a probe). A band ceiling must hold at every
-        frequency of the band, and f~ does not increase with |w|, so the
-        lower edge gives the strongest bound that is justified."""
-        return self.probe[0] if isinstance(self.probe, tuple) else self.probe
 
 
 def effective_spectrum_factor(ceiling: Ceiling, n: NoiseSpec) -> float:

@@ -1,6 +1,5 @@
-"""Physical constants, collapse parameters, the per-element map that column
-routes use for transcendentals and a left-to-right float sum, shared by
-every module.
+"""Physical constants, collapse parameters and a left-to-right float sum,
+shared by every module.
 
 Conventions used throughout the package:
 
@@ -15,10 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from operator import add
-
-import numpy as np
 
 from .errors import NegativeLambda, NonPositiveRc
 
@@ -65,25 +61,6 @@ def validate_params(p: CollapseParams) -> CollapseParams:
     if not (math.isfinite(p.lam) and p.lam >= 0):
         raise NegativeLambda(f"lambda must be >= 0 and finite, got {p.lam!r}")
     return p
-
-
-def map_floats(fn, x: np.ndarray, *args) -> np.ndarray:
-    """fn(v, *args) for each element v of the 1-D float array x, called in
-    Python: each value is the one a scalar call returns, bit for bit, which
-    numpy's exp and power ufuncs do not promise (their SIMD paths may differ
-    from libm in the last bit). NaN where fn raises an ArithmeticError, as
-    pow does on overflow."""
-    try:
-        return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, x.size)
-    except ArithmeticError:
-        return np.array([_or_nan(fn, v, args) for v in x.tolist()], dtype=float)
-
-
-def _or_nan(fn, v: float, args) -> float:
-    try:
-        return fn(v, *args)
-    except ArithmeticError:
-        return math.nan
 
 
 def sum_left(xs) -> float:

@@ -64,13 +64,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import CONSTANTS, CollapseParams, map_floats, sum_left
+from .core import CONSTANTS, CollapseParams, sum_left
 from .errors import CompositeCrossTermUnsupported, NonPositiveRc, QuadratureNotConverged
 from .geometry import (Composite, Cuboid, Cylinder, MassDistribution, PointMass, Sphere,
                        circumradius, total_mass, validate_distribution)
@@ -99,7 +99,7 @@ class EtaResult:
 # eta_column (a 1-D array of rc): what differs between the two comes from
 # ``ops``. At one rc those are math's functions, a plain ``if`` (_if) and a
 # loop that sums series in lockstep (_loop). Over a column they are the same
-# functions mapped per element in Python (core.map_floats), so that each
+# functions mapped per element in Python (map_floats), so that each
 # element is bit for bit its scalar value; row masks (_rows); and, for each
 # series, a table with one row per step of the loop (_summed). numpy does
 # only + - * /, abs and sqrt there, in the order the code states, and sums run
@@ -183,6 +183,25 @@ def _record(failed: dict, rc, i3, abs_err, error):
     are, eta_reduced reaches this pair and raises error(rc) there."""
     failed.update((r, error) for r in rc[np.isfinite(i3) & np.isfinite(abs_err)].tolist())
     return np.full(rc.size, math.nan), np.full(rc.size, math.nan)
+
+
+def map_floats(fn, x: np.ndarray, *args) -> np.ndarray:
+    """fn(v, *args) for each element v of the 1-D float array x, called in
+    Python: each value is the one a scalar call returns, bit for bit, which
+    numpy's exp and power ufuncs do not promise (their SIMD paths may differ
+    from libm in the last bit). NaN where fn raises an ArithmeticError, as
+    pow does on overflow."""
+    try:
+        return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, x.size)
+    except ArithmeticError:
+        return np.array([_or_nan(fn, v, args) for v in x.tolist()], dtype=float)
+
+
+def _or_nan(fn, v: float, args) -> float:
+    try:
+        return fn(v, *args)
+    except ArithmeticError:
+        return math.nan
 
 
 _SCALAR = SimpleNamespace(erf=math.erf, exp=math.exp, erfc=math.erfc, expm1=math.expm1, min=min,

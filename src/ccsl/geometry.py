@@ -11,18 +11,17 @@ mu~(0) equals the total mass. Squared moduli for the primitives:
 
 kp/ka are the components of k across/along the cylinder axis. The kernels
 switch to a 6th-order Taylor series below |x| = 1e-4 (sinc, disc) or 1e-2
-(sphere); they serve only form_factor_sq and eta_reduced_reference. The
-disc kernel's J1 is scipy.special's, imported on its first call: scipy is
-needed for that reference path only, never for eta_reduced. Shapes and
-distributions check their invariants when built.
+(sphere); they serve only form_factor_sq and eta_reduced_reference, and
+each imports numpy when called. The disc kernel's J1 is scipy.special's,
+imported on its first call: scipy is needed for that reference path only,
+never for eta_reduced. Shapes and distributions check their invariants
+when built, in Python floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import sum_left
 from .errors import ValidationError, require_positive
@@ -101,15 +100,33 @@ class MassDistribution:
 
 # --- constructors ------------------------------------------------------------
 
+def _floats3(v, field: str, constraint: str) -> tuple[float, float, float]:
+    """v as three Python floats, read as numpy reads a sequence into a float
+    array: each element by float(), None as NaN; ValidationError(field,
+    constraint) where v is not three numbers. A str (or bytes) is one
+    number, so it is never a 3-vector; one that does not read as a number
+    raises float()'s ValueError."""
+    if isinstance(v, (str, bytes)):
+        float(v)
+        raise ValidationError(field, constraint)
+    try:
+        parts = tuple(v)
+    except TypeError:  # a number, or None
+        raise ValidationError(field, constraint) from None
+    # a list, tuple or array element is a row, so v is not flat
+    if len(parts) != 3 or any(isinstance(c, (list, tuple)) or getattr(c, "shape", ())
+                              for c in parts):
+        raise ValidationError(field, constraint)
+    x, y, z = (math.nan if c is None else float(c) for c in parts)
+    return x, y, z
+
+
 def _unit(v, field: str) -> tuple[float, float, float]:
     """v / |v| in Python floats: math.hypot and three divisions have the same
     bits on every host, whichever BLAS numpy uses. A v whose norm is within
     4 ulp(1) of 1, as the norm of every vector this returns is, is returned
     as it is, so a unit vector read back from a config keeps its bits."""
-    a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
-        raise ValidationError(field, "must be a 3-vector")
-    x, y, z = a.tolist()
+    x, y, z = _floats3(v, field, "must be a 3-vector")
     norm = math.hypot(x, y, z)
     if not 0.0 < norm < math.inf:
         raise ValidationError(field, "must have positive finite norm")
@@ -154,14 +171,18 @@ def point_mass(mass, *, measurement_axis=(1.0, 0.0, 0.0)) -> MassDistribution:
 def composite(parts, *, measurement_axis=(1.0, 0.0, 0.0)) -> MassDistribution:
     """Assemble primitives into one rigid body.
 
-    parts: iterable of (MassDistribution, offset 3-vector in m).
+    parts: iterable of (MassDistribution, offset 3-vector in m). Each part
+    is kept with the default measurement axis: the body's own axis is the
+    one measured, no route reads a part's, and a config cannot state one.
     """
     packed = []
     for part, offset in parts:
-        off = np.asarray(offset, dtype=float)
-        if off.shape != (3,) or not all(map(math.isfinite, off.tolist())):
+        off = _floats3(offset, "geometry.part.offset", "must be a finite 3-vector")
+        if not all(map(math.isfinite, off)):
             raise ValidationError("geometry.part.offset", "must be a finite 3-vector")
-        packed.append((part, tuple(off.tolist())))
+        if part.measurement_axis != MassDistribution.measurement_axis:  # the default
+            part = MassDistribution(part.shape, part.density)
+        packed.append((part, off))
     if not packed:
         raise ValidationError("geometry.parts", "composite needs at least one part")
     return MassDistribution(Composite(tuple(packed)), None,
@@ -198,6 +219,8 @@ def total_mass(d: MassDistribution) -> float:
 
 def sinc_kernel(x):
     """sin(x)/x, with series 1 - x^2/6 + x^4/120 - x^6/5040 below 1e-4."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SERIES_CUT
     xs = np.where(small, 0.0, x)
@@ -216,6 +239,8 @@ def sphere_kernel(x):
     x = 1e-4). At the 1e-2 switch the truncated series errs by x^8/1330560
     ~ 1e-22 and the direct branch by ~7e-12.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-2
     xs = np.where(small, 1.0, x)
@@ -228,6 +253,8 @@ def sphere_kernel(x):
 def disc_kernel(x):
     """2 J1(x)/x, series 1 - x^2/8 + x^4/192 - x^6/9216. J1 is bessel_j1's,
     so the first call imports scipy.special."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SERIES_CUT
     xs = np.where(small, 1.0, x)
@@ -251,6 +278,8 @@ def bessel_j1(x):
 def form_amplitude(d: MassDistribution, k):
     """mu~(k) for k of shape (..., 3). Real for centered primitives, complex
     for composites (translation phases)."""
+    import numpy as np
+
     k = np.asarray(k, dtype=float)
     if k.shape[-1] != 3:
         raise ValueError("k must have shape (..., 3)")
@@ -284,6 +313,8 @@ def form_amplitude(d: MassDistribution, k):
 
 def form_factor_sq(d: MassDistribution, k):
     """|mu~(k)|^2 in kg^2 for k (m^-1) of shape (..., 3) or (3,)."""
+    import numpy as np
+
     amp = form_amplitude(d, k)
     out = np.abs(amp) ** 2 if np.iscomplexobj(amp) else amp * amp
     return float(out) if out.ndim == 0 else out

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError, WhiteKernelNotPointwise
 
 WHITE_KIND = "white"
@@ -60,6 +58,8 @@ def time_correlation(n: NoiseSpec, dt):
     """
     if n.is_white:
         raise WhiteKernelNotPointwise("white kernel is a delta function")
+    import numpy as np
+
     dt = np.asarray(dt, dtype=float)
     out = 0.5 * n.omega_c * np.exp(-n.omega_c * np.abs(dt))
     return out if out.ndim else float(out)
@@ -74,9 +74,9 @@ def spectrum(n: NoiseSpec, omega):
 
     A Python float omega gives a Python float, computed in Python floats;
     any other omega (an int, a numpy scalar, an array) is read as a float
-    array, and gives a float when it is 0-d and an array otherwise. Both
-    give the same bits: Python's float ** is libm's pow, as numpy's scalar
-    ** is.
+    array, and gives a float when it is 0-d and an array otherwise; only
+    that route imports numpy. Both give the same bits: Python's float ** is
+    libm's pow, as numpy's scalar ** is.
     """
     if type(omega) is float:
         if n.is_white:
@@ -85,6 +85,8 @@ def spectrum(n: NoiseSpec, omega):
             return 1.0 / (1.0 + (omega / n.omega_c) ** 2)
         except OverflowError:  # where numpy's square is inf, so f~ is 0
             return 0.0
+    import numpy as np
+
     omega = np.asarray(omega, dtype=float)
     if n.is_white:
         # a 0-d omega gives the float a Python float omega gives

@@ -19,102 +19,24 @@ integrate_rows batch per rc column, where each rc's value is its own).
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONSTANTS, CollapseParams, map_floats
-from .diffusion import _COLUMN, _SCALAR, DEFAULT_TOL, eta as _eta
+from .core import CONSTANTS, CollapseParams
+from .diffusion import _COLUMN, _SCALAR, DEFAULT_TOL, eta as _eta, map_floats
 from .errors import (NegativeLambda, NonPositiveFrequency, NonPositiveRc,
-                     QuadratureNotConverged, ValidationError, require_positive)
+                     QuadratureNotConverged, ValidationError)
 from .geometry import MassDistribution
 from .noise import WHITE, NoiseSpec, spectrum
 # integrate itself is unused here; it stays bound for tracers that wrap it at
 # this import site (bench/spans.py)
 from .quadrature import MAX_PANELS, integrate, integrate_rows  # noqa: F401
+# FullSineDispersion is unused here; it is bound so that ccsl.predict names
+# every section type the predictions read, the phonon dispersion included
+from .registry import (ColdAtomDescriptor, FullSineDispersion,  # noqa: F401
+                       MechanicalOscillator, PhononModel)
 
 _SQRT_PI = math.sqrt(math.pi)
-
-
-# --- experiment-side value types ----------------------------------------------
-
-@dataclass(frozen=True)
-class MechanicalOscillator:
-    """Trapped, damped oscillator in a thermal bath.
-
-    gamma_m may be omitted when only force-noise (not displacement) spectra
-    are needed.
-    """
-
-    mass: float                 # kg
-    omega_m: float              # rad/s
-    temperature: float          # K
-    gamma_m: float | None = None  # s^-1
-
-    def __post_init__(self):
-        for name in ("mass", "omega_m", "temperature"):
-            require_positive(f"oscillator.{name}", getattr(self, name))
-        if self.gamma_m is not None:
-            require_positive("oscillator.gamma_m", self.gamma_m)
-            if self.gamma_m >= self.omega_m:
-                warnings.warn("oscillator is overdamped (gamma_m >= omega_m); "
-                              "resonant formulas may not apply", stacklevel=2)
-
-
-@dataclass(frozen=True)
-class FullSineDispersion:
-    """Nearest-neighbour monoatomic-lattice dispersion
-    w_L(q)^2 = (4 C / m_A) sin^2(q a / 2)."""
-
-    force_constant: float  # N/m
-    atom_mass: float       # kg
-    plane_spacing: float   # m
-
-    def sound_speed(self) -> float:
-        return self.plane_spacing * math.sqrt(self.force_constant / self.atom_mass)
-
-
-@dataclass(frozen=True)
-class PhononModel:
-    """Longitudinal phonon branch: linear (dispersion=None, w_L = v_s q) or
-    the full sine form. When both are given they must agree at small q."""
-
-    v_s: float  # m/s
-    dispersion: FullSineDispersion | None = None
-
-    def __post_init__(self):
-        require_positive("phonon.v_s", self.v_s)
-        if self.dispersion is not None:
-            for name in ("force_constant", "atom_mass", "plane_spacing"):
-                require_positive(f"phonon.{name}", getattr(self.dispersion, name))
-            if abs(self.dispersion.sound_speed() / self.v_s - 1.0) > 0.01:
-                raise ValidationError(
-                    "phonon.v_s", "inconsistent with a sqrt(C/m_A) beyond 1%")
-
-    def omega_l(self, q):
-        q = np.asarray(q, dtype=float)
-        if self.dispersion is None:
-            return self.v_s * np.abs(q)
-        disp = self.dispersion
-        wmax = 2.0 * math.sqrt(disp.force_constant / disp.atom_mass)
-        return wmax * np.abs(np.sin(0.5 * np.abs(q) * disp.plane_spacing))
-
-
-@dataclass(frozen=True)
-class ColdAtomDescriptor:
-    """Free-falling atom cloud: nucleon count A per atom, single-atom mass,
-    and the ballistic expansion time."""
-
-    mass_number: float     # dimensionless A
-    atom_mass: float       # kg
-    expansion_time: float  # s
-
-    def __post_init__(self):
-        for name in ("mass_number", "atom_mass"):
-            require_positive(f"coldatom.{name}", getattr(self, name))
-        if not (self.expansion_time >= 0 and math.isfinite(self.expansion_time)):
-            raise ValidationError("coldatom.expansion_time", "must be >= 0")
 
 
 # --- optomechanical spectra ----------------------------------------------------
@@ -277,14 +199,22 @@ def _y_edges(n: NoiseSpec, ph: PhononModel, rc: np.ndarray) -> tuple[list, np.nd
 
 
 def _closed(n: NoiseSpec, ph: PhononModel, rc, lam: float, ops=_SCALAR):
-    """lambda_eff's closed form for linear dispersion at rc > 0, at one rc or
-    over a column of rc (ops); lam where 4 x^2 / 3 overflows, as
+    """lambda_eff's closed form for linear dispersion at rc > 0, at one rc (a
+    float) or over a column of rc (ops); lam where 4 x^2 / 3 overflows, as
     lam_eff/lam = 1 - 5/(2 x^2) + ... is 1.0."""
     if n.is_white:
         return lam
     x = rc * n.omega_c / ph.v_s
     q = 4.0 * x * x / 3.0
-    return np.where(q < math.inf, lam * q * _phonon_bracket(x, ops), lam)
+    return ops.branch(q < math.inf, _closed_finite, _closed_overflow, x, q, lam, ops)
+
+
+def _closed_finite(x, q, lam: float, ops):
+    return lam * q * _phonon_bracket(x, ops)
+
+
+def _closed_overflow(x, q, lam: float, ops):
+    return lam
 
 
 def _quad_rows(n: NoiseSpec, ph: PhononModel, rc, at, lam, tol, out, errors) -> None:

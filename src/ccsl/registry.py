@@ -18,6 +18,11 @@ primitive shape are the fields of the dataclass built from them
 Cuboid, Cylinder): the reader takes them in field order and ``serialize``
 writes them in that order.
 
+The descriptor and its section types (Ceiling, MechanicalOscillator,
+PhononModel, FullSineDispersion, ColdAtomDescriptor) are defined here, and
+this module imports no compute module: loading, checking and serializing a
+descriptor needs no numpy.
+
 Loaded descriptors are immutable and safe to share between threads. A
 bundled id is parsed once per process and the same descriptor is returned on
 every later load; a config file path is read and parsed on every load.
@@ -27,21 +32,150 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .bounds import (FORCE_PSD, HEATING_POWER, POSITION_VARIANCE, XRAY_NORMALIZED,
-                     Ceiling)
 from .core import TWO_PI
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, require_positive
 from .geometry import (Composite, Cuboid, Cylinder, MassDistribution, PointMass, Sphere,
                        composite, cuboid, cylinder, point_mass, sphere)
-from .predict import (ColdAtomDescriptor, FullSineDispersion, MechanicalOscillator,
-                      PhononModel)
 
 _BUNDLED = ("auriga", "bulk-heating", "cantilever", "cold-atom", "ligo",
             "lisa-pathfinder", "xray")
+
+
+# --- descriptor value types ------------------------------------------------------
+
+FORCE_PSD = "force_psd"
+XRAY_NORMALIZED = "xray_normalized"
+HEATING_POWER = "heating_power"
+POSITION_VARIANCE = "position_variance"
+
+
+@dataclass(frozen=True)
+class Ceiling:
+    """A measured maximum signal attributable to collapse noise.
+
+    kind/value units: force_psd N^2/Hz, xray_normalized s^-1 m^-2,
+    heating_power W/kg, position_variance m^2. probe is a single angular
+    frequency (rad/s), or an (lo, hi) band for force_psd.
+    """
+
+    kind: str
+    value: float
+    probe: float | tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if self.kind not in (FORCE_PSD, XRAY_NORMALIZED, HEATING_POWER,
+                             POSITION_VARIANCE):
+            raise ValidationError("ceiling.kind", f"unknown kind {self.kind!r}")
+        require_positive("ceiling.value", self.value)
+        if isinstance(self.probe, tuple):
+            if self.kind != FORCE_PSD:
+                raise ValidationError("ceiling.probe", "bands only for force_psd")
+            lo, hi = self.probe
+            if not (0 < lo < hi and math.isfinite(hi)):
+                raise ValidationError("ceiling.probe", "band needs 0 < lo < hi")
+        elif self.probe is not None:
+            require_positive("ceiling.probe", self.probe)
+        if self.kind == FORCE_PSD and self.probe is None:
+            raise ValidationError("ceiling.probe", "force_psd needs a probe frequency")
+        if self.kind == XRAY_NORMALIZED and (self.probe is None
+                                             or isinstance(self.probe, tuple)):
+            raise ValidationError("ceiling.probe",
+                                  "xray_normalized needs a single observation frequency")
+
+    @property
+    def omega(self) -> float | None:
+        """The angular frequency f~ is taken at: the probe, or a band's lower
+        edge (None without a probe). A band ceiling must hold at every
+        frequency of the band, and f~ does not increase with |w|, so the
+        lower edge gives the strongest bound that is justified."""
+        return self.probe[0] if isinstance(self.probe, tuple) else self.probe
+
+
+@dataclass(frozen=True)
+class MechanicalOscillator:
+    """Trapped, damped oscillator in a thermal bath.
+
+    gamma_m may be omitted when only force-noise (not displacement) spectra
+    are needed.
+    """
+
+    mass: float                 # kg
+    omega_m: float              # rad/s
+    temperature: float          # K
+    gamma_m: float | None = None  # s^-1
+
+    def __post_init__(self):
+        for name in ("mass", "omega_m", "temperature"):
+            require_positive(f"oscillator.{name}", getattr(self, name))
+        if self.gamma_m is not None:
+            require_positive("oscillator.gamma_m", self.gamma_m)
+            if self.gamma_m >= self.omega_m:
+                warnings.warn("oscillator is overdamped (gamma_m >= omega_m); "
+                              "resonant formulas may not apply", stacklevel=2)
+
+
+@dataclass(frozen=True)
+class FullSineDispersion:
+    """Nearest-neighbour monoatomic-lattice dispersion
+    w_L(q)^2 = (4 C / m_A) sin^2(q a / 2)."""
+
+    force_constant: float  # N/m
+    atom_mass: float       # kg
+    plane_spacing: float   # m
+
+    def sound_speed(self) -> float:
+        return self.plane_spacing * math.sqrt(self.force_constant / self.atom_mass)
+
+
+@dataclass(frozen=True)
+class PhononModel:
+    """Longitudinal phonon branch: linear (dispersion=None, w_L = v_s q) or
+    the full sine form. When both are given they must agree at small q."""
+
+    v_s: float  # m/s
+    dispersion: FullSineDispersion | None = None
+
+    def __post_init__(self):
+        require_positive("phonon.v_s", self.v_s)
+        if self.dispersion is not None:
+            for name in ("force_constant", "atom_mass", "plane_spacing"):
+                require_positive(f"phonon.{name}", getattr(self.dispersion, name))
+            if abs(self.dispersion.sound_speed() / self.v_s - 1.0) > 0.01:
+                raise ValidationError(
+                    "phonon.v_s", "inconsistent with a sqrt(C/m_A) beyond 1%")
+
+    def omega_l(self, q):
+        """w_L(q) in rad/s, as a float array (numpy is imported here)."""
+        import numpy as np
+
+        q = np.asarray(q, dtype=float)
+        if self.dispersion is None:
+            return self.v_s * np.abs(q)
+        disp = self.dispersion
+        wmax = 2.0 * math.sqrt(disp.force_constant / disp.atom_mass)
+        return wmax * np.abs(np.sin(0.5 * np.abs(q) * disp.plane_spacing))
+
+
+@dataclass(frozen=True)
+class ColdAtomDescriptor:
+    """Free-falling atom cloud: nucleon count A per atom, single-atom mass,
+    and the ballistic expansion time."""
+
+    mass_number: float     # dimensionless A
+    atom_mass: float       # kg
+    expansion_time: float  # s
+
+    def __post_init__(self):
+        for name in ("mass_number", "atom_mass"):
+            require_positive(f"coldatom.{name}", getattr(self, name))
+        if not (self.expansion_time >= 0 and math.isfinite(self.expansion_time)):
+            raise ValidationError("coldatom.expansion_time", "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -60,9 +194,14 @@ class ExperimentDescriptor:
 
 
 def validate_descriptor(desc: ExperimentDescriptor) -> ExperimentDescriptor:
-    """Exactly the fields demanded by the kind must be present."""
+    """Exactly the fields demanded by the kind must be present, and the id
+    and provenance must read back from the config text ``serialize`` writes."""
     if not desc.id:
         raise ValidationError("id", "must be non-empty")
+    if _read_back(_word(desc.id)) != desc.id:
+        raise ValidationError("id", "cannot be written as one config value")
+    if desc.provenance and _read_back(f'"{desc.provenance}"') != desc.provenance:
+        raise ValidationError("provenance", "cannot be written as one config value")
     need = {  # per kind: required sections, ceiling kind, forbidden sections
         "optomechanical": (("geometry",), FORCE_PSD, ("phonon", "coldatom")),
         "xray": ((), XRAY_NORMALIZED, ("geometry", "oscillator", "phonon", "coldatom")),
@@ -125,6 +264,17 @@ def _parse_value(raw: str, line_no: int, col: int):
         return float(tokens[0])
     except ValueError:
         return tokens[0]  # bare word
+
+
+def _read_back(value: str):
+    """The value a config line ``key = value`` holds, or None where value
+    spans lines or does not parse."""
+    if value.splitlines() != [value]:
+        return None
+    try:
+        return _parse_value(_strip_comment(value), 1, 1)
+    except ParseError:
+        return None
 
 
 def parse_config(text: str) -> ExperimentDescriptor:
@@ -344,9 +494,15 @@ def _build_descriptor(top: dict, sections: dict) -> ExperimentDescriptor:
 def _fmt(v) -> str:
     if isinstance(v, tuple):
         return " ".join(repr(float(x)) for x in v)
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, float):  # a numpy float's own repr, np.float64(803.0), does not parse
+        return repr(float(v))
     return str(v)
+
+
+def _word(s: str) -> str:
+    """A string as config text: bare where it reads back as itself, quoted
+    where it would not (a space, a '#', or a word that reads as a number)."""
+    return s if _read_back(s) == s else f'"{s}"'
 
 
 def _field_lines(obj, section: str) -> list[str]:
@@ -383,7 +539,7 @@ def _geometry_lines(d: MassDistribution, header: str, out: list,
 
 def serialize(desc: ExperimentDescriptor) -> str:
     """Canonical config text; load(serialize(d)) equals d field for field."""
-    out = [f"id = {desc.id}", f"kind = {desc.kind}"]
+    out = [f"id = {_word(desc.id)}", f"kind = {desc.kind}"]
     if desc.provenance:
         out.append(f'provenance = "{desc.provenance}"')
     if desc.geometry is not None:

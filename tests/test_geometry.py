@@ -11,7 +11,7 @@ from ccsl import (Composite, Cuboid, Cylinder, MassDistribution, PointMass, Sphe
                   ValidationError, composite, cuboid, cylinder, form_factor_sq,
                   point_mass, sphere, total_mass)
 from ccsl.diffusion import eta_column, eta_reduced
-from ccsl.geometry import (_unit, bessel_j1, circumradius, disc_kernel, sinc_kernel,
+from ccsl.geometry import (_floats3, _unit, bessel_j1, circumradius, disc_kernel, sinc_kernel,
                            sphere_kernel, validate_distribution, volume)
 from fixtures import CANTILEVER_SPHERE_MASS, J1_TABLE, LISA_CUBE_DENSITY, SPHERE_FF_AT_KR_PI
 
@@ -282,3 +282,62 @@ def test_with_measurement_axis_normalizes():
     for v in np.random.default_rng(7).uniform(-1.0, 1.0, (2000, 3)).tolist():
         u = _unit(v, "axis")
         assert _unit(u, "axis") == u
+
+
+# inputs for the 3-vector checks, each read in Python floats as numpy reads
+# it into a float array: a str is one number (and a ValueError where it is
+# not one), None is NaN, a nested sequence or an array of another shape is
+# not a 3-vector
+_VECTOR_INPUTS = ["1.0", "123", b"2", "abc", "", 5.0, None, [1, 2, 3], (0, 0, 2),
+                  ["1", "0", "0"], ["a", 0, 0], [None, 0, 0], [True, 0, 0],
+                  [math.inf, 0, 0], [np.float32(0.1), 0, 0], [np.array(1.0), 0, 0],
+                  np.ones(3), np.ones((1, 3)), np.array(1.0), [[1, 2, 3]],
+                  [[1], [2], [3]], [[1, 2], [3, 4], [5, 6]], [1, 2], [1, 2, 3, 4]]
+
+
+@pytest.mark.parametrize("v", _VECTOR_INPUTS, ids=[repr(v) for v in _VECTOR_INPUTS])
+def test_vectors_are_read_as_numpy_reads_them(v):
+    # as an axis and as a part offset, each with its field and message
+    ball = sphere(1.0, density=1.0)
+    try:
+        a = np.asarray(v, dtype=float)
+    except ValueError as err:
+        with pytest.raises(ValueError) as info:
+            _floats3(v, "axis", "must be a 3-vector")
+        assert type(info.value) is ValueError and str(info.value) == str(err)
+        return
+    if a.shape != (3,):
+        with pytest.raises(ValidationError) as info:
+            cylinder(1.0, 1.0, axis=v, density=1.0)
+        assert (info.value.field, info.value.constraint) == ("geometry.axis", "must be a 3-vector")
+    else:
+        got = _floats3(v, "axis", "must be a 3-vector")
+        assert all(type(c) is float for c in got)
+        assert np.array_equal(got, a, equal_nan=True)
+        if np.all(np.isfinite(a)):
+            assert composite([(ball, v)]).shape.parts[0][1] == got
+            return
+        with pytest.raises(ValidationError) as info:
+            sphere(1.0, density=1.0, measurement_axis=v)
+        assert (info.value.field, info.value.constraint) == (
+            "measurement_axis", "must have positive finite norm")
+    with pytest.raises(ValidationError) as info:
+        composite([(ball, v)])
+    assert (info.value.field, info.value.constraint) == (
+        "geometry.part.offset", "must be a finite 3-vector")
+
+
+def test_composite_parts_take_the_default_measurement_axis():
+    # no route reads a part's axis, and a config cannot state one, so each
+    # part is kept with the default: the body's axis is the measured one
+    rod = cylinder(1e-3, 4e-3, density=2700.0)  # measured along z by default
+    d = composite([(rod, (0.0, 0.0, 0.0)), (rod, (0.0, 0.0, 1e-2))],
+                  measurement_axis=(0, 0, 1))
+    for part, _ in d.shape.parts:
+        assert part == dataclasses.replace(rod, measurement_axis=(1.0, 0.0, 0.0))
+    ball = sphere(1e-3, density=1.0)
+    assert composite([(ball, (0, 0, 0))]).shape.parts[0][0] is ball
+    # built from parts measured along x, the body is the same one
+    rod_x = cylinder(1e-3, 4e-3, density=2700.0, measurement_axis=(1, 0, 0))
+    assert composite([(rod_x, (0.0, 0.0, 0.0)), (rod_x, (0.0, 0.0, 1e-2))],
+                     measurement_axis=(0, 0, 1)) == d

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -15,8 +16,8 @@ from ccsl import (CONSTANTS, CollapseParams, ColdAtomDescriptor,
                   eta, heating_rate, lambda_eff, lambda_eff_quad,
                   normalized_xray_rate, point_mass, sphere, spectrum, xray_rate)
 from ccsl.diffusion import DEFAULT_TOL
-from ccsl.predict import (_LINEAR_KNEES, _Y_EDGES, _cold_bracket, _erfcx, _phonon_bracket,
-                          _quad_rows, _y_edges, cold_atom_noise_factor, lambda_eff_column)
+from ccsl.predict import (_LINEAR_KNEES, _Y_EDGES, _closed, _cold_bracket, _erfcx,
+                          _phonon_bracket, _quad_rows, _y_edges, cold_atom_noise_factor, lambda_eff_column)
 from ccsl.quadrature import merge_edges
 from fixtures import (COLD_BRACKET_TABLE, ERFCX_TABLE, ONE_MINUS_2_OVER_E,
                       PHONON_RATIO_TABLE)
@@ -238,6 +239,34 @@ def test_lambda_eff_closed_against_fixtures():
         wc = x * COPPER.v_s / rc
         got = lambda_eff(exponential(wc), COPPER, rc)
         assert got == pytest.approx(ratio, rel=1e-10), f"x={x}"
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.5e-3])
+def test_closed_form_at_one_rc_is_a_float_with_the_bits_of_the_elementwise_form(lam):
+    # at one rc the closed form picks between its formula and lam with a
+    # plain conditional in Python floats, and gives the bits np.where gives:
+    # a seeded sample of x, and 16 floats either side of the x at which
+    # 4 x^2 / 3 overflows
+    wc = 1e4
+    x_top = math.sqrt(sys.float_info.max) / 2.0  # the first x that overflows, within an ulp
+    while 4.0 * x_top * x_top / 3.0 == math.inf:
+        x_top = math.nextafter(x_top, 0.0)
+    while 4.0 * x_top * x_top / 3.0 < math.inf:
+        x_top = math.nextafter(x_top, math.inf)
+    xs = [x_top]
+    for _ in range(16):
+        xs = [math.nextafter(xs[0], 0.0), *xs, math.nextafter(xs[-1], math.inf)]
+    xs += (10.0 ** np.random.default_rng(29).uniform(-4.0, 160.0, 500)).tolist()
+    qs = []
+    for x in xs:
+        rc = x * COPPER.v_s / wc
+        got = _closed(exponential(wc), COPPER, rc, lam)
+        x = rc * wc / COPPER.v_s
+        q = 4.0 * x * x / 3.0
+        want = np.where(q < math.inf, lam * q * _phonon_bracket(x), lam)
+        assert type(got) is float and got.hex() == float(want).hex(), rc
+        qs.append(q)
+    assert min(qs) < math.inf and max(qs) == math.inf  # both sides reached
 
 
 def test_lambda_eff_bracket_branch_continuity():

@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,7 +93,11 @@ def test_xray_and_heating_and_coldatom_values():
 
 
 def test_serialization_round_trip_bit_identical():
-    for exp in load_all_bundled():
+    # with a composite of cylinder() parts, each measured along z by default:
+    # composite keeps its parts with the default axis, which a config reads back
+    rod = cylinder(1e-3, 4e-3, density=2700.0, axis=(1, 1, 0))
+    rods = composite([(rod, (0, 0, 0)), (rod, (0, 0, 1e-2))], measurement_axis=(0, 0, 1))
+    for exp in [*load_all_bundled(), replace(load("auriga"), id="rods", geometry=rods)]:
         text = serialize(exp)
         again = parse_config(text)
         assert again == exp  # dataclass equality covers every float bit
@@ -532,11 +537,12 @@ def _primitive(measurement_axis):
         st.builds(lambda m: point_mass(m, measurement_axis=measurement_axis), _pos))
 
 
-# a part's measurement axis has no key in a config, which reads every part
-# with the default one; the body's own axis is drawn
+# a part's measurement axis has no key in a config; composite keeps each
+# part with the default one, so parts are drawn with any axis (cylinder()'s
+# default is z) and the body's own axis is drawn too
 _geometry = _vector.flatmap(lambda m: st.one_of(
     _primitive(m),
-    st.lists(st.tuples(_primitive((1.0, 0.0, 0.0)), _offset), min_size=1, max_size=3)
+    st.lists(st.tuples(_vector.flatmap(_primitive), _offset), min_size=1, max_size=3)
     .map(lambda parts: composite(parts, measurement_axis=m))))
 
 _oscillator = st.builds(
@@ -571,13 +577,66 @@ _descriptor = st.one_of(
         _coldatom, _probe, _pos))
 
 
+# ids and provenances with what a config line treats apart: blanks, line
+# breaks, '#', '"', '=' and words that read as numbers
+_text = st.text(st.one_of(st.sampled_from(' \t#"=[]\n\r\x85\u2028.e+-_0123456789'),
+                          st.characters()), max_size=8)
+_words = st.one_of(_text, st.sampled_from(["123", "nan", "inf", "1e5", "1 2 3", "a b"]))
+
+
 @settings(max_examples=300, deadline=None)
-@given(_descriptor)
-def test_drawn_descriptors_round_trip(desc):
+@given(_descriptor, st.one_of(st.none(), _words), st.one_of(st.none(), _words))
+def test_drawn_descriptors_round_trip(desc, exp_id, provenance):
+    # a drawn id or provenance is either written so that it loads, or
+    # rejected when built: only a string with a line break, or with both
+    # '#' and '"', can be rejected
+    drawn = {k: v for k, v in (("id", exp_id), ("provenance", provenance)) if v is not None}
+    try:
+        desc = replace(desc, **drawn)
+    except ValidationError as err:
+        value = drawn[err.field]
+        assert err.constraint == ("must be non-empty" if value == ""
+                                  else "cannot be written as one config value")
+        assert value == "" or value.splitlines() != [value] or ("#" in value and '"' in value)
+        return
     text = serialize(desc)
     again = parse_config(text)
     assert again == desc
     assert serialize(again) == text
+
+
+def test_ids_and_provenances_are_written_so_that_they_load():
+    xray = load("xray")
+    for exp_id, line in [("a b", 'id = "a b"'), ("123", 'id = "123"'), ("nan", 'id = "nan"'),
+                         ("a#b", 'id = "a#b"'), ("1 2 3", 'id = "1 2 3"'), ("x-ray", "id = x-ray")]:
+        d = replace(xray, id=exp_id)
+        assert serialize(d).splitlines()[0] == line
+        assert parse_config(serialize(d)) == d
+    for provenance in ('say "x"', 'a "b" # c', '"'):
+        d = replace(xray, provenance=provenance)
+        assert parse_config(serialize(d)) == d
+    for field, value in [("id", "a\nb"), ("id", '"#'), ("provenance", "two\nlines"),
+                         ("provenance", 'a"b # c'), ("provenance", "x\x85y")]:
+        with pytest.raises(ValidationError) as err:
+            replace(xray, **{field: value})
+        assert (err.value.field, err.value.constraint) == (
+            field, "cannot be written as one config value")
+
+
+def test_numpy_floats_serialize_as_plain_floats():
+    # a numpy float is a float subclass whose repr (np.float64(803.0)) no
+    # config parses; serialize writes its plain float text
+    f = np.float64
+    desc = ExperimentDescriptor(
+        "np", "optomechanical", Ceiling("force_psd", f(3e-30), (f(1.0), f(2.5))),
+        geometry=sphere(f(1e-5), density=f(7430.0)),
+        oscillator=MechanicalOscillator(f(0.1), f(9.4), f(0.02), f(0.003)))
+    text = serialize(desc)
+    assert "np.float64" not in text and "value = 3e-30" in text
+    assert parse_config(text) == desc
+    heat = ExperimentDescriptor("np", "bulk_heating", Ceiling("heating_power", f(1e-11)),
+                                phonon=PhononModel(f(3000.0)))
+    assert parse_config(serialize(heat)) == heat
 
 
 # per section built from a dataclass, a config holding every required key,
