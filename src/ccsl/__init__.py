@@ -8,7 +8,8 @@ collapse noise.
 Importing ccsl loads the descriptor layer only (constants, errors, noise
 kernels, geometries and experiment descriptors), which needs no numpy. The
 compute names (eta, the predictions and the bounds) are looked up in their
-home modules on first access, which imports numpy.
+home modules on first access, and the compute modules (ccsl.bounds and the
+rest) are imported on first access; either imports numpy.
 """
 
 import importlib
@@ -51,10 +52,15 @@ _LAZY = {name: module for module, names in (
                 "lambda_max_force", "lambda_max_heating", "lambda_max_xray", "scan")),
 ) for name in names}
 
+# the submodules that importing ccsl leaves unimported
+_SUBMODULES = {*_LAZY.values(), "quadrature", "cli"}
+
 __all__ = _EAGER + list(_LAZY)
 
 
 def __getattr__(name: str):
+    if name in _SUBMODULES:  # importing binds it, so later lookups do not come here
+        return importlib.import_module(f".{name}", __name__)
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)

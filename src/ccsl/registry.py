@@ -196,8 +196,12 @@ class ExperimentDescriptor:
 def validate_descriptor(desc: ExperimentDescriptor) -> ExperimentDescriptor:
     """Exactly the fields demanded by the kind must be present, and the id
     and provenance must read back from the config text ``serialize`` writes."""
+    if not isinstance(desc.id, str):
+        raise ValidationError("id", "missing or not a string")
     if not desc.id:
         raise ValidationError("id", "must be non-empty")
+    if not isinstance(desc.provenance, str):
+        raise ValidationError("provenance", f"not a string: {desc.provenance!r}")
     if _read_back(_word(desc.id)) != desc.id:
         raise ValidationError("id", "cannot be written as one config value")
     if desc.provenance and _read_back(f'"{desc.provenance}"') != desc.provenance:

@@ -231,6 +231,10 @@ def test_erfcx_matches_scipy_and_is_continuous_at_its_switch():
 def test_lambda_eff_white_is_lambda():
     assert lambda_eff(WHITE, COPPER, GRW.rc, GRW.lam) == GRW.lam
     assert lambda_eff_quad(GRW, WHITE, COPPER) == pytest.approx(GRW.lam, rel=1e-9)
+    # an int lam, or a numpy rc, still gives a Python float
+    for noise, rc, lam in ((WHITE, 1e-7, 0), (exponential(1e4), np.float64(1e-7), 1e-12)):
+        got = lambda_eff(noise, COPPER, rc, lam)
+        assert type(got) is float and got == lambda_eff(noise, COPPER, float(rc), float(lam))
 
 
 def test_lambda_eff_closed_against_fixtures():

@@ -514,6 +514,14 @@ def test_kind_rules_ceiling_kind_and_precedence(kind):
     with pytest.raises(ValidationError) as err:
         replace(base, id="", kind="torsion")
     assert (err.value.field, err.value.constraint) == ("id", "must be non-empty")
+    # an id or provenance that is not a string is a ValidationError too
+    for field, value, constraint in (("id", 5, "missing or not a string"),
+                                     ("id", None, "missing or not a string"),
+                                     ("provenance", 3.0, "not a string: 3.0"),
+                                     ("provenance", None, "not a string: None")):
+        with pytest.raises(ValidationError) as err:
+            replace(base, **{field: value})
+        assert (err.value.field, err.value.constraint) == (field, constraint)
 
 
 # --- round trip of drawn descriptors -------------------------------------------

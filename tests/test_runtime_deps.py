@@ -102,6 +102,13 @@ except ImportError:
     pass
 else:
     raise AssertionError("scan imported without numpy")
+for module in ("bounds", "predict", "diffusion", "quadrature"):
+    try:
+        getattr(ccsl, module)
+    except ImportError:
+        pass
+    else:
+        raise AssertionError(f"ccsl.{module} imported without numpy")
 print(json.dumps(sorted({desc.kind for desc in map(parse_config, texts)})))
 """
 
@@ -131,6 +138,18 @@ def test_descriptor_layer_runs_with_numpy_blocked():
     assert kinds == ["bulk_heating", "cold_atom", "optomechanical", "xray"]
 
 
+def test_compute_modules_are_attributes_of_a_fresh_ccsl():
+    # importing ccsl imports no compute module; reading one as an attribute
+    # of the package imports it
+    proc = run_python("-c", "import sys, ccsl\n"
+                      "names = ('bounds', 'predict', 'diffusion', 'quadrature', 'cli')\n"
+                      "assert not any(f'ccsl.{m}' in sys.modules for m in names)\n"
+                      "ccsl.bounds.scan, ccsl.predict.lambda_eff, ccsl.diffusion.eta\n"
+                      "ccsl.quadrature.integrate, ccsl.cli.main\n"
+                      "assert all(getattr(ccsl, m) is sys.modules[f'ccsl.{m}'] for m in names)\n")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_every_public_name_is_its_home_module_object():
     # the compute names resolve on first access to the object of the module
     # they live in; the others are bound when ccsl is imported, from modules
@@ -144,5 +163,7 @@ def test_every_public_name_is_its_home_module_object():
         assert getattr(module, name) is got, name
     assert set(ccsl.__all__) <= set(dir(ccsl))
     assert len(ccsl.__all__) == len(set(ccsl.__all__))
+    for module in ("bounds", "predict", "diffusion", "quadrature", "cli"):
+        assert getattr(ccsl, module) is sys.modules[f"ccsl.{module}"]
     with pytest.raises(AttributeError):
         ccsl.not_a_name
