@@ -116,7 +116,10 @@ def lambda_max_force(d: MassDistribution, ceiling: Ceiling, n: NoiseSpec,
     """Invert S_ccsl = hbar^2 lam eta_reduced f~ against a force-PSD ceiling."""
     _expect(ceiling, FORCE_PSD)
     f_eff = effective_spectrum_factor(ceiling, n)
-    unit = CONSTANTS.hbar**2 * eta_reduced(d, rc).value
+    try:
+        unit = CONSTANTS.hbar**2 * eta_reduced(d, rc).value
+    except ArithmeticError:  # a term of eta at this rc (rc^2, 1/rc) leaves the float range
+        raise WashedOut(f"force response out of float range at rc={rc:.3e}") from None
     if not (0.0 < unit < math.inf and f_eff > 0.0):
         raise WashedOut(f"force response vanished at rc={rc:.3e}")
     return ceiling.value / unit / f_eff

@@ -80,18 +80,28 @@ def _resolve_experiments(spec: str, flag: str) -> list[ExperimentDescriptor]:
     return [load(token) for token in tokens]
 
 
+@functools.lru_cache(maxsize=1)
+def _utc_second(second: int) -> str:
+    """The manifest timestamp of a wall-clock second: each second's text is
+    built once, however many manifests that second makes."""
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(second))
+
+
+# json.dumps(o, sort_keys=True) without a new encoder per call: json's C encoder
+_compact = json.JSONEncoder(sort_keys=True).encode
+
+
 @dataclass
 class RunManifest:
     command: str
     parameters: dict
     experiment_ids: list[str]
     version: str = __version__
-    timestamp: str = field(default_factory=lambda: time.strftime(
-        "%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
+    timestamp: str = field(default_factory=lambda: _utc_second(int(time.time())))
     errors: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
+        return _compact(self.__dict__)
 
     def comment(self) -> str:
         return f"# manifest: {self.to_json()}"
@@ -100,59 +110,89 @@ class RunManifest:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _write_json(o, indent: str, out: list) -> None:
-    """Append the text of json.dumps(o, indent=2, sort_keys=True) to out,
-    o nested at indent ("\n" and two spaces per level); dict keys are str.
-    Dispatches in json's order, and raises TypeError where json does."""
-    if isinstance(o, str):
-        out.append(_quote(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(float.__repr__(o) if math.isfinite(o) else
-                   "NaN" if o != o else "Infinity" if o > 0 else "-Infinity")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner, sep = indent + "  ", "["
-        for value in o:
-            out.append(sep + inner)
-            _write_json(value, inner, out)
-            sep = ","
-        out.append(indent + "]")
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        inner, sep = indent + "  ", "{"
-        for key, value in sorted(o.items()):
-            out.append(f"{sep}{inner}{_quote(key)}: ")
-            _write_json(value, inner, out)
-            sep = ","
-        out.append(indent + "}")
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+def _leaf(v) -> str:
+    """json's text for a str, None, bool, int or float (a subclass too, as
+    np.float64); TypeError for any other object, as json raises for one it
+    cannot encode."""
+    if isinstance(v, str):
+        return _quote(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return (float.__repr__(v) if math.isfinite(v) else
+                "NaN" if v != v else "Infinity" if v > 0 else "-Infinity")
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _items(texts: list, indent: str) -> str:
+    """A JSON array of the items' texts, nested at indent ("\n" and two
+    spaces per level)."""
+    if not texts:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(texts) + indent + "]"
+
+
+def _value(v, indent: str) -> str:
+    """A leaf's text, or a list (or tuple) of leaves' nested at indent."""
+    return _items(list(map(_leaf, v)), indent) if isinstance(v, (list, tuple)) else _leaf(v)
+
+
+@functools.lru_cache(maxsize=64)
+def _record_text(keys: tuple, indent: str) -> tuple:
+    """For records with the distinct str keys `keys` nested at indent, built
+    once per key set and indent: the index of each value in key order, the
+    text before each value, the values' indent, and the closing text."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    inner = indent + "  "
+    heads = ["{" + inner + _quote(keys[order[0]]) + ": "] + [
+        "," + inner + _quote(keys[i]) + ": " for i in order[1:]]
+    return order, heads, inner, indent + "}"
+
+
+def _record(keys: tuple, values, indent: str) -> str:
+    """The JSON object {keys[i]: values[i]} with sorted keys, nested at
+    indent; each value a leaf or a list of leaves."""
+    if not keys:
+        return "{}"
+    order, heads, inner, tail = _record_text(keys, indent)
+    return "".join([h + _value(values[i], inner) for h, i in zip(heads, order)]) + tail
+
+
+def _answer_json(m: RunManifest, keys: tuple, rows: list) -> str:
+    """json.dumps({"manifest": vars(m), "results": [dict(zip(keys, r)) for
+    r in rows]}, indent=2, sort_keys=True), written for that fixed shape:
+    the manifest's six fields in key order, each error a record (a dict
+    with str keys), each row a record with keys `keys` (distinct str), the
+    parameters a record, and every other value a leaf or a list of leaves."""
+    return "".join([
+        '{\n  "manifest": {\n    "command": ', _leaf(m.command),
+        ',\n    "errors": ', _items([_record(tuple(e), tuple(e.values()), "\n      ")
+                                     for e in m.errors], "\n    "),
+        ',\n    "experiment_ids": ', _value(m.experiment_ids, "\n    "),
+        ',\n    "parameters": ', _record(tuple(m.parameters), tuple(m.parameters.values()),
+                                         "\n    "),
+        ',\n    "timestamp": ', _leaf(m.timestamp),
+        ',\n    "version": ', _leaf(m.version),
+        '\n  },\n  "results": ', _items([_record(keys, r, "\n    ") for r in rows], "\n  "),
+        "\n}"])
 
 
 def _print_rows(manifest: RunManifest, keys: tuple, rows: list, fmt: str) -> None:
     """Write rows to sys.stdout in one call: as JSON records under the
-    manifest (the bytes of json.dumps(doc, indent=2, sort_keys=True)), or as
-    CSV after its comment line, each float cell through _fmt."""
+    manifest (_answer_json), or as CSV after its comment line, each float
+    cell through _fmt."""
     if fmt == "json":
-        out = []
-        _write_json({"manifest": vars(manifest),
-                     "results": [dict(zip(keys, r)) for r in rows]}, "\n", out)
-        text = "".join(out)
+        text = _answer_json(manifest, keys, rows)
     else:
-        text = "\n".join([manifest.comment(), ",".join(keys), *(
-            ",".join(_fmt(c) if isinstance(c, float) else c for c in r) for r in rows)])
+        text = "\n".join([manifest.comment(), ",".join(keys), *[
+            ",".join([_fmt(c) if isinstance(c, float) else c for c in r]) for r in rows]])
     sys.stdout.write(text + "\n")
 
 
@@ -436,10 +476,11 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _exact_forms() -> dict:
     """Each command's exact form, built on first use from the Actions its
-    parser keeps: (its Actions by option string, the Namespace's defaults,
-    its required Actions, its exclusive groups with their Actions). A form
-    models single-value store options only, and neither a str default with
-    a type (parse_args converts it at its end) nor a default in an exclusive
+    parser keeps: (each option string's (dest, type, choices), the
+    Namespace's defaults, the set of required dests, each exclusive group
+    as (its set of dests, whether it is required)). A form models
+    single-value store options only, and neither a str default with a type
+    (parse_args converts it at its end) nor a default in an exclusive
     group; a command with any other Action has no form (None), and argparse
     parses all of its argv."""
     # the Action class of a plain add_argument call
@@ -451,10 +492,12 @@ def _exact_forms() -> dict:
                        and not (a.type is not None and isinstance(a.default, str))
                        for a in actions) and all(
             a.default is None for _, members in parser.exclusive for a in members)
-        forms[name] = ({flag: a for a in actions for flag in a.option_strings},
+        forms[name] = ({flag: (a.dest, a.type, a.choices)
+                        for a in actions for flag in a.option_strings},
                        {a.dest: a.default for a in actions} | {"func": parser.get_default("func")},
-                       [a for a in actions if a.required],
-                       parser.exclusive) if modelled else None
+                       {a.dest for a in actions if a.required},
+                       [({a.dest for a in members}, group.required)
+                        for group, members in parser.exclusive]) if modelled else None
     return forms
 
 
@@ -472,25 +515,26 @@ def _parse_exact(name: str, argv: list):
     flags, defaults, required, exclusive = form
     given = {}
     for flag, text in zip(argv[::2], argv[1::2]):
-        action = flags.get(flag)
-        if action is None or action in given or text.startswith("-"):
+        spec = flags.get(flag)
+        if spec is None or spec[0] in given or text.startswith("-"):
             return None
+        dest, kind, choices = spec
         try:
-            value = text if action.type is None else action.type(text)
+            value = text if kind is None else kind(text)
         except (TypeError, ValueError, argparse.ArgumentTypeError):
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        given[action] = value
-    if not all(a in given for a in required):
+        given[dest] = value
+    if not required <= given.keys():
         return None
-    for group, members in exclusive:
-        count = sum(a in given for a in members)
-        if count > 1 or group.required and not count:
+    for dests, group_required in exclusive:
+        count = len(dests & given.keys())
+        if count > 1 or group_required and not count:
             return None
-    args = argparse.Namespace(**defaults)
-    for action, value in given.items():
-        setattr(args, action.dest, value)
+    args = argparse.Namespace()
+    vars(args).update(defaults)
+    vars(args).update(given)
     return args
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccsl import WHITE, CollapseParams, cli, exponential, list_bundled, load, scan, serialize
+from ccsl.bounds import lambda_max_at
 from ccsl.cli import build_parser, main
+from ccsl.errors import WashedOut
 from ccsl.predict import dns_total
 from fixtures import SPHERE_CYLINDER_PAIR
 from test_runtime_deps import run_python
@@ -298,6 +301,28 @@ def test_single_rc_bound_is_the_scan_at_that_rc(rc, omega_c):
         doc = json.loads(out.getvalue())
         assert (code, doc["results"], doc["manifest"]["errors"]) == (
             0 if rows else 3, rows, errors)
+
+
+@pytest.mark.parametrize("rc", [5e-324, 1e-320, 1e-200, 1e200, 1e300])
+@pytest.mark.parametrize("name", ["auriga", "ligo", "cantilever", "lisa-pathfinder"])
+def test_force_bound_at_extreme_rc_logs_washed_out(capsys, name, rc):
+    # where eta's terms leave the float range the force inversion washes out
+    # naming rc, with one class and message through bound --rc, a one-rc grid
+    # and a 12-rc grid (columns, then the per-point fallback)
+    with pytest.raises(WashedOut) as err:
+        lambda_max_at(load(name), WHITE, rc)
+    assert f"rc={rc:.3e}" in str(err.value)
+    twelve = ([rc * 10.0**k for k in range(12)] if rc < 1 else
+              [rc / 10.0**k for k in range(11, -1, -1)])
+    for grid in [[rc], twelve]:
+        logged = []
+        scan([load(name)], [WHITE], grid, on_error=lambda i, _, r, e: logged.append((r, e)))
+        assert [(type(e), str(e)) for r, e in logged if r == rc] == [(WashedOut, str(err.value))]
+    for flags in (["--rc", repr(rc)], ["--rc-grid", f"{rc!r}:{rc!r}:1"],
+                  ["--rc-grid", f"{min(twelve)!r}:{max(twelve)!r}:12"]):
+        code, out, _ = run(capsys, "bound", "--experiment", name, *flags, "--format", "json")
+        errors = json.loads(out)["manifest"]["errors"]
+        assert [e["error"] for e in errors if e["rc_m"] == rc] == [str(err.value)]
 
 
 def test_predict_omega_override(capsys):
@@ -680,11 +705,13 @@ VALUES = ["xray", "xray,cantilever", "1e-7", " 3e-8", "1_0", "2", "0", "-0", "-1
           "abc", "", "csv", "json", "xml", "exp:1e4", "1e-8:1e-6:3", "a=b", "-h", "--", "--rc"]
 
 
-def values_for(action):
-    """Values for a flag, mostly ones its type and choices take."""
-    if action.choices:
-        return [*action.choices, "xml"]
-    if action.type is not None:
+def values_for(spec):
+    """Values for a flag, given its exact form's (dest, type, choices),
+    mostly ones its type and choices take."""
+    _, kind, choices = spec
+    if choices:
+        return [*choices, "xml"]
+    if kind is not None:
         return ["1e-7", " 3e-8", "1_0", "2", "inf", "nan", "2.5", "abc"]
     return ["xray", "xray,cantilever", "1e-8:1e-6:3", "", "a=b", "exp:1e4"]
 
@@ -849,30 +876,103 @@ TEXT = st.one_of(st.text(), st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\x80\u00
                                               '\ud800\udfff\U0001f600 aZ'))
 LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                    st.sampled_from(EDGE_FLOATS), st.floats().map(np.float64), TEXT)
-TREES = st.recursive(LEAVES, lambda kids: st.one_of(
-    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
-    st.dictionaries(TEXT, kids, max_size=4)), max_leaves=25)
+def answers(leaves):
+    """Whole predict/bound answers (manifest, record keys, rows), every
+    value from leaves: parameters leaves or lists (or tuples) of leaves,
+    errors and rows records with distinct str keys, empty or not."""
+    listed = st.lists(leaves, max_size=3)
+    manifests = st.builds(
+        cli.RunManifest, command=leaves,
+        parameters=st.dictionaries(TEXT, st.one_of(leaves, listed, listed.map(tuple)), max_size=5),
+        experiment_ids=st.lists(leaves, max_size=4), version=leaves, timestamp=leaves,
+        errors=st.lists(st.dictionaries(TEXT, leaves, max_size=4), max_size=3))
+    return st.tuples(manifests, st.lists(TEXT, unique=True, max_size=5).map(tuple)).flatmap(
+        lambda mk: st.tuples(st.just(mk[0]), st.just(mk[1]),
+                             st.lists(st.tuples(*[leaves] * len(mk[1])), max_size=3)))
 
 
-def written_json(o):
-    out = []
-    cli._write_json(o, "\n", out)
-    return "".join(out)
+def json_answer(manifest, keys, rows):
+    return json.dumps({"manifest": vars(manifest),
+                       "results": [dict(zip(keys, r)) for r in rows]}, indent=2, sort_keys=True)
+
+
+def outcome(write, *args):
+    try:
+        return write(*args)
+    except TypeError:
+        return TypeError
 
 
 @settings(max_examples=300, deadline=None)
-@given(o=st.one_of(TREES, TREES.map(lambda t: {"a": [(t, {})], "b": []})))
-def test_json_writer_prints_the_bytes_of_json_dumps(o):
-    # the second kind nests every tree at least 3 deep beside empty containers
-    assert written_json(o) == json.dumps(o, indent=2, sort_keys=True)
+@given(answer=answers(LEAVES))
+def test_json_writer_prints_the_bytes_of_json_dumps(answer):
+    # the JSON answer and the CSV comment line are json.dumps' bytes, indented
+    # and compact, for answers of the fixed shape with any leaves
+    manifest, keys, rows = answer
+    assert cli._answer_json(manifest, keys, rows) == json_answer(manifest, keys, rows)
+    assert manifest.comment() == "# manifest: " + json.dumps(vars(manifest), sort_keys=True)
 
 
-@pytest.mark.parametrize("o", [{1, 2}, {"a": [{"b": {1}}]}, [object()], {(1,): 1},
-                               np.bool_(True), np.int64(1), np.float32(1.0), b"x"],
-                         ids=["set", "nested-set", "object", "tuple-key", "np-bool", "np-int64",
-                              "np-float32", "bytes"])
-def test_json_writer_raises_type_error_where_json_does(o):
-    with pytest.raises(TypeError):
-        json.dumps(o, indent=2, sort_keys=True)
-    with pytest.raises(TypeError):
-        written_json(o)
+NOT_JSON = [{1, 2}, object(), np.bool_(True), np.int64(1), np.float32(1.0), b"x"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(answer=answers(st.one_of(LEAVES, st.sampled_from(NOT_JSON))))
+def test_json_writer_raises_where_json_dumps_does(answer):
+    # an answer holding objects json cannot encode anywhere among its leaves
+    manifest, keys, rows = answer
+    assert outcome(cli._answer_json, manifest, keys, rows) == outcome(json_answer, manifest,
+                                                                     keys, rows)
+    assert outcome(manifest.to_json) == outcome(lambda: json.dumps(vars(manifest), sort_keys=True))
+
+
+def answer_holding(o, slot):
+    """A bound answer with an error, a list parameter and a row, o in slot:
+    a value (a leaf, or an element of a list), or a record key."""
+    m = cli.RunManifest("bound", {"noise": "white", "list": ["inf", 1e4]}, ["xray"],
+                        errors=[{"experiment": "xray", "error": "washed out"}])
+    keys, row = ["experiment", "value"], ["xray", 1.0]
+    {"command": lambda: setattr(m, "command", o), "parameter": lambda: m.parameters.update(noise=o),
+     "list": lambda: m.parameters["list"].append(o), "id": lambda: m.experiment_ids.append(o),
+     "error": lambda: m.errors[0].update(error=o), "row": lambda: row.__setitem__(1, o),
+     "timestamp": lambda: setattr(m, "timestamp", o),
+     "parameter-key": lambda: m.parameters.update({o: 1}),
+     "error-key": lambda: m.errors[0].update({o: 1}),
+     "row-key": lambda: (keys.append(o), row.append(1))}[slot]()
+    return m, tuple(keys), [tuple(row)]
+
+
+VALUE_SLOTS = ["command", "parameter", "list", "id", "error", "row", "timestamp"]
+KEY_SLOTS = ["parameter-key", "error-key", "row-key"]
+
+
+@pytest.mark.parametrize("o, slots", [
+    ({1, 2}, VALUE_SLOTS), ([{1}], ["parameter"]), (object(), VALUE_SLOTS + KEY_SLOTS),
+    ((1,), KEY_SLOTS), (np.bool_(True), VALUE_SLOTS), (np.int64(1), VALUE_SLOTS),
+    (np.float32(1.0), VALUE_SLOTS), (b"x", VALUE_SLOTS + KEY_SLOTS)],
+    ids=["set", "nested-set", "object", "tuple-key", "np-bool", "np-int64", "np-float32", "bytes"])
+def test_json_writer_raises_type_error_where_json_does(o, slots):
+    for slot in slots:
+        manifest, keys, rows = answer_holding(o, slot)
+        with pytest.raises(TypeError):
+            json_answer(manifest, keys, rows)
+        with pytest.raises(TypeError):
+            cli._answer_json(manifest, keys, rows)
+        if not slot.startswith("row"):  # the CSV comment holds no row
+            with pytest.raises(TypeError):
+                json.dumps(vars(manifest), sort_keys=True)
+            with pytest.raises(TypeError):
+                manifest.comment()
+
+
+@pytest.mark.parametrize("t", [1700000000.0, 1700000000.999, 1700000001.0, 1700000001.5,
+                               1700000000.5, 1700003600.25])
+def test_manifest_timestamp_is_the_second_it_was_made(capsys, monkeypatch, t):
+    # each second's text is built once, and a manifest made in another
+    # second (later, or earlier after the clock was set back) carries its own
+    for now in (t, t + 0.4, t + 1.0, t):
+        monkeypatch.setattr(time, "time", lambda: now)
+        want = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(now))
+        assert cli.RunManifest("bound", {}, []).timestamp == want
+        _, out, _ = run(capsys, "bound", "--experiment", "xray", "--rc", "1e-7", "--format", "json")
+        assert json.loads(out)["manifest"]["timestamp"] == want
