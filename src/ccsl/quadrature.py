@@ -4,17 +4,22 @@
 own panels and bisects those whose K15-G7 discrepancy exceeds their fair
 share of its error budget. A round evaluates the 15 Kronrod nodes of every
 new panel of every active row node-major, as (15, m) arrays of at most
-_BLOCK panels, so memory stays flat. K15 and G7 are sums w[j] y[j] added
-left to right element by element, with no BLAS routine, so a panel's value
-depends only on its own 15 nodes. Each row's totals are one segmented
-reduction over its panels, in the order a one-row call keeps them, and the
-round's converge/fail/refine tests are array operations: every row is
-bit-identical to ``integrate``, the one-row call, on its edges alone, on
-any host BLAS, and repeated calls are bit-identical.
+_BLOCK panels, so memory stays flat. Rows given one edge-array object share
+its seed panels: their nodes are built once and go to the integrand as
+(15, 1, P) against row indices (1, k, 1), k rows of P panels per call. That
+is an optimisation only; rows given equal copies get the same bits. K15 and
+G7 are sums w[j] y[j] added left to right element by element, with no BLAS
+routine, so a panel's value depends only on its own 15 nodes. Each row's
+totals are one segmented reduction over its panels, in the order a one-row
+call keeps them, and the round's converge/fail/refine tests are array
+operations: every row is bit-identical to ``integrate``, the one-row call,
+on its edges alone, on any host BLAS, and repeated calls are bit-identical.
 
-Integrands take a 1-D numpy array of nodes (for ``integrate_rows`` also the
-row index of each node) and return an array of the same shape. The error
-estimate |K15 - G7| is conservative for smooth integrands.
+``integrate``'s integrand takes a 1-D numpy array of nodes and returns an
+array of the same shape. ``integrate_rows``'s takes nodes x and row indices
+rows, arrays that broadcast against each other, and returns an array of
+their broadcast shape (or one that broadcasts to it). The error estimate
+|K15 - G7| is conservative for smooth integrands.
 """
 from __future__ import annotations
 
@@ -80,17 +85,27 @@ def _left_to_right(w: np.ndarray, y: np.ndarray) -> np.ndarray:
     return total
 
 
-def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, row: np.ndarray):
+def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, row: np.ndarray,
+                 shared: bool = False):
     """The panels as rows (lo, hi, K15, |K15 - G7|) of an (n, 4) array, and
     the mask of those with a non-finite integrand value, whose K15 and G7
-    are set to 0."""
+    are set to 0. Panel i is [lo[i], hi[i]] of row[i]; shared, every row of
+    row has all the panels, whose nodes are built once, and the panels run
+    row by row."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    if shared:  # nodes (15, 1, P) against rows (1, k, 1): k P <= _BLOCK, or k = 1
+        nodes, k = (mid + half * XGK[:, None])[:, None], max(1, _BLOCK // lo.size)
+        calls = [(nodes, row[None, a:a + k, None]) for a in range(0, row.size, k)]
+        lo, hi, half = (np.tile(v, row.size) for v in (lo, hi, half))
+    else:  # node-major (15, m) nodes of m <= _BLOCK panels, flattened
+        calls = ((np.ravel(mid[a:a + _BLOCK] + half[a:a + _BLOCK] * XGK[:, None]),
+                  np.tile(row[a:a + _BLOCK], XGK.size)) for a in range(0, lo.size, _BLOCK))
     k15, g7, bad = np.empty(lo.size), np.empty(lo.size), np.zeros(lo.size, dtype=bool)
-    for a in range(0, lo.size, _BLOCK):
-        s = slice(a, a + _BLOCK)
-        nodes = mid[s] + half[s] * XGK[:, None]  # node-major: (15, panels)
-        y = np.asarray(f(nodes.ravel(), np.tile(row[s], XGK.size)),
-                       dtype=float).reshape(nodes.shape)
+    s = slice(0, 0)
+    for x, r in calls:
+        y = np.broadcast_to(np.asarray(f(x, r), dtype=float),
+                            np.broadcast_shapes(x.shape, r.shape)).reshape(XGK.size, -1)
+        a, s = s.stop, slice(s.stop, s.stop + y.shape[1])
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf in a bad panel
             k15[s] = _left_to_right(WGK, y)
             g7[s] = _left_to_right(WG, y[_GAUSS_IDX])
@@ -106,24 +121,39 @@ def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, row: np.ndarray):
 def integrate_rows(f: Callable, edges: Sequence[Sequence[float]], *,
                    rel_tol: float = 1e-10) -> list:
     """Integrate f over [e[0], e[-1]] for each seed edge list e, each row as
-    ``integrate`` would; f(x, rows) gets the nodes x and each one's row
-    index. Returns, per row, its QuadResult or the QuadratureNotConverged it
-    failed with; the other rows keep their values."""
-    seeds = [np.asarray(e, dtype=float) for e in edges]
+    ``integrate`` would; f(x, rows) gets nodes x and row indices rows that
+    broadcast against each other, each node with its row's index. Rows given
+    one edge-array object share its seed nodes, an optimisation only: equal
+    copies give the same bits. Returns, per row, its QuadResult or the
+    QuadratureNotConverged it failed with; the other rows keep their values."""
+    edges = list(edges)
+    groups: dict = {}  # the rows given each edge object
+    for i, e in enumerate(edges):
+        groups.setdefault(id(e), []).append(i)
+    rows = sorted(groups.values(), key=lambda g: len(g) == 1)  # shared objects first
+    seeds = [np.asarray(edges[g[0]], dtype=float) for g in rows]
     if any(e.ndim != 1 or e.size < 2 for e in seeds):
         raise ValueError("need at least two edges")
-    out: list = [None] * len(seeds)
+    out: list = [None] * len(edges)
     if not seeds:
         return out
     lo, hi = np.concatenate([e[:-1] for e in seeds]), np.concatenate([e[1:] for e in seeds])
     if np.any(hi - lo <= 0):
         raise ValueError("edges must be strictly increasing")
-    # the live rows, ascending, and their panel counts; each row's panels
-    # are one run of pan's rows, in the order a one-row call keeps them
-    ids, counts = np.arange(len(seeds)), np.array([e.size - 1 for e in seeds])
+    # the live rows, each object's as one run, and their panel counts and
+    # evaluations; each row's panels are one run of pan's rows, in the order
+    # a one-row call keeps them
+    ids = np.array([i for g in rows for i in g])
+    counts = np.repeat([e.size - 1 for e in seeds], [len(g) for g in rows])
     row, neval = np.repeat(ids, counts), 15 * counts
-    pan, bad = _eval_panels(f, lo, hi, row)  # pan[i]: lo, hi, value, error
-    nonfinite = np.zeros(len(seeds), dtype=bool)  # rows with a non-finite value
+    shared = sum(len(g) > 1 for g in rows)
+    parts = [_eval_panels(f, e[:-1], e[1:], np.array(g), shared=True)
+             for g, e in zip(rows[:shared], seeds[:shared])]
+    m = sum(e.size - 1 for e in seeds[shared:])  # the rows alone: the last m panels
+    if m:
+        parts.append(_eval_panels(f, lo[-m:], hi[-m:], row[-m:]))
+    pan, bad = (np.concatenate(v) for v in zip(*parts))  # pan[i]: lo, hi, value, error
+    nonfinite = np.zeros(len(edges), dtype=bool)  # rows with a non-finite value
     nonfinite[row[bad]] = True
     for rnd in range(_MAX_ROUNDS + 1):
         starts = np.cumsum(counts) - counts
@@ -136,7 +166,7 @@ def integrate_rows(f: Callable, edges: Sequence[Sequence[float]], *,
         refine = ~(failed | done | spent)
         for rid in ids[failed].tolist():
             out[rid] = QuadratureNotConverged("integrand returned non-finite values")
-        for rid, *res in zip(*(v[done].tolist() for v in (ids, total, total_err, neval[ids]))):
+        for rid, *res in zip(*(v[done].tolist() for v in (ids, total, total_err, neval))):
             out[rid] = QuadResult(*res)
         for rid, err, tol, n in zip(*(v[spent].tolist() for v in (ids, total_err, target, counts))):
             out[rid] = QuadratureNotConverged(f"error estimate {err:.3e} above target {tol:.3e} "
@@ -144,7 +174,7 @@ def integrate_rows(f: Callable, edges: Sequence[Sequence[float]], *,
         if not refine.any():
             break
         pan = pan.compress(np.repeat(refine, counts), axis=0)
-        ids, counts = ids[refine], counts[refine]
+        ids, counts, neval = ids[refine], counts[refine], neval[refine]
         starts = np.cumsum(counts) - counts
         shares = target[refine] / (2.0 * counts)
         # Bisect the panels holding more than their fair share of their row's
@@ -168,9 +198,11 @@ def integrate_rows(f: Callable, edges: Sequence[Sequence[float]], *,
         new, bad = _eval_panels(f, np.concatenate([s_lo, s_mid]),
                                 np.concatenate([s_mid, s_hi]), n_row)
         nonfinite[n_row[bad]] = True
-        neval[ids] += 30 * picked
+        neval += 30 * picked
         # a row's panels: those it kept, its left halves, its right halves
-        order = np.argsort(np.concatenate([np.repeat(ids, counts - picked), n_row]), kind="stable")
+        at = np.arange(ids.size)  # the rows' places in pan
+        order = np.argsort(np.concatenate([np.repeat(at, counts - picked),
+                                           np.tile(np.repeat(at, picked), 2)]), kind="stable")
         pan = np.concatenate([pan.compress(~mask, axis=0), new]).take(order, axis=0)
         counts = counts + picked
     return out

@@ -237,15 +237,11 @@ _BARE_FREQ_KEYS = {"oscillator": ("omega_m", "gamma_m"), "ceiling": ("probe", "b
 
 
 def _strip_comment(line: str) -> str:
-    out = []
-    quoted = False
-    for ch in line:
-        if ch == '"':
-            quoted = not quoted
-        if ch == "#" and not quoted:
-            break
-        out.append(ch)
-    return "".join(out)
+    """line up to its first '#' outside quotes: one with an even number of '"' before it."""
+    cut = line.find("#")
+    while cut >= 0 and line.count('"', 0, cut) % 2:
+        cut = line.find("#", cut + 1)
+    return line if cut < 0 else line[:cut]
 
 
 def _parse_value(raw: str, line_no: int, col: int):

@@ -113,6 +113,7 @@ def budget(monkeypatch):
 def _batch(fs):
     """One integrand over rows: fs[r] at the nodes of row r."""
     def f(x, rows):
+        x, rows = np.broadcast_arrays(x, rows)
         out = np.empty_like(x)
         for r, g in enumerate(fs):
             out[rows == r] = g(x[rows == r])
@@ -161,6 +162,36 @@ def test_a_row_has_its_bits_alone_between_rows_and_in_any_block(monkeypatch, bud
         trio = [(k + d) % len(FS) for d in (-1, 0, 1)]
         got = integrate_rows(_batch([FS[i] for i in trio]), [EDGES[i] for i in trio], **OPTS)
         assert _bits(got[1]) == alone[k]
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_rows_given_one_edge_array_have_the_bits_of_copies_and_alone(monkeypatch, budget, block):
+    # rows given one edge-array object share its seed nodes, which reach the
+    # integrand as (15, 1, P) against rows (1, k, 1): a row that refines, one
+    # with a non-finite value and one that runs out of panels end with the
+    # bits they have given equal copies of the edges, and in one-row calls
+    seed, other = np.linspace(0.0, 1.0, 3), np.linspace(0.0, 8.0, 9)
+    fs = [FS[1], FS[0], FS[2], FS[4], FS[3], FS[4], FS[5]]
+    edges = [seed, other, seed, EDGES[4], seed, other, seed]
+    alone = [_bits(integrate_rows(_batch([g]), [e.copy()], **OPTS)[0]) for g, e in zip(fs, edges)]
+    monkeypatch.setattr(quadrature, "_BLOCK", block)
+    shapes = []
+
+    def f(x, rows):
+        shapes.append(np.broadcast_shapes(x.shape, rows.shape))
+        return _batch(fs)(x, rows)
+    res = integrate_rows(f, edges, **OPTS)
+    got = [_bits(r) for r in res]
+    assert got == [_bits(r) for r in integrate_rows(_batch(fs), [e.copy() for e in edges], **OPTS)]
+    assert got == alone
+    assert [type(r).__name__ for r in res] == ["QuadResult", "QuadResult", "QuadratureNotConverged",
+                                               "QuadResult", "QuadratureNotConverged",
+                                               "QuadResult", "QuadResult"]
+    assert "non-finite" in str(res[2]) and "after 300 panels" in str(res[4])
+    assert res[0].neval > 15 * 2 and res[6].neval > 15 * 200  # refined
+    # each call holds as many rows of the seed's P panels as fit in _BLOCK, one at least
+    assert shapes[0] == (15, min(4, max(1, block // 2)), 2)
+    assert (15, min(2, max(1, block // 8)), 8) in shapes
 
 
 def test_rows_edge_cases():

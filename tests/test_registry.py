@@ -12,7 +12,7 @@ from ccsl import (Ceiling, ColdAtomDescriptor, FullSineDispersion, MechanicalOsc
                   list_bundled, load, load_all_bundled, parse_config, point_mass, serialize,
                   sphere, total_mass)
 from ccsl.geometry import Composite, Cuboid, Cylinder, Sphere
-from ccsl.registry import ExperimentDescriptor, validate_descriptor
+from ccsl.registry import ExperimentDescriptor, _strip_comment, validate_descriptor
 
 TWO_PI = 2.0 * math.pi
 
@@ -209,6 +209,25 @@ def test_comments_and_blank_lines_ignored():
            "[ceiling]\nkind = xray_normalized\nvalue = 100.0\nprobe_rad_s = 1e19\n"
     exp = parse_config(text)
     assert exp.id == "probe"
+
+
+def _strip_comment_by_char(line):
+    """The character loop _strip_comment replaced, kept as its oracle."""
+    out = []
+    quoted = False
+    for ch in line:
+        if ch == '"':
+            quoted = not quoted
+        if ch == "#" and not quoted:
+            break
+        out.append(ch)
+    return "".join(out)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.sampled_from('ab #"=1.\t'), max_size=40))
+def test_strip_comment_cuts_where_the_character_loop_cut(line):
+    assert _strip_comment(line) == _strip_comment_by_char(line)
 
 
 def test_kind_field_requirements_enforced():
